@@ -12,9 +12,9 @@
 //! extended with an `EditPaper` modify operation and §6 cache tags on
 //! every cacheable unit) with a closed-loop 90/10 read/write mix, A/B:
 //!
-//! * **invalidate** — PR 3/7 behavior: model-driven whole-entity bean
-//!   invalidation on the operation path plus the log-driven replica
-//!   invalidator; no fragment cache (it cannot stay fresh), no ETags;
+//! * **invalidate** — model-driven whole-entity bean invalidation on the
+//!   operation path plus the drop-only (empty-plan) maintainer on the
+//!   log; no fragment cache (it cannot stay fresh), no ETags;
 //! * **maintain** — PR 10: `incremental_maintenance` patches beans from
 //!   the durable change stream, versioned fragments re-render only when
 //!   dirty, and conditional GETs revalidate against the page ETag.

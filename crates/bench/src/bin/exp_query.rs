@@ -23,18 +23,17 @@
 //! ```
 
 use bench::row;
-use mvc::{Controller, RuntimeOptions, ServiceRegistry, WebRequest};
-use presentation::DeviceRegistry;
+use mvc::{RuntimeOptions, WebRequest};
 use relstore::Database;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
-use webratio::{fixtures, pin_descriptor_plans, Deployment};
+use webratio::{assemble_node, fixtures, Deployment, NodeSpec};
 
-/// Deploy the ACM DL fixture. `indexed = false` deploys the generated
-/// schema with every `CREATE INDEX` statement stripped (tables and
-/// primary keys only) and skips `apply_derived_indexes` — the
+/// Deploy the ACM DL fixture. `indexed = false` assembles the node over
+/// the generated schema with every `CREATE INDEX` statement stripped
+/// (tables and primary keys only) and no derived indexes — the
 /// scan-everything baseline of a naive generator.
 fn deploy_acm(indexed: bool, volumes: usize, issues_per: usize, papers_per: usize) -> Deployment {
     let app = fixtures::acm_library();
@@ -42,7 +41,8 @@ fn deploy_acm(indexed: bool, volumes: usize, issues_per: usize, papers_per: usiz
         app.deploy(RuntimeOptions::default()).expect("deploy")
     } else {
         let registry = obs::MetricsRegistry::new();
-        let generated = app.generate().expect("generate");
+        let mut generated = app.generate().expect("generate");
+        generated.derived_indexes.clear();
         let db = Arc::new(Database::with_counters(Arc::clone(&registry.db)));
         let tables_only: String = generated
             .ddl
@@ -52,20 +52,24 @@ fn deploy_acm(indexed: bool, volumes: usize, issues_per: usize, papers_per: usiz
             .collect::<Vec<_>>()
             .join("\n");
         db.execute_script(&tables_only).expect("ddl");
-        pin_descriptor_plans(&db, &generated.descriptors);
-        let controller = Arc::new(Controller::with_observability(
-            generated.descriptors.clone(),
-            generated.skeletons.clone(),
-            Arc::clone(&db),
-            RuntimeOptions::default(),
-            ServiceRegistry::standard(),
-            DeviceRegistry::standard(),
-            Arc::clone(&registry),
-        ));
+        let controller = assemble_node(
+            &generated,
+            NodeSpec {
+                db: Arc::clone(&db),
+                runtime: RuntimeOptions::default(),
+                obs: Arc::clone(&registry),
+                sessions: None,
+                plugins: None,
+                stream: None,
+                incremental_maintenance: false,
+                barrier: None,
+            },
+        )
+        .expect("assemble");
         Deployment {
             generated,
             db,
-            controller,
+            controller: Arc::new(controller),
             obs: registry,
             wal: None,
             recovery: None,

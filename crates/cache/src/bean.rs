@@ -308,8 +308,8 @@ impl<V> BeanCache<V> {
     /// row: `row_deps` pairs of (entity, oid). A row-scoped entity must
     /// not also appear in `deps` — that would re-widen it. A write to a
     /// different oid of a row-scoped entity leaves the bean cached
-    /// ([`BeanCache::invalidate_row`]); whole-entity invalidation still
-    /// drops it.
+    /// ([`BeanCache::keys_for_row`] does not name it); whole-entity
+    /// invalidation still drops it.
     pub fn put_scoped(
         &self,
         key: BeanKey,
@@ -425,32 +425,6 @@ impl<V> BeanCache<V> {
         dropped
     }
 
-    /// Invalidate every bean depending on this specific row of `entity`:
-    /// whole-entity dependents (they may reflect any row) plus the beans
-    /// row-scoped to exactly `oid`. Beans scoped to *other* oids of the
-    /// same entity survive — the over-invalidation fix for single-row
-    /// probes. Returns how many were dropped.
-    pub fn invalidate_row(&self, entity: &str, oid: i64) -> usize {
-        let mut dropped = 0;
-        for stripe in &self.stripes {
-            let mut inner = self.lock_probed(stripe);
-            let mut keys: HashSet<BeanKey> = inner
-                .by_entity
-                .get(entity)
-                .map(|s| s.iter().cloned().collect())
-                .unwrap_or_default();
-            if let Some(set) = inner.by_row.get(&(entity.to_string(), oid)) {
-                keys.extend(set.iter().cloned());
-            }
-            for k in &keys {
-                Self::remove_entry(&mut inner, k);
-            }
-            dropped += keys.len();
-        }
-        self.stats.invalidation(dropped as u64);
-        dropped
-    }
-
     /// Drop one specific bean; returns whether it was present. Counted as
     /// an invalidation (the maintenance layer's per-key fallback path).
     pub fn invalidate_key(&self, key: &BeanKey) -> bool {
@@ -464,32 +438,11 @@ impl<V> BeanCache<V> {
         present
     }
 
-    /// Every cached key that depends on `entity` — whole-entity and
-    /// row-scoped dependents alike. The maintenance layer walks this to
-    /// decide, per bean, whether a change record is patchable.
-    pub fn keys_for_entity(&self, entity: &str) -> Vec<BeanKey> {
-        let mut out: HashSet<BeanKey> = HashSet::new();
-        for stripe in &self.stripes {
-            let inner = stripe.lock();
-            if let Some(set) = inner.by_entity.get(entity) {
-                out.extend(set.iter().cloned());
-            }
-            for ((e, _), set) in &inner.by_row {
-                if e == entity {
-                    out.extend(set.iter().cloned());
-                }
-            }
-        }
-        let mut v: Vec<BeanKey> = out.into_iter().collect();
-        v.sort();
-        v
-    }
-
     /// Every cached key affected by a change to one specific row:
-    /// whole-entity dependents plus the beans row-scoped to exactly
-    /// `oid`. The row-granular twin of [`BeanCache::keys_for_entity`] —
-    /// beans scoped to other rows are provably unaffected, so the
-    /// maintenance layer never has to visit (or clone) their keys.
+    /// whole-entity dependents (they may reflect any row) plus the beans
+    /// row-scoped to exactly `oid`. Beans scoped to other rows are
+    /// provably unaffected, so the maintenance layer never has to visit
+    /// (or clone) their keys.
     pub fn keys_for_row(&self, entity: &str, oid: i64) -> Vec<BeanKey> {
         let rk = (entity.to_string(), oid);
         let mut out: HashSet<BeanKey> = HashSet::new();
@@ -914,9 +867,14 @@ mod tests {
             &deps(&["book"]),
             None,
         );
-        // a write to book oid=1 drops the scoped bean for oid=1 and the
+        // a write to book oid=1 affects the scoped bean for oid=1 and the
         // whole-entity index — the oid=2 bean survives
-        assert_eq!(c.invalidate_row("book", 1), 2);
+        let affected = c.keys_for_row("book", 1);
+        assert_eq!(affected.len(), 2);
+        for k in &affected {
+            assert!(c.invalidate_key(k));
+            assert!(!c.invalidate_key(k));
+        }
         assert!(c.get(&BeanKey::new("BookData", "oid=1&")).is_none());
         assert!(c.get(&BeanKey::new("BookData", "oid=2&")).is_some());
         assert!(c.get(&BeanKey::new("BookIndex", "-")).is_none());
@@ -945,25 +903,6 @@ mod tests {
         c.put(k.clone(), 1, &[], None);
         assert_eq!(c.patch(&k, |_| Patch::Drop), Some(PatchEffect::Dropped));
         assert!(c.get(&k).is_none());
-    }
-
-    #[test]
-    fn keys_for_entity_spans_scoped_and_unscoped() {
-        let c: BeanCache<i32> = BeanCache::new(16);
-        c.put(BeanKey::new("idx", "-"), 1, &deps(&["paper"]), None);
-        c.put_scoped(
-            BeanKey::new("data", "oid=3&"),
-            2,
-            &[],
-            &[("paper".to_string(), 3)],
-            None,
-        );
-        c.put(BeanKey::new("other", "-"), 3, &deps(&["author"]), None);
-        let keys = c.keys_for_entity("paper");
-        assert_eq!(keys.len(), 2);
-        assert!(c.invalidate_key(&BeanKey::new("idx", "-")));
-        assert!(!c.invalidate_key(&BeanKey::new("idx", "-")));
-        assert_eq!(c.keys_for_entity("paper").len(), 1);
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //!    depends on, operation services invalidate affected beans
 //!    automatically — the developer never writes cache-management code.
 //!
+//! Once a deployment has a durable change stream, one consumer of it —
+//! [`maintain::LogDrivenMaintainer`] — keeps both levels coherent on every
+//! node: it patches beans in place under a compiled
+//! [`maintain::MaintenancePlan`], and with an empty plan it is the plain
+//! row-granular invalidator (drop what the changed row can affect).
+//!
 //! Both caches are bounded (LRU), thread-safe, lock-striped for
 //! concurrent serving (hash(key) → stripe; see [`bean::BeanCache`]), and
 //! instrumented
@@ -21,7 +27,6 @@
 pub mod bean;
 pub mod fragment;
 pub mod maintain;
-pub mod replica;
 pub mod stats;
 
 pub use bean::{BeanCache, BeanKey, Patch, PatchEffect, MAX_STRIPES, MIN_STRIPE_CAPACITY};
@@ -31,5 +36,4 @@ pub use maintain::{
     PatchOutcome, Patcher, RowDelta, RowOrder, Strategy, TableCatalog, UnitPlan, UnitShape,
     VersionTable,
 };
-pub use replica::LogDrivenInvalidator;
 pub use stats::{CacheStats, StatsSnapshot};

@@ -1,11 +1,20 @@
 //! Incremental cache maintenance driven by the durable change stream.
 //!
-//! PR 7's [`crate::replica::LogDrivenInvalidator`] closes the §6 coherence
-//! gap for replicas, but it answers every durable write the same way:
-//! drop every bean of the touched entity. For read-mostly applications
-//! that is pure waste — an `INSERT INTO paper` need not evict the cached
-//! author index of every other author; it can be *folded into* the
-//! dependent beans in place.
+//! §6's model-driven invalidation is an *in-process* call: the operation
+//! service knows which entities it touched and invalidates the bean cache
+//! directly. That breaks down the moment the deployment scales past one
+//! process — a cache next to replica B never hears about writes applied
+//! on primary A. Deriving the same events from the **durable change
+//! stream** closes that gap (the entity names in log records are the
+//! canonical table names, exactly the dependency tags unit descriptors
+//! attach to cached beans), and only for changes that are actually on
+//! disk: a cache that dropped entries for changes a crash then un-happened
+//! would serve beans nobody can rebuild consistently after recovery.
+//!
+//! Dropping every bean of the touched entity is the floor, not the goal.
+//! For read-mostly applications it is pure waste — an `INSERT INTO paper`
+//! need not evict the cached author index of every other author; it can
+//! be *folded into* the dependent beans in place.
 //!
 //! This module is the maintenance layer that decides, per `(change
 //! record, cached bean)` pair, whether the change is **patchable**
@@ -16,7 +25,11 @@
 //! — the same closed query grammar codegen emits — into a
 //! [`MaintenancePlan`]; at run time [`LogDrivenMaintainer`] consumes the
 //! WAL's post-fsync [`wal::LogObserver`] stream and walks only the beans
-//! whose entity the batch touched.
+//! whose entity the batch touched. With an **empty plan** every decision
+//! is "unpatchable", which makes the maintainer the row-granular
+//! invalidator: a change drops the whole-entity dependents plus the beans
+//! scoped to exactly that row, and the whole entity when the row's oid
+//! cannot be resolved.
 //!
 //! The bean-value semantics (how a row delta projects into a cached bean)
 //! live behind the [`Patcher`] trait, implemented by the MVC tier for its
@@ -36,7 +49,7 @@ use parking_lot::RwLock;
 use relstore::{ChangeRecord, Database, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -416,18 +429,6 @@ impl MaintenancePlan {
         v.sort();
         v
     }
-
-    /// How many cached units are patchable at all (non-fallback plans).
-    pub fn patchable_units(&self) -> usize {
-        self.plans
-            .values()
-            .filter(|p| !matches!(p.strategy, Strategy::Fallback { .. }))
-            .count()
-    }
-
-    pub fn cached_units(&self) -> usize {
-        self.plans.len()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -548,7 +549,7 @@ impl<'a> RowDelta<'a> {
 /// units are all key probes over one row validates against that row's
 /// version, so writes to sibling rows do not move its `ETag` and its
 /// revalidations keep answering `304`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct VersionTable {
     versions: RwLock<HashMap<String, u64>>,
     /// `entity → oid → version`, bumped alongside the entity version
@@ -557,9 +558,24 @@ pub struct VersionTable {
     epoch: AtomicU64,
 }
 
+impl Default for VersionTable {
+    fn default() -> VersionTable {
+        VersionTable::new()
+    }
+}
+
 impl VersionTable {
+    /// Every table starts at its own epoch, so stamps of two tables never
+    /// coincide: each node of a replicated deployment counts versions on
+    /// its own, and a validator minted by one node must not answer `304`
+    /// on another whose counters merely happen to agree.
     pub fn new() -> VersionTable {
-        VersionTable::default()
+        static TABLES: AtomicU64 = AtomicU64::new(0);
+        VersionTable {
+            versions: RwLock::default(),
+            rows: RwLock::default(),
+            epoch: AtomicU64::new(TABLES.fetch_add(1, Ordering::Relaxed) << 32),
+        }
     }
 
     pub fn bump(&self, entity: &str) {
@@ -695,7 +711,7 @@ pub struct LogDrivenMaintainer<V> {
     fragments: Option<Arc<FragmentCache>>,
     plan: MaintenancePlan,
     catalog: RwLock<TableCatalog>,
-    db: Option<Arc<Database>>,
+    db: Weak<Database>,
     patcher: Arc<dyn Patcher<V>>,
     versions: Arc<VersionTable>,
     counters: Arc<MaintCounters>,
@@ -715,7 +731,7 @@ impl<V> LogDrivenMaintainer<V> {
             fragments: None,
             plan,
             catalog: RwLock::new(catalog),
-            db: None,
+            db: Weak::new(),
             patcher,
             versions,
             counters,
@@ -736,9 +752,11 @@ impl<V> LogDrivenMaintainer<V> {
         self
     }
 
-    /// Keep a database handle so DDL records refresh the table catalog.
-    pub fn with_database(mut self, db: Arc<Database>) -> Self {
-        self.db = Some(db);
+    /// Remember the database so DDL records refresh the table catalog.
+    /// Weakly: the database's commit sink owns the log that owns this
+    /// observer, so a strong handle would close a cycle and leak all three.
+    pub fn with_database(mut self, db: &Arc<Database>) -> Self {
+        self.db = Arc::downgrade(db);
         self
     }
 
@@ -768,8 +786,8 @@ impl<V> LogDrivenMaintainer<V> {
                     }
                     self.versions.bump_epoch();
                     self.counters.record_fallback("ddl");
-                    if let Some(db) = &self.db {
-                        *self.catalog.write() = TableCatalog::from_database(db);
+                    if let Some(db) = self.db.upgrade() {
+                        *self.catalog.write() = TableCatalog::from_database(&db);
                     }
                     dirty.clear();
                 }
@@ -843,8 +861,8 @@ impl<V> LogDrivenMaintainer<V> {
 
     fn maintain_key(&self, key: &BeanKey, table: &str, delta: &RowDelta<'_>) {
         let Some(plan) = self.plan.unit(&key.unit) else {
-            // cached bean without a plan (hand-registered service): the
-            // conservative answer is the PR 7 one
+            // cached bean without a plan (drop-only deployment, or a
+            // hand-registered service): drop it
             if self.cache.invalidate_key(key) {
                 self.counters.record_fallback("no-plan");
             }
@@ -1036,6 +1054,141 @@ mod tests {
         assert_eq!(m.get("a").map(String::as_str), Some("x"));
         assert_eq!(m.get("b").map(String::as_str), Some("2"));
         assert!(parse_fingerprint("").is_empty());
+    }
+
+    // -- the empty plan: the maintainer as the row-granular invalidator --
+
+    struct NeverPatches;
+
+    impl Patcher<String> for NeverPatches {
+        fn apply(
+            &self,
+            _: &UnitPlan,
+            _: &BTreeMap<String, String>,
+            _: &String,
+            _: &RowDelta<'_>,
+        ) -> PatchOutcome<String> {
+            unreachable!("an empty plan never consults the patcher")
+        }
+    }
+
+    /// Whole-entity index beans over `book` and `author`, plus one
+    /// row-scoped data bean for each of book 1 and book 2.
+    fn warm_cache() -> Arc<BeanCache<String>> {
+        let cache = Arc::new(BeanCache::new(16));
+        for (unit, entity) in [("BookIndex", "book"), ("AuthorIndex", "author")] {
+            cache.put(
+                BeanKey::new(unit, "-"),
+                "rows".into(),
+                &[entity.into()],
+                None,
+            );
+        }
+        for oid in [1, 2] {
+            let key = BeanKey::new("BookData", format!("item={oid}&"));
+            cache.put_scoped(key, "row".into(), &[], &[("book".into(), oid)], None);
+        }
+        cache
+    }
+
+    fn drop_only(
+        cache: &Arc<BeanCache<String>>,
+        catalog: TableCatalog,
+    ) -> LogDrivenMaintainer<String> {
+        LogDrivenMaintainer::new(
+            Arc::clone(cache),
+            MaintenancePlan::default(),
+            catalog,
+            Arc::new(NeverPatches),
+            Arc::new(VersionTable::new()),
+            Arc::new(MaintCounters::new()),
+        )
+    }
+
+    fn cached(cache: &BeanCache<String>) -> Vec<String> {
+        let mut keys = cache.keys_for_row("book", 1);
+        keys.extend(cache.keys_for_row("book", 2));
+        keys.extend(cache.keys_for_row("author", 0));
+        keys.sort();
+        keys.dedup();
+        keys.iter()
+            .map(|k| format!("{}?{}", k.unit, k.params))
+            .collect()
+    }
+
+    fn book_update(oid: i64) -> ChangeRecord {
+        ChangeRecord::Update {
+            table: "book".into(),
+            row_id: 0,
+            row: vec![Value::Integer(oid), Value::Text("WebML 2e".into())],
+        }
+    }
+
+    #[test]
+    fn empty_plan_drops_the_changed_rows_dependents_only() {
+        let cache = warm_cache();
+        let mut catalog = TableCatalog::new();
+        catalog.add("book", vec!["oid".into(), "t".into()]);
+        let maint = drop_only(&cache, catalog);
+        maint.apply(&[book_update(1), book_update(1)]);
+        // the written row's bean and the whole-entity index are gone; the
+        // unrelated row and the unrelated entity survive
+        assert_eq!(cached(&cache), ["AuthorIndex?-", "BookData?item=2&"]);
+        // each bean dropped once, despite two changes
+        assert_eq!(cache.stats().invalidations, 2);
+        assert_eq!(maint.counters().fallback_counts(), [("no-plan".into(), 2)]);
+        // the ETag substrate moves with the batch
+        assert_eq!(maint.versions().version("book"), 2);
+        assert_eq!(maint.versions().row_version("book", 1), 2);
+        assert_eq!(maint.versions().version("author"), 0);
+    }
+
+    #[test]
+    fn unresolvable_oid_falls_back_to_the_whole_entity() {
+        let cache = warm_cache();
+        // a catalog that does not know `book` cannot name the row
+        let maint = drop_only(&cache, TableCatalog::new());
+        maint.apply(&[book_update(1)]);
+        assert_eq!(cached(&cache), ["AuthorIndex?-"]);
+        assert_eq!(maint.counters().fallback_counts(), [("no-oid".into(), 1)]);
+    }
+
+    #[test]
+    fn only_durable_batches_reach_the_cache() {
+        use relstore::{CommitSink, Params};
+        use wal::{ChangeStream, TempDir, Wal, WalConfig};
+
+        let dir = TempDir::new("maint-durable").unwrap();
+        let mut cfg = WalConfig::new(dir.path());
+        cfg.group_commit_window = std::time::Duration::from_secs(3600); // manual flush
+        let wal = Wal::open(cfg, Arc::new(obs::WalCounters::new())).unwrap();
+        let db = Database::new();
+        db.set_commit_sink(Arc::clone(&wal) as Arc<dyn CommitSink>, false);
+        db.execute_script("CREATE TABLE book (oid INTEGER PRIMARY KEY AUTOINCREMENT, t TEXT)")
+            .unwrap();
+        wal.flush_and_notify();
+        let cache = warm_cache();
+        wal.attach_observer(Arc::new(drop_only(
+            &cache,
+            TableCatalog::from_database(&db),
+        )));
+        let insert = || {
+            db.execute("INSERT INTO book (t) VALUES ('WebML')", &Params::new())
+                .unwrap()
+        };
+
+        insert();
+        // committed but not yet durable → the cache is untouched
+        assert_eq!(cached(&cache).len(), 4);
+        wal.flush_and_notify();
+        // durable → the dependents of book 1, the inserted row, are gone
+        assert_eq!(cached(&cache), ["AuthorIndex?-", "BookData?item=2&"]);
+        // a batch lost before its flush never drops anything
+        insert();
+        wal.simulate_crash();
+        wal.flush_and_notify();
+        assert_eq!(cached(&cache).len(), 2);
+        wal.stop();
     }
 
     #[test]

@@ -4,8 +4,10 @@ use codegen::{DerivedIndex, GenError, Generated};
 use descriptors::DescriptorSet;
 use er::{ErModel, RelationalMapping};
 use httpd::{BodyChunk, Handler, HttpRequest, HttpResponse, HttpServer, TracedHandler};
-use mvc::{Controller, RuntimeOptions, ServiceRegistry, WebRequest, WebResponse, WebResponseParts};
-use presentation::DeviceRegistry;
+use mvc::{
+    Controller, ControllerParts, RuntimeOptions, SessionManager, WebRequest, WebResponse,
+    WebResponseParts, WriteBarrier,
+};
 use relstore::{CommitSink, Database};
 use std::io;
 use std::path::PathBuf;
@@ -78,256 +80,260 @@ impl Application {
         Ok(Application::new(name, er, ht))
     }
 
-    /// Generate everything, create a fresh database with the generated
-    /// DDL, pin every descriptor statement as a deploy-time plan, and
-    /// start a controller. All tiers report into one freshly minted
-    /// [`obs::MetricsRegistry`], reachable as [`Deployment::obs`].
+    /// Deploy on a fresh in-memory store, without the analysis gate.
     pub fn deploy(&self, options: RuntimeOptions) -> Result<Deployment, DeployError> {
-        let registry = obs::MetricsRegistry::new();
-        let generated = self.generate().map_err(DeployError::Generation)?;
-        let db = Arc::new(Database::with_counters(Arc::clone(&registry.db)));
-        db.execute_script(&generated.ddl)
-            .map_err(DeployError::Schema)?;
-        apply_derived_indexes(&db, &generated.derived_indexes).map_err(DeployError::Schema)?;
-        pin_descriptor_plans(&db, &generated.descriptors);
-        let controller = Arc::new(Controller::with_observability(
-            generated.descriptors.clone(),
-            generated.skeletons.clone(),
-            Arc::clone(&db),
-            options,
-            ServiceRegistry::standard(),
-            DeviceRegistry::standard(),
-            Arc::clone(&registry),
-        ));
-        Ok(Deployment {
-            generated,
-            db,
-            controller,
-            obs: registry,
-            wal: None,
-            recovery: None,
-            analysis: None,
-        })
+        self.assemble(DeployOptions::ungated(options), None, None)
     }
 
-    /// Deploy behind the static-analysis gate: run the whole-application
-    /// analyzer over the generated bundle first and — at
-    /// [`analyze::Gate::Deny`] — refuse to serve a model with
-    /// Error-severity findings. The report (validator `WVxxx` findings
-    /// plus the analyzer's `AZxxx` passes, deduplicated) is recorded into
-    /// the deployment's metrics registry
-    /// (`analyze_diagnostics_total{code,severity}`, `analyze_run_micros`)
-    /// and kept on [`Deployment::analysis`] for inspection.
+    /// Deploy behind the static-analysis gate.
     pub fn deploy_checked(&self, options: DeployOptions) -> Result<Deployment, DeployError> {
-        let registry = obs::MetricsRegistry::new();
-        let generated = self.generate().map_err(DeployError::Generation)?;
-        let analysis = match options.analysis {
-            analyze::Gate::Off => None,
-            gate => {
-                let t0 = std::time::Instant::now();
-                let report = analyze::analyze(
-                    &self.er,
-                    &self.mapping,
-                    &self.hypertext,
-                    &generated.descriptors,
-                );
-                registry.analyze.runs.inc();
-                registry
-                    .analyze
-                    .analysis_micros
-                    .observe_us(t0.elapsed().as_micros() as u64);
-                for ((code, severity), n) in report.code_counts() {
-                    registry.analyze.record_diagnostics(code, severity, n);
-                }
-                if gate == analyze::Gate::Deny && report.has_errors() {
-                    return Err(DeployError::Analysis(Box::new(report)));
-                }
-                Some(report)
-            }
-        };
-        let db = Arc::new(Database::with_counters(Arc::clone(&registry.db)));
-        db.execute_script(&generated.ddl)
-            .map_err(DeployError::Schema)?;
-        apply_derived_indexes(&db, &generated.derived_indexes).map_err(DeployError::Schema)?;
-        pin_descriptor_plans(&db, &generated.descriptors);
-        let controller = Arc::new(Controller::with_observability(
-            generated.descriptors.clone(),
-            generated.skeletons.clone(),
-            Arc::clone(&db),
-            options.runtime,
-            ServiceRegistry::standard(),
-            DeviceRegistry::standard(),
-            Arc::clone(&registry),
-        ));
-        Ok(Deployment {
-            generated,
-            db,
-            controller,
-            obs: registry,
-            wal: None,
-            recovery: None,
-            analysis,
-        })
+        self.assemble(options, None, None)
     }
 
-    /// Deploy with durability: the database is backed by a write-ahead
-    /// log in `durability.dir`. On first boot the generated DDL runs (and
-    /// is logged); on every later boot the schema and data are recovered
-    /// from the snapshot + log tail *before* the commit sink is armed, so
-    /// replay never re-logs itself. Committed transactions append redo
-    /// records to the log; with [`DurabilityConfig::strict_commit`] the
-    /// commit call blocks until its record is fsynced (otherwise the
-    /// group-commit window bounds the loss horizon). When the bean cache
-    /// is enabled, a [`webcache::LogDrivenInvalidator`] subscribes to the
-    /// durable change stream, so cached beans are dropped replica-style —
-    /// only for changes that are actually on disk.
+    /// Deploy over a write-ahead log in `durability.dir`.
     pub fn deploy_durable(
         &self,
         options: RuntimeOptions,
         durability: &DurabilityConfig,
     ) -> Result<Deployment, DeployError> {
+        self.assemble(DeployOptions::ungated(options), Some(durability), None)
+    }
+
+    /// The one deploy pipeline (DESIGN.md §9, *Node assembly*); every
+    /// other entry point delegates here. All tiers report into one freshly
+    /// minted [`obs::MetricsRegistry`], reachable as [`Deployment::obs`].
+    ///
+    /// 1. Generate the artifacts, once.
+    /// 2. Analysis gate: unless `options.analysis` is `Off`, analyze for
+    ///    the requested topology and — at [`analyze::Gate::Deny`] — refuse
+    ///    a model with Error-severity findings *before* any durable side
+    ///    effect. The report is counted into the metrics
+    ///    (`analyze_diagnostics_total{code,severity}`,
+    ///    `analyze_distribution_total{code}`, `analyze_run_micros`) and
+    ///    kept on [`Deployment::analysis`].
+    /// 3. Open the store: fresh, or — with `durability` — recovered from
+    ///    the snapshot + log tail *before* the commit sink is armed, so
+    ///    replay never re-logs itself.
+    /// 4. Run the DDL if the store is empty — on a durable first boot
+    ///    through the armed sink, so it is itself durable.
+    /// 5. – 8. [`assemble_node`].
+    pub fn assemble(
+        &self,
+        options: DeployOptions,
+        durability: Option<&DurabilityConfig>,
+        plugins: Option<&Plugins<'_>>,
+    ) -> Result<Deployment, DeployError> {
         let registry = obs::MetricsRegistry::new();
         let generated = self.generate().map_err(DeployError::Generation)?;
-        let mut cfg = wal::WalConfig::new(&durability.dir);
-        cfg.group_commit_window = durability.group_commit_window;
-        let wal =
-            wal::Wal::open(cfg, Arc::clone(&registry.wal)).map_err(DeployError::Durability)?;
+        let analysis = self.gate(&generated, &options, &registry)?;
+
         let db = Arc::new(Database::with_counters(Arc::clone(&registry.db)));
-        let info = wal.recover_into(&db).map_err(DeployError::Durability)?;
-        // Arm the sink only after replay: recovery must not re-log itself.
-        db.set_commit_sink(
-            Arc::clone(&wal) as Arc<dyn CommitSink>,
-            durability.strict_commit,
-        );
+        let mut wal = None;
+        let mut recovery = None;
+        let mut barrier = None;
+        if let Some(durability) = durability {
+            let mut cfg = wal::WalConfig::new(&durability.dir);
+            cfg.group_commit_window = durability.group_commit_window;
+            let log =
+                wal::Wal::open(cfg, Arc::clone(&registry.wal)).map_err(DeployError::Durability)?;
+            recovery = Some(log.recover_into(&db).map_err(DeployError::Durability)?);
+            db.set_commit_sink(
+                Arc::clone(&log) as Arc<dyn CommitSink>,
+                durability.strict_commit,
+            );
+            // What a maintained op path runs before its forward render.
+            // Non-strict commit already accepts the group-commit window as
+            // its durability lag, so there the barrier only dispatches the
+            // buffered records and leaves all file I/O to the flusher.
+            let barrier_log = Arc::clone(&log);
+            let strict = durability.strict_commit;
+            barrier = Some(Arc::new(move || {
+                if strict {
+                    barrier_log.flush_and_notify();
+                } else {
+                    barrier_log.notify_buffered();
+                }
+            }) as WriteBarrier);
+            wal = Some(log);
+        }
         if db.table_names().is_empty() {
-            // First boot: the DDL goes through the armed sink and is
-            // therefore itself durable.
             db.execute_script(&generated.ddl)
                 .map_err(DeployError::Schema)?;
         }
-        // Idempotent on recovery: indexes replayed from the log are
-        // detected and skipped; new derivations (model evolved since the
-        // last boot) are created — and logged — here.
-        apply_derived_indexes(&db, &generated.derived_indexes).map_err(DeployError::Schema)?;
-        pin_descriptor_plans(&db, &generated.descriptors);
-        let mut options = options;
-        if durability.incremental_maintenance {
-            options.maintained_coherence = true;
-        }
-        let mut controller = Controller::with_observability(
-            generated.descriptors.clone(),
-            generated.skeletons.clone(),
-            Arc::clone(&db),
-            options,
-            ServiceRegistry::standard(),
-            DeviceRegistry::standard(),
-            Arc::clone(&registry),
-        );
-        if durability.incremental_maintenance {
-            if let Some(cache) = controller.bean_cache_arc() {
-                let shapes = mvc::unit_shapes(&generated.descriptors);
-                let plan = webcache::MaintenancePlan::build(&shapes);
-                let catalog = webcache::TableCatalog::from_database(&db);
-                let mut maint = webcache::LogDrivenMaintainer::new(
-                    cache,
-                    plan,
-                    catalog,
-                    Arc::new(mvc::UnitBeanPatcher),
-                    controller.version_table(),
-                    Arc::clone(&registry.maint),
-                )
-                .with_database(Arc::clone(&db));
-                if let Some(fc) = controller.fragment_cache_arc() {
-                    maint = maint.with_fragments(fc);
-                }
-                wal.attach_observer(Arc::new(maint) as Arc<dyn wal::LogObserver>);
-                // The coherence barrier the op path runs before its forward
-                // render. Strict commit keeps the inline write + sync;
-                // non-strict commit already accepts the group-commit
-                // window as its durability lag, so the barrier only
-                // dispatches the buffered records to the maintenance
-                // observers and leaves all file I/O to the flusher thread.
-                let barrier_wal = Arc::clone(&wal);
-                let strict = durability.strict_commit;
-                controller.set_write_barrier(Arc::new(move || {
-                    if strict {
-                        barrier_wal.flush_and_notify();
-                    } else {
-                        barrier_wal.notify_buffered();
-                    }
-                }));
-            }
-        } else if durability.log_driven_invalidation {
-            if let Some(cache) = controller.bean_cache_arc() {
-                let inv = Arc::new(webcache::LogDrivenInvalidator::with_catalog(
-                    cache,
-                    webcache::TableCatalog::from_database(&db),
-                ));
-                wal.attach_observer(inv as Arc<dyn wal::LogObserver>);
-            }
-        }
-        let controller = Arc::new(controller);
+
+        let controller = assemble_node(
+            &generated,
+            NodeSpec {
+                db: Arc::clone(&db),
+                runtime: options.runtime,
+                obs: Arc::clone(&registry),
+                sessions: None,
+                plugins,
+                stream: wal.as_deref().map(|w| w as &dyn wal::ChangeStream),
+                incremental_maintenance: durability.is_some_and(|d| d.incremental_maintenance),
+                barrier,
+            },
+        )?;
         Ok(Deployment {
             generated,
             db,
-            controller,
+            controller: Arc::new(controller),
             obs: registry,
-            wal: Some(wal),
-            recovery: Some(info),
-            analysis: None,
+            wal,
+            recovery,
+            analysis,
         })
     }
 
-    /// Deploy with a caller-supplied controller configuration (custom
-    /// registries, device rules). The deployment's observability registry
-    /// is whichever one the built controller carries.
-    pub fn deploy_with(
+    fn gate(
         &self,
-        build: impl FnOnce(Generated, Arc<Database>) -> Controller,
-    ) -> Result<Deployment, DeployError> {
-        let generated = self.generate().map_err(DeployError::Generation)?;
-        let db = Arc::new(Database::new());
-        db.execute_script(&generated.ddl)
-            .map_err(DeployError::Schema)?;
-        apply_derived_indexes(&db, &generated.derived_indexes).map_err(DeployError::Schema)?;
-        pin_descriptor_plans(&db, &generated.descriptors);
-        let controller = Arc::new(build(generated.clone(), Arc::clone(&db)));
-        let obs = Arc::clone(controller.obs());
-        Ok(Deployment {
-            generated,
-            db,
-            controller,
-            obs,
-            wal: None,
-            recovery: None,
-            analysis: None,
-        })
+        generated: &Generated,
+        options: &DeployOptions,
+        registry: &obs::MetricsRegistry,
+    ) -> Result<Option<analyze::Report>, DeployError> {
+        if options.analysis == analyze::Gate::Off {
+            return Ok(None);
+        }
+        let t0 = std::time::Instant::now();
+        let report = analyze::analyze_deployment(
+            &self.er,
+            &self.mapping,
+            &self.hypertext,
+            &generated.descriptors,
+            &analyze::Topology {
+                replicas: options.replicas,
+                shards: options.shards,
+            },
+        );
+        registry.analyze.runs.inc();
+        registry
+            .analyze
+            .analysis_micros
+            .observe_us(t0.elapsed().as_micros() as u64);
+        for ((code, severity), n) in report.code_counts() {
+            registry.analyze.record_diagnostics(code, severity, n);
+            if code.starts_with("AZ4") {
+                registry.analyze.record_distribution(code, n);
+            }
+        }
+        if options.analysis == analyze::Gate::Deny && report.has_errors() {
+            return Err(DeployError::Analysis(Box::new(report)));
+        }
+        Ok(Some(report))
     }
 }
 
-/// Options for [`Application::deploy_checked`]: runtime configuration
-/// plus the static-analysis gate level (defaults to
+/// Plug-in hook of [`Application::assemble`]: edits the parts a node's
+/// controller is assembled from — unit services and operation handlers
+/// (§6/§7), per-device rule sets (§5).
+pub type Plugins<'a> = dyn Fn(&mut ControllerParts) + 'a;
+
+/// One node — single store, durable leader or replica — as
+/// [`assemble_node`] sees it.
+pub struct NodeSpec<'a> {
+    /// The node's store; its schema is installed, or (replica) arrives
+    /// through the log. Must report into `obs.db`.
+    pub db: Arc<Database>,
+    pub runtime: RuntimeOptions,
+    pub obs: Arc<obs::MetricsRegistry>,
+    /// The leader's session store, on replicas.
+    pub sessions: Option<Arc<SessionManager>>,
+    pub plugins: Option<&'a Plugins<'a>>,
+    /// The committed changes the node's caches follow: the leader's log,
+    /// a replica's applied batches, `None` without durability.
+    pub stream: Option<&'a dyn wal::ChangeStream>,
+    /// [`DurabilityConfig::incremental_maintenance`].
+    pub incremental_maintenance: bool,
+    /// Delivers a just-committed operation's changes to `stream`'s
+    /// observers (nodes that take writes only).
+    pub barrier: Option<WriteBarrier>,
+}
+
+/// Steps 5 – 8 of [`Application::assemble`], shared by every node of every
+/// topology: derived indexes, plan pinning, controller, cache coherence.
+///
+/// Coherence: without a change stream (or a bean cache) the §6 op-path
+/// invalidation is all there is. With one, a single
+/// [`webcache::LogDrivenMaintainer`] follows it — under
+/// `incremental_maintenance` with the compiled plan (beans patched,
+/// dependent fragments dirtied, the write barrier in place of the op-path
+/// invalidation), otherwise with the empty plan (row-granular drops beside
+/// the op-path invalidation). Either way it moves the node's versions, so
+/// `ETag`s follow writes the node's own controller never ran.
+pub fn assemble_node(generated: &Generated, spec: NodeSpec<'_>) -> Result<Controller, DeployError> {
+    // recovered indexes are skipped; derivations new since the last boot
+    // are created — and logged — here
+    apply_derived_indexes(&spec.db, &generated.derived_indexes).map_err(DeployError::Schema)?;
+    pin_descriptor_plans(&spec.db, &generated.descriptors);
+
+    let mut parts = ControllerParts::standard(
+        generated.descriptors.clone(),
+        generated.skeletons.clone(),
+        Arc::clone(&spec.db),
+        spec.runtime,
+        Arc::clone(&spec.obs),
+    );
+    parts.sessions = spec.sessions;
+    if let Some(plugins) = spec.plugins {
+        plugins(&mut parts);
+    }
+    let mut controller = Controller::new(parts);
+
+    if let (Some(stream), Some(cache)) = (spec.stream, controller.bean_cache_arc()) {
+        let plan = if spec.incremental_maintenance {
+            webcache::MaintenancePlan::build(&mvc::unit_shapes(&generated.descriptors))
+        } else {
+            webcache::MaintenancePlan::default()
+        };
+        let mut maint = webcache::LogDrivenMaintainer::new(
+            cache,
+            plan,
+            webcache::TableCatalog::from_database(&spec.db),
+            Arc::new(mvc::UnitBeanPatcher),
+            controller.version_table(),
+            Arc::clone(&spec.obs.maint),
+        )
+        .with_database(&spec.db);
+        if spec.incremental_maintenance {
+            if let Some(fc) = controller.fragment_cache_arc() {
+                maint = maint.with_fragments(fc);
+            }
+            if let Some(barrier) = spec.barrier {
+                controller.set_write_barrier(barrier);
+            }
+        }
+        stream.attach_observer(Arc::new(maint));
+    }
+    Ok(controller)
+}
+
+/// Runtime configuration plus the static-analysis gate level (defaults to
 /// [`analyze::Gate::Deny`] — an unsound model is rejected before it
-/// serves traffic).
+/// serves traffic) and the topology.
 #[derive(Debug, Clone, Default)]
 pub struct DeployOptions {
     pub runtime: RuntimeOptions,
     pub analysis: analyze::Gate,
     /// Log-shipping read replicas behind the routing tier (0 = a single
-    /// store). Consumed by `repl::deploy_replicated`; plain
-    /// [`Application::deploy_checked`] ignores it.
+    /// store). Built by `repl::deploy_replicated`; analyzed everywhere.
     pub replicas: usize,
-    /// Hash partitions for the data tier (0 or 1 = unsharded). Consumed
-    /// by `repl`'s `ShardedStore` deployment; ignored elsewhere.
+    /// Hash partitions for the data tier (0 or 1 = unsharded). Built by
+    /// `repl::deploy_replicated`; analyzed everywhere.
     pub shards: usize,
 }
 
 impl DeployOptions {
     pub fn with_gate(analysis: analyze::Gate) -> DeployOptions {
         DeployOptions {
-            runtime: RuntimeOptions::default(),
             analysis,
             ..DeployOptions::default()
+        }
+    }
+
+    fn ungated(runtime: RuntimeOptions) -> DeployOptions {
+        DeployOptions {
+            runtime,
+            ..DeployOptions::with_gate(analyze::Gate::Off)
         }
     }
 
@@ -344,7 +350,7 @@ impl DeployOptions {
     }
 }
 
-/// How [`Application::deploy_durable`] persists committed work.
+/// How a durable deployment persists committed work.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
     /// Directory holding `wal.log` and `wal.snap`.
@@ -354,17 +360,14 @@ pub struct DurabilityConfig {
     pub group_commit_window: Duration,
     /// When `true`, every commit blocks until its log record is fsynced.
     pub strict_commit: bool,
-    /// Subscribe the controller's bean cache to the durable change
-    /// stream (replica-style invalidation).
-    pub log_driven_invalidation: bool,
     /// Incremental view maintenance: instead of dropping dependent beans,
     /// the durable change stream *patches* them in place where the unit's
     /// query shape allows it (single-row probes, oid-ordered row sets,
-    /// bounded Top-K windows), dirties only the affected units' fragments,
-    /// and keeps the controller's entity-version table moving for strong
-    /// `ETag`s. Implies maintained coherence: the §6 op-path whole-entity
-    /// invalidation is skipped and a post-operation write barrier flushes
-    /// the log so the maintenance pass runs before the forward re-reads.
+    /// bounded Top-K windows) and dirties only the affected units'
+    /// fragments. Implies maintained coherence on the node that takes the
+    /// writes: the §6 op-path whole-entity invalidation is skipped and a
+    /// post-operation write barrier delivers the log to the maintenance
+    /// pass before the forward re-reads.
     pub incremental_maintenance: bool,
 }
 
@@ -374,7 +377,6 @@ impl DurabilityConfig {
             dir: dir.into(),
             group_commit_window: Duration::from_millis(2),
             strict_commit: false,
-            log_driven_invalidation: true,
             incremental_maintenance: false,
         }
     }
@@ -386,7 +388,7 @@ impl DurabilityConfig {
 /// WAL/snapshot recovery) or when its table/columns are not present in
 /// the live schema (e.g. a custom schema script replaced the generated
 /// DDL). Returns the number of indexes actually created.
-pub fn apply_derived_indexes(
+fn apply_derived_indexes(
     db: &Database,
     derived: &[DerivedIndex],
 ) -> Result<usize, relstore::Error> {
@@ -411,27 +413,16 @@ pub fn apply_derived_indexes(
 }
 
 /// Resolve every statement named by the descriptor set into a pinned plan
-/// (§6: the prepare is paid once at deploy time; runtime lookups become
-/// lock-free reads of a frozen snapshot). Unparsable statements — e.g.
-/// templated custom-operation SQL — are skipped; they fall back to the
-/// ad-hoc plan cache. Returns the number of plans pinned.
-pub fn pin_descriptor_plans(db: &Database, set: &DescriptorSet) -> usize {
-    let mut pinned = 0;
-    for unit in &set.units {
-        for q in &unit.queries {
-            if db.pin_plan(&q.sql).is_ok() {
-                pinned += 1;
-            }
-        }
+/// (§6: the prepare is paid once at deploy time; runtime lookups are
+/// plan-cache hits). Unparsable statements — e.g. templated
+/// custom-operation SQL — are skipped; whatever they expand to is
+/// prepared on first use.
+fn pin_descriptor_plans(db: &Database, set: &DescriptorSet) {
+    let unit_sql = set.units.iter().flat_map(|u| &u.queries).map(|q| &q.sql);
+    let op_sql = set.operations.iter().filter_map(|op| op.sql.as_ref());
+    for sql in unit_sql.chain(op_sql) {
+        let _ = db.pin_plan(sql);
     }
-    for op in &set.operations {
-        if let Some(sql) = &op.sql {
-            if db.pin_plan(sql).is_ok() {
-                pinned += 1;
-            }
-        }
-    }
-    pinned
 }
 
 /// Deployment failures.
@@ -472,13 +463,11 @@ pub struct Deployment {
     pub db: Arc<Database>,
     pub controller: Arc<Controller>,
     pub obs: Arc<obs::MetricsRegistry>,
-    /// The write-ahead log, when deployed via
-    /// [`Application::deploy_durable`].
+    /// The write-ahead log of a durable deployment.
     pub wal: Option<Arc<wal::Wal>>,
     /// What recovery found at boot (durable deployments only).
     pub recovery: Option<wal::RecoveryInfo>,
-    /// The analyzer report, when deployed via
-    /// [`Application::deploy_checked`] with the gate at `Warn`/`Deny`.
+    /// The analyzer report, when deployed with the gate at `Warn`/`Deny`.
     pub analysis: Option<analyze::Report>,
 }
 
@@ -681,15 +670,6 @@ mod tests {
             apply_derived_indexes(&d.db, &d.generated.derived_indexes).unwrap(),
             0
         );
-    }
-
-    #[test]
-    fn deploy_checked_applies_indexes_behind_the_gate() {
-        let app = fixtures::acm_library();
-        let d = app
-            .deploy_checked(DeployOptions::with_gate(analyze::Gate::Deny))
-            .unwrap();
-        assert!(d.db.has_index_on("issue", &["volume_oid"]).unwrap());
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! ```
 //!
 //! * [`app`] — [`Application`] / [`Deployment`]: model-to-running-system
-//!   in two calls;
+//!   in two calls, through one assembly pipeline
+//!   ([`Application::assemble`]);
 //! * [`fixtures`] — the quickstart bookstore and the paper's Fig. 1/2 ACM
 //!   Digital Library application;
 //! * [`synth`] — the Acer-Euro-scale synthetic model generator and data
@@ -27,8 +28,8 @@ pub mod fixtures;
 pub mod synth;
 
 pub use app::{
-    adapt_request, adapt_response, apply_derived_indexes, pin_descriptor_plans, Application,
-    DeployError, DeployOptions, Deployment, DurabilityConfig, SESSION_COOKIE,
+    adapt_request, adapt_response, assemble_node, Application, DeployError, DeployOptions,
+    Deployment, DurabilityConfig, NodeSpec, Plugins, SESSION_COOKIE,
 };
 pub use synth::{seed_data, synthesize, SynthSpec};
 pub use wal;

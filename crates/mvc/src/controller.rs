@@ -64,10 +64,6 @@ pub struct RuntimeOptions {
     /// versions and answer matching `If-None-Match` conditional GETs with
     /// `304 Not Modified` before any unit computes.
     pub conditional_get: bool,
-    /// The WAL-driven maintenance layer owns cache coherence: operations
-    /// skip the §6 op-path whole-entity invalidation (entity versions are
-    /// still bumped so `ETag`s move immediately).
-    pub maintained_coherence: bool,
 }
 
 impl Default for RuntimeOptions {
@@ -83,7 +79,47 @@ impl Default for RuntimeOptions {
             styling: StylingMode::CompileTime,
             app_server_clones: None,
             conditional_get: false,
-            maintained_coherence: false,
+        }
+    }
+}
+
+/// What a [`Controller`] is assembled from. `obs` is the deployment's
+/// shared registry (the one whose `db` block built the database, so SQL
+/// counters line up); on replicas the deploy pipeline substitutes the
+/// leader's `sessions`; plug-in applications edit `services`, `devices`
+/// and `ops` (§6/§7).
+pub struct ControllerParts {
+    pub set: DescriptorSet,
+    pub skeletons: Vec<TemplateSkeleton>,
+    /// A database with the generated schema already installed.
+    pub db: Arc<Database>,
+    pub options: RuntimeOptions,
+    pub services: ServiceRegistry,
+    pub devices: DeviceRegistry,
+    pub ops: OperationEngine,
+    pub obs: Arc<obs::MetricsRegistry>,
+    /// `None`: the controller mints its own store.
+    pub sessions: Option<Arc<SessionManager>>,
+}
+
+impl ControllerParts {
+    pub fn standard(
+        set: DescriptorSet,
+        skeletons: Vec<TemplateSkeleton>,
+        db: Arc<Database>,
+        options: RuntimeOptions,
+        obs: Arc<obs::MetricsRegistry>,
+    ) -> ControllerParts {
+        ControllerParts {
+            set,
+            skeletons,
+            db,
+            options,
+            services: ServiceRegistry::standard(),
+            devices: DeviceRegistry::standard(),
+            ops: OperationEngine::new(),
+            obs,
+            sessions: None,
         }
     }
 }
@@ -118,13 +154,15 @@ pub struct Controller {
     /// does not move the `ETag` of the page showing paper 12.
     probe_validators: HashMap<String, (String, String)>,
     conditional_get: bool,
-    maintained_coherence: bool,
-    /// Invoked after every successful operation, before the forward
-    /// renders. Durable deployments under maintained coherence install
-    /// `Wal::flush_and_notify` here so the maintenance pass runs before
-    /// the writer can re-read (read-your-writes).
-    write_barrier: Option<Arc<dyn Fn() + Send + Sync>>,
+    /// `Some`: the WAL-driven maintenance layer owns cache coherence.
+    /// Operations skip the §6 op-path whole-entity invalidation and call
+    /// this instead, before the forward renders, so the maintenance pass
+    /// runs before the writer can re-read (read-your-writes).
+    write_barrier: Option<WriteBarrier>,
 }
+
+/// See [`Controller::set_write_barrier`].
+pub type WriteBarrier = Arc<dyn Fn() + Send + Sync>;
 
 /// Best-effort typed view of a request parameter string.
 pub fn to_value(s: &str) -> Value {
@@ -138,92 +176,27 @@ pub fn to_value(s: &str) -> Value {
 }
 
 impl Controller {
-    /// Deploy an application: descriptors + skeletons + a database with
-    /// the generated schema already installed.
-    pub fn new(
-        set: DescriptorSet,
-        skeletons: Vec<TemplateSkeleton>,
-        db: Arc<Database>,
-        options: RuntimeOptions,
-    ) -> Controller {
-        Controller::with_registry(
+    /// Assemble a controller from its parts.
+    pub fn new(parts: ControllerParts) -> Controller {
+        let ControllerParts {
             set,
             skeletons,
             db,
             options,
-            ServiceRegistry::standard(),
-            DeviceRegistry::standard(),
-        )
-    }
-
-    /// Full-control constructor: custom services (§6/§7) and device rules.
-    pub fn with_registry(
-        set: DescriptorSet,
-        skeletons: Vec<TemplateSkeleton>,
-        db: Arc<Database>,
-        options: RuntimeOptions,
-        registry: ServiceRegistry,
-        devices: DeviceRegistry,
-    ) -> Controller {
-        Controller::with_observability(
-            set,
-            skeletons,
-            db,
-            options,
-            registry,
+            services,
             devices,
-            obs::MetricsRegistry::new(),
-        )
-    }
-
-    /// [`Controller::with_registry`] with an externally owned metrics
-    /// registry, so the database, the caches, the app-server tier, and the
-    /// web tier all report into one spine. Pass the same registry used to
-    /// build the database (`Database::with_counters(registry.db.clone())`)
-    /// for SQL counters to line up.
-    pub fn with_observability(
-        set: DescriptorSet,
-        skeletons: Vec<TemplateSkeleton>,
-        db: Arc<Database>,
-        options: RuntimeOptions,
-        registry: ServiceRegistry,
-        devices: DeviceRegistry,
-        observability: Arc<obs::MetricsRegistry>,
-    ) -> Controller {
-        let sessions = Arc::new(SessionManager::with_config(
-            options.session_ttl,
-            Arc::clone(&observability.sessions_expired),
-        ));
-        Controller::with_shared_sessions(
-            set,
-            skeletons,
-            db,
-            options,
-            registry,
-            devices,
-            observability,
+            ops,
+            obs: observability,
             sessions,
-        )
-    }
-
-    /// [`Controller::with_observability`] with an externally owned session
-    /// store. Replicated deployments use this to give the leader and every
-    /// replica controller one shared store, so a session cookie minted by
-    /// a write on the leader resolves on whichever replica serves the next
-    /// read (the routing tier's read-your-writes contract depends on it).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_shared_sessions(
-        set: DescriptorSet,
-        skeletons: Vec<TemplateSkeleton>,
-        db: Arc<Database>,
-        options: RuntimeOptions,
-        registry: ServiceRegistry,
-        devices: DeviceRegistry,
-        observability: Arc<obs::MetricsRegistry>,
-        sessions: Arc<SessionManager>,
-    ) -> Controller {
+        } = parts;
+        let sessions = sessions.unwrap_or_else(|| {
+            Arc::new(SessionManager::with_config(
+                options.session_ttl,
+                Arc::clone(&observability.sessions_expired),
+            ))
+        });
         let set = Arc::new(set);
-        let registry = Arc::new(registry);
+        let registry = Arc::new(services);
         let bean_cache = options.bean_cache.then(|| {
             Arc::new(BeanCache::with_config(
                 options.bean_cache_capacity,
@@ -292,7 +265,7 @@ impl Controller {
             styling: options.styling,
             db,
             sessions,
-            ops: OperationEngine::new(),
+            ops,
             bean_cache,
             fragment_cache,
             tier,
@@ -301,14 +274,17 @@ impl Controller {
             versions: Arc::new(VersionTable::new()),
             probe_validators,
             conditional_get: options.conditional_get,
-            maintained_coherence: options.maintained_coherence,
             write_barrier: None,
         }
     }
 
-    /// Install the post-operation write barrier (see the field docs).
-    /// Call before the controller is shared.
-    pub fn set_write_barrier(&mut self, barrier: Arc<dyn Fn() + Send + Sync>) {
+    /// Hand cache coherence to the durable-log maintenance pass: from now
+    /// on a successful operation runs `barrier` (which must deliver the
+    /// operation's changes to that pass) in place of the op-path
+    /// invalidation. Only the deploy wiring that attached the maintainer
+    /// may call this — without one the caches would go incoherent. Call
+    /// before the controller is shared.
+    pub fn set_write_barrier(&mut self, barrier: WriteBarrier) {
         self.write_barrier = Some(barrier);
     }
 
@@ -516,18 +492,18 @@ impl Controller {
                             self.versions.bump_row(table, oid);
                         }
                     }
-                    if !self.maintained_coherence {
-                        if let Some(cache) = &self.bean_cache {
-                            for table in &desc.invalidates {
-                                cache.invalidate_entity(table);
+                    match &self.write_barrier {
+                        // maintained coherence: the durable-log pass owns
+                        // the caches; the barrier runs it before the
+                        // forward re-reads
+                        Some(barrier) => barrier(),
+                        None => {
+                            if let Some(cache) = &self.bean_cache {
+                                for table in &desc.invalidates {
+                                    cache.invalidate_entity(table);
+                                }
                             }
                         }
-                    }
-                    // under maintained coherence the durable-log pass owns
-                    // the caches; the barrier (Wal::flush_and_notify) runs
-                    // it before the forward re-reads
-                    if let Some(barrier) = &self.write_barrier {
-                        barrier();
                     }
                 } else {
                     self.obs.ko_flows.inc();
@@ -913,7 +889,13 @@ mod tests {
                 1,
             ),
         ];
-        Controller::new(set, skeletons, db, options)
+        Controller::new(ControllerParts::standard(
+            set,
+            skeletons,
+            db,
+            options,
+            obs::MetricsRegistry::new(),
+        ))
     }
 
     #[test]

@@ -35,7 +35,9 @@ pub mod session;
 
 pub use appserver::{AppServerTier, BusinessTier, InProcessTier, TierContext};
 pub use beans::{BeanRow, NestedBeanRow, UnitBean};
-pub use controller::{to_value, Controller, RuntimeOptions, StylingMode};
+pub use controller::{
+    to_value, Controller, ControllerParts, RuntimeOptions, StylingMode, WriteBarrier,
+};
 pub use error::{MvcError, Result};
 pub use maintain::{unit_shapes, UnitBeanPatcher};
 pub use operations::{Mail, OpResult, OperationEngine, OperationHandler};

@@ -13,7 +13,7 @@ use crate::table::{Snapshot, Table, WriteCtx};
 use obs::DbCounters;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Commits between inline vacuum sweeps (amortized under the write lock).
@@ -33,14 +33,10 @@ struct CommitHook {
 /// architecture: generic unit services hand it the SQL text stored in their
 /// descriptors together with bound parameters.
 ///
-/// Two plan caches back [`Database::prepare`], both copy-on-write
-/// (`Arc<HashMap>` behind an `RwLock`) so the read hot path takes zero
-/// mutexes end to end:
-///
-/// * a **pinned** snapshot, populated at deploy time by
-///   [`Database::pin_plan`] for descriptor SQL; and
-/// * an **ad-hoc** snapshot for SQL that was never pinned, grown
-///   copy-on-write on cache miss.
+/// One plan cache backs [`Database::prepare`]: SQL text → parsed
+/// statement, read under a shared lock. Deploy fills it up front with the
+/// descriptor SQL ([`Database::pin_plan`]); everything else enters on its
+/// first use.
 ///
 /// All counters (prepares, plan-cache hits, statements, rows scanned) live
 /// in an [`obs::DbCounters`] so a deployment can hand every tier one shared
@@ -52,11 +48,10 @@ struct CommitHook {
 /// [`crate::Session`] transaction keeps uncommitted versions in place.
 pub struct Database {
     storage: RwLock<Storage>,
-    /// Deploy-time frozen plan index (copy-on-write; written only by
-    /// [`Database::pin_plan`]).
-    pinned: RwLock<Arc<HashMap<String, Arc<Statement>>>>,
-    /// Ad-hoc plan cache, same copy-on-write discipline (grown on miss).
-    adhoc: RwLock<Arc<HashMap<String, Arc<Statement>>>>,
+    /// The plan cache.
+    plans: RwLock<HashMap<String, Arc<Statement>>>,
+    /// How many of `plans` entered through [`Database::pin_plan`].
+    pinned: AtomicUsize,
     /// Shared observability counters (may be the registry's `db` block).
     counters: Arc<DbCounters>,
     /// Optional durability hook: receives the redo stream of every committed
@@ -100,8 +95,8 @@ impl Database {
     pub fn with_counters(counters: Arc<DbCounters>) -> Database {
         Database {
             storage: RwLock::new(Storage::default()),
-            pinned: RwLock::new(Arc::new(HashMap::new())),
-            adhoc: RwLock::new(Arc::new(HashMap::new())),
+            plans: RwLock::new(HashMap::new()),
+            pinned: AtomicUsize::new(0),
             counters,
             sink: RwLock::new(None),
             clock: AtomicU64::new(0),
@@ -296,55 +291,44 @@ impl Database {
         self.counters.statements_executed.get()
     }
 
-    /// Parse (with caching) a SQL string into a shareable statement.
-    ///
-    /// Lookup order: pinned deploy-time snapshot, then the ad-hoc
-    /// snapshot, then a fresh parse (recorded as a prepare; cache hits are
-    /// recorded as plan-cache hits). Both caches are copy-on-write maps
-    /// read under a shared lock, so the hit path takes zero mutexes.
-    pub fn prepare(&self, sql: &str) -> Result<Arc<Statement>> {
-        if let Some(s) = self.pinned.read().get(sql) {
-            self.counters.plan_cache_hits.inc();
-            return Ok(Arc::clone(s));
-        }
-        if let Some(s) = self.adhoc.read().get(sql) {
-            self.counters.plan_cache_hits.inc();
-            return Ok(Arc::clone(s));
+    /// The cached plan for `sql` (`true`), or a fresh parse — counted as a
+    /// prepare — entered into the cache (`false`).
+    fn cached_plan(&self, sql: &str) -> Result<(Arc<Statement>, bool)> {
+        if let Some(s) = self.plans.read().get(sql) {
+            return Ok((Arc::clone(s), true));
         }
         self.counters.prepares.inc();
         let stmt = Arc::new(parse_statement(sql)?);
-        let mut guard = self.adhoc.write();
-        if let Some(s) = guard.get(sql) {
-            // another thread won the parse race; share its plan
-            return Ok(Arc::clone(s));
+        // if another thread won the parse race, share its plan
+        let mut plans = self.plans.write();
+        let shared = plans.entry(sql.to_string()).or_insert(stmt);
+        Ok((Arc::clone(shared), false))
+    }
+
+    /// Parse (with caching) a SQL string into a shareable statement. A
+    /// cache hit is recorded as a plan-cache hit, a parse as a prepare.
+    pub fn prepare(&self, sql: &str) -> Result<Arc<Statement>> {
+        let (stmt, hit) = self.cached_plan(sql)?;
+        if hit {
+            self.counters.plan_cache_hits.inc();
         }
-        let mut next: HashMap<String, Arc<Statement>> = (**guard).clone();
-        next.insert(sql.to_string(), Arc::clone(&stmt));
-        *guard = Arc::new(next);
         Ok(stmt)
     }
 
-    /// Resolve `sql` once at deploy time into the frozen plan snapshot and
-    /// return the shared plan. Subsequent [`Database::prepare`] calls (and
-    /// holders of the returned `Arc` using [`Database::execute_prepared`])
-    /// skip the ad-hoc mutex entirely.
+    /// Resolve `sql` once at deploy time and return the shared plan, so
+    /// the prepare is never paid on a request. Holders of the returned
+    /// `Arc` can skip the lookup too ([`Database::execute_prepared`]).
     pub fn pin_plan(&self, sql: &str) -> Result<Arc<Statement>> {
-        if let Some(s) = self.pinned.read().get(sql) {
-            return Ok(Arc::clone(s));
+        let (stmt, hit) = self.cached_plan(sql)?;
+        if !hit {
+            self.pinned.fetch_add(1, Ordering::Relaxed);
         }
-        self.counters.prepares.inc();
-        let stmt = Arc::new(parse_statement(sql)?);
-        let mut guard = self.pinned.write();
-        // Copy-on-write: clone the (small, deploy-sized) map, insert, swap.
-        let mut next: HashMap<String, Arc<Statement>> = (**guard).clone();
-        next.insert(sql.to_string(), Arc::clone(&stmt));
-        *guard = Arc::new(next);
         Ok(stmt)
     }
 
     /// Number of plans pinned at deploy time.
     pub fn pinned_plan_count(&self) -> usize {
-        self.pinned.read().len()
+        self.pinned.load(Ordering::Relaxed)
     }
 
     /// Execute one statement in autocommit mode.
@@ -1025,7 +1009,7 @@ mod tests {
     }
 
     #[test]
-    fn pinned_plans_bypass_adhoc_cache() {
+    fn pinned_plans_are_plan_cache_hits() {
         let db = db();
         seed(&db);
         let sql = "SELECT title FROM volume WHERE year = :y";

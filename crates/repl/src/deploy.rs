@@ -9,13 +9,11 @@
 //! The leader's vacuum horizon is pinned to the slowest replica so MVCC
 //! versions a replica still needs are never reclaimed under it.
 
-use mvc::{Controller, ServiceRegistry, WebRequest, WebResponse};
-use presentation::DeviceRegistry;
+use mvc::{WebRequest, WebResponse};
 use relstore::Database;
 use std::sync::Arc;
 use webratio::{
-    apply_derived_indexes, pin_descriptor_plans, Application, DeployError, DeployOptions,
-    Deployment, DurabilityConfig,
+    assemble_node, Application, DeployError, DeployOptions, Deployment, DurabilityConfig, NodeSpec,
 };
 
 use crate::router::{ReplicaEndpoint, Router};
@@ -46,56 +44,19 @@ impl ReplicatedDeployment {
 /// a [`Router`], and — when `options.shards >= 2` — a model-partitioned
 /// [`ShardedStore`] bootstrapped from the same generated DDL.
 ///
-/// `options.analysis` gates the deploy exactly like
-/// `Application::deploy_checked`, but through
-/// [`analyze::analyze_deployment`] with the requested topology — so the
-/// distribution-safety passes (`AZ4xx`) run here and an `AZ401` (or any
-/// other Error-severity finding) refuses the deploy at `Gate::Deny`
-/// *before* any durable side effect. The report lands on
-/// `leader.analysis`, and `AZ4xx` counts are exported as
-/// `analyze_distribution_total{code}`.
+/// The leader is `Application::assemble` with `durability` — so the
+/// analysis gate runs for the requested topology (the distribution-safety
+/// passes `AZ4xx` included) and an `AZ401`, or any other Error-severity
+/// finding, refuses the deploy at `Gate::Deny` *before* any durable side
+/// effect; the report lands on `leader.analysis`. Every replica is the
+/// same node assembly ([`assemble_node`]) over its recovered store, the
+/// leader's session store, and its own applied-batch stream.
 pub fn deploy_replicated(
     app: &Application,
     options: DeployOptions,
     durability: &DurabilityConfig,
 ) -> Result<ReplicatedDeployment, DeployError> {
-    let report = match options.analysis {
-        analyze::Gate::Off => None,
-        gate => {
-            let t0 = std::time::Instant::now();
-            let generated = app.generate().map_err(DeployError::Generation)?;
-            let topo = analyze::Topology {
-                replicas: options.replicas,
-                shards: options.shards,
-            };
-            let report = analyze::analyze_deployment(
-                &app.er,
-                &app.mapping,
-                &app.hypertext,
-                &generated.descriptors,
-                &topo,
-            );
-            let micros = t0.elapsed().as_micros() as u64;
-            if gate == analyze::Gate::Deny && report.has_errors() {
-                return Err(DeployError::Analysis(Box::new(report)));
-            }
-            Some((report, micros))
-        }
-    };
-
-    let mut leader = app.deploy_durable(options.runtime.clone(), durability)?;
-    if let Some((report, micros)) = report {
-        leader.obs.analyze.runs.inc();
-        leader.obs.analyze.analysis_micros.observe_us(micros);
-        for ((code, severity), n) in report.code_counts() {
-            leader.obs.analyze.record_diagnostics(code, severity, n);
-            if code.starts_with("AZ4") {
-                leader.obs.analyze.record_distribution(code, n);
-            }
-        }
-        leader.analysis = Some(report);
-    }
-    let leader = leader;
+    let leader = app.assemble(options.clone(), Some(durability), None)?;
     let wal = Arc::clone(
         leader
             .wal
@@ -113,29 +74,27 @@ pub fn deploy_replicated(
         // is structurally identical by construction
         let db = Arc::new(Database::with_counters(Arc::clone(&registry.db)));
         let info = wal.recover_into(&db).map_err(DeployError::Durability)?;
-        apply_derived_indexes(&db, &generated.derived_indexes).map_err(DeployError::Schema)?;
-        pin_descriptor_plans(&db, &generated.descriptors);
-        let controller = Arc::new(Controller::with_shared_sessions(
-            generated.descriptors.clone(),
-            generated.skeletons.clone(),
-            Arc::clone(&db),
-            options.runtime.clone(),
-            ServiceRegistry::standard(),
-            DeviceRegistry::standard(),
-            Arc::clone(&registry),
-            Arc::clone(&leader.controller.sessions),
-        ));
         let replica = Replica::new(
             format!("replica-{i}"),
-            db,
+            Arc::clone(&db),
             info.last_lsn,
             Arc::clone(&registry.repl),
         );
-        // §6 invalidation runs per replica, against the replica's own
-        // bean cache, driven by the same applied change stream
-        if let Some(cache) = controller.bean_cache_arc() {
-            replica.set_invalidator(Arc::new(webcache::LogDrivenInvalidator::new(cache)));
-        }
+        // cache maintenance runs per replica, against the replica's own
+        // caches, driven by the batches the replica applied
+        let controller = Arc::new(assemble_node(
+            generated,
+            NodeSpec {
+                db,
+                runtime: options.runtime.clone(),
+                obs: Arc::clone(&registry),
+                sessions: Some(Arc::clone(&leader.controller.sessions)),
+                plugins: None,
+                stream: Some(&*replica),
+                incremental_maintenance: durability.incremental_maintenance,
+                barrier: None,
+            },
+        )?);
         // subscribe through the serialization boundary; replay_from
         // delivers whatever the leader logged since recover_into, then
         // attaches for live batches with no window in between

@@ -9,8 +9,9 @@
 //!   own `Database` and consumes the leader's durable WAL batch stream
 //!   (leader-based replication, the DDIA ch. 5 shape). Batches cross a
 //!   real serialization boundary ([`transport`]) even in process, apply
-//!   idempotently in LSN order, and drive a replica-side
-//!   [`webcache::LogDrivenInvalidator`] exactly as §6 prescribes;
+//!   idempotently in LSN order, and feed the replica's own cache
+//!   maintainer (`webcache::LogDrivenMaintainer`) before the replica
+//!   publishes the LSN — §6's replica invalidation;
 //! * **bounded-staleness routing** ([`Router`]) — writes go to the
 //!   leader; reads go to a replica only if its `applied_lsn` has caught
 //!   up with the session's last write (read-your-writes), else the leader

@@ -1,19 +1,19 @@
 //! A log-shipping read replica: its own [`Database`], fed by the leader's
 //! durable batch stream, applying idempotently in LSN order.
 
-use mvc::UnitBean;
 use parking_lot::RwLock;
 use relstore::{ChangeRecord, Database};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use wal::SnapshotData;
-use webcache::LogDrivenInvalidator;
+use wal::{LogObserver, SnapshotData};
 
 /// One read replica. Owns a full copy of the data tier, tracks the last
-/// LSN it has applied, and (optionally) invalidates its own bean cache
-/// from each applied batch — the paper's §6 invalidation, per replica.
+/// LSN it has applied, and re-emits each applied batch to its own
+/// observers ([`wal::ChangeStream`]) — which is how the replica
+/// controller's caches are maintained, the paper's §6 invalidation per
+/// replica.
 ///
 /// Apply is **idempotent**: a batch with `lsn <= applied_lsn` is counted
 /// as a duplicate and skipped, so reconnect replays (`Wal::replay_from`
@@ -24,7 +24,7 @@ pub struct Replica {
     applied: AtomicU64,
     gauges: Arc<obs::ReplicaGauges>,
     counters: Arc<obs::ReplCounters>,
-    invalidator: RwLock<Option<Arc<LogDrivenInvalidator<UnitBean>>>>,
+    observers: RwLock<Vec<Arc<dyn LogObserver>>>,
 }
 
 impl Replica {
@@ -45,14 +45,8 @@ impl Replica {
             applied: AtomicU64::new(applied_lsn),
             gauges,
             counters,
-            invalidator: RwLock::new(None),
+            observers: RwLock::new(Vec::new()),
         })
-    }
-
-    /// Invalidate this bean cache after every applied batch (wire the
-    /// replica controller's own cache here, not the leader's).
-    pub fn set_invalidator(&self, inv: Arc<LogDrivenInvalidator<UnitBean>>) {
-        *self.invalidator.write() = Some(inv);
     }
 
     pub fn name(&self) -> &str {
@@ -74,10 +68,14 @@ impl Replica {
         self.gauges.lag_lsn.set(lag as i64);
     }
 
-    /// Apply one durable batch. Returns `false` (and counts a duplicate)
-    /// when the batch was already applied. Panics if the change stream
-    /// diverges from the replica's state — with idempotent physical
-    /// replay that indicates a torn transport, not a data race.
+    /// Apply one durable batch: store, then observers (cache
+    /// maintenance), and only then publish the LSN — the router reads
+    /// `applied_lsn` as "this replica may serve a session that wrote at
+    /// that LSN", which must not hold while a pre-write bean is still
+    /// cached. Returns `false` (and counts a duplicate) when the batch
+    /// was already applied. Panics if the change stream diverges from the
+    /// replica's state — with idempotent physical replay that indicates a
+    /// torn transport, not a data race.
     pub fn apply_batch(&self, lsn: u64, changes: &[ChangeRecord]) -> bool {
         if lsn <= self.applied.load(Ordering::SeqCst) {
             self.counters.batches_duplicate.inc();
@@ -88,12 +86,12 @@ impl Replica {
                 panic!("replica {} diverged applying lsn {lsn}: {e}", self.name)
             });
         }
+        for o in self.observers.read().iter() {
+            o.on_durable(lsn, changes);
+        }
         self.applied.store(lsn, Ordering::SeqCst);
         self.gauges.applied_lsn.set(lsn as i64);
         self.counters.batches_applied.inc();
-        if let Some(inv) = self.invalidator.read().as_ref() {
-            inv.apply(changes);
-        }
         true
     }
 
@@ -130,10 +128,18 @@ impl Replica {
     }
 }
 
+impl wal::ChangeStream for Replica {
+    /// Observers run after a batch is applied to the store and before its
+    /// LSN is published.
+    fn attach_observer(&self, o: Arc<dyn LogObserver>) {
+        self.observers.write().push(o);
+    }
+}
+
 /// Direct (unserialized) observer wiring, for tests that want to bypass
 /// the frame transport. Production wiring goes through
 /// [`crate::ShippingObserver`] + [`crate::InProcessLink`].
-impl wal::LogObserver for Replica {
+impl LogObserver for Replica {
     fn on_durable(&self, lsn: u64, changes: &[ChangeRecord]) {
         self.apply_batch(lsn, changes);
     }

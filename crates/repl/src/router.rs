@@ -11,7 +11,7 @@
 //!   replica read is at most one group-commit window plus apply latency
 //!   behind the leader, and never behind the session's own writes.
 //!
-//! The session store is shared (`Controller::with_shared_sessions`), so
+//! The session store is shared (`webratio::NodeSpec::sessions`), so
 //! the LSN watermark written on the leader is visible to every replica
 //! controller resolving the same cookie.
 
@@ -55,10 +55,6 @@ impl Router {
             counters,
             rr: AtomicUsize::new(0),
         }
-    }
-
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
     }
 
     pub fn leader(&self) -> &Arc<Controller> {

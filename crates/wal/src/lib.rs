@@ -17,9 +17,10 @@
 //!   before/mid/after flush plus torn-tail and checksum corruption, so the
 //!   recovery invariant — *the recovered state is always a committed
 //!   prefix* — is provable by property test;
-//! * a **durable change stream** for replicas: [`LogObserver`]s receive
-//!   every batch *after* it is durable, which is how the bean cache's
-//!   log-driven invalidation is fed (`webcache::LogDrivenInvalidator`).
+//! * a **durable change stream** ([`ChangeStream`]): [`LogObserver`]s
+//!   receive every batch *after* it is durable — which is what feeds
+//!   replicas and every node's cache maintenance
+//!   (`webcache::LogDrivenMaintainer`).
 //!
 //! Flush economics (flush count, batch-size histogram, bytes, recovery
 //! time) are reported through [`obs::WalCounters`] and exported at
@@ -74,10 +75,20 @@ impl WalConfig {
 
 /// Subscriber to the durable change stream. Called *after* a batch is
 /// written + synced, outside all locks — exactly the stream a replica (or
-/// the bean cache's log-driven invalidator) needs, because it never shows
-/// a change that could still be lost.
+/// a cache maintainer) needs, because it never shows a change that could
+/// still be lost.
 pub trait LogObserver: Send + Sync {
     fn on_durable(&self, lsn: u64, changes: &[ChangeRecord]);
+}
+
+/// A source of committed change batches observers can follow: the
+/// leader's [`Wal`] (batches that reached the log) or a replica (batches
+/// it applied to its own store). Cache coherence is wired against this,
+/// so leader and replicas share one wiring.
+pub trait ChangeStream {
+    /// Subscribe to the stream. The observer sees only batches delivered
+    /// *after* the attach.
+    fn attach_observer(&self, o: Arc<dyn LogObserver>);
 }
 
 /// What recovery found and did.
@@ -195,15 +206,6 @@ impl Wal {
         }))
     }
 
-    /// Subscribe to the durable change stream.
-    ///
-    /// An observer attached this way sees only batches flushed *after*
-    /// the attach — anything already durable is silently missed. A
-    /// (re)connecting replica must use [`Wal::replay_from`] instead.
-    pub fn attach_observer(&self, o: Arc<dyn LogObserver>) {
-        self.observers.write().push(o);
-    }
-
     /// Attach `observer` *and* deterministically deliver the history it
     /// missed: every record with `lsn > from_lsn` still present in the
     /// log is replayed to the observer before any new batch can reach it.
@@ -305,18 +307,7 @@ impl Wal {
         self.dispatch(self.writer.flush_now());
     }
 
-    /// The non-strict coherence barrier: write the buffer to the log and
-    /// dispatch observers *without* waiting on the physical sync, which
-    /// the flusher thread performs within one group-commit window (see
-    /// [`log::LogWriter::flush_now_relaxed`]). Cache maintenance therefore
-    /// runs before the committer can re-read, while disk latency stays off
-    /// the request path — the same bounded durability lag non-strict
-    /// commit already accepts.
-    pub fn flush_and_notify_relaxed(&self) {
-        self.dispatch(self.writer.flush_now_relaxed());
-    }
-
-    /// The cheapest coherence barrier: dispatch observers for every
+    /// The non-strict coherence barrier: dispatch observers for every
     /// appended-but-unflushed batch without touching the file at all
     /// (see [`log::LogWriter::take_pending`]). The encoded bytes reach
     /// the disk on the flusher's next window flush — the identical
@@ -395,6 +386,14 @@ impl Wal {
 impl Drop for Wal {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+impl ChangeStream for Wal {
+    /// Anything already durable is silently missed: a (re)connecting
+    /// replica must use [`Wal::replay_from`] instead.
+    fn attach_observer(&self, o: Arc<dyn LogObserver>) {
+        self.observers.write().push(o);
     }
 }
 

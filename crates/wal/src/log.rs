@@ -13,13 +13,8 @@
 //!
 //! Every flushed batch is queued for observer dispatch and drained by
 //! [`LogWriter::flush_now`]; internal flush paths (watermark, compaction,
-//! [`LogWriter::stop`]) can therefore never lose a batch the
-//! log-driven cache invalidator should have seen.
-//!
-//! [`LogWriter::flush_now_relaxed`] writes and dispatches without the
-//! inline sync: the physical `fdatasync` is deferred to the next synced
-//! flush, so non-strict committers can run cache-coherence observers on
-//! their own thread without paying disk latency per write.
+//! [`LogWriter::stop`]) can therefore never lose a batch an observer
+//! should have seen.
 //!
 //! Crash points from [`crate::fault::CrashPlan`] trip inside the flush path
 //! (see [`CrashPoint`]): the writer marks itself crashed, stops touching
@@ -34,7 +29,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One flushed batch, as handed to observers: `(lsn, changes)` per
 /// committed transaction, in commit order.
@@ -65,13 +60,6 @@ struct WriterState {
     next_lsn: u64,
     /// Highest LSN appended to the buffer (≥ durable_lsn).
     appended_lsn: u64,
-    /// Highest LSN written to the file — possibly ahead of `durable_lsn`
-    /// after a relaxed flush, until the next synced flush catches up.
-    written_lsn: u64,
-    /// Set by a relaxed flush: bytes are in the file but not yet synced;
-    /// the next synced flush (normally the flusher's window tick) owes an
-    /// `fdatasync` even if its buffer is empty.
-    sync_pending: bool,
     /// Highest LSN written + synced to the file.
     durable_lsn: u64,
     /// Count of non-empty physical flushes so far (crash plans index this).
@@ -120,8 +108,6 @@ impl LogWriter {
                 io_error: None,
                 next_lsn: start_lsn + 1,
                 appended_lsn: start_lsn,
-                written_lsn: start_lsn,
-                sync_pending: false,
                 durable_lsn: start_lsn,
                 flush_ordinal: 0,
                 crash_plan,
@@ -173,21 +159,6 @@ impl LogWriter {
         std::mem::take(&mut s.dispatch)
     }
 
-    /// Like [`LogWriter::flush_now`], but *relaxed*: the buffer is written
-    /// to the log file and the batch queued for dispatch without waiting
-    /// on the physical sync — that is deferred to the next synced flush
-    /// (normally the flusher's window tick), so the durability lag stays
-    /// bounded by the group-commit window. This is the non-strict
-    /// coherence barrier: observers (cache maintenance) run against the
-    /// written log on the committer's thread while the disk sync stays
-    /// amortized off it. `durable_lsn` does not advance until the sync
-    /// lands, so strict committers are never acked early.
-    pub fn flush_now_relaxed(&self) -> DurableBatch {
-        let mut s = self.state.lock().unwrap();
-        self.flush_inner(&mut s, false);
-        std::mem::take(&mut s.dispatch)
-    }
-
     /// Drain the buffered-but-unflushed batches for observer dispatch
     /// without any file I/O: the encoded bytes stay in the buffer and
     /// reach the disk on the flusher's next window flush, exactly as
@@ -207,28 +178,8 @@ impl LogWriter {
     /// `s.dispatch`. Never hands batches to the caller directly, so no
     /// internal flush path can drop them on the floor.
     fn flush_locked(&self, s: &mut WriterState) {
-        self.flush_inner(s, true)
-    }
-
-    fn flush_inner(&self, s: &mut WriterState, sync: bool) {
         s.flush_due = false;
-        if s.crashed {
-            return;
-        }
-        if s.buf.is_empty() {
-            // nothing new to write — but a prior relaxed flush may still
-            // owe the disk its sync
-            if sync && s.sync_pending {
-                if let Some(f) = s.file.as_mut() {
-                    if let Err(e) = f.sync_data() {
-                        self.fail_io(s, &e);
-                        return;
-                    }
-                }
-                s.sync_pending = false;
-                s.durable_lsn = s.written_lsn;
-                self.cond.notify_all();
-            }
+        if s.crashed || s.buf.is_empty() {
             return;
         }
         let ordinal = s.flush_ordinal + 1;
@@ -272,12 +223,7 @@ impl LogWriter {
             Some(f) => f,
             None => return,
         };
-        let res = if sync {
-            file.write_all(&s.buf).and_then(|_| file.sync_data())
-        } else {
-            file.write_all(&s.buf)
-        };
-        if let Err(e) = res {
+        if let Err(e) = file.write_all(&s.buf).and_then(|_| file.sync_data()) {
             self.fail_io(s, &e);
             return;
         }
@@ -291,13 +237,7 @@ impl LogWriter {
                 .observe(s.pending.len() as u64);
         }
         s.flush_ordinal = ordinal;
-        s.written_lsn = s.appended_lsn;
-        if sync {
-            s.sync_pending = false;
-            s.durable_lsn = s.appended_lsn;
-        } else {
-            s.sync_pending = true;
-        }
+        s.durable_lsn = s.appended_lsn;
         s.buf.clear();
         s.last_record_start = 0;
         let batch = std::mem::take(&mut s.pending);
@@ -435,18 +375,21 @@ impl LogWriter {
     /// [`LogWriter::append`] or queued-but-undispatched batches. Returns
     /// `false` once stopping.
     pub fn park_flusher(&self) -> bool {
-        let s = self.state.lock().unwrap();
-        if s.stopping {
-            return false;
+        let deadline = Instant::now() + self.window.max(Duration::from_millis(1));
+        let mut s = self.state.lock().unwrap();
+        loop {
+            if s.stopping {
+                return false;
+            }
+            // the condvar also carries every flush's "durable" broadcast;
+            // only the reasons above and the deadline end the park, or a
+            // manual-flush deployment would flush behind its owner's back
+            let left = deadline.saturating_duration_since(Instant::now());
+            if s.flush_due || !s.dispatch.is_empty() || left.is_zero() {
+                return true;
+            }
+            s = self.cond.wait_timeout(s, left).unwrap().0;
         }
-        if s.flush_due || !s.dispatch.is_empty() {
-            return true;
-        }
-        let (s, _timeout) = self
-            .cond
-            .wait_timeout(s, self.window.max(Duration::from_millis(1)))
-            .unwrap();
-        !s.stopping
     }
 
     /// The group-commit window.
@@ -503,24 +446,6 @@ mod tests {
         let w = writer(&dir, CrashPlan::none());
         assert!(w.flush_now().is_empty());
         assert_eq!(w.flush_ordinal(), 0);
-    }
-
-    #[test]
-    fn relaxed_flush_dispatches_before_sync() {
-        let dir = TempDir::new("log-relaxed").unwrap();
-        let w = writer(&dir, CrashPlan::none());
-        w.append(changes(1));
-        let batch = w.flush_now_relaxed();
-        assert_eq!(batch.len(), 1, "relaxed flush must dispatch its batch");
-        // the bytes are in the file…
-        let scan = scan_log(&std::fs::read(w.path()).unwrap());
-        assert_eq!(scan.outcome, ScanOutcome::Clean);
-        assert_eq!(scan.records.len(), 1);
-        // …but durability is not acked until the deferred sync lands
-        assert_eq!(w.durable_lsn(), 0);
-        assert!(w.flush_now().is_empty(), "no new batch, only the sync");
-        assert_eq!(w.durable_lsn(), 1);
-        w.wait_durable(1).unwrap();
     }
 
     #[test]

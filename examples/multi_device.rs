@@ -5,9 +5,9 @@
 //! cargo run --example multi_device
 //! ```
 
-use webml_ratio::mvc::{Controller, RuntimeOptions, StylingMode, WebRequest};
+use webml_ratio::mvc::{StylingMode, WebRequest};
 use webml_ratio::presentation::{DeviceClass, DeviceRegistry, RuleSet, Stylesheet};
-use webml_ratio::webratio::fixtures;
+use webml_ratio::webratio::{fixtures, DeployOptions};
 
 fn main() {
     let app = fixtures::acm_library();
@@ -32,20 +32,14 @@ fn main() {
     desktop.page_rules[0].banner = "ACM Digital Library".into();
     devices.set_default(desktop.clone());
 
+    let mut options = DeployOptions::default();
+    options.runtime.styling = StylingMode::Runtime; // §5: rules applied per request
     let d = app
-        .deploy_with(|generated, db| {
-            Controller::with_registry(
-                generated.descriptors,
-                generated.skeletons,
-                db,
-                RuntimeOptions {
-                    styling: StylingMode::Runtime, // §5: rules applied per request
-                    ..RuntimeOptions::default()
-                },
-                webml_ratio::mvc::ServiceRegistry::standard(),
-                devices,
-            )
-        })
+        .assemble(
+            options,
+            None,
+            Some(&|parts| parts.devices = devices.clone()),
+        )
         .expect("deploy");
     fixtures::seed_acm(&d.db, 2, 2, 2);
 

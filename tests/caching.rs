@@ -1,9 +1,12 @@
 //! Integration tests of the §6 two-level cache semantics across
 //! deployment configurations.
 
+use std::sync::Arc;
 use std::time::Duration;
-use webml_ratio::mvc::{RuntimeOptions, WebRequest};
-use webml_ratio::webratio::fixtures;
+use webml_ratio::mvc::{RuntimeOptions, WebRequest, WebResponse};
+use webml_ratio::relstore::Params;
+use webml_ratio::repl::{deploy_replicated, Replica};
+use webml_ratio::webratio::{fixtures, DeployOptions, Deployment, DurabilityConfig};
 
 fn options(bean: bool, fragment: bool, ttl: Duration) -> RuntimeOptions {
     RuntimeOptions {
@@ -127,18 +130,18 @@ fn cache_configs_agree_on_read_only_content() {
     assert!(bodies.windows(2).all(|w| w[0] == w[1]));
 }
 
-/// The maintenance path preserves the no-stale-bean property: under a
-/// randomized write schedule (operation-driven inserts plus direct SQL
-/// updates and deletes), a warm maintained deployment — beans patched in
-/// place from the WAL stream, fragments re-rendered only when dirty —
-/// serves pages byte-identical to a cacheless deployment recomputing from
-/// scratch after every single op. Override the schedule with
-/// `RELSTORE_STRESS_SEED`.
-#[test]
-fn maintained_cache_matches_cold_recompute() {
-    use webml_ratio::relstore::Params;
-    use webml_ratio::webratio::DurabilityConfig;
-
+/// Drive one seeded write schedule (operation-driven inserts plus direct
+/// SQL updates and deletes on the leader's store) against a warm
+/// deployment and a cacheless single-node reference; after every step,
+/// once the log is flushed and every replica has applied it, each warm
+/// node must serve the home page byte-identical to the reference.
+/// `warm` is the deployment's front door (the router, when replicated).
+fn assert_matches_cold_recompute(
+    label: &str,
+    leader: &Deployment,
+    replicas: &[Arc<Replica>],
+    warm: &dyn Fn(&WebRequest) -> WebResponse,
+) {
     let seed: u64 = std::env::var("RELSTORE_STRESS_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -151,79 +154,104 @@ fn maintained_cache_matches_cold_recompute() {
         state
     };
 
-    let dir = webml_ratio::wal::TempDir::new("maint-prop").unwrap();
-    let mut durability = DurabilityConfig::new(dir.path());
-    durability.incremental_maintenance = true;
-    let warm = fixtures::bookstore()
-        .deploy_durable(
-            RuntimeOptions {
-                bean_cache: true,
-                fragment_cache: true,
-                fragment_ttl: Duration::from_secs(3600),
-                ..RuntimeOptions::default()
-            },
-            &durability,
-        )
-        .unwrap();
     let cold = fixtures::bookstore()
         .deploy(options(false, false, Duration::from_secs(3600)))
         .unwrap();
-
-    let home = warm.home_url("store").unwrap();
-    let op = warm.generated.descriptors.operations[0].url.clone();
-    let wal = warm.wal.as_ref().unwrap();
+    let home = leader.home_url("store").unwrap();
+    let op = leader.generated.descriptors.operations[0].url.clone();
+    let wal = leader.wal.as_ref().unwrap();
 
     for step in 0..40u64 {
         match next() % 3 {
             0 => {
                 // insert through the generated operation on both apps;
                 // autoincrement keeps the oid spaces aligned
-                let title = format!("Book {}", next() % 400);
-                let price = format!("{}.5", next() % 90 + 1);
-                for d in [&warm, &cold] {
-                    let r = d.handle(
-                        &WebRequest::get(&op)
-                            .with_param("title", &title)
-                            .with_param("price", &price),
-                    );
-                    assert_eq!(r.status, 200);
-                }
+                let req = WebRequest::get(&op)
+                    .with_param("title", format!("Book {}", next() % 400))
+                    .with_param("price", format!("{}.5", next() % 90 + 1));
+                assert_eq!(warm(&req).status, 200);
+                assert_eq!(cold.handle(&req).status, 200);
             }
-            1 => {
-                // in-place edit of a (possibly absent) row — the patch path
-                let sql = format!(
-                    "UPDATE book SET title = 'Rev {step}.{}' WHERE oid = {}",
-                    next() % 100,
-                    next() % 40 + 1
-                );
-                warm.db.execute(&sql, &Params::new()).unwrap();
+            kind => {
+                let sql = if kind == 1 {
+                    // in-place edit of a (possibly absent) row — the patch path
+                    format!(
+                        "UPDATE book SET title = 'Rev {step}.{}' WHERE oid = {}",
+                        next() % 100,
+                        next() % 40 + 1
+                    )
+                } else {
+                    format!("DELETE FROM book WHERE oid = {}", next() % 40 + 1)
+                };
+                leader.db.execute(&sql, &Params::new()).unwrap();
                 cold.db.execute(&sql, &Params::new()).unwrap();
-                wal.flush_and_notify();
-            }
-            _ => {
-                let sql = format!("DELETE FROM book WHERE oid = {}", next() % 40 + 1);
-                warm.db.execute(&sql, &Params::new()).unwrap();
-                cold.db.execute(&sql, &Params::new()).unwrap();
-                wal.flush_and_notify();
             }
         }
-        // after every op the warm caches must agree with cold recompute
-        let w = warm.handle(&WebRequest::get(&home));
+        wal.flush_and_notify();
+        for r in replicas {
+            assert_eq!(r.applied_lsn(), wal.appended_lsn(), "{} lags", r.name());
+        }
+        // after every op each warm node must agree with cold recompute
+        // (anonymous reads round-robin over the replicas)
         let c = cold.handle(&WebRequest::get(&home));
-        assert_eq!(w.status, 200);
-        assert_eq!(
-            w.body, c.body,
-            "maintained cache diverged from recompute at step {step} (seed {seed})"
-        );
+        for _ in 0..replicas.len().max(1) {
+            let w = warm(&WebRequest::get(&home));
+            assert_eq!(w.status, 200);
+            assert_eq!(
+                w.body, c.body,
+                "{label}: warm cache diverged from recompute at step {step} (seed {seed})"
+            );
+        }
     }
     // the schedule must actually exercise the warm path: beans were hit,
     // and durable changes were folded in place or counted as fallbacks
-    let stats = warm.controller.bean_cache().unwrap().stats();
-    assert!(stats.hits > 0, "schedule never hit the bean cache");
-    let maint = &warm.obs.maint;
-    let folded =
-        maint.patches_applied.get() + maint.fallback_counts().iter().map(|(_, n)| *n).sum::<u64>();
-    assert!(folded > 0, "schedule never reached the maintenance layer");
+    assert!(
+        leader.obs.bean_cache.hits.get() > 0,
+        "{label}: schedule never hit a bean cache"
+    );
+    let maint = &leader.obs.maint;
+    assert!(
+        maint.patches_applied.get() + maint.fallbacks_total() > 0,
+        "{label}: schedule never reached the maintenance layer"
+    );
+    for r in replicas {
+        assert!(leader.obs.repl.reads_for(r.name()) > 0, "{} idle", r.name());
+    }
+}
+
+/// The maintenance path preserves the no-stale-bean property: under a
+/// randomized write schedule a warm deployment whose caches follow the
+/// durable change stream — beans patched in place and fragments
+/// re-rendered only when dirty under `incremental_maintenance`, dependent
+/// beans dropped row-granularly without it — serves pages byte-identical
+/// to a cacheless deployment recomputing from scratch, on a single node
+/// and on every replica behind the router. Override the schedule with
+/// `RELSTORE_STRESS_SEED`.
+#[test]
+fn maintained_cache_matches_cold_recompute() {
+    for (replicas, incremental) in [(0, false), (0, true), (2, false), (2, true)] {
+        let label = format!("{replicas} replicas, incremental_maintenance={incremental}");
+        let dir = webml_ratio::wal::TempDir::new("maint-prop").unwrap();
+        let mut durability = DurabilityConfig::new(dir.path());
+        durability.incremental_maintenance = incremental;
+        // the schedule alone flushes: no flusher thread mid-dispatch while
+        // a step compares pages
+        durability.group_commit_window = Duration::from_secs(3600);
+        // without the maintenance pass nothing but its TTL refreshes a
+        // fragment (the §6 limitation), so only the maintained arms cache them
+        let runtime = options(true, incremental, Duration::from_secs(3600));
+        if replicas == 0 {
+            let warm = fixtures::bookstore()
+                .deploy_durable(runtime, &durability)
+                .unwrap();
+            assert_matches_cold_recompute(&label, &warm, &[], &|req| warm.handle(req));
+        } else {
+            let mut deploy = DeployOptions::default().with_replicas(replicas);
+            deploy.runtime = runtime;
+            let rd = deploy_replicated(&fixtures::bookstore(), deploy, &durability).unwrap();
+            assert_matches_cold_recompute(&label, &rd.leader, &rd.replicas, &|req| rd.handle(req));
+        }
+    }
 }
 
 /// TTL-based cache annotations expire as configured.

@@ -125,3 +125,33 @@ fn bean_cache_invalidation_is_driven_by_the_durable_log() {
     assert!(r3.body.contains("Second"), "{}", r3.body);
     assert!(r3.body.contains("First"));
 }
+
+/// Dropping a durable deployment frees its store and stops its log. The
+/// cache maintainer rides the log, which the database's commit sink owns:
+/// were it to hold the database strongly, the three would keep each other
+/// (and the flusher thread) alive forever.
+#[test]
+fn dropped_durable_deployment_frees_its_store_and_log() {
+    let app = fixtures::bookstore();
+    for incremental in [false, true] {
+        let dir = webml_ratio::wal::TempDir::new("e2e-drop").unwrap();
+        let mut durability = manual(&dir);
+        durability.incremental_maintenance = incremental;
+        let rd = webml_ratio::repl::deploy_replicated(
+            &app,
+            webml_ratio::webratio::DeployOptions::default().with_replicas(1),
+            &durability,
+        )
+        .unwrap();
+        let stores = [
+            Arc::downgrade(&rd.leader.db),
+            Arc::downgrade(rd.replicas[0].db()),
+        ];
+        let wal = Arc::downgrade(rd.leader.wal.as_ref().unwrap());
+        drop(rd);
+        assert!(wal.upgrade().is_none(), "log leaked ({incremental})");
+        for db in stores {
+            assert!(db.upgrade().is_none(), "store leaked ({incremental})");
+        }
+    }
+}

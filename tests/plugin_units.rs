@@ -9,13 +9,11 @@
 
 use std::sync::Arc;
 use webml_ratio::mvc::{
-    Controller, MvcError, OpResult, OperationHandler, ParamMap, RuntimeOptions, ServiceRegistry,
-    UnitBean, UnitService, WebRequest,
+    MvcError, OpResult, OperationHandler, ParamMap, UnitBean, UnitService, WebRequest,
 };
-use webml_ratio::presentation::DeviceRegistry;
 use webml_ratio::relstore::{Database, Params};
 use webml_ratio::webml::{Audience, HypertextModel, LinkEnd, OperationKind, UnitKind};
-use webml_ratio::webratio::Application;
+use webml_ratio::webratio::{Application, DeployOptions};
 
 /// A plug-in content unit simulating a Web-service call (§7's example of
 /// "content units interacting with Web services").
@@ -112,20 +110,18 @@ fn build_app() -> Application {
 fn plugin_unit_and_operation_serve_end_to_end() {
     let app = build_app();
     let d = app
-        .deploy_with(|generated, db| {
-            let mut registry = ServiceRegistry::standard();
-            registry.register("weather", "weather", Arc::new(WeatherUnit));
-            let mut c = Controller::with_registry(
-                generated.descriptors,
-                generated.skeletons,
-                db,
-                RuntimeOptions::default(),
-                registry,
-                DeviceRegistry::standard(),
-            );
-            c.ops.register("workflow-approve", Arc::new(ApproveStep));
-            c
-        })
+        .assemble(
+            DeployOptions::default(),
+            None,
+            Some(&|parts| {
+                parts
+                    .services
+                    .register("weather", "weather", Arc::new(WeatherUnit));
+                parts
+                    .ops
+                    .register("workflow-approve", Arc::new(ApproveStep));
+            }),
+        )
         .unwrap();
     d.db.execute(
         "INSERT INTO request (title, state) VALUES ('Buy servers', 'pending')",

@@ -1,8 +1,8 @@
 //! §5 presentation pipeline invariants at the application level.
 
-use webml_ratio::mvc::{Controller, RuntimeOptions, ServiceRegistry, StylingMode, WebRequest};
+use webml_ratio::mvc::{RuntimeOptions, StylingMode, WebRequest};
 use webml_ratio::presentation::{DeviceRegistry, PageRule, RuleSet};
-use webml_ratio::webratio::{fixtures, seed_data, synthesize, SynthSpec};
+use webml_ratio::webratio::{fixtures, seed_data, synthesize, DeployOptions, SynthSpec};
 
 /// Compile-time and runtime styling must render byte-identical pages for
 /// the same device — the §5 trade-off is purely about *when* the
@@ -51,16 +51,11 @@ fn layout_specific_page_rules_apply() {
     let mut devices = DeviceRegistry::new();
     devices.set_default(rules);
     let d = app
-        .deploy_with(|g, db| {
-            Controller::with_registry(
-                g.descriptors,
-                g.skeletons,
-                db,
-                RuntimeOptions::default(),
-                ServiceRegistry::standard(),
-                devices,
-            )
-        })
+        .assemble(
+            DeployOptions::default(),
+            None,
+            Some(&|parts| parts.devices = devices.clone()),
+        )
         .unwrap();
     fixtures::seed_acm(&d.db, 1, 1, 1);
 

@@ -5,12 +5,12 @@
 //! routing, and the leader's vacuum horizon pinned to the slowest replica.
 
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 use webml_ratio::mvc::WebRequest;
-use webml_ratio::relstore::{Database, Params, Value};
+use webml_ratio::relstore::{ChangeRecord, Database, Params, Value};
 use webml_ratio::repl::{deploy_replicated, Replica};
-use webml_ratio::wal::{TempDir, Wal, WalConfig};
+use webml_ratio::wal::{ChangeStream, LogObserver, TempDir, Wal, WalConfig};
 use webml_ratio::webratio::{fixtures, DeployOptions, DurabilityConfig};
 
 /// Manual-flush durability: a huge group-commit window, so each test
@@ -285,6 +285,110 @@ fn leader_vacuum_horizon_is_pinned_to_the_slowest_replica() {
         rd.leader.obs.db.vacuum_horizon_lsn.get() > stale_lsn as i64,
         "horizon follows the replica forward"
     );
+}
+
+/// A replica's LSN is the router's licence to serve a session that wrote
+/// at that LSN, so it must be published only after the batch is in the
+/// store *and* the replica's caches have followed it.
+#[test]
+fn replica_publishes_its_lsn_after_its_observers_ran() {
+    struct Probe {
+        replica: OnceLock<Arc<Replica>>,
+        /// `(batch lsn, applied_lsn() and row count seen while observing)`
+        seen: Mutex<Vec<(u64, u64, usize)>>,
+    }
+    impl LogObserver for Probe {
+        fn on_durable(&self, lsn: u64, _: &[ChangeRecord]) {
+            let replica = self.replica.get().unwrap();
+            let rows = replica.db().table_len("t").unwrap();
+            self.seen
+                .lock()
+                .unwrap()
+                .push((lsn, replica.applied_lsn(), rows));
+        }
+    }
+
+    let db = Arc::new(Database::new());
+    db.execute_script("CREATE TABLE t (oid INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
+        .unwrap();
+    let replica = Replica::new("r0", db, 3, Arc::new(webml_ratio::obs::ReplCounters::new()));
+    let probe = Arc::new(Probe {
+        replica: OnceLock::new(),
+        seen: Mutex::new(Vec::new()),
+    });
+    let _ = probe.replica.set(Arc::clone(&replica));
+    replica.attach_observer(Arc::clone(&probe) as Arc<dyn LogObserver>);
+
+    let insert = ChangeRecord::Insert {
+        table: "t".into(),
+        row_id: 0,
+        row: vec![Value::Integer(1), Value::Text("x".into())],
+    };
+    assert!(replica.apply_batch(7, std::slice::from_ref(&insert)));
+    // while the observer ran the row was applied, the LSN still the old one
+    assert_eq!(*probe.seen.lock().unwrap(), vec![(7, 3, 1)]);
+    assert_eq!(replica.applied_lsn(), 7);
+    // a duplicate batch reaches neither the store nor the observers
+    assert!(!replica.apply_batch(7, &[insert]));
+    assert_eq!(probe.seen.lock().unwrap().len(), 1);
+}
+
+/// Conditional GET on a replica: the replica's controller never sees the
+/// operation (it ran on the leader), so its validators move only because
+/// the applied batch stream bumps its version table.
+#[test]
+fn replica_etag_moves_with_the_applied_write() {
+    let dir = TempDir::new("repl-etag").unwrap();
+    let app = fixtures::bookstore();
+    let mut options = DeployOptions::default().with_replicas(1);
+    options.runtime.conditional_get = true;
+    let rd = deploy_replicated(&app, options, &manual(&dir)).expect("replicated deploy");
+    let wal = Arc::clone(rd.leader.wal.as_ref().unwrap());
+    let repl = Arc::clone(&rd.leader.obs.repl);
+    let home = rd.leader.home_url("store").unwrap();
+    let op_url = rd.leader.generated.descriptors.operations[0].url.clone();
+    let create = |title: &str, sid: Option<&str>| {
+        let mut req = WebRequest::get(&op_url)
+            .with_param("title", title)
+            .with_param("price", "9.0");
+        req.session = sid.map(str::to_string);
+        let resp = rd.handle(&req);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        resp
+    };
+    let sid = create("First print", None).set_session.expect("session");
+    wal.flush_and_notify();
+
+    // the replica serves the page with a validator, and honours it
+    let get = |inm: Option<&str>| {
+        let mut req = WebRequest::get(&home).with_session(&sid);
+        req.if_none_match = inm.map(str::to_string);
+        rd.handle(&req)
+    };
+    let r1 = get(None);
+    assert_eq!(r1.status, 200);
+    assert!(r1.body.contains("First print"));
+    let etag1 = r1.etag.expect("conditional_get mints an ETag");
+    assert_eq!(get(Some(&etag1)).status, 304);
+    assert_eq!(repl.reads_for("replica-0"), 2);
+
+    // the row changes on the leader; once the replica has applied it …
+    create("Second print", Some(&sid));
+    wal.flush_and_notify();
+    assert_eq!(rd.replicas[0].applied_lsn(), wal.appended_lsn());
+
+    // … the old validator must not answer 304 there
+    let r2 = get(Some(&etag1));
+    assert_eq!(
+        repl.reads_for("replica-0"),
+        3,
+        "the replica serves the read"
+    );
+    assert_eq!(r2.status, 200, "stale 304 from the replica");
+    assert!(r2.body.contains("Second print"), "{}", r2.body);
+    let etag2 = r2.etag.expect("etag");
+    assert_ne!(etag1, etag2, "validator must move with the applied write");
+    assert_eq!(get(Some(&etag2)).status, 304);
 }
 
 /// One random op applied through the leader's SQL front door.

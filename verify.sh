@@ -37,6 +37,9 @@ cargo run -p bench --release --bin exp_repl -- --smoke
 echo "== maintenance smoke (WAL bean patching, dirty-fragment re-render, conditional GET)"
 cargo run -p bench --release --bin exp_maint -- --smoke
 
+echo "== bench_e2e smoke (the pinned product API: builds against this workspace; four workloads, correct pages, names checked against BENCHMARK.json)"
+cargo run --release --offline --manifest-path bench_e2e/Cargo.toml -- --smoke
+
 echo "== MVCC seeded-schedule stress (snapshot-isolation properties under three seeds)"
 for seed in 1 20030108 "${RELSTORE_STRESS_SEED:-3224275387}"; do
   RELSTORE_STRESS_SEED="$seed" \
