@@ -25,22 +25,12 @@ pub const MAX_STRIPES: usize = 16;
 /// that per-stripe LRU is statistically indistinguishable from global.
 pub const MIN_STRIPE_CAPACITY: usize = 64;
 
-/// Resolve a stripe-count request: `0` means auto (scale with capacity,
-/// one stripe per [`MIN_STRIPE_CAPACITY`] entries, capped at
-/// [`MAX_STRIPES`]); any explicit value is clamped so every stripe owns
-/// at least one slot.
-pub(crate) fn resolve_stripes(capacity: usize, requested: usize) -> usize {
-    let n = if requested == 0 {
-        capacity / MIN_STRIPE_CAPACITY
-    } else {
-        requested
-    };
-    n.clamp(1, MAX_STRIPES).min(capacity.max(1))
-}
-
-/// Split `capacity` across `n` stripes so the per-stripe bounds sum to
-/// exactly `capacity` (earlier stripes absorb the remainder).
-pub(crate) fn stripe_capacities(capacity: usize, n: usize) -> Vec<usize> {
+/// Per-stripe bounds of a cache bounded to `capacity` entries: one stripe
+/// per [`MIN_STRIPE_CAPACITY`] entries (at least one, at most
+/// [`MAX_STRIPES`]), the bounds summing to exactly `capacity` (earlier
+/// stripes absorb the remainder).
+pub(crate) fn stripe_capacities(capacity: usize) -> Vec<usize> {
+    let n = (capacity / MIN_STRIPE_CAPACITY).clamp(1, MAX_STRIPES);
     let base = capacity / n;
     let rem = capacity % n;
     (0..n).map(|i| base + usize::from(i < rem)).collect()
@@ -189,8 +179,8 @@ pub struct BeanCache<V> {
 }
 
 impl<V> BeanCache<V> {
-    /// Create a cache bounded to `capacity` entries (LRU eviction) with
-    /// the default (auto) stripe count.
+    /// Create a cache bounded to `capacity` entries (LRU eviction), striped
+    /// one lock per [`MIN_STRIPE_CAPACITY`] entries up to [`MAX_STRIPES`].
     pub fn new(capacity: usize) -> BeanCache<V> {
         Self::with_stats(capacity, CacheStats::default())
     }
@@ -198,17 +188,8 @@ impl<V> BeanCache<V> {
     /// Like [`BeanCache::new`], but reporting into externally owned counters
     /// (e.g. `CacheStats::shared(registry.bean_cache.clone())`).
     pub fn with_stats(capacity: usize, stats: CacheStats) -> BeanCache<V> {
-        Self::with_config(capacity, 0, stats)
-    }
-
-    /// Full-control constructor: `stripes == 0` selects the auto policy
-    /// (one stripe per [`MIN_STRIPE_CAPACITY`] entries, at most
-    /// [`MAX_STRIPES`]); `stripes == 1` is the single-global-mutex
-    /// baseline; explicit values are clamped to `[1, MAX_STRIPES]`.
-    pub fn with_config(capacity: usize, stripes: usize, stats: CacheStats) -> BeanCache<V> {
         let capacity = capacity.max(1);
-        let n = resolve_stripes(capacity, stripes);
-        let stripes = stripe_capacities(capacity, n)
+        let stripes = stripe_capacities(capacity)
             .into_iter()
             .map(|cap| {
                 Mutex::new(Inner {
@@ -737,19 +718,14 @@ mod tests {
         assert_eq!(BeanCache::<i32>::new(63).stripe_count(), 1);
         assert_eq!(BeanCache::<i32>::new(128).stripe_count(), 2);
         assert_eq!(BeanCache::<i32>::new(4096).stripe_count(), MAX_STRIPES);
-        // explicit requests are clamped to sane bounds
-        let c: BeanCache<i32> = BeanCache::with_config(4, 8, CacheStats::default());
-        assert_eq!(c.stripe_count(), 4, "never more stripes than slots");
-        let c: BeanCache<i32> = BeanCache::with_config(4096, 1, CacheStats::default());
-        assert_eq!(c.stripe_count(), 1, "explicit single-mutex baseline");
+        assert_eq!(BeanCache::<i32>::new(512).stripe_count(), 8);
     }
 
     #[test]
     fn stripe_capacities_sum_to_global_capacity() {
-        for (cap, n) in [(10, 3), (16, 16), (7, 2), (4096, 16), (1, 1)] {
-            let caps = stripe_capacities(cap, n);
-            assert_eq!(caps.len(), n);
-            assert_eq!(caps.iter().sum::<usize>(), cap, "cap={cap} n={n}");
+        for cap in [1, 63, 130, 1000, 4096, 100_000] {
+            let caps = stripe_capacities(cap);
+            assert_eq!(caps.iter().sum::<usize>(), cap, "cap={cap}");
             assert!(caps.iter().all(|&c| c >= 1));
         }
     }
@@ -757,8 +733,8 @@ mod tests {
     #[test]
     fn striped_cache_keeps_oracle_semantics() {
         // 8 stripes, enough capacity that nothing evicts: behaviour must be
-        // indistinguishable from the single-mutex cache
-        let c: BeanCache<u32> = BeanCache::with_config(256, 8, CacheStats::default());
+        // indistinguishable from a single-stripe cache
+        let c: BeanCache<u32> = BeanCache::new(512);
         assert_eq!(c.stripe_count(), 8);
         for i in 0..64u32 {
             c.put(
@@ -782,7 +758,7 @@ mod tests {
 
     #[test]
     fn striped_unit_invalidation_sweeps_all_stripes() {
-        let c: BeanCache<u32> = BeanCache::with_config(256, 8, CacheStats::default());
+        let c: BeanCache<u32> = BeanCache::new(512);
         for i in 0..40u32 {
             c.put(BeanKey::new("hot_unit", format!("p{i}")), i, &[], None);
             c.put(BeanKey::new("cold_unit", format!("p{i}")), i, &[], None);
@@ -796,17 +772,17 @@ mod tests {
 
     #[test]
     fn striped_capacity_is_never_exceeded() {
-        let c: BeanCache<u32> = BeanCache::with_config(32, 8, CacheStats::default());
-        for i in 0..500u32 {
+        let c: BeanCache<u32> = BeanCache::new(512);
+        for i in 0..4000u32 {
             c.put(BeanKey::new(format!("u{i}"), ""), i, &[], None);
-            assert!(c.len() <= 32, "len {} > 32 at insert {i}", c.len());
+            assert!(c.len() <= 512, "len {} > 512 at insert {i}", c.len());
         }
         assert!(c.stats().evictions > 0);
     }
 
     #[test]
     fn striped_concurrent_mixed_workload_is_safe() {
-        let c = Arc::new(BeanCache::<u64>::with_config(512, 8, CacheStats::default()));
+        let c = Arc::new(BeanCache::<u64>::new(512));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let c = Arc::clone(&c);

@@ -12,7 +12,7 @@
 //! is exactly why WebRatio adds the second, business-tier level
 //! ([`crate::bean::BeanCache`]).
 
-use crate::bean::{fnv1a, resolve_stripes, stripe_capacities, stripe_of};
+use crate::bean::{fnv1a, stripe_capacities, stripe_of};
 use crate::stats::{CacheStats, StatsSnapshot};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -202,21 +202,8 @@ impl FragmentCache {
     /// Like [`FragmentCache::new`], but reporting into externally owned
     /// counters (e.g. `CacheStats::shared(registry.fragment_cache.clone())`).
     pub fn with_stats(capacity: usize, default_ttl: Duration, stats: CacheStats) -> FragmentCache {
-        Self::with_config(capacity, 0, default_ttl, stats)
-    }
-
-    /// Full-control constructor: `stripes == 0` selects the auto policy,
-    /// `stripes == 1` the single-global-mutex baseline (see
-    /// [`crate::bean::BeanCache::with_config`]).
-    pub fn with_config(
-        capacity: usize,
-        stripes: usize,
-        default_ttl: Duration,
-        stats: CacheStats,
-    ) -> FragmentCache {
         let capacity = capacity.max(1);
-        let n = resolve_stripes(capacity, stripes);
-        let stripes = stripe_capacities(capacity, n)
+        let stripes = stripe_capacities(capacity)
             .into_iter()
             .map(|cap| {
                 Mutex::new(Inner {
@@ -630,7 +617,7 @@ mod tests {
 
     #[test]
     fn striped_fragment_cache_keeps_semantics() {
-        let c = FragmentCache::with_config(256, 8, Duration::from_secs(60), CacheStats::default());
+        let c = FragmentCache::new(512, Duration::from_secs(60));
         assert_eq!(c.stripe_count(), 8);
         for i in 0..48 {
             c.put(
@@ -652,12 +639,7 @@ mod tests {
 
     #[test]
     fn striped_fragment_concurrent_access_is_safe() {
-        let c = Arc::new(FragmentCache::with_config(
-            256,
-            8,
-            Duration::from_secs(60),
-            CacheStats::default(),
-        ));
+        let c = Arc::new(FragmentCache::new(512, Duration::from_secs(60)));
         let mut handles = Vec::new();
         for t in 0..8 {
             let c = Arc::clone(&c);

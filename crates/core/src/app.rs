@@ -3,7 +3,7 @@
 use codegen::{DerivedIndex, GenError, Generated};
 use descriptors::DescriptorSet;
 use er::{ErModel, RelationalMapping};
-use httpd::{BodyChunk, Handler, HttpRequest, HttpResponse, HttpServer, TracedHandler};
+use httpd::{BodyChunk, HttpRequest, HttpResponse, HttpServer, ServerConfig, Service};
 use mvc::{
     Controller, ControllerParts, RuntimeOptions, SessionManager, WebRequest, WebResponse,
     WebResponseParts, WriteBarrier,
@@ -477,12 +477,6 @@ impl Deployment {
         self.controller.handle(req)
     }
 
-    /// Service one request in process under an externally owned
-    /// [`obs::RequestContext`] (span tree + counters).
-    pub fn handle_traced(&self, req: &WebRequest, ctx: &mut obs::RequestContext) -> WebResponse {
-        self.controller.handle_traced(req, ctx)
-    }
-
     /// URL of a site view's home page (first landmark of that view).
     pub fn home_url(&self, site_view: &str) -> Option<String> {
         self.generated
@@ -493,35 +487,44 @@ impl Deployment {
             .map(|p| p.url.clone())
     }
 
-    /// Expose the app over HTTP (port 0 = ephemeral). Bodies travel as
-    /// chunk sequences: cache-resident fragments stay refcounted all the
-    /// way to the vectored write.
-    pub fn serve(&self, port: u16, workers: usize) -> io::Result<HttpServer> {
+    /// The web-tier callback. Bodies travel as chunk sequences, so
+    /// cache-resident fragments stay refcounted all the way to the
+    /// vectored write. `traced`: the web tier mints one
+    /// [`obs::RequestContext`] per request and reports into `self.obs`.
+    fn service(&self, traced: bool) -> Service {
         let controller = Arc::clone(&self.controller);
-        let handler: Handler = Arc::new(move |http_req: HttpRequest| {
+        let respond = move |http_req: HttpRequest, ctx: &mut obs::RequestContext| {
             let web_req = adapt_request(&http_req);
-            let resp = controller.handle_parts(&web_req);
-            adapt_response_parts(resp)
-        });
-        HttpServer::start(port, workers, handler)
+            adapt_response_parts(controller.handle_parts_traced(&web_req, ctx))
+        };
+        if traced {
+            Service::Traced {
+                handler: Arc::new(respond),
+                registry: Arc::clone(&self.obs),
+            }
+        } else {
+            Service::Plain(Arc::new(move |http_req| {
+                respond(http_req, &mut obs::RequestContext::detached())
+            }))
+        }
+    }
+
+    /// Expose the app over HTTP (port 0 = ephemeral) with the default
+    /// [`ServerConfig`].
+    pub fn serve(&self, port: u16, workers: usize) -> io::Result<HttpServer> {
+        self.serve_with(port, workers, ServerConfig::default())
     }
 
     /// [`Deployment::serve`] with explicit serving-path configuration
-    /// (keep-alive, per-connection request cap, idle timeout, header cap,
-    /// admission budget).
+    /// (per-connection request cap, idle timeout, header cap, admission
+    /// budget).
     pub fn serve_with(
         &self,
         port: u16,
         workers: usize,
-        config: httpd::ServerConfig,
+        config: ServerConfig,
     ) -> io::Result<HttpServer> {
-        let controller = Arc::clone(&self.controller);
-        let handler: Handler = Arc::new(move |http_req: HttpRequest| {
-            let web_req = adapt_request(&http_req);
-            let resp = controller.handle_parts(&web_req);
-            adapt_response_parts(resp)
-        });
-        HttpServer::start_with(port, workers, handler, config)
+        HttpServer::start_service(port, workers, self.service(false), config)
     }
 
     /// Expose the app over HTTP with the full observability spine: every
@@ -530,35 +533,7 @@ impl Deployment {
     /// shared registry in Prometheus text format, and `?__trace=json`
     /// returns the request's span tree as JSON.
     pub fn serve_traced(&self, port: u16, workers: usize) -> io::Result<HttpServer> {
-        let controller = Arc::clone(&self.controller);
-        let handler: TracedHandler = Arc::new(
-            move |http_req: HttpRequest, ctx: &mut obs::RequestContext| {
-                let web_req = adapt_request(&http_req);
-                let resp = controller.handle_parts_traced(&web_req, ctx);
-                adapt_response_parts(resp)
-            },
-        );
-        HttpServer::start_traced(port, workers, handler, Arc::clone(&self.obs))
-    }
-
-    /// [`Deployment::serve_traced`] with explicit serving-path
-    /// configuration — the knob the load bench turns to compare keep-alive
-    /// against close-per-request serving.
-    pub fn serve_traced_with(
-        &self,
-        port: u16,
-        workers: usize,
-        config: httpd::ServerConfig,
-    ) -> io::Result<HttpServer> {
-        let controller = Arc::clone(&self.controller);
-        let handler: TracedHandler = Arc::new(
-            move |http_req: HttpRequest, ctx: &mut obs::RequestContext| {
-                let web_req = adapt_request(&http_req);
-                let resp = controller.handle_parts_traced(&web_req, ctx);
-                adapt_response_parts(resp)
-            },
-        );
-        HttpServer::start_traced_with(port, workers, handler, Arc::clone(&self.obs), config)
+        HttpServer::start_service(port, workers, self.service(true), ServerConfig::default())
     }
 }
 
@@ -670,6 +645,14 @@ mod tests {
             apply_derived_indexes(&d.db, &d.generated.derived_indexes).unwrap(),
             0
         );
+        // and the generated unit queries use them: the volume page (volume
+        // details + the issues/papers hierarchy) answers by probes alone
+        fixtures::seed_acm(&d.db, 3, 3, 3);
+        let c = d.db.counters();
+        let (probes, scans) = (c.index_probes.get(), c.scan_fallbacks.get());
+        let resp = d.handle(&WebRequest::get("/acm_dl/volume_page").with_param("volume", "2"));
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert!(c.index_probes.get() > probes && c.scan_fallbacks.get() == scans);
     }
 
     #[test]

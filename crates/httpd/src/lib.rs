@@ -19,4 +19,4 @@ pub use http::{
     parse_query, percent_decode, BodyChunk, HttpRequest, HttpResponse, ParseOutcome, RequestError,
     MAX_HEADER_BYTES,
 };
-pub use server::{Handler, HttpServer, ServerConfig, TracedHandler};
+pub use server::{Handler, HttpServer, ServerConfig, Service, TracedHandler};

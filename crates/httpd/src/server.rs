@@ -13,7 +13,7 @@
 //! configurable in-flight budget, admission control sheds requests with
 //! `503` + `Retry-After` instead of queueing into collapse.
 //!
-//! [`HttpServer::start_traced`] is the observability-aware entry point: it
+//! [`Service::Traced`] is the observability-aware callback: the server
 //! mints one [`obs::RequestContext`] per request, records request latency
 //! into the shared registry, serves `GET /metrics` in Prometheus text
 //! format directly from the web tier, stamps every response with
@@ -41,10 +41,6 @@ pub type Handler = Arc<dyn Fn(HttpRequest) -> HttpResponse + Send + Sync>;
 /// Serving-path configuration of one [`HttpServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Honor HTTP/1.1 persistent connections. When `false` every response
-    /// carries `Connection: close` regardless of what the client asked —
-    /// the pre-keep-alive baseline, kept for A/B benching.
-    pub keep_alive: bool,
     /// Requests serviced on one connection before the server closes it
     /// (bounds the time one client can monopolize a worker).
     pub max_requests_per_conn: u64,
@@ -64,7 +60,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            keep_alive: true,
             max_requests_per_conn: 1_000,
             idle_timeout: Duration::from_secs(5),
             max_header_bytes: MAX_HEADER_BYTES,
@@ -77,9 +72,16 @@ impl Default for ServerConfig {
 pub type TracedHandler =
     Arc<dyn Fn(HttpRequest, &mut obs::RequestContext) -> HttpResponse + Send + Sync>;
 
-/// How the worker pool services a connection.
-enum Service {
+/// How the worker pool services a request.
+pub enum Service {
+    /// Call the handler; connection-lifecycle counters stay private to
+    /// the server.
     Plain(Handler),
+    /// Run every request inside a freshly minted [`obs::RequestContext`]
+    /// whose latency lands in `registry`, serve `GET /metrics` from the
+    /// registry, stamp responses with `X-Request-Id`/`X-Trace`
+    /// (`?__trace=json` returns the JSON span dump instead of the page),
+    /// and report connection-lifecycle counters into `registry.http`.
     Traced {
         handler: TracedHandler,
         registry: Arc<obs::MetricsRegistry>,
@@ -512,7 +514,7 @@ impl Worker {
                     conn.mid_request = false;
                     conn.served += 1;
                     let cap_hit = conn.served >= self.config.max_requests_per_conn;
-                    let client_wants_more = self.config.keep_alive && req.wants_keep_alive();
+                    let client_wants_more = req.wants_keep_alive();
                     let keep_alive = client_wants_more
                         && !cap_hit
                         && self.shared.running.load(Ordering::Acquire);
@@ -598,8 +600,8 @@ pub struct HttpServer {
 }
 
 impl HttpServer {
-    /// Bind `127.0.0.1:port` (0 = ephemeral) and serve with a pool of
-    /// `workers` threads and the default [`ServerConfig`] (keep-alive on).
+    /// [`HttpServer::start_service`] for a plain handler under the default
+    /// [`ServerConfig`].
     pub fn start(port: u16, workers: usize, handler: Handler) -> io::Result<HttpServer> {
         Self::start_service(
             port,
@@ -609,49 +611,9 @@ impl HttpServer {
         )
     }
 
-    /// [`HttpServer::start`] with explicit serving-path configuration.
-    pub fn start_with(
-        port: u16,
-        workers: usize,
-        handler: Handler,
-        config: ServerConfig,
-    ) -> io::Result<HttpServer> {
-        Self::start_service(port, workers, Service::Plain(handler), config)
-    }
-
-    /// Like [`HttpServer::start`], but every request runs inside a freshly
-    /// minted [`obs::RequestContext`] whose latency lands in `registry`,
-    /// `GET /metrics` is served from the registry, and responses carry
-    /// `X-Request-Id`/`X-Trace` headers (`?__trace=json` returns the JSON
-    /// span dump instead of the page). Connection-lifecycle counters land
-    /// in `registry.http`.
-    pub fn start_traced(
-        port: u16,
-        workers: usize,
-        handler: TracedHandler,
-        registry: Arc<obs::MetricsRegistry>,
-    ) -> io::Result<HttpServer> {
-        Self::start_service(
-            port,
-            workers,
-            Service::Traced { handler, registry },
-            ServerConfig::default(),
-        )
-    }
-
-    /// [`HttpServer::start_traced`] with explicit serving-path
-    /// configuration.
-    pub fn start_traced_with(
-        port: u16,
-        workers: usize,
-        handler: TracedHandler,
-        registry: Arc<obs::MetricsRegistry>,
-        config: ServerConfig,
-    ) -> io::Result<HttpServer> {
-        Self::start_service(port, workers, Service::Traced { handler, registry }, config)
-    }
-
-    fn start_service(
+    /// Bind `127.0.0.1:port` (0 = ephemeral) and serve `service` with a
+    /// pool of `workers` threads.
+    pub fn start_service(
         port: u16,
         workers: usize,
         service: Service,
@@ -827,7 +789,11 @@ mod tests {
             ctx.exit(page);
             HttpResponse::html(200, "<p>ok</p>")
         });
-        let server = HttpServer::start_traced(0, 2, handler, Arc::clone(&registry)).unwrap();
+        let service = Service::Traced {
+            handler,
+            registry: Arc::clone(&registry),
+        };
+        let server = HttpServer::start_service(0, 2, service, ServerConfig::default()).unwrap();
         let addr = server.addr();
 
         let resp = client::get(addr, "/home").unwrap();
@@ -964,10 +930,10 @@ mod tests {
 
     #[test]
     fn request_cap_closes_the_connection() {
-        let server = HttpServer::start_with(
+        let server = HttpServer::start_service(
             0,
             1,
-            echo_handler(),
+            Service::Plain(echo_handler()),
             ServerConfig {
                 max_requests_per_conn: 3,
                 ..ServerConfig::default()
@@ -998,10 +964,10 @@ mod tests {
 
     #[test]
     fn idle_connections_are_reaped_by_the_deadline() {
-        let server = HttpServer::start_with(
+        let server = HttpServer::start_service(
             0,
             1,
-            echo_handler(),
+            Service::Plain(echo_handler()),
             ServerConfig {
                 idle_timeout: Duration::from_millis(60),
                 ..ServerConfig::default()
@@ -1034,10 +1000,10 @@ mod tests {
             }
             HttpResponse::html(200, "done")
         });
-        let server = HttpServer::start_with(
+        let server = HttpServer::start_service(
             0,
             4,
-            handler,
+            Service::Plain(handler),
             ServerConfig {
                 max_in_flight: 1,
                 ..ServerConfig::default()

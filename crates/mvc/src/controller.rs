@@ -51,9 +51,6 @@ pub struct RuntimeOptions {
     pub fragment_cache: bool,
     pub fragment_ttl: Duration,
     pub fragment_capacity: usize,
-    /// Lock stripes for each cache: `0` = auto (scale with capacity, up
-    /// to [`webcache::MAX_STRIPES`]), `1` = single-mutex baseline.
-    pub cache_stripes: usize,
     /// Idle sessions older than this are expired (TTL sweep).
     pub session_ttl: Duration,
     pub styling: StylingMode,
@@ -74,7 +71,6 @@ impl Default for RuntimeOptions {
             fragment_cache: false,
             fragment_ttl: Duration::from_secs(1),
             fragment_capacity: 4096,
-            cache_stripes: 0,
             session_ttl: DEFAULT_SESSION_TTL,
             styling: StylingMode::CompileTime,
             app_server_clones: None,
@@ -198,16 +194,14 @@ impl Controller {
         let set = Arc::new(set);
         let registry = Arc::new(services);
         let bean_cache = options.bean_cache.then(|| {
-            Arc::new(BeanCache::with_config(
+            Arc::new(BeanCache::with_stats(
                 options.bean_cache_capacity,
-                options.cache_stripes,
                 webcache::CacheStats::shared(Arc::clone(&observability.bean_cache)),
             ))
         });
         let fragment_cache = options.fragment_cache.then(|| {
-            Arc::new(FragmentCache::with_config(
+            Arc::new(FragmentCache::with_stats(
                 options.fragment_capacity,
-                options.cache_stripes,
                 options.fragment_ttl,
                 webcache::CacheStats::shared(Arc::clone(&observability.fragment_cache)),
             ))
@@ -337,29 +331,20 @@ impl Controller {
         self.tier.name()
     }
 
-    /// Service a request end to end (untraced compatibility path: mints a
-    /// detached context internally).
+    /// Service a request end to end under a detached context, body
+    /// flattened to one string.
     pub fn handle(&self, req: &WebRequest) -> WebResponse {
-        self.handle_parts(req).flatten()
+        self.handle_parts_traced(req, &mut obs::RequestContext::detached())
+            .flatten()
     }
 
     /// Service a request end to end, growing the span tree of `ctx`
     /// (`request > page:<name> > unit:<id> > sql`) and bumping the shared
     /// registry's counters. The caller (normally the web tier) owns `ctx`
-    /// and decides what to do with the trace.
-    pub fn handle_traced(&self, req: &WebRequest, ctx: &mut obs::RequestContext) -> WebResponse {
-        self.handle_parts_traced(req, ctx).flatten()
-    }
-
-    /// [`Controller::handle`] without flattening the body: cache-resident
-    /// fragments come back as `Shared` chunks so the serving tier can put
-    /// them on the wire with a vectored write, copy-free.
-    pub fn handle_parts(&self, req: &WebRequest) -> WebResponseParts {
-        let mut ctx = obs::RequestContext::detached();
-        self.handle_parts_traced(req, &mut ctx)
-    }
-
-    /// Traced form of [`Controller::handle_parts`].
+    /// and decides what to do with the trace. The body is not flattened:
+    /// cache-resident fragments come back as `Shared` chunks so the
+    /// serving tier can put them on the wire with a vectored write,
+    /// copy-free.
     pub fn handle_parts_traced(
         &self,
         req: &WebRequest,
@@ -1000,14 +985,15 @@ mod tests {
             ..RuntimeOptions::default()
         };
         let c = deploy(opts);
-        let first = c.handle_parts(&WebRequest::get("/shop/products"));
+        let mut ctx = obs::RequestContext::detached();
+        let first = c.handle_parts_traced(&WebRequest::get("/shop/products"), &mut ctx);
         assert_eq!(first.status, 200);
         // even the miss path serves the freshly interned cache bytes
         assert!(first
             .body
             .iter()
             .any(|ch| matches!(ch, HtmlChunk::Shared(_))));
-        let second = c.handle_parts(&WebRequest::get("/shop/products"));
+        let second = c.handle_parts_traced(&WebRequest::get("/shop/products"), &mut ctx);
         let key = FragmentKey::new(
             "templates/shop/products.jsp",
             "unit0",
@@ -1064,7 +1050,7 @@ mod tests {
     fn traced_request_builds_span_tree() {
         let c = deploy(RuntimeOptions::default());
         let mut ctx = obs::RequestContext::new("req-test");
-        let resp = c.handle_traced(&WebRequest::get("/shop/products"), &mut ctx);
+        let resp = c.handle_parts_traced(&WebRequest::get("/shop/products"), &mut ctx);
         assert_eq!(resp.status, 200);
         ctx.finish();
         assert!(ctx.balanced());
@@ -1091,7 +1077,7 @@ mod tests {
         // with a NOT NULL violation via the products table: name provided,
         // but delete of a missing row is the canonical KO — simplest here:
         // run a create that succeeds, then verify ko_flows stays 0
-        let resp = c.handle_traced(
+        let resp = c.handle_parts_traced(
             &WebRequest::get("/op/op0_createproduct").with_param("name", "Pad"),
             &mut ctx,
         );

@@ -592,21 +592,26 @@ impl MetricsRegistry {
             "Operation chains that took a KO link",
             self.ko_flows.get(),
         );
-        for (level, c) in [
+        // one family per event, its per-level samples contiguous
+        let levels = [
             ("bean", &self.bean_cache),
             ("fragment", &self.fragment_cache),
-        ] {
-            for (event, v) in [
-                ("hits", c.hits.get()),
-                ("misses", c.misses.get()),
-                ("insertions", c.insertions.get()),
-                ("invalidations", c.invalidations.get()),
-                ("evictions", c.evictions.get()),
-                ("expirations", c.expirations.get()),
-            ] {
-                let name = format!("webml_cache_{event}_total");
-                let _ = writeln!(out, "# TYPE {name} counter");
-                let _ = writeln!(out, "{name}{{level=\"{level}\"}} {v}");
+        ];
+        type Pick = fn(&CacheCounters) -> &Counter;
+        let events: [(&str, Pick); 6] = [
+            ("hits", |c| &c.hits),
+            ("misses", |c| &c.misses),
+            ("insertions", |c| &c.insertions),
+            ("invalidations", |c| &c.invalidations),
+            ("evictions", |c| &c.evictions),
+            ("expirations", |c| &c.expirations),
+        ];
+        for (event, pick) in events {
+            let name = format!("webml_cache_{event}_total");
+            let _ = writeln!(out, "# HELP {name} Cache {event} per cache level");
+            let _ = writeln!(out, "# TYPE {name} counter");
+            for (level, c) in levels {
+                let _ = writeln!(out, "{name}{{level=\"{level}\"}} {}", pick(c).get());
             }
         }
         counter_into(
@@ -660,7 +665,6 @@ impl MetricsRegistry {
         Self::render_histogram(
             &mut out,
             "db_rows_scanned_per_query",
-            "",
             &self.db.rows_scanned_per_query,
         );
         counter_into(
@@ -768,7 +772,6 @@ impl MetricsRegistry {
         Self::render_histogram(
             &mut out,
             "http_requests_per_conn",
-            "",
             &self.http.requests_per_conn,
         );
         counter_into(
@@ -802,7 +805,7 @@ impl MetricsRegistry {
             "Conditional GETs answered 304 Not Modified from the page version",
             self.maint.http_304.get(),
         );
-        Self::render_histogram(&mut out, "maint_apply_micros", "", &self.maint.apply_micros);
+        Self::render_histogram(&mut out, "maint_apply_micros", &self.maint.apply_micros);
         counter_into(
             &mut out,
             "webml_sessions_expired_total",
@@ -839,18 +842,8 @@ impl MetricsRegistry {
             "Snapshots written by the durability subsystem",
             self.wal.snapshots.get(),
         );
-        Self::render_histogram(
-            &mut out,
-            "wal_group_batch_size",
-            "",
-            &self.wal.group_batch_size,
-        );
-        Self::render_histogram(
-            &mut out,
-            "wal_recovery_micros",
-            "",
-            &self.wal.recovery_micros,
-        );
+        Self::render_histogram(&mut out, "wal_group_batch_size", &self.wal.group_batch_size);
+        Self::render_histogram(&mut out, "wal_recovery_micros", &self.wal.recovery_micros);
         counter_into(
             &mut out,
             "analyze_runs_total",
@@ -881,7 +874,6 @@ impl MetricsRegistry {
         Self::render_histogram(
             &mut out,
             "analyze_run_micros",
-            "",
             &self.analyze.analysis_micros,
         );
         counter_into(
@@ -934,14 +926,10 @@ impl MetricsRegistry {
                 g.lag_lsn.get()
             );
         }
-        Self::render_histogram(
-            &mut out,
-            "webml_request_latency_us",
-            "",
-            &self.request_latency,
-        );
+        Self::render_histogram(&mut out, "webml_request_latency_us", &self.request_latency);
+        let _ = writeln!(out, "# TYPE webml_unit_service_time_us histogram");
         for (kind, h) in self.unit_histograms() {
-            Self::render_histogram(
+            Self::histogram_samples(
                 &mut out,
                 "webml_unit_service_time_us",
                 &format!("{{kind=\"{kind}\"}}"),
@@ -951,8 +939,14 @@ impl MetricsRegistry {
         out
     }
 
-    fn render_histogram(out: &mut String, name: &str, labels: &str, h: &Histogram) {
+    fn render_histogram(out: &mut String, name: &str, h: &Histogram) {
         let _ = writeln!(out, "# TYPE {name} histogram");
+        Self::histogram_samples(out, name, "", h);
+    }
+
+    /// The bucket/sum/count samples of one histogram, `labels` being
+    /// either empty or one `{k="v"}` set.
+    fn histogram_samples(out: &mut String, name: &str, labels: &str, h: &Histogram) {
         let base = if labels.is_empty() {
             String::new()
         } else {
@@ -1074,6 +1068,13 @@ mod tests {
         assert!(text.contains("webml_request_latency_us_count 1"));
         assert!(text.contains("webml_unit_service_time_us_count{kind=\"data\"} 1"));
         assert!(text.contains("le=\"+Inf\""));
+        // a scraper rejects a family declared twice
+        reg.unit_histogram("index").observe_us(40);
+        let text = reg.render_prometheus();
+        let mut declared = std::collections::HashSet::new();
+        for family in text.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+            assert!(declared.insert(family), "# TYPE {family} appears twice");
+        }
     }
 
     #[test]

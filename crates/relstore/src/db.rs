@@ -474,9 +474,8 @@ impl Database {
     /// Run `f` inside an **exclusive** transaction: all mutations are
     /// rolled back if `f` returns an error. The write lock is held for the
     /// duration, giving serializable isolation with no possibility of a
-    /// write conflict — the lock-the-world path (and the mutex baseline
-    /// the `exp_mvcc` benchmark measures). Interactive transactions that
-    /// must not block readers belong on [`crate::Session`], the
+    /// write conflict — the lock-the-world path. Interactive transactions
+    /// that must not block readers belong on [`crate::Session`], the
     /// snapshot-isolation path.
     pub fn transaction<T>(&self, f: impl FnOnce(&mut Transaction<'_>) -> Result<T>) -> Result<T> {
         let txid = self.mint_txid();

@@ -312,6 +312,12 @@ fn snapshot_isolation_conserves_invariant_under_session_transfers() {
                     let second = sum_via(&mut s);
                     assert_eq!(first, second, "snapshot drifted mid-transaction");
                     s.execute("COMMIT", &Params::new()).unwrap();
+                    // an autocommit read next to the open writers sees no
+                    // uncommitted debit either
+                    let rs = db
+                        .query("SELECT SUM(balance) AS total FROM account", &Params::new())
+                        .unwrap();
+                    assert_eq!(int(rs.first("total")), total, "torn autocommit read");
                 }
             })
         })

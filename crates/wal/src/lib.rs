@@ -74,9 +74,9 @@ impl WalConfig {
 }
 
 /// Subscriber to the durable change stream. Called *after* a batch is
-/// written + synced, outside all locks — exactly the stream a replica (or
-/// a cache maintainer) needs, because it never shows a change that could
-/// still be lost.
+/// written + synced, one batch at a time in LSN order — exactly the stream
+/// a replica (or a cache maintainer) needs, because it never shows a
+/// change that could still be lost. Must not call back into the [`Wal`].
 pub trait LogObserver: Send + Sync {
     fn on_durable(&self, lsn: u64, changes: &[ChangeRecord]);
 }
@@ -108,12 +108,41 @@ pub struct RecoveryInfo {
     pub log_outcome: ScanOutcome,
 }
 
+/// The observer list and the one path batches take to it, shared by the
+/// flusher thread and the [`Wal`]'s synchronous barriers.
+struct Dispatcher {
+    observers: RwLock<Vec<Arc<dyn LogObserver>>>,
+    /// Held across draining the writer *and* delivering what was drained:
+    /// otherwise a barrier finds the queue empty and returns while another
+    /// dispatcher still holds that commit's batch undelivered, and a later
+    /// batch can overtake an earlier one.
+    dispatching: parking_lot::Mutex<()>,
+}
+
+impl Dispatcher {
+    /// Drain and deliver in LSN order. On return every batch drained by
+    /// any earlier dispatch has been delivered too.
+    fn dispatch(&self, drain: impl FnOnce() -> log::DurableBatch) {
+        let _in_order = self.dispatching.lock();
+        let batch = drain();
+        if batch.is_empty() {
+            return;
+        }
+        let obs = self.observers.read().clone();
+        for (lsn, changes) in &batch {
+            for o in &obs {
+                o.on_durable(*lsn, changes);
+            }
+        }
+    }
+}
+
 /// The durability subsystem: log writer + snapshotter + recovery, exposed
 /// to the engine as a [`CommitSink`] and to replicas as a stream of
 /// [`LogObserver`] callbacks.
 pub struct Wal {
     writer: Arc<LogWriter>,
-    observers: Arc<RwLock<Vec<Arc<dyn LogObserver>>>>,
+    dispatcher: Arc<Dispatcher>,
     counters: Arc<WalCounters>,
     snap_path: PathBuf,
     /// Outcome of the open-time log scan (before repair truncation).
@@ -169,27 +198,22 @@ impl Wal {
             Arc::clone(&counters),
         )?;
 
-        let observers: Arc<RwLock<Vec<Arc<dyn LogObserver>>>> = Arc::new(RwLock::new(Vec::new()));
+        let dispatcher = Arc::new(Dispatcher {
+            observers: RwLock::new(Vec::new()),
+            dispatching: parking_lot::Mutex::new(()),
+        });
 
         // group-commit flusher: syncs the buffer every window and feeds
         // durable batches to observers (outside the writer lock)
         let flusher = {
             let writer = Arc::clone(&writer);
-            let observers = Arc::clone(&observers);
+            let dispatcher = Arc::clone(&dispatcher);
             std::thread::Builder::new()
                 .name("wal-flusher".into())
                 .spawn(move || loop {
                     // parks up to one window; wakes early on stop()
                     let keep_going = writer.park_flusher();
-                    let batch = writer.flush_now();
-                    if !batch.is_empty() {
-                        let obs = observers.read().clone();
-                        for (lsn, changes) in &batch {
-                            for o in &obs {
-                                o.on_durable(*lsn, changes);
-                            }
-                        }
-                    }
+                    dispatcher.dispatch(|| writer.flush_now());
                     if !keep_going {
                         return;
                     }
@@ -198,7 +222,7 @@ impl Wal {
 
         Ok(Arc::new(Wal {
             writer,
-            observers,
+            dispatcher,
             counters,
             snap_path,
             open_outcome,
@@ -210,11 +234,14 @@ impl Wal {
     /// missed: every record with `lsn > from_lsn` still present in the
     /// log is replayed to the observer before any new batch can reach it.
     ///
-    /// The observer list's write lock is held across the whole replay;
-    /// the flusher dispatches under the read lock, so no concurrent batch
-    /// can interleave with — or sneak past — the catch-up. Two caveats
-    /// the caller owns:
+    /// The observer list's write lock is held across the whole replay. A
+    /// dispatcher reads the list (dropping the guard before it delivers)
+    /// only once its batch is in the file, so a flushed batch is either
+    /// found by the replay or delivered to the list that already holds
+    /// `observer` — it cannot sneak past. Caveats the caller owns:
     ///
+    /// * a batch [`Wal::notify_buffered`] delivered ahead of its flush is
+    ///   in neither place: attach before non-strict write traffic starts;
     /// * records compacted away by a snapshot are no longer in the log —
     ///   a from-scratch replica bootstraps via [`Wal::recover_into`] (or
     ///   its own snapshot) first, then calls this with the recovered LSN;
@@ -224,7 +251,7 @@ impl Wal {
     ///
     /// Returns the highest LSN replayed (`from_lsn` when none was).
     pub fn replay_from(&self, from_lsn: u64, observer: Arc<dyn LogObserver>) -> io::Result<u64> {
-        let mut obs = self.observers.write();
+        let mut obs = self.dispatcher.observers.write();
         let bytes = std::fs::read(self.writer.path())?;
         let scan = scan_log(&bytes);
         let mut last = from_lsn;
@@ -304,7 +331,7 @@ impl Wal {
     /// Synchronously flush the group-commit buffer and dispatch observer
     /// callbacks for the batches made durable.
     pub fn flush_and_notify(&self) {
-        self.dispatch(self.writer.flush_now());
+        self.dispatcher.dispatch(|| self.writer.flush_now());
     }
 
     /// The non-strict coherence barrier: dispatch observers for every
@@ -315,18 +342,7 @@ impl Wal {
     /// non-strict durability is unchanged while cache maintenance still
     /// runs before the committer can re-read.
     pub fn notify_buffered(&self) {
-        self.dispatch(self.writer.take_pending());
-    }
-
-    fn dispatch(&self, batch: log::DurableBatch) {
-        if !batch.is_empty() {
-            let obs = self.observers.read().clone();
-            for (lsn, changes) in &batch {
-                for o in &obs {
-                    o.on_durable(*lsn, changes);
-                }
-            }
-        }
+        self.dispatcher.dispatch(|| self.writer.take_pending());
     }
 
     /// Simulate power loss *now*: the unflushed buffer is dropped and the
@@ -393,7 +409,7 @@ impl ChangeStream for Wal {
     /// Anything already durable is silently missed: a (re)connecting
     /// replica must use [`Wal::replay_from`] instead.
     fn attach_observer(&self, o: Arc<dyn LogObserver>) {
-        self.observers.write().push(o);
+        self.dispatcher.observers.write().push(o);
     }
 }
 

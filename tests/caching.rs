@@ -138,6 +138,7 @@ fn cache_configs_agree_on_read_only_content() {
 /// `warm` is the deployment's front door (the router, when replicated).
 fn assert_matches_cold_recompute(
     label: &str,
+    incremental: bool,
     leader: &Deployment,
     replicas: &[Arc<Replica>],
     warm: &dyn Fn(&WebRequest) -> WebResponse,
@@ -214,6 +215,10 @@ fn assert_matches_cold_recompute(
         maint.patches_applied.get() + maint.fallbacks_total() > 0,
         "{label}: schedule never reached the maintenance layer"
     );
+    // only the maintenance layer patches; without it every change drops
+    if !incremental {
+        assert_eq!(maint.patches_applied.get(), 0, "{label}: patched a bean");
+    }
     for r in replicas {
         assert!(leader.obs.repl.reads_for(r.name()) > 0, "{} idle", r.name());
     }
@@ -244,12 +249,14 @@ fn maintained_cache_matches_cold_recompute() {
             let warm = fixtures::bookstore()
                 .deploy_durable(runtime, &durability)
                 .unwrap();
-            assert_matches_cold_recompute(&label, &warm, &[], &|req| warm.handle(req));
+            assert_matches_cold_recompute(&label, incremental, &warm, &[], &|req| warm.handle(req));
         } else {
             let mut deploy = DeployOptions::default().with_replicas(replicas);
             deploy.runtime = runtime;
             let rd = deploy_replicated(&fixtures::bookstore(), deploy, &durability).unwrap();
-            assert_matches_cold_recompute(&label, &rd.leader, &rd.replicas, &|req| rd.handle(req));
+            assert_matches_cold_recompute(&label, incremental, &rd.leader, &rd.replicas, &|req| {
+                rd.handle(req)
+            });
         }
     }
 }

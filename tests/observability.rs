@@ -150,6 +150,13 @@ fn http_request_produces_span_tree_and_metrics() {
         "{text}"
     );
 
+    // valid exposition: no metric family is declared twice in one scrape
+    let mut declared = std::collections::HashSet::new();
+    for family in text.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+        let name = family.split(' ').next().unwrap();
+        assert!(declared.insert(name), "# TYPE {name} appears twice");
+    }
+
     // the JSON trace dump carries the same tree shape
     let sid_header = [("Cookie", sid.as_str())];
     let url = format!(
@@ -325,10 +332,15 @@ fn maintenance_counters_render_and_move() {
     let body = String::from_utf8(r3.body).unwrap();
     assert!(body.contains("99.5"), "{body}");
 
+    // … and the fresh validator answers 304 again
+    let r4 = client::get_with_headers(addr, &home, &[("Cookie", &sid), ("If-None-Match", &etag3)])
+        .unwrap();
+    assert_eq!(r4.status, 304);
+
     let m = client::get(addr, "/metrics").unwrap();
     let text = String::from_utf8(m.body).unwrap();
     assert!(metric(&text, "cache_patches_applied_total ") >= 1, "{text}");
-    assert_eq!(metric(&text, "http_304_total "), 1);
+    assert_eq!(metric(&text, "http_304_total "), 2);
     assert!(metric(&text, "fragment_rerenders_total ") >= 1, "{text}");
     assert!(metric(&text, "maint_apply_micros_count ") >= 1, "{text}");
     // the fallback family renders even when empty (total line or labels)

@@ -312,6 +312,8 @@ fn metrics_report_connection_lifecycle() {
     // page requests that preceded it.
     assert_eq!(value("http_connections_total"), 3);
     assert_eq!(value("http_requests_total"), 4);
+    // cached fragments reached the socket as shared chunks through writev
+    assert!(value("http_vectored_writes_total") > 0);
     server.stop();
 }
 
