@@ -21,8 +21,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Key of a cached fragment: template + fragment marker + parameter
-/// fingerprint.
+/// Key of a cached fragment: template + fragment marker (the unit id) +
+/// rule set + the fingerprint of the parameters the unit *binds*, plus the
+/// whole-request fingerprint for the few units whose markup embeds the
+/// request itself.
+///
+/// `params` is the same `k=v&…` string as the unit's [`crate::BeanKey`]:
+/// the effective values (request < session < edges) of the parameters the
+/// unit's queries consume, so it names the row the fragment *shows* and
+/// stays parseable by the row-precise invalidation. Two URLs that differ
+/// only in parameters the unit never reads share one fragment.
 ///
 /// Like [`crate::BeanKey`], carries a precomputed FNV-1a of its strings
 /// so stripe selection and map hashing never re-hash them on the hot
@@ -31,24 +39,51 @@ use std::time::{Duration, Instant};
 pub struct FragmentKey {
     pub template: String,
     pub fragment: String,
+    /// Name of the rule set that rendered the markup (per-device markup
+    /// differs); empty when the caller renders with one rule set only.
+    pub rules: String,
     pub params: String,
+    /// Fingerprint of the raw request, for request-embedding units (the
+    /// scroller's pager links); empty for every other unit.
+    pub request: String,
     fnv: u64,
 }
 
 impl FragmentKey {
+    /// Key without a rule-set or request component.
     pub fn new(
         template: impl Into<String>,
         fragment: impl Into<String>,
         params: impl Into<String>,
     ) -> FragmentKey {
+        FragmentKey::keyed(template, fragment, "", params, "")
+    }
+
+    pub fn keyed(
+        template: impl Into<String>,
+        fragment: impl Into<String>,
+        rules: impl Into<String>,
+        params: impl Into<String>,
+        request: impl Into<String>,
+    ) -> FragmentKey {
         let template = template.into();
         let fragment = fragment.into();
+        let rules = rules.into();
         let params = params.into();
-        let fnv = fnv1a(&[template.as_bytes(), fragment.as_bytes(), params.as_bytes()]);
+        let request = request.into();
+        let fnv = fnv1a(&[
+            template.as_bytes(),
+            fragment.as_bytes(),
+            rules.as_bytes(),
+            params.as_bytes(),
+            request.as_bytes(),
+        ]);
         FragmentKey {
             template,
             fragment,
+            rules,
             params,
+            request,
             fnv,
         }
     }
@@ -63,7 +98,9 @@ impl PartialEq for FragmentKey {
         self.fnv == other.fnv
             && self.template == other.template
             && self.fragment == other.fragment
+            && self.rules == other.rules
             && self.params == other.params
+            && self.request == other.request
     }
 }
 
@@ -190,6 +227,11 @@ impl Inner {
 pub struct FragmentCache {
     stripes: Vec<Mutex<Inner>>,
     clock: AtomicU64,
+    /// Bumped by every invalidation *before* it sweeps. A renderer reads
+    /// it before it computes and hands it back to
+    /// [`FragmentCache::put_if_current`]: markup derived from state an
+    /// invalidation has since condemned never becomes resident.
+    generation: AtomicU64,
     default_ttl: Duration,
     stats: CacheStats,
 }
@@ -220,6 +262,7 @@ impl FragmentCache {
         FragmentCache {
             stripes,
             clock: AtomicU64::new(0),
+            generation: AtomicU64::new(0),
             default_ttl,
             stats,
         }
@@ -274,30 +317,60 @@ impl FragmentCache {
         }
     }
 
+    /// The invalidation generation: read it *before* computing what a
+    /// fragment is rendered from, pass it to
+    /// [`FragmentCache::put_if_current`].
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::SeqCst)
+    }
+
+    /// Called by every invalidation before it takes its first stripe lock.
+    /// A put that loaded the old value did so under its stripe lock, so the
+    /// sweep that follows visits that stripe after the put and removes what
+    /// it inserted; a put that loads the new value does not insert.
+    fn condemn(&self) {
+        self.generation.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Unconditional put (no concurrent invalidation to lose against).
     pub fn put(&self, key: FragmentKey, markup: String) -> Arc<[u8]> {
         self.put_at(key, markup, Instant::now())
     }
 
     pub fn put_at(&self, key: FragmentKey, markup: String, now: Instant) -> Arc<[u8]> {
-        self.put_versioned_at(key, markup, now).0
+        let mut inner = self.lock_probed(self.stripe(&key));
+        self.insert(&mut inner, key, markup, now).0
     }
 
-    /// Like [`FragmentCache::put`], additionally reporting the fragment's
-    /// new version and whether this put *re-rendered* a fragment a
-    /// maintenance invalidation had dirtied (or replaced a live one) —
-    /// the signal behind `fragment_rerenders_total`.
-    pub fn put_versioned(&self, key: FragmentKey, markup: String) -> (Arc<[u8]>, u64, bool) {
-        self.put_versioned_at(key, markup, Instant::now())
-    }
-
-    pub fn put_versioned_at(
+    /// Generation-checked put: cache `markup` unless an invalidation ran
+    /// since the caller read `seen` from [`FragmentCache::generation`] —
+    /// then the markup may show state the invalidation condemned, and it
+    /// is handed back (`Err`) to be served once, uncached. `Ok` carries
+    /// the interned bytes, the fragment's new version, and whether this
+    /// put *re-rendered* a fragment a maintenance invalidation had dirtied
+    /// (or replaced a live one) — the signal behind
+    /// `fragment_rerenders_total`.
+    pub fn put_if_current(
         &self,
+        key: FragmentKey,
+        markup: String,
+        seen: u64,
+    ) -> Result<(Arc<[u8]>, u64, bool), String> {
+        let mut inner = self.lock_probed(self.stripe(&key));
+        if self.generation.load(Ordering::SeqCst) != seen {
+            return Err(markup);
+        }
+        Ok(self.insert(&mut inner, key, markup, Instant::now()))
+    }
+
+    fn insert(
+        &self,
+        inner: &mut Inner,
         key: FragmentKey,
         markup: String,
         now: Instant,
     ) -> (Arc<[u8]>, u64, bool) {
         let markup: Arc<[u8]> = markup.into_bytes().into();
-        let mut inner = self.lock_probed(self.stripe(&key));
         let base = match inner.entries.remove(&key) {
             Some(old) => {
                 inner.order.remove(&old.stamp);
@@ -343,6 +416,7 @@ impl FragmentCache {
     /// next render of each key continues its version sequence and is
     /// counted as a re-render. Returns how many fragments were dirtied.
     pub fn invalidate_unit(&self, unit: &str) -> usize {
+        self.condemn();
         let mut dropped = 0;
         for stripe in &self.stripes {
             let mut inner = self.lock_probed(stripe);
@@ -374,6 +448,7 @@ impl FragmentCache {
     /// default) cannot be identified and are dropped conservatively;
     /// every other instance keeps serving its bytes untouched.
     pub fn invalidate_unit_where(&self, unit: &str, param: &str, oid: i64) -> usize {
+        self.condemn();
         let mut dropped = 0;
         for stripe in &self.stripes {
             let mut inner = self.lock_probed(stripe);
@@ -438,6 +513,7 @@ impl FragmentCache {
     /// maintenance layer's DDL response: a schema change invalidates all
     /// derived markup and restarts the version sequences).
     pub fn clear(&self) {
+        self.condemn();
         let mut n = 0u64;
         for stripe in &self.stripes {
             let mut inner = self.lock_probed(stripe);
@@ -454,6 +530,7 @@ impl FragmentCache {
     /// Drop every fragment of a template (e.g. after redeployment).
     /// Sweeps every stripe before returning.
     pub fn invalidate_template(&self, template: &str) -> usize {
+        self.condemn();
         let mut dropped = 0;
         for stripe in &self.stripes {
             let mut inner = self.lock_probed(stripe);
@@ -676,7 +753,9 @@ mod tests {
         let c = FragmentCache::new(8, Duration::from_secs(60));
         let k1 = FragmentKey::new("home.jsp", "idx1", "p=1");
         let k2 = FragmentKey::new("home.jsp", "idx2", "p=1");
-        let (_, v, rerendered) = c.put_versioned(k1.clone(), "one".into());
+        let (_, v, rerendered) = c
+            .put_if_current(k1.clone(), "one".into(), c.generation())
+            .unwrap();
         assert_eq!((v, rerendered), (1, false));
         c.put(k2.clone(), "two".into());
         // dirty only idx1's fragments; idx2 keeps serving the same bytes
@@ -686,11 +765,15 @@ mod tests {
         let after = c.get(&k2).unwrap();
         assert!(Arc::ptr_eq(&before, &after), "clean fragment re-interned");
         // re-render continues the version sequence and reports itself
-        let (_, v, rerendered) = c.put_versioned(k1.clone(), "one'".into());
+        let (_, v, rerendered) = c
+            .put_if_current(k1.clone(), "one'".into(), c.generation())
+            .unwrap();
         assert_eq!((v, rerendered), (2, true));
         assert_eq!(c.version_of(&k1), Some(2));
         // a fresh key starts at version 1, not re-rendered
-        let (_, v, rerendered) = c.put_versioned(FragmentKey::new("x", "u", ""), "n".into());
+        let (_, v, rerendered) = c
+            .put_if_current(FragmentKey::new("x", "u", ""), "n".into(), c.generation())
+            .unwrap();
         assert_eq!((v, rerendered), (1, false));
     }
 
@@ -722,8 +805,46 @@ mod tests {
         assert!(c.get(&pad).is_none());
         // the dirtied instance re-renders with its version continued
         // (render #3: initial put, re-render after each invalidation)
-        let (_, v, rerendered) = c.put_versioned(k2, "m2'".into());
+        let (_, v, rerendered) = c.put_if_current(k2, "m2'".into(), c.generation()).unwrap();
         assert_eq!((v, rerendered), (3, true));
+    }
+
+    /// Rule set and request fingerprint are key components of their own:
+    /// per-device markup never crosses devices, and a request-embedding
+    /// unit's variants stay apart while `params` stays a clean `k=v&…`.
+    #[test]
+    fn rules_and_request_components_separate_fragments() {
+        let c = FragmentCache::new(8, Duration::from_secs(60));
+        let desktop = FragmentKey::keyed("t", "u", "desktop", "sel=1&", "");
+        let pda = FragmentKey::keyed("t", "u", "pda", "sel=1&", "");
+        let paged = FragmentKey::keyed("t", "u", "desktop", "sel=1&", "block_offset=20&");
+        c.put(desktop.clone(), "zebra".into());
+        assert!(c.get(&pda).is_none());
+        assert!(c.get(&paged).is_none());
+        c.put(pda.clone(), "plain".into());
+        c.put(paged.clone(), "page 3".into());
+        assert_eq!(c.get(&desktop).as_deref(), Some(&b"zebra"[..]));
+        assert_eq!(c.get(&pda).as_deref(), Some(&b"plain"[..]));
+        // all three show row 1: a write to it dirties every variant
+        c.index_probe("u", "sel");
+        assert_eq!(c.invalidate_unit_where("u", "sel", 1), 3);
+    }
+
+    #[test]
+    fn put_loses_to_an_invalidation_since_its_generation() {
+        let c = FragmentCache::new(8, Duration::from_secs(60));
+        let k = FragmentKey::new("t", "u", "sel=1&");
+        let seen = c.generation();
+        c.invalidate_unit("other"); // any invalidation condemns in-flight renders
+        assert_eq!(
+            c.put_if_current(k.clone(), "stale".into(), seen),
+            Err("stale".to_string())
+        );
+        assert!(c.get(&k).is_none());
+        assert!(c
+            .put_if_current(k.clone(), "fresh".into(), c.generation())
+            .is_ok());
+        assert_eq!(c.get(&k).as_deref(), Some(&b"fresh"[..]));
     }
 
     #[test]

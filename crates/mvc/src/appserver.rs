@@ -15,12 +15,11 @@
 //! JSON-serialisation boundary, with `set_clones` for elasticity.
 
 use crate::beans::UnitBean;
-use crate::beans::{beans_from_json, beans_to_json};
 use crate::error::{MvcError, Result};
 use crate::page::PageResult;
-use crate::services::{ParamMap, ServiceRegistry};
+use crate::plan::{ComputedUnit, SitePlan};
+use crate::services::ParamMap;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use descriptors::DescriptorSet;
 use parking_lot::Mutex;
 use relstore::{Database, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,8 +56,8 @@ pub trait BusinessTier: Send + Sync {
 
 /// Shared state both deployments need.
 pub struct TierContext {
-    pub set: Arc<DescriptorSet>,
-    pub registry: Arc<ServiceRegistry>,
+    /// The deploy-time page plans (descriptors and services resolved).
+    pub plan: Arc<SitePlan>,
     pub db: Arc<Database>,
     pub bean_cache: Option<Arc<BeanCache<UnitBean>>>,
     /// Shared metrics registry (per-unit-kind histograms etc.).
@@ -79,17 +78,15 @@ impl TierContext {
         ctx: &mut obs::RequestContext,
     ) -> Result<PageResult> {
         let page = self
-            .set
+            .plan
             .page(page_id)
             .ok_or_else(|| MvcError::MissingDescriptor(page_id.to_string()))?;
         let env = crate::page::PageEnv {
-            set: &self.set,
-            registry: &self.registry,
             db: &self.db,
             bean_cache: self.bean_cache.as_deref(),
             metrics: self.metrics.as_deref(),
         };
-        crate::page::compute_page_traced(&env, page, request, session, ctx)
+        crate::page::compute_page(&env, page, request, session, ctx)
     }
 }
 
@@ -281,8 +278,15 @@ impl AppServerTier {
         let result = ctx
             .run(page_id, &request, &session)
             .map_err(|e| e.to_string())?;
+        // units cross in plan order, each with the fingerprint its
+        // fragments are keyed on: the servlet side renders and caches
+        let units: Vec<serde_json::Value> = result
+            .units
+            .iter()
+            .map(|u| serde_json::json!({ "bean": u.bean.to_json(), "key": u.key.as_str() }))
+            .collect();
         let out = serde_json::json!({
-            "beans": beans_to_json(&result.beans),
+            "units": units,
             "cache_hits": result.cache_hits,
             "computed": result.computed,
         });
@@ -322,12 +326,23 @@ impl BusinessTier for AppServerTier {
         }
         let j: serde_json::Value = serde_json::from_str(&response)
             .map_err(|e| MvcError::Boundary(format!("unmarshal response: {e}")))?;
-        let beans = j
-            .get("beans")
-            .and_then(beans_from_json)
-            .ok_or_else(|| MvcError::Boundary("bad beans payload".into()))?;
+        let units = j
+            .get("units")
+            .and_then(|u| u.as_array())
+            .and_then(|units| {
+                units
+                    .iter()
+                    .map(|u| {
+                        Some(ComputedUnit {
+                            bean: Arc::new(UnitBean::from_json(u.get("bean")?)?),
+                            key: u.get("key")?.as_str()?.to_string(),
+                        })
+                    })
+                    .collect::<Option<Vec<_>>>()
+            })
+            .ok_or_else(|| MvcError::Boundary("bad units payload".into()))?;
         Ok(PageResult {
-            beans,
+            units,
             cache_hits: j.get("cache_hits").and_then(|v| v.as_u64()).unwrap_or(0) as usize,
             computed: j.get("computed").and_then(|v| v.as_u64()).unwrap_or(0) as usize,
         })
@@ -366,7 +381,8 @@ impl Drop for AppServerTier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use descriptors::{ControllerConfig, PageDescriptor, QuerySpec, UnitDescriptor};
+    use crate::services::ServiceRegistry;
+    use descriptors::{ControllerConfig, DescriptorSet, PageDescriptor, QuerySpec, UnitDescriptor};
     use relstore::Params;
 
     fn context() -> TierContext {
@@ -418,8 +434,7 @@ mod tests {
             controller: ControllerConfig::default(),
         };
         TierContext {
-            set: Arc::new(set),
-            registry: Arc::new(ServiceRegistry::standard()),
+            plan: Arc::new(SitePlan::build(set, &ServiceRegistry::standard())),
             db,
             bean_cache: None,
             metrics: None,
@@ -436,7 +451,8 @@ mod tests {
         let r2 = tier
             .compute("page0", &ParamMap::new(), &ParamMap::new())
             .unwrap();
-        assert_eq!(r1.beans["unit0"], r2.beans["unit0"]);
+        assert_eq!(r1.units[0].bean, r2.units[0].bean);
+        assert_eq!(r1.units[0].key, r2.units[0].key);
         assert_eq!(tier.requests_served.load(Ordering::Relaxed), 1);
         assert!(tier.bytes_marshalled.load(Ordering::Relaxed) > 0);
     }
@@ -453,7 +469,7 @@ mod tests {
         let r = tier
             .compute("page0", &ParamMap::new(), &ParamMap::new())
             .unwrap();
-        assert_eq!(r.beans.len(), 1);
+        assert_eq!(r.units.len(), 1);
     }
 
     #[test]
@@ -467,7 +483,7 @@ mod tests {
                     let r = t
                         .compute("page0", &ParamMap::new(), &ParamMap::new())
                         .unwrap();
-                    assert_eq!(r.beans["unit0"].row_count(), 2);
+                    assert_eq!(r.units[0].bean.row_count(), 2);
                 }
             }));
         }

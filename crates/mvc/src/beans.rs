@@ -11,7 +11,6 @@
 //! serialize to/from JSON.
 
 use relstore::Value;
-use std::collections::HashMap;
 
 /// One row of bean properties: `(property name, value)` in bean order.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -223,23 +222,6 @@ impl UnitBean {
     }
 }
 
-/// Marshal a full page result (`unit id → bean`).
-pub fn beans_to_json(beans: &HashMap<String, std::sync::Arc<UnitBean>>) -> serde_json::Value {
-    let mut map = serde_json::Map::new();
-    for (k, v) in beans {
-        map.insert(k.clone(), v.to_json());
-    }
-    serde_json::Value::Object(map)
-}
-
-pub fn beans_from_json(j: &serde_json::Value) -> Option<HashMap<String, std::sync::Arc<UnitBean>>> {
-    let mut out = HashMap::new();
-    for (k, v) in j.as_object()? {
-        out.insert(k.clone(), std::sync::Arc::new(UnitBean::from_json(v)?));
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,18 +304,5 @@ mod tests {
         let b = UnitBean::Single(Some(r));
         let back = UnitBean::from_json(&b.to_json()).unwrap();
         assert_eq!(back, b);
-    }
-
-    #[test]
-    fn beans_map_round_trip() {
-        let mut m = HashMap::new();
-        m.insert(
-            "unit1".to_string(),
-            std::sync::Arc::new(UnitBean::Single(Some(row(9, "x")))),
-        );
-        let j = beans_to_json(&m);
-        let back = beans_from_json(&j).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back["unit1"].propagated_oid(), Some(9));
     }
 }

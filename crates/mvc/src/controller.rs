@@ -16,11 +16,12 @@ use crate::beans::UnitBean;
 use crate::error::{MvcError, Result};
 use crate::operations::OperationEngine;
 use crate::page::PageResult;
-use crate::render::{navigation_html, unit_content};
+use crate::plan::{PagePlan, Route, SitePlan};
+use crate::render::unit_content;
 use crate::request::{WebRequest, WebResponse, WebResponseParts};
 use crate::services::{fingerprint, ParamMap, ServiceRegistry};
 use crate::session::{SessionManager, DEFAULT_SESSION_TTL};
-use descriptors::{ActionKind, DescriptorSet, PageDescriptor};
+use descriptors::DescriptorSet;
 use presentation::{
     render_template_chunks, DeviceRegistry, HtmlChunk, RuleSet, StyledTemplate, TemplateSkeleton,
 };
@@ -122,10 +123,16 @@ impl ControllerParts {
 
 /// The front controller of a deployed application.
 pub struct Controller {
-    set: Arc<DescriptorSet>,
+    /// The deploy-time compilation of the descriptor set: the request
+    /// path walks it and never scans descriptors.
+    plan: Arc<SitePlan>,
     skeletons: HashMap<String, TemplateSkeleton>,
     devices: DeviceRegistry,
-    compiled: HashMap<(String, String), StyledTemplate>,
+    /// Rules for a user agent no registered device class claims.
+    fallback_rules: RuleSet,
+    /// Compile-time styling: rule-set name → styled template per page,
+    /// by plan position (`None`: the page has no skeleton).
+    compiled: HashMap<String, Vec<Option<StyledTemplate>>>,
     styling: StylingMode,
     db: Arc<Database>,
     /// Session store. `Arc` so replicated deployments can hand every
@@ -144,11 +151,6 @@ pub struct Controller {
     /// synchronously; the WAL maintenance layer bumps it on durable
     /// batches. Strong `ETag`s hash the page's dependency versions.
     versions: Arc<VersionTable>,
-    /// Units whose content is a single key-probed row: unit id →
-    /// (entity table, request parameter holding the row oid). Their
-    /// pages validate against per-row versions, so a write to paper 7
-    /// does not move the `ETag` of the page showing paper 12.
-    probe_validators: HashMap<String, (String, String)>,
     conditional_get: bool,
     /// `Some`: the WAL-driven maintenance layer owns cache coherence.
     /// Operations skip the §6 op-path whole-entity invalidation and call
@@ -191,8 +193,7 @@ impl Controller {
                 Arc::clone(&observability.sessions_expired),
             ))
         });
-        let set = Arc::new(set);
-        let registry = Arc::new(services);
+        let plan = Arc::new(SitePlan::build(set, &services));
         let bean_cache = options.bean_cache.then(|| {
             Arc::new(BeanCache::with_stats(
                 options.bean_cache_capacity,
@@ -213,15 +214,17 @@ impl Controller {
         let mut compiled = HashMap::new();
         if options.styling == StylingMode::CompileTime {
             for rs in devices.rule_sets() {
-                for (page, sk) in &skeletons {
-                    compiled.insert((rs.name.clone(), page.clone()), rs.apply(sk));
-                }
+                let styled = plan
+                    .pages
+                    .iter()
+                    .map(|p| skeletons.get(&p.id).map(|sk| rs.apply(sk)))
+                    .collect();
+                compiled.insert(rs.name.clone(), styled);
             }
         }
 
         let ctx = TierContext {
-            set: Arc::clone(&set),
-            registry: Arc::clone(&registry),
+            plan: Arc::clone(&plan),
             db: Arc::clone(&db),
             bean_cache: bean_cache.clone(),
             metrics: Some(Arc::clone(&observability)),
@@ -235,26 +238,11 @@ impl Controller {
                 None => (Arc::new(InProcessTier { ctx }), None),
             };
 
-        // A unit qualifies for row-granular validation when it is a
-        // single key-probe query over its own (and only) dependency —
-        // the same shape the maintenance planner patches by key.
-        let probe_validators: HashMap<String, (String, String)> = set
-            .units
-            .iter()
-            .filter_map(|u| {
-                let table = u.entity_table.as_deref()?;
-                if u.depends_on.len() != 1 || u.depends_on[0] != table || u.queries.len() != 1 {
-                    return None;
-                }
-                let param = webcache::oid_probe_param(&u.queries[0].sql)?;
-                Some((u.id.clone(), (table.to_string(), param)))
-            })
-            .collect();
-
         Controller {
-            set,
+            plan,
             skeletons,
             devices,
+            fallback_rules: RuleSet::default_desktop("default"),
             compiled,
             styling: options.styling,
             db,
@@ -266,7 +254,6 @@ impl Controller {
             app_server,
             obs: observability,
             versions: Arc::new(VersionTable::new()),
-            probe_validators,
             conditional_get: options.conditional_get,
             write_barrier: None,
         }
@@ -293,8 +280,10 @@ impl Controller {
         &self.obs
     }
 
-    pub fn descriptor_set(&self) -> &DescriptorSet {
-        &self.set
+    /// Does `path` map to an operation (a write chain)? Unknown paths
+    /// answer `false`.
+    pub fn is_operation(&self, path: &str) -> bool {
+        matches!(self.plan.route(path), Some(Route::Operation { .. }))
     }
 
     pub fn database(&self) -> &Database {
@@ -400,20 +389,17 @@ impl Controller {
                 "forwarding loop detected at {path}"
             )));
         }
-        let mapping = self
-            .set
-            .controller
-            .resolve(path)
+        let route = self
+            .plan
+            .route(path)
             .ok_or_else(|| MvcError::NotFound(path.to_string()))?;
-        match &mapping.kind {
-            ActionKind::Page { page, .. } => {
+        match route {
+            Route::Dangling(name) => Err(MvcError::MissingDescriptor(name.clone())),
+            Route::Page(page) => {
                 self.obs.page_requests.inc();
-                let desc = self
-                    .set
-                    .page(page)
-                    .ok_or_else(|| MvcError::MissingDescriptor(page.clone()))?;
+                let plan = &self.plan.pages[*page];
                 // protected site views require an authenticated session
-                if desc.protected {
+                if plan.protected {
                     let authed = self
                         .sessions
                         .get(sid)
@@ -422,26 +408,18 @@ impl Controller {
                         return Err(MvcError::Unauthorized);
                     }
                 }
-                let label = if desc.name.is_empty() {
-                    &desc.id
-                } else {
-                    &desc.name
-                };
-                let token = ctx.enter(format!("page:{label}"));
-                let r = self.render_page(desc, params, sid, user_agent, if_none_match, ctx);
+                let token = ctx.enter(plan.span.as_str());
+                let r = self.render_page(*page, params, sid, user_agent, if_none_match, ctx);
                 ctx.exit(token);
                 r
             }
-            ActionKind::Operation {
+            Route::Operation {
                 operation,
                 ok_forward,
                 ko_forward,
             } => {
                 self.obs.operation_requests.inc();
-                let desc = self
-                    .set
-                    .operation(operation)
-                    .ok_or_else(|| MvcError::MissingDescriptor(operation.clone()))?;
+                let desc = &self.plan.operations[*operation];
                 let mut op_params: ParamMap = params
                     .iter()
                     .map(|(k, v)| (k.clone(), to_value(v)))
@@ -521,19 +499,17 @@ impl Controller {
         }
     }
 
-    fn rule_set_for(&self, user_agent: &str) -> Option<&RuleSet> {
-        self.devices.select(user_agent)
-    }
-
     /// Strong `ETag` for a page: FNV-1a over the page identity, the
     /// request parameters, the device class, the session, and version
-    /// validators for the page's content. Key-probe units contribute the
-    /// version of the *row* they display; every other unit contributes
-    /// its entities' table stamps. Any committed write that can change
-    /// the page moves the tag; writes to sibling rows do not.
+    /// validators for the page's content. A key-probe unit whose row the
+    /// request itself names contributes the version of that *row*; every
+    /// other unit — among them every probe fed by an edge, which shows a
+    /// row the request does not choose — contributes its entities' table
+    /// stamps. Any committed write that can change the page moves the
+    /// tag; writes to sibling rows of a request-named row do not.
     fn page_etag(
         &self,
-        page: &PageDescriptor,
+        plan: &PagePlan,
         raw_params: &BTreeMap<String, String>,
         sid: &str,
         user_agent: &str,
@@ -545,7 +521,7 @@ impl Controller {
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);
             }
         };
-        mix(page.id.as_bytes());
+        mix(plan.id.as_bytes());
         for (k, v) in raw_params {
             mix(k.as_bytes());
             mix(b"=");
@@ -554,43 +530,87 @@ impl Controller {
         }
         mix(user_agent.as_bytes());
         mix(sid.as_bytes());
-        let mut deps: BTreeSet<&str> = BTreeSet::new();
-        for uid in &page.units {
-            if let Some((table, param)) = self.probe_validators.get(uid) {
-                if let Some(oid) = raw_params.get(param).and_then(|v| v.parse::<i64>().ok()) {
+        // table deps of row-validated units whose request names no row
+        let mut unbound: Vec<&str> = Vec::new();
+        for step in &plan.units {
+            let (true, Some(table), Some(param)) = (
+                step.validates_by_row,
+                &step.desc.entity_table,
+                &step.probe_param,
+            ) else {
+                continue;
+            };
+            match raw_params.get(param).and_then(|v| v.parse::<i64>().ok()) {
+                Some(oid) => {
                     mix(table.as_bytes());
                     mix(&oid.to_le_bytes());
                     mix(&self.versions.row_version(table, oid).to_le_bytes());
-                    continue;
                 }
-            }
-            if let Some(u) = self.set.unit(uid) {
-                deps.extend(u.depends_on.iter().map(String::as_str));
+                None => unbound.push(table),
             }
         }
         // the stamp always folds in the DDL epoch, which also resets
         // row versions — so row validators can't survive a schema change
-        mix(&self.versions.stamp(deps).to_le_bytes());
+        let stamp = if unbound.is_empty() {
+            self.versions
+                .stamp(plan.stamp_deps.iter().map(String::as_str))
+        } else {
+            let deps: BTreeSet<&str> = plan
+                .stamp_deps
+                .iter()
+                .map(String::as_str)
+                .chain(unbound)
+                .collect();
+            self.versions.stamp(deps)
+        };
+        mix(&stamp.to_le_bytes());
         format!("\"{h:016x}\"")
+    }
+
+    /// The styled template of a page for one rule set.
+    fn styled<'a>(
+        &'a self,
+        page: usize,
+        rules: &RuleSet,
+        owned: &'a mut Option<StyledTemplate>,
+    ) -> Result<&'a StyledTemplate> {
+        if self.styling == StylingMode::CompileTime {
+            let compiled = self
+                .compiled
+                .get(rules.name.as_str())
+                .and_then(|pages| pages[page].as_ref());
+            if let Some(t) = compiled {
+                return Ok(t);
+            }
+        }
+        // runtime styling, or a rule set compiled for no page (the
+        // fallback rules): style now
+        let plan = &self.plan.pages[page];
+        let sk = self
+            .skeletons
+            .get(plan.id.as_str())
+            .ok_or_else(|| MvcError::MissingDescriptor(plan.template.clone()))?;
+        Ok(owned.insert(rules.apply(sk)))
     }
 
     #[allow(clippy::too_many_arguments)]
     fn render_page(
         &self,
-        page: &PageDescriptor,
+        page: usize,
         raw_params: &BTreeMap<String, String>,
         sid: &str,
         user_agent: &str,
         if_none_match: Option<&str>,
         ctx: &mut obs::RequestContext,
     ) -> Result<WebResponseParts> {
+        let plan = &self.plan.pages[page];
         // Conditional GET (§6 carried to the client's cache): when the
         // validator still names the current dependency versions, answer
         // 304 before any unit computes — the cheapest page is the one
         // never built.
         let etag = self
             .conditional_get
-            .then(|| self.page_etag(page, raw_params, sid, user_agent));
+            .then(|| self.page_etag(plan, raw_params, sid, user_agent));
         if let (Some(tag), Some(inm)) = (&etag, if_none_match) {
             if inm == tag {
                 self.obs.maint.http_304.inc();
@@ -613,90 +633,107 @@ impl Controller {
             .map(|s| s.lock().vars.clone().into_iter().collect())
             .unwrap_or_default();
 
+        // Read before the business tier computes: a maintenance pass that
+        // dirties fragments after this point (it has patched the beans by
+        // then) makes every put of this render lose, so markup of a
+        // pre-commit bean is served once and never cached.
+        let fragments = self
+            .fragment_cache
+            .as_deref()
+            .map(|fc| (fc, fc.generation()));
+
         // Model: compute the unit beans in the business tier
         let result: PageResult =
             self.tier
-                .compute_traced(&page.id, &request_params, &session_vars, ctx)?;
+                .compute_traced(&plan.id, &request_params, &session_vars, ctx)?;
+        if result.units.len() != plan.units.len() {
+            return Err(MvcError::Boundary(format!(
+                "page {} computed {} of {} units",
+                plan.id,
+                result.units.len(),
+                plan.units.len()
+            )));
+        }
 
         // View: style + render
         let rules = self
-            .rule_set_for(user_agent)
-            .cloned()
-            .unwrap_or_else(|| RuleSet::default_desktop("default"));
-        let styled_owned;
-        let styled: &StyledTemplate = match self.styling {
-            StylingMode::CompileTime => {
-                match self.compiled.get(&(rules.name.clone(), page.id.clone())) {
-                    Some(t) => t,
-                    None => {
-                        // skeleton might have been added later; style now
-                        let sk = self
-                            .skeletons
-                            .get(&page.id)
-                            .ok_or_else(|| MvcError::MissingDescriptor(page.template.clone()))?;
-                        styled_owned = rules.apply(sk);
-                        &styled_owned
-                    }
-                }
-            }
-            StylingMode::Runtime => {
-                let sk = self
-                    .skeletons
-                    .get(&page.id)
-                    .ok_or_else(|| MvcError::MissingDescriptor(page.template.clone()))?;
-                styled_owned = rules.apply(sk);
-                &styled_owned
-            }
-        };
+            .devices
+            .select(user_agent)
+            .unwrap_or(&self.fallback_rules);
+        let mut styled_owned = None;
+        let styled = self.styled(page, rules, &mut styled_owned)?;
 
-        let nav = navigation_html(&self.set, &page.site_view, &page.id);
-        let params_fp = fingerprint(&request_params);
+        // only request-embedding units key their fragments on the request
+        let request_fp = if fragments.is_some() && plan.embeds_request {
+            fingerprint(&request_params)
+        } else {
+            String::new()
+        };
         let mut render_err: Option<MvcError> = None;
         let render_token = ctx.enter("render");
         let chunks = render_template_chunks(
             styled,
             &mut |unit_id| {
-                let fragment_token = ctx.enter(format!("fragment:{unit_id}"));
+                let Some(at) = plan.position(unit_id) else {
+                    render_err = Some(MvcError::MissingDescriptor(unit_id.to_string()));
+                    return HtmlChunk::Owned(String::new());
+                };
+                let (step, unit) = (&plan.units[at], &result.units[at]);
+                let fragment_token = ctx.enter(step.fragment_span.as_str());
                 // level 1: fragment cache (markup only; queries already ran).
                 // Hits surface the cache's own `Arc<[u8]>` — the bytes are
                 // never copied between the cache and the response.
-                if let Some(fc) = &self.fragment_cache {
-                    let key = FragmentKey::new(&page.template, unit_id, &params_fp);
-                    if let Some(markup) = fc.get(&key) {
+                let cached = fragments.map(|(fc, generation)| {
+                    let request = if step.embeds_request {
+                        request_fp.as_str()
+                    } else {
+                        ""
+                    };
+                    let key = FragmentKey::keyed(
+                        plan.template.as_str(),
+                        step.desc.id.as_str(),
+                        rules.name.as_str(),
+                        unit.key.as_str(),
+                        request,
+                    );
+                    (fc, generation, key)
+                });
+                if let Some((fc, _, key)) = &cached {
+                    if let Some(markup) = fc.get(key) {
                         ctx.exit(fragment_token);
                         return HtmlChunk::Shared(markup);
                     }
                 }
-                let Some(desc) = self.set.unit(unit_id) else {
-                    render_err = Some(MvcError::MissingDescriptor(unit_id.to_string()));
-                    ctx.exit(fragment_token);
-                    return HtmlChunk::Owned(String::new());
-                };
-                let Some(bean) = result.beans.get(unit_id) else {
-                    ctx.exit(fragment_token);
-                    return HtmlChunk::Owned(String::new());
-                };
-                let content = unit_content(desc, page, bean, &request_params);
+                let content = unit_content(
+                    &step.desc,
+                    &step.links,
+                    &plan.url,
+                    &unit.bean,
+                    &request_params,
+                );
                 let markup = rules.render_unit(&content);
-                let chunk = if let Some(fc) = &self.fragment_cache {
-                    // `put_versioned` returns the freshly interned Arc, so
-                    // even the miss path serves the cache-resident bytes;
-                    // a put over a dirty tombstone is a re-render.
-                    let (shared, _version, rerendered) = fc.put_versioned(
-                        FragmentKey::new(&page.template, unit_id, &params_fp),
-                        markup,
-                    );
-                    if rerendered {
-                        self.obs.maint.fragment_rerenders.inc();
+                let chunk = match cached {
+                    // the put returns the freshly interned Arc, so even the
+                    // miss path serves the cache-resident bytes; a put over
+                    // a dirty tombstone is a re-render; a put that lost to
+                    // an invalidation serves its own buffer, uncached
+                    Some((fc, generation, key)) => {
+                        match fc.put_if_current(key, markup, generation) {
+                            Ok((shared, _version, rerendered)) => {
+                                if rerendered {
+                                    self.obs.maint.fragment_rerenders.inc();
+                                }
+                                HtmlChunk::Shared(shared)
+                            }
+                            Err(markup) => HtmlChunk::Owned(markup),
+                        }
                     }
-                    HtmlChunk::Shared(shared)
-                } else {
-                    HtmlChunk::Owned(markup)
+                    None => HtmlChunk::Owned(markup),
                 };
                 ctx.exit(fragment_token);
                 chunk
             },
-            &nav,
+            &plan.nav,
         );
         ctx.exit(render_token);
         if let Some(e) = render_err {
@@ -716,10 +753,10 @@ impl Controller {
 mod tests {
     use super::*;
     use descriptors::{
-        ActionMapping, ControllerConfig, OperationDescriptor, ParamBinding, QuerySpec,
-        UnitDescriptor, UnitLinkSpec,
+        ActionKind, ActionMapping, CacheDescriptor, ControllerConfig, OperationDescriptor,
+        PageDescriptor, ParamBinding, QuerySpec, TransportEdge, UnitDescriptor, UnitLinkSpec,
     };
-    use relstore::Params;
+    use relstore::{ChangeRecord, Params};
 
     /// A small two-page application with a create operation.
     fn deploy(options: RuntimeOptions) -> Controller {
@@ -751,7 +788,7 @@ mod tests {
             optimized: false,
             service: "GenericIndexService".into(),
             depends_on: vec!["product".into()],
-            cache: Some(descriptors::CacheDescriptor {
+            cache: Some(CacheDescriptor {
                 ttl_ms: None,
                 invalidate_on_write: true,
             }),
@@ -994,11 +1031,7 @@ mod tests {
             .iter()
             .any(|ch| matches!(ch, HtmlChunk::Shared(_))));
         let second = c.handle_parts_traced(&WebRequest::get("/shop/products"), &mut ctx);
-        let key = FragmentKey::new(
-            "templates/shop/products.jsp",
-            "unit0",
-            fingerprint(&ParamMap::new()),
-        );
+        let key = FragmentKey::keyed("templates/shop/products.jsp", "unit0", "desktop", "", "");
         let cached = c.fragment_cache().unwrap().get(&key).unwrap();
         let shared: Vec<&Arc<[u8]>> = second
             .body
@@ -1085,6 +1118,414 @@ mod tests {
         assert_eq!(c.obs().ko_flows.get(), 0);
         let summary = ctx.trace_summary();
         assert!(summary.contains("op:op0"), "{summary}");
+    }
+
+    // -- edge-fed units: what a fragment shows vs what the URL names --------
+
+    const PDA: &str = "FancyPhone Mobile/2.0";
+
+    fn unit(id: &str, unit_type: &str, table: &str, sql: &str, inputs: &[&str]) -> UnitDescriptor {
+        UnitDescriptor {
+            id: id.into(),
+            name: id.into(),
+            unit_type: unit_type.into(),
+            page: String::new(),
+            entity_table: Some(table.into()),
+            queries: vec![QuerySpec {
+                name: "main".into(),
+                sql: sql.into(),
+                inputs: inputs.iter().map(|s| s.to_string()).collect(),
+                bean: vec![],
+            }],
+            block_size: None,
+            fields: vec![],
+            optimized: false,
+            service: String::new(),
+            depends_on: vec![table.into()],
+            cache: None,
+        }
+    }
+
+    /// `/shop/pick`: an index over `category` whose automatic link feeds
+    /// `sel` of a (cached) data unit over a *different* table, `product`.
+    /// `/shop/browse`: the same pair plus a product list and a product
+    /// scroller. `/op/rename` modifies a product by oid. Categories 1–3,
+    /// products 1–40: every page shows product 1 whatever `sel` the URL
+    /// carries.
+    fn catalog(options: RuntimeOptions) -> Controller {
+        let db = Arc::new(Database::new());
+        db.execute_script(
+            "CREATE TABLE category (oid INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT NOT NULL);
+             CREATE TABLE product (oid INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT NOT NULL);",
+        )
+        .unwrap();
+        for i in 1..=3 {
+            let name = format!("Category {i}");
+            db.execute(
+                "INSERT INTO category (name) VALUES (:n)",
+                &Params::new().bind("n", name),
+            )
+            .unwrap();
+        }
+        for i in 1..=40 {
+            let name = format!("Product {i}");
+            db.execute(
+                "INSERT INTO product (name) VALUES (:n)",
+                &Params::new().bind("n", name),
+            )
+            .unwrap();
+        }
+
+        let mut units = Vec::new();
+        let mut pages = Vec::new();
+        let mut skeletons = Vec::new();
+        let mut mappings = Vec::new();
+        for (page, url, with_lists) in [
+            ("pick", "/shop/pick", false),
+            ("browse", "/shop/browse", true),
+        ] {
+            let id = |u: &str| format!("{page}_{u}");
+            let mut page_units = vec![
+                unit(
+                    &id("cats"),
+                    "index",
+                    "category",
+                    "SELECT t.oid, t.name FROM category t ORDER BY t.oid",
+                    &[],
+                ),
+                UnitDescriptor {
+                    cache: Some(CacheDescriptor {
+                        ttl_ms: None,
+                        invalidate_on_write: true,
+                    }),
+                    ..unit(
+                        &id("product"),
+                        "data",
+                        "product",
+                        "SELECT t.oid, t.name FROM product t WHERE t.oid = :sel",
+                        &["sel"],
+                    )
+                },
+            ];
+            if with_lists {
+                page_units.push(unit(
+                    &id("list"),
+                    "multidata",
+                    "product",
+                    "SELECT t.oid, t.name FROM product t ORDER BY t.oid",
+                    &[],
+                ));
+                page_units.push(UnitDescriptor {
+                    block_size: Some(10),
+                    ..unit(
+                        &id("scroll"),
+                        "scroller",
+                        "product",
+                        "SELECT t.oid, t.name FROM product t ORDER BY t.oid \
+                         LIMIT :block_limit OFFSET :block_offset",
+                        &["block_limit", "block_offset"],
+                    )
+                });
+            }
+            let template = format!("templates/shop/{page}.jsp");
+            pages.push(PageDescriptor {
+                id: page.into(),
+                name: page.into(),
+                site_view: "shop".into(),
+                url: url.into(),
+                units: page_units.iter().map(|u| u.id.clone()).collect(),
+                edges: vec![TransportEdge {
+                    from: id("cats"),
+                    to: id("product"),
+                    params: vec![ParamBinding {
+                        name: "sel".into(),
+                        source_kind: "oid".into(),
+                        source: String::new(),
+                    }],
+                    automatic: true,
+                }],
+                links: vec![],
+                request_params: vec!["sel".into()],
+                layout: "single-column".into(),
+                template: template.clone(),
+                landmark: page == "pick",
+                protected: false,
+            });
+            let slots: Vec<(String, String)> = page_units
+                .iter()
+                .map(|u| (u.id.clone(), u.unit_type.clone()))
+                .collect();
+            skeletons.push(TemplateSkeleton::grid(
+                page,
+                page,
+                "single-column",
+                &slots,
+                1,
+            ));
+            mappings.push(ActionMapping {
+                path: url.into(),
+                kind: ActionKind::Page {
+                    page: page.into(),
+                    view: template,
+                },
+            });
+            units.extend(page_units);
+        }
+        mappings.push(ActionMapping {
+            path: "/op/rename".into(),
+            kind: ActionKind::Operation {
+                operation: "rename".into(),
+                ok_forward: "/shop/pick".into(),
+                ko_forward: "/shop/pick".into(),
+            },
+        });
+        let rename = OperationDescriptor {
+            id: "rename".into(),
+            name: "RenameProduct".into(),
+            op_type: "modify".into(),
+            url: "/op/rename".into(),
+            entity_table: Some("product".into()),
+            role: None,
+            inputs: vec!["oid".into(), "name".into()],
+            sql: Some("UPDATE product SET name = :name WHERE oid = :oid".into()),
+            ok_forward: Some("/shop/pick".into()),
+            ko_forward: Some("/shop/pick".into()),
+            invalidates: vec!["product".into()],
+            service: "GenericOperationService".into(),
+        };
+        let set = DescriptorSet {
+            units,
+            pages,
+            operations: vec![rename],
+            controller: ControllerConfig { mappings },
+        };
+        Controller::new(ControllerParts::standard(
+            set,
+            skeletons,
+            db,
+            options,
+            obs::MetricsRegistry::new(),
+        ))
+    }
+
+    fn fragment_caching() -> RuntimeOptions {
+        RuntimeOptions {
+            fragment_cache: true,
+            fragment_ttl: Duration::from_secs(3600),
+            ..RuntimeOptions::default()
+        }
+    }
+
+    /// The cache-resident fragments of a response, in template order.
+    fn shared_chunks(c: &Controller, req: &WebRequest) -> Vec<Arc<[u8]>> {
+        let parts = c.handle_parts_traced(req, &mut obs::RequestContext::detached());
+        assert_eq!(parts.status, 200);
+        parts
+            .body
+            .into_iter()
+            .filter_map(|ch| match ch {
+                HtmlChunk::Shared(a) => Some(a),
+                HtmlChunk::Owned(_) => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn url_variants_share_every_fragment_but_the_scrollers() {
+        let c = catalog(fragment_caching());
+        let plain = shared_chunks(&c, &WebRequest::get("/shop/browse"));
+        // `sel` is overridden by the automatic link, `utm` is read by no
+        // unit: both URLs show the same rows
+        let variant = shared_chunks(
+            &c,
+            &WebRequest::get("/shop/browse")
+                .with_param("sel", "37")
+                .with_param("utm", "x"),
+        );
+        assert_eq!((plain.len(), variant.len()), (4, 4));
+        for unit in 0..3 {
+            assert!(
+                Arc::ptr_eq(&plain[unit], &variant[unit]),
+                "unit {unit} re-rendered for a URL variant"
+            );
+        }
+        // the scroller's pager links carry the request, so its markup differs
+        assert!(!Arc::ptr_eq(&plain[3], &variant[3]));
+        assert_ne!(plain[3], variant[3]);
+        assert_eq!(c.fragment_cache().unwrap().stats().hits, 3);
+        // and the cached pages are the uncached pages
+        let reference = catalog(RuntimeOptions::default());
+        for req in [
+            WebRequest::get("/shop/browse"),
+            WebRequest::get("/shop/browse").with_param("sel", "37"),
+            WebRequest::get("/shop/browse").with_param("block_offset", "20"),
+        ] {
+            assert_eq!(c.handle(&req).body, reference.handle(&req).body);
+        }
+    }
+
+    /// `RuleSet::render_unit` differs per device (desktop zebra-stripes
+    /// its index rows, the PDA rules do not), so the rule set is part of
+    /// the fragment key.
+    #[test]
+    fn each_device_is_served_its_own_fragments() {
+        let c = catalog(fragment_caching());
+        let reference = catalog(RuntimeOptions::default());
+        let desktop = WebRequest::get("/shop/browse");
+        let pda = WebRequest::get("/shop/browse").with_user_agent(PDA);
+        assert_eq!(c.handle(&desktop).body, reference.handle(&desktop).body);
+        // the PDA request comes second: desktop fragments are resident
+        let served = c.handle(&pda).body;
+        assert_eq!(served, reference.handle(&pda).body);
+        assert_ne!(served, c.handle(&desktop).body);
+        // both devices' fragments stay cached side by side
+        let hits = c.fragment_cache().unwrap().stats().hits;
+        c.handle(&pda);
+        assert_eq!(c.fragment_cache().unwrap().stats().hits, hits + 4);
+    }
+
+    /// A write to the row an edge-fed unit *displays* dirties its
+    /// fragment, whatever row the URL named.
+    #[test]
+    fn write_to_the_displayed_row_dirties_an_edge_fed_fragment() {
+        let c = catalog(fragment_caching());
+        let fc = c.fragment_cache_arc().unwrap();
+        let maint = webcache::LogDrivenMaintainer::new(
+            c.bean_cache_arc().unwrap(),
+            webcache::MaintenancePlan::build(&crate::unit_shapes(&catalog_set(&c))),
+            webcache::TableCatalog::from_database(c.database()),
+            Arc::new(crate::UnitBeanPatcher),
+            c.version_table(),
+            Arc::new(obs::MaintCounters::new()),
+        )
+        .with_fragments(Arc::clone(&fc));
+
+        let req = WebRequest::get("/shop/pick").with_param("sel", "37");
+        assert!(c.handle(&req).body.contains("Product 1"));
+        // keyed on the displayed row, not on the row the request names
+        let key = FragmentKey::keyed(
+            "templates/shop/pick.jsp",
+            "pick_product",
+            "desktop",
+            "sel=1&",
+            "",
+        );
+        assert!(fc.get(&key).is_some());
+        let index = FragmentKey::keyed("templates/shop/pick.jsp", "pick_cats", "desktop", "", "");
+        let index_bytes = fc.get(&index).unwrap();
+
+        let write = |oid: i64, name: &str| {
+            c.database()
+                .execute(
+                    "UPDATE product SET name = :n WHERE oid = :o",
+                    &Params::new().bind("n", name).bind("o", oid),
+                )
+                .unwrap();
+            maint.apply(&[ChangeRecord::Update {
+                table: "product".into(),
+                row_id: 0,
+                row: vec![Value::Integer(oid), Value::Text(name.into())],
+            }]);
+        };
+        // row 37 is named by the URL but shown nowhere: nothing to dirty
+        write(37, "Unseen");
+        assert!(fc.get(&key).is_some());
+        // row 1 is what the page shows
+        write(1, "Renamed");
+        assert!(fc.get(&key).is_none(), "stale fragment survived the write");
+        let body = c.handle(&req).body;
+        assert!(body.contains("Renamed") && !body.contains("Product 1"));
+        // the category index never went dirty
+        assert!(Arc::ptr_eq(&index_bytes, &fc.get(&index).unwrap()));
+    }
+
+    /// The descriptor set `catalog` deploys (for the maintenance planner).
+    fn catalog_set(c: &Controller) -> DescriptorSet {
+        DescriptorSet {
+            units: c
+                .plan
+                .pages
+                .iter()
+                .flat_map(|p| p.units.iter().map(|s| s.desc.clone()))
+                .collect(),
+            ..DescriptorSet::default()
+        }
+    }
+
+    /// Index over `category` → automatic link → data unit over `product`:
+    /// the request's `sel` does not choose the displayed row, so the tag
+    /// must follow the `product` table, not product 37's row version.
+    #[test]
+    fn etag_of_an_edge_fed_probe_follows_the_displayed_row() {
+        let c = catalog(RuntimeOptions {
+            conditional_get: true,
+            ..RuntimeOptions::default()
+        });
+        let first = c.handle(&WebRequest::get("/shop/pick").with_param("sel", "37"));
+        let sid = first.set_session.clone().unwrap();
+        let get = |inm: Option<&str>| {
+            let mut req = WebRequest::get("/shop/pick")
+                .with_param("sel", "37")
+                .with_session(&sid);
+            req.if_none_match = inm.map(str::to_string);
+            c.handle(&req)
+        };
+        let before = get(None);
+        let tag = before.etag.clone().unwrap();
+        assert_eq!(get(Some(&tag)).status, 304);
+
+        let rename = |oid: &str, name: &str| {
+            let resp = c.handle(
+                &WebRequest::get("/op/rename")
+                    .with_param("oid", oid)
+                    .with_param("name", name)
+                    .with_session(&sid),
+            );
+            assert_eq!(resp.status, 200);
+        };
+        // the displayed row changes: the old tag must not validate
+        rename("1", "Renamed");
+        let after = get(Some(&tag));
+        assert_eq!(after.status, 200, "stale 304 for a changed page");
+        assert!(after.body.contains("Renamed"));
+        let tag = after.etag.clone().unwrap();
+        assert_ne!(tag, before.etag.unwrap());
+
+        // the row the URL names changes: the page does not, and whatever
+        // the tag does, tag and bytes agree
+        rename("37", "Unseen");
+        let revalidated = get(Some(&tag));
+        let fresh = get(None);
+        assert_eq!(fresh.body, after.body);
+        assert!(revalidated.status == 304 || revalidated.body == fresh.body);
+        assert_eq!(revalidated.etag, fresh.etag);
+    }
+
+    /// Fragment keys are minted behind the app-server boundary and used in
+    /// front of it: the fingerprints survive the JSON marshalling.
+    #[test]
+    fn fragment_keys_cross_the_app_server_boundary() {
+        let c = catalog(RuntimeOptions {
+            app_server_clones: Some(2),
+            ..fragment_caching()
+        });
+        assert_eq!(c.tier_name(), "app-server");
+        let first = shared_chunks(&c, &WebRequest::get("/shop/browse"));
+        let second = shared_chunks(&c, &WebRequest::get("/shop/browse").with_param("sel", "9"));
+        assert_eq!(first.len(), 4);
+        for unit in 0..3 {
+            assert!(Arc::ptr_eq(&first[unit], &second[unit]));
+        }
+        assert_eq!(c.fragment_cache().unwrap().stats().hits, 3);
+        // the same keys an in-process deployment mints
+        let key = FragmentKey::keyed(
+            "templates/shop/browse.jsp",
+            "browse_product",
+            "desktop",
+            "sel=1&",
+            "",
+        );
+        assert!(c.fragment_cache().unwrap().get(&key).is_some());
     }
 
     #[test]

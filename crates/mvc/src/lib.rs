@@ -5,8 +5,11 @@
 //! * [`controller`] — the front Controller: action-mapping dispatch, page
 //!   rendering, operation execution with OK/KO forwarding, the §6
 //!   two-level cache, and §5 compile-time vs runtime styling;
+//! * [`plan`] — the deploy-time compilation of the descriptor set: one
+//!   page plan per page (units, edges, links, consumed parameters,
+//!   services, navigation) and the definition of a unit's cache identity;
 //! * [`page`] — the **single generic page service** (`computePage()`),
-//!   parametric in the page descriptor: topological unit computation with
+//!   parametric in the page plan: topological unit computation with
 //!   parameter propagation;
 //! * [`services`] — the **generic unit services** (data, index, multidata,
 //!   multichoice, scroller, entry, hierarchy) plus the plug-in/override
@@ -28,6 +31,7 @@ pub mod error;
 pub mod maintain;
 pub mod operations;
 pub mod page;
+pub mod plan;
 pub mod render;
 pub mod request;
 pub mod services;
@@ -41,7 +45,8 @@ pub use controller::{
 pub use error::{MvcError, Result};
 pub use maintain::{unit_shapes, UnitBeanPatcher};
 pub use operations::{Mail, OpResult, OperationEngine, OperationHandler};
-pub use page::{compute_page, compute_page_traced, PageEnv, PageResult};
+pub use page::{compute_page, PageEnv, PageResult};
+pub use plan::{ComputedUnit, PagePlan, Route, SitePlan, UnitStep};
 pub use render::{navigation_html, unit_content};
 pub use request::{build_url, url_decode, url_encode, WebRequest, WebResponse, WebResponseParts};
 pub use services::{fingerprint, ParamMap, ServiceRegistry, UnitService};

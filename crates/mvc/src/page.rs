@@ -9,23 +9,23 @@
 //! to the View."
 //!
 //! §4 replaces one such class per page with this single implementation,
-//! parametric in the [`PageDescriptor`]. §6's bean cache slots in here:
-//! cached units skip their queries entirely.
+//! parametric in the page's deploy-time [`PagePlan`]. §6's bean cache
+//! slots in here: cached units skip their queries entirely.
 
 use crate::beans::UnitBean;
-use crate::error::Result;
-use crate::services::{fingerprint, ParamMap, ServiceRegistry};
-use descriptors::{DescriptorSet, PageDescriptor};
+use crate::error::{MvcError, Result};
+use crate::plan::{ComputedUnit, PagePlan};
+use crate::services::ParamMap;
 use relstore::{Database, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use webcache::{BeanCache, BeanKey};
 
-/// Outcome of computing a page: one bean per unit, plus cache telemetry.
+/// Outcome of computing a page: one computed unit per plan step, in plan
+/// order, plus cache telemetry.
 #[derive(Debug, Clone, Default)]
 pub struct PageResult {
-    pub beans: HashMap<String, Arc<UnitBean>>,
+    pub units: Vec<ComputedUnit>,
     /// Units served from the bean cache.
     pub cache_hits: usize,
     /// Units computed against the database.
@@ -45,138 +45,82 @@ fn empty_bean(desc: &descriptors::UnitDescriptor) -> UnitBean {
     }
 }
 
-/// Everything a page computation needs besides the page itself — the
+/// Everything a page computation needs besides the page's plan — the
 /// business-tier environment the controller (or an app-server clone)
 /// assembles once and reuses per request.
 pub struct PageEnv<'a> {
-    pub set: &'a DescriptorSet,
-    pub registry: &'a ServiceRegistry,
     pub db: &'a Database,
     pub bean_cache: Option<&'a BeanCache<UnitBean>>,
     /// Shared metrics registry; `None` disables per-unit histograms.
     pub metrics: Option<&'a obs::MetricsRegistry>,
 }
 
-/// Compute every unit of `page` in descriptor order (already topological),
-/// propagating parameters along the page's dataflow edges.
-///
-/// Untraced compatibility wrapper around [`compute_page_traced`].
+/// Compute every unit of the page in plan order (already topological),
+/// propagating parameters along the page's dataflow edges. Each unit runs
+/// inside a `unit:<id>` span (its `sql` child is opened by the unit
+/// service), and per-unit-kind service time is recorded into the shared
+/// registry's histograms.
 pub fn compute_page(
-    set: &DescriptorSet,
-    page: &PageDescriptor,
-    request_params: &ParamMap,
-    session_vars: &ParamMap,
-    registry: &ServiceRegistry,
-    db: &Database,
-    bean_cache: Option<&BeanCache<UnitBean>>,
-) -> Result<PageResult> {
-    let env = PageEnv {
-        set,
-        registry,
-        db,
-        bean_cache,
-        metrics: None,
-    };
-    let mut ctx = obs::RequestContext::detached();
-    compute_page_traced(&env, page, request_params, session_vars, &mut ctx)
-}
-
-/// [`compute_page`] with the request observability spine threaded through:
-/// each unit runs inside a `unit:<id>` span (its `sql` child is opened by
-/// the unit service), and per-unit-kind service time is recorded into the
-/// shared registry's histograms.
-pub fn compute_page_traced(
     env: &PageEnv<'_>,
-    page: &PageDescriptor,
+    plan: &PagePlan,
     request_params: &ParamMap,
     session_vars: &ParamMap,
     ctx: &mut obs::RequestContext,
 ) -> Result<PageResult> {
     let PageEnv {
-        set,
-        registry,
         db,
         bean_cache,
         metrics,
     } = *env;
-    let mut result = PageResult::default();
-    for unit_id in &page.units {
-        let Some(desc) = set.unit(unit_id) else {
-            return Err(crate::error::MvcError::MissingDescriptor(unit_id.clone()));
-        };
-        let token = ctx.enter(format!("unit:{unit_id}"));
-        // assemble the unit's parameters: request < session < edges
-        let mut params: ParamMap = request_params.clone();
-        for (k, v) in session_vars {
-            params.insert(format!("session_{k}"), v.clone());
-        }
-        for edge in page.edges_into(unit_id) {
-            let Some(source_bean) = result.beans.get(&edge.from) else {
-                continue; // source not computed (validator prevents this)
-            };
-            for p in &edge.params {
-                let value = match p.source_kind.as_str() {
-                    "oid" => source_bean.propagated_oid().map(Value::Integer),
-                    "attribute" => source_bean.propagated_attribute(&p.source),
-                    "constant" => Some(Value::Text(p.source.clone())),
-                    "session" => session_vars.get(&p.source).cloned(),
-                    // fields flow through the request, not the model
-                    _ => None,
-                };
-                if let Some(v) = value {
-                    params.insert(p.name.clone(), v);
-                }
+    if let Some(id) = &plan.dangling_unit {
+        return Err(MvcError::MissingDescriptor(id.clone()));
+    }
+    let mut result = PageResult {
+        units: Vec::with_capacity(plan.units.len()),
+        ..PageResult::default()
+    };
+    for step in &plan.units {
+        let desc = &step.desc;
+        let token = ctx.enter(step.unit_span.as_str());
+        let observe = |ctx: &mut obs::RequestContext| {
+            let dur = ctx.exit(token);
+            if let Some(m) = metrics {
+                m.unit_histogram(&desc.unit_type).observe_us(dur);
             }
-        }
+        };
+        let (params, key) = step.bind(request_params, session_vars, &result.units);
 
-        // §6 bean cache: key on the parameters the unit actually consumes
-        let cacheable = desc.cache.is_some() && bean_cache.is_some();
-        let key = if cacheable {
-            let mut relevant = ParamMap::new();
-            for q in &desc.queries {
-                for input in &q.inputs {
-                    if let Some(v) = params.get(input) {
-                        relevant.insert(input.clone(), v.clone());
-                    }
-                }
-            }
-            Some(BeanKey::new(unit_id.clone(), fingerprint(&relevant)))
-        } else {
-            None
-        };
-        if let (Some(cache), Some(key)) = (bean_cache, key.as_ref()) {
-            if let Some(bean) = cache.get(key) {
+        // §6 bean cache: keyed on the parameters the unit actually consumes
+        let cached = bean_cache
+            .filter(|_| desc.cache.is_some())
+            .map(|cache| (cache, BeanKey::new(desc.id.clone(), key.clone())));
+        if let Some((cache, bean_key)) = &cached {
+            if let Some(bean) = cache.get(bean_key) {
                 result.cache_hits += 1;
-                result.beans.insert(unit_id.clone(), bean);
-                let dur = ctx.exit(token);
-                if let Some(m) = metrics {
-                    m.unit_histogram(&desc.unit_type).observe_us(dur);
-                }
+                result.units.push(ComputedUnit { bean, key });
+                observe(ctx);
                 continue;
             }
         }
 
-        let service = match registry.resolve(desc) {
-            Ok(s) => s,
-            Err(e) => {
-                ctx.exit(token);
-                return Err(e);
-            }
+        let Some(service) = &step.service else {
+            ctx.exit(token);
+            return Err(MvcError::NoService(desc.service.clone()));
         };
         // WebML semantics: a unit whose input context is missing (empty
         // source unit, absent request parameter) publishes no content
         // rather than failing the page
         let bean = match service.compute_traced(desc, &params, db, ctx) {
             Ok(b) => b,
-            Err(crate::error::MvcError::MissingParameter { .. }) => empty_bean(desc),
+            Err(MvcError::MissingParameter { .. }) => empty_bean(desc),
             Err(e) => {
                 ctx.exit(token);
                 return Err(e);
             }
         };
         result.computed += 1;
-        let bean = match (bean_cache, key) {
-            (Some(cache), Some(key)) => {
+        let bean = match cached {
+            Some((cache, bean_key)) => {
                 let ttl = desc
                     .cache
                     .as_ref()
@@ -186,8 +130,7 @@ pub fn compute_page_traced(
                 // row, so scope the bean to `(entity, oid)`: log-driven
                 // invalidation of another row then leaves it alone.
                 let row_dep = desc.entity_table.as_ref().and_then(|entity| {
-                    let param = webcache::oid_probe_param(&desc.queries.first()?.sql)?;
-                    match params.get(&param) {
+                    match params.get(step.probe_param.as_ref()?) {
                         Some(Value::Integer(oid)) => Some((entity.clone(), *oid)),
                         _ => None,
                     }
@@ -200,18 +143,15 @@ pub fn compute_page_traced(
                             .filter(|d| **d != entity)
                             .cloned()
                             .collect();
-                        cache.put_scoped(key, bean, &other_deps, &[(entity, oid)], ttl)
+                        cache.put_scoped(bean_key, bean, &other_deps, &[(entity, oid)], ttl)
                     }
-                    None => cache.put(key, bean, &desc.depends_on, ttl),
+                    None => cache.put(bean_key, bean, &desc.depends_on, ttl),
                 }
             }
-            _ => Arc::new(bean),
+            None => Arc::new(bean),
         };
-        result.beans.insert(unit_id.clone(), bean);
-        let dur = ctx.exit(token);
-        if let Some(m) = metrics {
-            m.unit_histogram(&desc.unit_type).observe_us(dur);
-        }
+        result.units.push(ComputedUnit { bean, key });
+        observe(ctx);
     }
     Ok(result)
 }
@@ -219,10 +159,31 @@ pub fn compute_page_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::SitePlan;
+    use crate::services::ServiceRegistry;
     use descriptors::{
-        CacheDescriptor, ControllerConfig, ParamBinding, QuerySpec, TransportEdge, UnitDescriptor,
+        CacheDescriptor, ControllerConfig, DescriptorSet, PageDescriptor, ParamBinding, QuerySpec,
+        TransportEdge, UnitDescriptor,
     };
     use relstore::Params;
+
+    /// Plan `set` and compute its first page.
+    fn compute_page0(
+        set: &DescriptorSet,
+        request: &ParamMap,
+        session: &ParamMap,
+        db: &Database,
+        bean_cache: Option<&BeanCache<UnitBean>>,
+    ) -> PageResult {
+        let site = SitePlan::build(set.clone(), &ServiceRegistry::standard());
+        let env = PageEnv {
+            db,
+            bean_cache,
+            metrics: None,
+        };
+        let mut ctx = obs::RequestContext::detached();
+        compute_page(&env, &site.pages[0], request, session, &mut ctx).unwrap()
+    }
 
     fn db() -> Database {
         let db = Database::new();
@@ -266,7 +227,7 @@ mod tests {
         }
     }
 
-    fn page_with_edge() -> (DescriptorSet, PageDescriptor) {
+    fn page_with_edge() -> DescriptorSet {
         let u1 = unit(
             "unit0",
             "data",
@@ -304,100 +265,69 @@ mod tests {
             landmark: false,
             protected: false,
         };
-        let set = DescriptorSet {
+        DescriptorSet {
             units: vec![u1, u2],
-            pages: vec![page.clone()],
+            pages: vec![page],
             operations: vec![],
             controller: ControllerConfig::default(),
-        };
-        (set, page)
+        }
     }
 
     #[test]
     fn parameter_propagation_along_edges() {
         let db = db();
-        let (set, page) = page_with_edge();
-        let registry = ServiceRegistry::standard();
+        let set = page_with_edge();
         let mut params = ParamMap::new();
         params.insert("volume".into(), Value::Integer(1));
-        let r = compute_page(&set, &page, &params, &ParamMap::new(), &registry, &db, None).unwrap();
-        assert_eq!(r.beans.len(), 2);
-        assert_eq!(r.beans["unit1"].row_count(), 2); // volume 1 has 2 issues
+        let r = compute_page0(&set, &params, &ParamMap::new(), &db, None);
+        assert_eq!(r.units.len(), 2);
+        assert_eq!(r.units[1].bean.row_count(), 2); // volume 1 has 2 issues
         assert_eq!(r.computed, 2);
     }
 
     #[test]
     fn bean_cache_skips_queries_on_hit() {
         let db = db();
-        let (mut set, page) = page_with_edge();
+        let mut set = page_with_edge();
         for u in &mut set.units {
             u.cache = Some(CacheDescriptor {
                 ttl_ms: None,
                 invalidate_on_write: true,
             });
         }
-        let registry = ServiceRegistry::standard();
         let cache: BeanCache<UnitBean> = BeanCache::new(64);
         let mut params = ParamMap::new();
         params.insert("volume".into(), Value::Integer(1));
         let before = db.statements_executed();
-        let r1 = compute_page(
-            &set,
-            &page,
-            &params,
-            &ParamMap::new(),
-            &registry,
-            &db,
-            Some(&cache),
-        )
-        .unwrap();
+        let r1 = compute_page0(&set, &params, &ParamMap::new(), &db, Some(&cache));
         assert_eq!(r1.cache_hits, 0);
         let mid = db.statements_executed();
         assert!(mid > before);
-        let r2 = compute_page(
-            &set,
-            &page,
-            &params,
-            &ParamMap::new(),
-            &registry,
-            &db,
-            Some(&cache),
-        )
-        .unwrap();
+        let r2 = compute_page0(&set, &params, &ParamMap::new(), &db, Some(&cache));
         assert_eq!(r2.cache_hits, 2);
         assert_eq!(r2.computed, 0);
         // no new queries: the whole point of the business-tier cache (§6)
         assert_eq!(db.statements_executed(), mid);
-        assert_eq!(r2.beans["unit1"].row_count(), 2);
+        assert_eq!(r2.units[1].bean.row_count(), 2);
     }
 
     #[test]
     fn cache_keys_distinguish_parameters() {
         let db = db();
-        let (mut set, page) = page_with_edge();
+        let mut set = page_with_edge();
         for u in &mut set.units {
             u.cache = Some(CacheDescriptor {
                 ttl_ms: None,
                 invalidate_on_write: true,
             });
         }
-        let registry = ServiceRegistry::standard();
         let cache: BeanCache<UnitBean> = BeanCache::new(64);
         for volume in [1i64, 2, 1, 2] {
             let mut params = ParamMap::new();
             params.insert("volume".into(), Value::Integer(volume));
-            let r = compute_page(
-                &set,
-                &page,
-                &params,
-                &ParamMap::new(),
-                &registry,
-                &db,
-                Some(&cache),
-            )
-            .unwrap();
+            let r = compute_page0(&set, &params, &ParamMap::new(), &db, Some(&cache));
             let expected = if volume == 1 { 2 } else { 1 };
-            assert_eq!(r.beans["unit1"].row_count(), expected);
+            assert_eq!(r.units[1].bean.row_count(), expected);
         }
         let s = cache.stats();
         assert_eq!(s.hits, 4); // second pass over both volumes
@@ -406,27 +336,17 @@ mod tests {
     #[test]
     fn entity_invalidation_forces_recompute() {
         let db = db();
-        let (mut set, page) = page_with_edge();
+        let mut set = page_with_edge();
         for u in &mut set.units {
             u.cache = Some(CacheDescriptor {
                 ttl_ms: None,
                 invalidate_on_write: true,
             });
         }
-        let registry = ServiceRegistry::standard();
         let cache: BeanCache<UnitBean> = BeanCache::new(64);
         let mut params = ParamMap::new();
         params.insert("volume".into(), Value::Integer(1));
-        compute_page(
-            &set,
-            &page,
-            &params,
-            &ParamMap::new(),
-            &registry,
-            &db,
-            Some(&cache),
-        )
-        .unwrap();
+        compute_page0(&set, &params, &ParamMap::new(), &db, Some(&cache));
         // a write to issue invalidates the index unit's bean but not the
         // volume data unit's
         db.execute(
@@ -435,19 +355,10 @@ mod tests {
         )
         .unwrap();
         cache.invalidate_entity("issue");
-        let r = compute_page(
-            &set,
-            &page,
-            &params,
-            &ParamMap::new(),
-            &registry,
-            &db,
-            Some(&cache),
-        )
-        .unwrap();
+        let r = compute_page0(&set, &params, &ParamMap::new(), &db, Some(&cache));
         assert_eq!(r.cache_hits, 1); // volume data still cached
         assert_eq!(r.computed, 1); // index recomputed
-        assert_eq!(r.beans["unit1"].row_count(), 3); // fresh content
+        assert_eq!(r.units[1].bean.row_count(), 3); // fresh content
     }
 
     #[test]
@@ -475,23 +386,13 @@ mod tests {
         };
         let set = DescriptorSet {
             units: vec![u],
-            pages: vec![page.clone()],
+            pages: vec![page],
             operations: vec![],
             controller: ControllerConfig::default(),
         };
-        let registry = ServiceRegistry::standard();
         let mut session = ParamMap::new();
         session.insert("favourite".into(), Value::Integer(2));
-        let r = compute_page(
-            &set,
-            &page,
-            &ParamMap::new(),
-            &session,
-            &registry,
-            &db,
-            None,
-        )
-        .unwrap();
-        assert_eq!(r.beans["unit0"].propagated_oid(), Some(2));
+        let r = compute_page0(&set, &ParamMap::new(), &session, &db, None);
+        assert_eq!(r.units[0].bean.propagated_oid(), Some(2));
     }
 }

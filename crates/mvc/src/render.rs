@@ -9,7 +9,7 @@
 use crate::beans::{BeanRow, NestedBeanRow, UnitBean};
 use crate::request::build_url;
 use crate::services::ParamMap;
-use descriptors::{DescriptorSet, PageDescriptor, ParamBinding, UnitDescriptor, UnitLinkSpec};
+use descriptors::{PageDescriptor, ParamBinding, UnitDescriptor, UnitLinkSpec};
 use presentation::{
     AnchorRef, ContentBody, ContentRow, FormContent, FormField, NestedRow, Pager, UnitContent,
 };
@@ -64,16 +64,18 @@ fn nested_rows(rows: &[NestedBeanRow], link: Option<&UnitLinkSpec>) -> Vec<Neste
 
 /// Convert a computed bean into renderable content.
 ///
-/// `request_params` feeds pager links and form hidden fields so navigation
-/// preserves page context.
+/// `links` are the navigable links leaving this unit, `page_url` the URL
+/// of its page. `request_params` feeds the scroller's pager links so
+/// paging preserves page context — the one place markup embeds the raw
+/// request (the page plan keys such fragments on it).
 pub fn unit_content(
     desc: &UnitDescriptor,
-    page: &PageDescriptor,
+    links: &[UnitLinkSpec],
+    page_url: &str,
     bean: &UnitBean,
     request_params: &ParamMap,
 ) -> UnitContent {
-    let links: Vec<&UnitLinkSpec> = page.links.iter().filter(|l| l.from == desc.id).collect();
-    let primary = links.first().copied();
+    let primary = links.first();
     let mut actions = Vec::new();
 
     let body = match bean {
@@ -81,7 +83,7 @@ pub fn unit_content(
             // unit-level actions: every outgoing link of a data unit,
             // parameterised by its single instance
             if let Some(r) = row {
-                for l in &links {
+                for l in links {
                     actions.push(AnchorRef {
                         href: row_href(l, r),
                         label: if l.label.is_empty() {
@@ -117,7 +119,7 @@ pub fn unit_content(
         UnitBean::Form => {
             let action = primary
                 .map(|l| l.target_url.clone())
-                .unwrap_or_else(|| page.url.clone());
+                .unwrap_or_else(|| page_url.to_string());
             // fields named after the link parameters they feed, so the
             // target receives them under the names it expects
             let mut fields = Vec::new();
@@ -186,7 +188,7 @@ pub fn unit_content(
                     .map(|(k, v)| (k.clone(), v.render()))
                     .collect();
                 params.push(("block_offset".into(), off.to_string()));
-                build_url(&page.url, &params)
+                build_url(page_url, &params)
             };
             Some(Pager {
                 prev: (offset > 0).then(|| mk(offset.saturating_sub(block))),
@@ -211,18 +213,16 @@ pub fn unit_content(
     }
 }
 
-/// Global navigation of a site view: its landmark pages.
+/// Global navigation of a site view — `landmarks` are its landmark pages
+/// — as seen from the page `current`. Depends only on (site view, page),
+/// so the page plan renders it once at deploy.
 ///
 /// Renders into one reused buffer: every landmark appends in place via
 /// [`presentation::escape_html_into`] instead of minting per-row `format!`
 /// temporaries (the allocation-churn bug this renderer used to have).
-pub fn navigation_html(set: &DescriptorSet, site_view: &str, current: &str) -> String {
+pub fn navigation_html(landmarks: &[&PageDescriptor], current: &str) -> String {
     let mut out = String::from("<nav class=\"landmarks\">");
-    for p in set
-        .pages
-        .iter()
-        .filter(|p| p.site_view == site_view && p.landmark)
-    {
+    for p in landmarks {
         if p.id == current {
             out.push_str("<span class=\"current\">");
             presentation::escape_html_into(&mut out, &p.name);
@@ -242,7 +242,7 @@ pub fn navigation_html(set: &DescriptorSet, site_view: &str, current: &str) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use descriptors::{ControllerConfig, FieldSpec, QuerySpec};
+    use descriptors::{FieldSpec, QuerySpec};
 
     fn page(links: Vec<UnitLinkSpec>) -> PageDescriptor {
         PageDescriptor {
@@ -317,7 +317,7 @@ mod tests {
             rows: vec![row(1, "a"), row(2, "b")],
             total: 2,
         };
-        let c = unit_content(&d, &p, &bean, &ParamMap::new());
+        let c = unit_content(&d, &p.links, &p.url, &bean, &ParamMap::new());
         let ContentBody::Rows(rows) = &c.body else {
             panic!()
         };
@@ -336,7 +336,7 @@ mod tests {
             rows: vec![row(5, "x")],
             total: 1,
         };
-        let c = unit_content(&d, &p, &bean, &ParamMap::new());
+        let c = unit_content(&d, &p.links, &p.url, &bean, &ParamMap::new());
         let ContentBody::Rows(rows) = &c.body else {
             panic!()
         };
@@ -348,7 +348,7 @@ mod tests {
         let d = desc("data");
         let p = page(vec![link(vec![oid_param()])]);
         let bean = UnitBean::Single(Some(row(7, "TODS")));
-        let c = unit_content(&d, &p, &bean, &ParamMap::new());
+        let c = unit_content(&d, &p.links, &p.url, &bean, &ParamMap::new());
         assert_eq!(c.actions.len(), 1);
         assert_eq!(c.actions[0].href, "/sv/detail?item=7");
         let ContentBody::Single(fields) = &c.body else {
@@ -368,7 +368,7 @@ mod tests {
                 children: vec![],
             }],
         }]);
-        let c = unit_content(&d, &p, &bean, &ParamMap::new());
+        let c = unit_content(&d, &p.links, &p.url, &bean, &ParamMap::new());
         let ContentBody::Nested(rows) = &c.body else {
             panic!()
         };
@@ -393,7 +393,7 @@ mod tests {
             source_kind: "field".into(),
             source: "keyword".into(),
         }])]);
-        let c = unit_content(&d, &p, &UnitBean::Form, &ParamMap::new());
+        let c = unit_content(&d, &p.links, &p.url, &UnitBean::Form, &ParamMap::new());
         let ContentBody::Form(f) = &c.body else {
             panic!()
         };
@@ -415,7 +415,7 @@ mod tests {
         let mut params = ParamMap::new();
         params.insert("block_offset".into(), Value::Integer(10));
         params.insert("category".into(), Value::Text("notebooks".into()));
-        let c = unit_content(&d, &p, &bean, &params);
+        let c = unit_content(&d, &p.links, &p.url, &bean, &params);
         let pager = c.pager.unwrap();
         assert_eq!(pager.position, "11-20 of 25");
         assert!(pager.prev.unwrap().contains("block_offset=0"));
@@ -433,13 +433,7 @@ mod tests {
         p2.name = "Other".into();
         p2.url = "/sv/other".into();
         p2.landmark = true;
-        let set = DescriptorSet {
-            units: vec![],
-            pages: vec![p1, p2],
-            operations: vec![],
-            controller: ControllerConfig::default(),
-        };
-        let nav = navigation_html(&set, "sv", "page0");
+        let nav = navigation_html(&[&p1, &p2], "page0");
         assert!(nav.contains("<span class=\"current\">P</span>"));
         assert!(nav.contains("<a href=\"/sv/other\">Other</a>"));
     }
@@ -460,17 +454,12 @@ mod tests {
                 p
             })
             .collect();
-        let set = DescriptorSet {
-            units: vec![],
-            pages,
-            operations: vec![],
-            controller: ControllerConfig::default(),
-        };
+        let pages: Vec<&PageDescriptor> = pages.iter().collect();
         // warm-up outside the measured window (lazy runtime init)
-        let warm = navigation_html(&set, "sv", "page0");
+        let warm = navigation_html(&pages, "page0");
         assert!(warm.contains("Page &amp; 31"));
         let (allocs, nav) =
-            crate::alloc_counter::allocations_during(|| navigation_html(&set, "sv", "page0"));
+            crate::alloc_counter::allocations_during(|| navigation_html(&pages, "page0"));
         assert_eq!(nav, warm);
         assert!(
             allocs < landmarks,

@@ -21,8 +21,9 @@ use std::sync::Arc;
 /// Parameters flowing into a unit or operation computation.
 pub type ParamMap = BTreeMap<String, Value>;
 
-/// Stable fingerprint of a parameter map (bean-cache keys).
-pub fn fingerprint(params: &ParamMap) -> String {
+/// Stable `k=v&…` fingerprint of parameters in the order given (sorted by
+/// name for a [`ParamMap`]) — the `params` of bean and fragment keys.
+pub fn fingerprint<'a>(params: impl IntoIterator<Item = (&'a String, &'a Value)>) -> String {
     let mut s = String::new();
     for (k, v) in params {
         s.push_str(k);

@@ -15,7 +15,6 @@
 //! the LSN watermark written on the leader is visible to every replica
 //! controller resolving the same cookie.
 
-use descriptors::ActionKind;
 use mvc::{Controller, WebRequest, WebResponse};
 use relstore::Value;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -76,14 +75,7 @@ impl Router {
     /// Is `path` a write (operation chain) under the leader's descriptor
     /// set? Unknown paths count as reads; the leader serves their 404.
     fn is_write(&self, path: &str) -> bool {
-        matches!(
-            self.leader
-                .descriptor_set()
-                .controller
-                .resolve(path)
-                .map(|m| &m.kind),
-            Some(ActionKind::Operation { .. })
-        )
+        self.leader.is_operation(path)
     }
 
     /// The LSN this session must not read below (its last write), from

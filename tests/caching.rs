@@ -6,7 +6,10 @@ use std::time::Duration;
 use webml_ratio::mvc::{RuntimeOptions, WebRequest, WebResponse};
 use webml_ratio::relstore::Params;
 use webml_ratio::repl::{deploy_replicated, Replica};
-use webml_ratio::webratio::{fixtures, DeployOptions, Deployment, DurabilityConfig};
+use webml_ratio::webratio::{
+    fixtures, seed_data, synthesize, Application, DeployOptions, Deployment, DurabilityConfig,
+    SynthSpec,
+};
 
 fn options(bean: bool, fragment: bool, ttl: Duration) -> RuntimeOptions {
     RuntimeOptions {
@@ -130,14 +133,93 @@ fn cache_configs_agree_on_read_only_content() {
     assert!(bodies.windows(2).all(|w| w[0] == w[1]));
 }
 
+/// One application under the write schedule of
+/// [`assert_matches_cold_recompute`].
+struct Subject {
+    app: Application,
+    /// Puts the same rows into a warm leader's and the reference's store.
+    seed: fn(&Application, &Deployment),
+    /// `(draw, draw)` → a request to a generated create operation.
+    insert: fn(&Deployment, u64, u64) -> WebRequest,
+    /// Table and text column the direct SQL writes hit.
+    table: &'static str,
+    column: &'static str,
+    /// Pages compared after every step: each page plain and as the URL
+    /// variants whose parameters no unit reads or an automatic link
+    /// overrides — the variants share fragments, and must still be right.
+    reads: fn(&Deployment) -> Vec<WebRequest>,
+}
+
+/// The two-page bookstore: a cached index and an entry unit on the home
+/// page, an uncached key-probe data unit on the detail page.
+fn bookstore() -> Subject {
+    Subject {
+        app: fixtures::bookstore(),
+        seed: |_, _| {},
+        insert: |d, a, b| {
+            WebRequest::get(&d.generated.descriptors.operations[0].url)
+                .with_param("title", format!("Book {}", a % 400))
+                .with_param("price", format!("{}.5", b % 90 + 1))
+        },
+        table: "book",
+        column: "title",
+        reads: |d| {
+            let home = d.home_url("store").unwrap();
+            let detail = &d.generated.descriptors.pages[1].url;
+            let mut reads = vec![
+                WebRequest::get(&home),
+                WebRequest::get(&home).with_param("oid", "3"),
+            ];
+            reads.extend(
+                (1..=4).map(|oid| WebRequest::get(detail).with_param("oid", oid.to_string())),
+            );
+            reads
+        },
+    }
+}
+
+/// A small Acer-Euro-shape application: every page has an index whose
+/// automatic links feed the selectors of data units, related indexes and
+/// trees — so `?sel…=5` names a row the page does not show.
+fn synthetic() -> Subject {
+    Subject {
+        app: synthesize(&SynthSpec::scaled(10, 6)),
+        seed: |app, d| seed_data(app, &d.db, 12, 7),
+        insert: |d, a, _| {
+            WebRequest::get(&d.generated.descriptors.operations[0].url)
+                .with_param("name", format!("Created {}", a % 400))
+        },
+        table: "entity0",
+        column: "name",
+        reads: |d| {
+            let set = &d.generated.descriptors;
+            let mut reads = Vec::new();
+            for page in &set.pages {
+                reads.push(WebRequest::get(&page.url));
+                let inputs = page
+                    .units
+                    .iter()
+                    .filter_map(|u| set.unit(u))
+                    .flat_map(|u| u.queries.iter().flat_map(|q| q.inputs.iter()))
+                    // bound by the unit services themselves, not by requests
+                    .filter(|input| *input != "block_limit" && *input != "parent");
+                reads.extend(inputs.map(|input| WebRequest::get(&page.url).with_param(input, "5")));
+            }
+            reads
+        },
+    }
+}
+
 /// Drive one seeded write schedule (operation-driven inserts plus direct
 /// SQL updates and deletes on the leader's store) against a warm
 /// deployment and a cacheless single-node reference; after every step,
 /// once the log is flushed and every replica has applied it, each warm
-/// node must serve the home page byte-identical to the reference.
-/// `warm` is the deployment's front door (the router, when replicated).
+/// node must serve every page of `subject.reads` byte-identical to the
+/// reference. `warm` is the deployment's front door (the router, when
+/// replicated).
 fn assert_matches_cold_recompute(
     label: &str,
+    subject: &Subject,
     incremental: bool,
     leader: &Deployment,
     replicas: &[Arc<Replica>],
@@ -155,11 +237,14 @@ fn assert_matches_cold_recompute(
         state
     };
 
-    let cold = fixtures::bookstore()
+    let cold = subject
+        .app
         .deploy(options(false, false, Duration::from_secs(3600)))
         .unwrap();
-    let home = leader.home_url("store").unwrap();
-    let op = leader.generated.descriptors.operations[0].url.clone();
+    (subject.seed)(&subject.app, leader);
+    (subject.seed)(&subject.app, &cold);
+    let reads = (subject.reads)(leader);
+    let (table, column) = (subject.table, subject.column);
     let wal = leader.wal.as_ref().unwrap();
 
     for step in 0..40u64 {
@@ -167,9 +252,7 @@ fn assert_matches_cold_recompute(
             0 => {
                 // insert through the generated operation on both apps;
                 // autoincrement keeps the oid spaces aligned
-                let req = WebRequest::get(&op)
-                    .with_param("title", format!("Book {}", next() % 400))
-                    .with_param("price", format!("{}.5", next() % 90 + 1));
+                let req = (subject.insert)(leader, next(), next());
                 assert_eq!(warm(&req).status, 200);
                 assert_eq!(cold.handle(&req).status, 200);
             }
@@ -177,12 +260,12 @@ fn assert_matches_cold_recompute(
                 let sql = if kind == 1 {
                     // in-place edit of a (possibly absent) row — the patch path
                     format!(
-                        "UPDATE book SET title = 'Rev {step}.{}' WHERE oid = {}",
+                        "UPDATE {table} SET {column} = 'Rev {step}.{}' WHERE oid = {}",
                         next() % 100,
                         next() % 40 + 1
                     )
                 } else {
-                    format!("DELETE FROM book WHERE oid = {}", next() % 40 + 1)
+                    format!("DELETE FROM {table} WHERE oid = {}", next() % 40 + 1)
                 };
                 leader.db.execute(&sql, &Params::new()).unwrap();
                 cold.db.execute(&sql, &Params::new()).unwrap();
@@ -194,14 +277,17 @@ fn assert_matches_cold_recompute(
         }
         // after every op each warm node must agree with cold recompute
         // (anonymous reads round-robin over the replicas)
-        let c = cold.handle(&WebRequest::get(&home));
-        for _ in 0..replicas.len().max(1) {
-            let w = warm(&WebRequest::get(&home));
-            assert_eq!(w.status, 200);
-            assert_eq!(
-                w.body, c.body,
-                "{label}: warm cache diverged from recompute at step {step} (seed {seed})"
-            );
+        for read in &reads {
+            let c = cold.handle(read);
+            for _ in 0..replicas.len().max(1) {
+                let w = warm(read);
+                assert_eq!(w.status, 200);
+                assert_eq!(
+                    w.body, c.body,
+                    "{label}: warm cache diverged from recompute on {} {:?} at step {step} (seed {seed})",
+                    read.path, read.params
+                );
+            }
         }
     }
     // the schedule must actually exercise the warm path: beans were hit,
@@ -219,6 +305,14 @@ fn assert_matches_cold_recompute(
     if !incremental {
         assert_eq!(maint.patches_applied.get(), 0, "{label}: patched a bean");
     }
+    // where fragments are cached, URL variants must have shared them and
+    // writes must have dirtied some
+    if incremental {
+        assert!(
+            leader.obs.fragment_cache.hits.get() > 0 && maint.fragment_rerenders.get() > 0,
+            "{label}: schedule never hit or re-rendered a fragment"
+        );
+    }
     for r in replicas {
         assert!(leader.obs.repl.reads_for(r.name()) > 0, "{} idle", r.name());
     }
@@ -230,12 +324,26 @@ fn assert_matches_cold_recompute(
 /// re-rendered only when dirty under `incremental_maintenance`, dependent
 /// beans dropped row-granularly without it — serves pages byte-identical
 /// to a cacheless deployment recomputing from scratch, on a single node
-/// and on every replica behind the router. Override the schedule with
+/// and on every replica behind the router, for the bookstore and (single
+/// node, fragments cached) for a synthetic application whose selectors are
+/// fed by automatic links. Override the schedule with
 /// `RELSTORE_STRESS_SEED`.
 #[test]
 fn maintained_cache_matches_cold_recompute() {
-    for (replicas, incremental) in [(0, false), (0, true), (2, false), (2, true)] {
-        let label = format!("{replicas} replicas, incremental_maintenance={incremental}");
+    type Arm = (fn() -> Subject, usize, bool);
+    let arms: [Arm; 5] = [
+        (bookstore, 0, false),
+        (bookstore, 0, true),
+        (bookstore, 2, false),
+        (bookstore, 2, true),
+        (synthetic, 0, true),
+    ];
+    for (subject, replicas, incremental) in arms {
+        let subject = subject();
+        let label = format!(
+            "{}, {replicas} replicas, incremental_maintenance={incremental}",
+            subject.app.name
+        );
         let dir = webml_ratio::wal::TempDir::new("maint-prop").unwrap();
         let mut durability = DurabilityConfig::new(dir.path());
         durability.incremental_maintenance = incremental;
@@ -246,17 +354,22 @@ fn maintained_cache_matches_cold_recompute() {
         // fragment (the §6 limitation), so only the maintained arms cache them
         let runtime = options(true, incremental, Duration::from_secs(3600));
         if replicas == 0 {
-            let warm = fixtures::bookstore()
-                .deploy_durable(runtime, &durability)
-                .unwrap();
-            assert_matches_cold_recompute(&label, incremental, &warm, &[], &|req| warm.handle(req));
+            let warm = subject.app.deploy_durable(runtime, &durability).unwrap();
+            assert_matches_cold_recompute(&label, &subject, incremental, &warm, &[], &|req| {
+                warm.handle(req)
+            });
         } else {
             let mut deploy = DeployOptions::default().with_replicas(replicas);
             deploy.runtime = runtime;
-            let rd = deploy_replicated(&fixtures::bookstore(), deploy, &durability).unwrap();
-            assert_matches_cold_recompute(&label, incremental, &rd.leader, &rd.replicas, &|req| {
-                rd.handle(req)
-            });
+            let rd = deploy_replicated(&subject.app, deploy, &durability).unwrap();
+            assert_matches_cold_recompute(
+                &label,
+                &subject,
+                incremental,
+                &rd.leader,
+                &rd.replicas,
+                &|req| rd.handle(req),
+            );
         }
     }
 }

@@ -109,9 +109,12 @@ fn build_app() -> Application {
 #[test]
 fn plugin_unit_and_operation_serve_end_to_end() {
     let app = build_app();
+    let mut options = DeployOptions::default();
+    options.runtime.fragment_cache = true;
+    options.runtime.fragment_ttl = std::time::Duration::from_secs(3600);
     let d = app
         .assemble(
-            DeployOptions::default(),
+            options,
             None,
             Some(&|parts| {
                 parts
@@ -134,6 +137,10 @@ fn plugin_unit_and_operation_serve_end_to_end() {
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert!(resp.body.contains("Weather in Milano"));
     assert!(resp.body.contains("Buy servers"));
+    // a plug-in unit declares no inputs, so its cached fragment is keyed
+    // on every parameter it could have read
+    let resp = d.handle(&WebRequest::get("/workflow/dashboard").with_param("city", "Roma"));
+    assert!(resp.body.contains("Weather in Roma"), "{}", resp.body);
 
     // the plug-in operation executes and forwards
     let op_url = d.generated.descriptors.operations[0].url.clone();

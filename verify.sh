@@ -18,6 +18,15 @@ cargo run --release --example analyze > /dev/null
 echo "== bench_e2e smoke (the pinned product API: builds against this workspace; four workloads, correct pages, names checked against BENCHMARK.json)"
 cargo run --release --offline --manifest-path bench_e2e/Cargo.toml -- --smoke
 
+echo "== bench_e2e counter gate: URL variants of a page share its fragments (traced browse_warm at smoke length)"
+cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- \
+  --workload browse_warm --seed 1 --trace 1 --seconds 1 --min-beyond 0 | tail -n 1 | python3 -c '
+import json, sys
+run = json.load(sys.stdin)
+failed, hit = run["failed"], run["metrics"]["cache.fragment_hit_ratio"]["value"]
+print(f"failed={failed} cache.fragment_hit_ratio={hit:.2f} (gate: 0 failed, ratio > 0.3)")
+sys.exit(0 if failed == 0 and hit > 0.3 else 1)'
+
 echo "== MVCC seeded-schedule stress (snapshot-isolation properties under three seeds)"
 for seed in 1 20030108 "${RELSTORE_STRESS_SEED:-3224275387}"; do
   RELSTORE_STRESS_SEED="$seed" \
