@@ -122,6 +122,9 @@ struct Entry {
     /// Monotonically bumped per key: each re-render of the same fragment
     /// (after its unit's bean changed) increments it. Starts at 1.
     version: u64,
+    /// Read since it was queued for eviction: the sweep passes it over
+    /// once (second chance) instead of evicting it.
+    touched: bool,
 }
 
 /// Sentinel bucket for entries whose fingerprint has no numeric binding
@@ -221,9 +224,11 @@ impl Inner {
 ///
 /// Like [`crate::bean::BeanCache`], the key space is hash-partitioned over
 /// N lock stripes so concurrent template rendering no longer serializes
-/// behind one global mutex; small caches stay on a single stripe with
-/// exact FIFO/LRU semantics, and `invalidate_template` sweeps every
-/// stripe.
+/// behind one global mutex; small caches stay on a single stripe, and
+/// `invalidate_template` sweeps every stripe. A full stripe evicts first
+/// in, first out, passing over once any entry read since it was queued
+/// (second chance): a hit costs a flag store, and fragments that are
+/// written once per URL and never read cannot flush the shared ones.
 pub struct FragmentCache {
     stripes: Vec<Mutex<Inner>>,
     clock: AtomicU64,
@@ -296,7 +301,7 @@ impl FragmentCache {
 
     pub fn get_at(&self, key: &FragmentKey, now: Instant) -> Option<Arc<[u8]>> {
         let mut inner = self.lock_probed(self.stripe(key));
-        match inner.entries.get(key) {
+        match inner.entries.get_mut(key) {
             None => {
                 self.stats.miss();
                 None
@@ -311,6 +316,7 @@ impl FragmentCache {
                 None
             }
             Some(e) => {
+                e.touched = true;
                 self.stats.hit();
                 Some(Arc::clone(&e.markup))
             }
@@ -380,13 +386,23 @@ impl FragmentCache {
             None => inner.dirty.remove(&key),
         };
         while inner.entries.len() >= inner.capacity {
-            let Some((stamp, victim)) = inner.order.iter().next().map(|(s, k)| (*s, k.clone()))
-            else {
+            let Some((stamp, victim)) = inner.order.pop_first() else {
                 break;
             };
-            inner.order.remove(&stamp);
-            inner.entries.remove(&victim);
             inner.index_remove(&victim, stamp);
+            // second chance: an entry read since it was queued goes to the
+            // back of the queue once, so fragments that are written and
+            // never read again (one per URL for a request-embedding unit)
+            // age out ahead of the ones every page variant shares
+            if let Some(e) = inner.entries.get_mut(&victim).filter(|e| e.touched) {
+                let requeued = self.clock.fetch_add(1, Ordering::Relaxed);
+                e.touched = false;
+                e.stamp = requeued;
+                inner.index_insert(&victim, requeued);
+                inner.order.insert(requeued, victim);
+                continue;
+            }
+            inner.entries.remove(&victim);
             self.stats.eviction();
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
@@ -398,6 +414,7 @@ impl FragmentCache {
                 expires: now + self.default_ttl,
                 stamp,
                 version,
+                touched: false,
             },
         );
         inner.index_insert(&key, stamp);
@@ -636,6 +653,32 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert!(c.get(&FragmentKey::new("t", "1", "")).is_none());
         assert_eq!(c.stats().evictions, 1);
+    }
+
+    /// A fragment that was read since it was queued is passed over once:
+    /// markup written per URL and never read again (a request-embedding
+    /// unit's) cannot flush the fragments every URL variant shares.
+    #[test]
+    fn capacity_eviction_gives_read_fragments_a_second_chance() {
+        let c = FragmentCache::new(3, Duration::from_secs(60));
+        let shared = FragmentKey::new("t", "index", "");
+        c.put(shared.clone(), "shared".into());
+        for url in 0..20 {
+            assert!(c.get(&shared).is_some(), "flushed by put #{url}");
+            let one_shot = FragmentKey::keyed("t", "scroller", "", "", format!("o={url}"));
+            c.put(one_shot, "pager".into());
+        }
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.stats().evictions, 18);
+        // the chance is spent by the sweep that granted it: once the reads
+        // stop, the fragment is evicted like any other
+        for url in 20..23 {
+            c.put(
+                FragmentKey::keyed("t", "scroller", "", "", format!("o={url}")),
+                "pager".into(),
+            );
+        }
+        assert!(c.get(&shared).is_none());
     }
 
     /// Pins how the three removal paths interact and how each is
