@@ -7,12 +7,14 @@
 //! the defect.
 //!
 //! Code spaces:
-//! * `WVxxx` — local, per-construct validation ([`webml::validate`]);
+//! * `WVxxx` — local, per-construct validation ([`webml::validate()`]);
 //! * `AZ0xx` — link-parameter dataflow (pass 1);
 //! * `AZ1xx` — cache-invalidation soundness (pass 2);
 //! * `AZ2xx` — descriptor/model cross-checks (pass 3);
 //! * `AZ3xx` — query-plan quality advisories (pass 4);
-//! * `AZ4xx` — distribution safety under replicas/shards (passes 5–7);
+//! * `AZ4xx` — distribution safety under read replicas (passes 6–7; codes
+//!   start at `AZ404` and are never renumbered: they label the
+//!   `analyze_distribution_total{code}` metric);
 //! * `AZ5xx` — incremental-maintenance coverage (pass 8).
 
 use std::collections::BTreeMap;
@@ -55,15 +57,6 @@ pub const AZ301: &str = "AZ301";
 /// AZ302: a `LIKE` selector cannot use an equality index; the unit scans
 /// its whole table per request (plan-quality advisory).
 pub const AZ302: &str = "AZ302";
-/// AZ401: a generated statement is statically unroutable under the
-/// derived sharding — it would 500 at runtime.
-pub const AZ401: &str = "AZ401";
-/// AZ402: a hot unit access path scatter-gathers across every shard even
-/// though the table has a single-shard access path (warning).
-pub const AZ402: &str = "AZ402";
-/// AZ403: an entity's derived shard key matches none of its access paths —
-/// selector-only access breaks co-partitioning (warning).
-pub const AZ403: &str = "AZ403";
 /// AZ404: a page directly on an operation's OK/KO chain reads the
 /// operation's write-set but is served replica-side without a session
 /// floor (stale read-your-writes, error).
@@ -101,9 +94,6 @@ pub fn describe(code: &str) -> &'static str {
         AZ204 => "controller/bundle mismatch",
         AZ301 => "hot unit query has no usable index (full-scan join)",
         AZ302 => "LIKE selector forces a per-request table scan",
-        AZ401 => "statement unroutable under the derived sharding (would 500)",
-        AZ402 => "hot unit access path scatter-gathers despite a shard-key path",
-        AZ403 => "entity's derived shard key matches no access path",
         AZ404 => "post-operation page may read stale data replica-side",
         AZ405 => "transitively reachable page may read stale data replica-side",
         AZ406 => "operations from one site view contend on the same rows",

@@ -1,210 +1,48 @@
-//! Passes 5–7 — distribution safety under replicas and shards.
+//! Passes 6–7 — distribution safety under read replicas.
 //!
-//! PR 7's replication/partitioning layer reintroduced failure classes the
-//! model-level analyzer could not see: statements the sharded store
-//! rejects at runtime, post-operation reads served replica-side without a
-//! read-your-writes floor, and write-write contention between operations
-//! of one site view. All three are *derivable from the models plus the
-//! deployment topology*, so they belong in the deploy gate, not in
-//! production logs:
+//! Log-shipping replicas reintroduced failure classes the model-level
+//! analyzer could not see: post-operation reads served replica-side
+//! without a read-your-writes floor, and write-write contention between
+//! operations of one site view. Both are *derivable from the models plus
+//! the replica count*, so they belong in the deploy gate, not in
+//! production logs. Both passes run only when `replicas ≥ 1`:
 //!
-//! * **Pass 5 — shard routability** (`AZ401`–`AZ403`, needs `shards ≥ 2`):
-//!   every generated statement is lowered against
-//!   [`codegen::derive_shard_keys`] through the *same* classifier the
-//!   runtime dispatches on ([`crate::routing`]), so an `AZ401` error is a
-//!   proof that the statement would 500. `AZ402` warns when a unit query
-//!   probes a selective column of a table that *has* a shard-key access
-//!   path but doesn't use it (per-request scatter-gather on a hot path);
-//!   `AZ403` warns when an entity's derived shard key matches none of its
-//!   access paths — every access is selector-driven and co-partitioning
-//!   buys nothing.
-//! * **Pass 6 — read-your-writes coverage** (`AZ404`/`AZ405`, needs
-//!   `replicas ≥ 1`): the router's session floor only covers requests that
-//!   carry a session. A page whose descriptor drops its site view's
-//!   protection is served to sessionless clients — if such a page sits on
-//!   an operation's OK/KO chain and reads the operation's write-set, the
-//!   user who just wrote can be routed to a replica that has not applied
-//!   the write (`AZ404` error); pages only transitively reachable from the
-//!   chain get the advisory form (`AZ405`).
-//! * **Pass 7 — conflict hotspots** (`AZ406`, any distribution): two
-//!   non-create operations reachable from the same site view that update
-//!   the same table contend on a non-disjoint key space; under MVCC the
-//!   loser's request dies with `WriteConflict` (first-writer-wins churn).
+//! * **Pass 6 — read-your-writes coverage** (`AZ404`/`AZ405`): the
+//!   router's session floor only covers requests that carry a session. A
+//!   page whose descriptor drops its site view's protection is served to
+//!   sessionless clients — if such a page sits on an operation's OK/KO
+//!   chain and reads the operation's write-set, the user who just wrote
+//!   can be routed to a replica that has not applied the write (`AZ404`
+//!   error); pages only transitively reachable from the chain get the
+//!   advisory form (`AZ405`).
+//! * **Pass 7 — conflict hotspots** (`AZ406`): two non-create operations
+//!   reachable from the same site view that update the same table contend
+//!   on a non-disjoint key space; under MVCC the loser's request dies with
+//!   `WriteConflict` (first-writer-wins churn).
 
-use crate::diag::{Diagnostic, AZ401, AZ402, AZ403, AZ404, AZ405, AZ406};
+use crate::diag::{Diagnostic, AZ404, AZ405, AZ406};
 use crate::ir::{EdgeKind, NavIr, NodeKind};
-use crate::routing::{self, SelectRouting, ShardKeyMap};
 use codegen::{operation_id, page_id, QueryGen};
 use descriptors::DescriptorSet;
 use er::{ErModel, RelationalMapping};
-use relstore::sql::ast::Statement;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use webml::{HypertextModel, OperationKind};
 
-/// The deployment shape the passes reason about — the analyzer-visible
-/// slice of `DeployOptions`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Topology {
-    pub replicas: usize,
-    pub shards: usize,
-}
-
-impl Topology {
-    /// Data is partitioned: shard routability matters.
-    pub fn sharded(&self) -> bool {
-        self.shards >= 2
-    }
-
-    /// Reads may be served by a lagging replica: RYW coverage matters.
-    pub fn replicated(&self) -> bool {
-        self.replicas > 0
-    }
-
-    /// Any distribution at all: write-write contention is amplified.
-    pub fn distributed(&self) -> bool {
-        self.sharded() || self.replicated()
-    }
-}
-
-/// Run the distribution passes that `topo` makes relevant.
+/// Run the distribution passes for a deploy with `replicas` read
+/// replicas; a single store (`replicas == 0`) has nothing to check.
 pub fn check(
     er: &ErModel,
     mapping: &RelationalMapping,
     ht: &HypertextModel,
     set: &DescriptorSet,
     ir: &NavIr,
-    topo: &Topology,
+    replicas: usize,
 ) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if topo.sharded() {
-        out.extend(shard_routability(er, mapping, ht, set));
+    if replicas == 0 {
+        return Vec::new();
     }
-    if topo.replicated() {
-        out.extend(ryw_coverage(er, mapping, ht, set, ir));
-    }
-    if topo.distributed() {
-        out.extend(conflict_hotspots(er, mapping, ht, set, ir));
-    }
-    out
-}
-
-/// Diagnostic location of a unit descriptor.
-fn unit_location(set: &DescriptorSet, unit: &descriptors::UnitDescriptor) -> String {
-    match set.page(&unit.page) {
-        Some(p) => format!("{}/{}/{}", p.site_view, p.name, unit.name),
-        None => unit.name.clone(),
-    }
-}
-
-/// Pass 5: classify every generated statement with the shared classifier.
-fn shard_routability(
-    er: &ErModel,
-    mapping: &RelationalMapping,
-    ht: &HypertextModel,
-    set: &DescriptorSet,
-) -> Vec<Diagnostic> {
-    let keys = ShardKeyMap::new(&codegen::derive_shard_keys(er, mapping, ht));
-    let mut out = Vec::new();
-
-    // tables with at least one single-shard unit access path, and the
-    // fan-out unit queries that probe selective columns without the key
-    let mut keyed_tables: BTreeSet<String> = BTreeSet::new();
-    struct ProbedFanout {
-        location: String,
-        table: String,
-        columns: Vec<String>,
-    }
-    let mut probed: Vec<ProbedFanout> = Vec::new();
-
-    for u in &set.units {
-        let location = unit_location(set, u);
-        for q in &u.queries {
-            let Ok(stmt) = relstore::parse_statement(&q.sql) else {
-                continue; // non-SQL (plug-in) queries are not ours to judge
-            };
-            if let Err(unroutable) = routing::classify(&q.sql, &stmt, &keys) {
-                out.push(Diagnostic::error(AZ401, &location, unroutable.explain()));
-                continue;
-            }
-            let Statement::Select(sel) = &stmt else {
-                continue;
-            };
-            let Some(from) = &sel.from else { continue };
-            let table = from.base.table.to_lowercase();
-            match routing::select_routing(sel, &keys) {
-                Ok(SelectRouting::SingleShard(_)) => {
-                    keyed_tables.insert(table);
-                }
-                Ok(SelectRouting::FanoutMerge | SelectRouting::FanoutCount) => {
-                    let columns = sel
-                        .where_clause
-                        .as_ref()
-                        .map(|w| routing::probed_columns(w, from.base.binding()))
-                        .unwrap_or_default();
-                    if !columns.is_empty() {
-                        probed.push(ProbedFanout {
-                            location: location.clone(),
-                            table,
-                            columns,
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    for o in &set.operations {
-        if let Some(sql) = &o.sql {
-            if let Ok(stmt) = relstore::parse_statement(sql) {
-                if let Err(unroutable) = routing::classify(sql, &stmt, &keys) {
-                    out.push(Diagnostic::error(AZ401, &o.name, unroutable.explain()));
-                }
-            }
-        }
-    }
-
-    // AZ402: the table has a shard-key path, this access just isn't it.
-    // AZ403: the table has *no* shard-key path — one table-level finding
-    // (the per-query AZ402 form would only repeat it per access).
-    let mut keyless: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for p in &probed {
-        if keyed_tables.contains(&p.table) {
-            out.push(Diagnostic::warning(
-                AZ402,
-                &p.location,
-                format!(
-                    "unit query probes column(s) {} of table \"{}\" (sharded by \"{}\") without \
-                     the shard key: every request scatter-gathers across all shards",
-                    p.columns
-                        .iter()
-                        .map(|c| format!("\"{c}\""))
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    p.table,
-                    keys.key_of(&p.table),
-                ),
-            ));
-        } else {
-            keyless
-                .entry(p.table.clone())
-                .or_default()
-                .push(p.location.clone());
-        }
-    }
-    for (table, locations) in keyless {
-        out.push(Diagnostic::warning(
-            AZ403,
-            &table,
-            format!(
-                "table \"{}\" is sharded by \"{}\" but no unit access path routes by it — \
-                 selector-only access breaks co-partitioning; scatter-gathering unit(s): {}",
-                table,
-                keys.key_of(&table),
-                locations.join(", "),
-            ),
-        ));
-    }
+    let mut out = ryw_coverage(er, mapping, ht, set, ir);
+    out.extend(conflict_hotspots(er, mapping, ht, set, ir));
     out
 }
 

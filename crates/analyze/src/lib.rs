@@ -28,18 +28,12 @@ pub mod invalidation;
 pub mod ir;
 pub mod maintenance;
 pub mod plan;
-pub mod routing;
 
 pub use diag::{
     describe, Diagnostic, IrStats, Report, Severity, AZ001, AZ002, AZ003, AZ004, AZ101, AZ102,
-    AZ103, AZ104, AZ201, AZ202, AZ203, AZ204, AZ301, AZ302, AZ401, AZ402, AZ403, AZ404, AZ405,
-    AZ406, AZ501, AZ502,
+    AZ103, AZ104, AZ201, AZ202, AZ203, AZ204, AZ301, AZ302, AZ404, AZ405, AZ406, AZ501, AZ502,
 };
-pub use distribution::Topology;
 pub use ir::{lower, NavIr};
-pub use routing::{
-    DmlRouting, InsertRouting, RejectRule, SelectRouting, ShardKeyMap, Unroutable, Verdict,
-};
 
 use descriptors::DescriptorSet;
 use er::{ErModel, RelationalMapping};
@@ -58,27 +52,26 @@ pub enum Gate {
 }
 
 /// Run the whole-application analysis: validator findings (`WVxxx`) plus
-/// the global passes (`AZ0xx`–`AZ3xx`), deduplicated and sorted. For a
-/// topology-aware run (replicas/shards) use [`analyze_deployment`].
+/// the global passes (`AZ0xx`–`AZ3xx`, `AZ5xx`), deduplicated and sorted.
+/// For a replicated deploy use [`analyze_deployment`].
 pub fn analyze(
     er: &ErModel,
     mapping: &RelationalMapping,
     ht: &HypertextModel,
     set: &DescriptorSet,
 ) -> Report {
-    analyze_deployment(er, mapping, ht, set, &Topology::default())
+    analyze_deployment(er, mapping, ht, set, 0)
 }
 
-/// [`analyze`] plus the distribution-safety passes (`AZ4xx`) that the
-/// deployment topology makes relevant: shard routability when `shards ≥
-/// 2`, read-your-writes coverage when `replicas ≥ 1`, conflict hotspots
-/// under any distribution. A single-node topology reduces to [`analyze`].
+/// [`analyze`] plus, when `replicas ≥ 1`, the distribution-safety passes
+/// (`AZ4xx`: read-your-writes coverage and conflict hotspots). A single
+/// store (`replicas == 0`) reduces to [`analyze`].
 pub fn analyze_deployment(
     er: &ErModel,
     mapping: &RelationalMapping,
     ht: &HypertextModel,
     set: &DescriptorSet,
-    topo: &Topology,
+    replicas: usize,
 ) -> Report {
     let mut report = Report::default();
     for issue in webml::validate(er, ht) {
@@ -94,7 +87,7 @@ pub fn analyze_deployment(
     report.diagnostics.extend(plan::check(er, mapping, ht));
     report
         .diagnostics
-        .extend(distribution::check(er, mapping, ht, set, &ir, topo));
+        .extend(distribution::check(er, mapping, ht, set, &ir, replicas));
     report.diagnostics.extend(maintenance::check(set));
     report.finish();
     report

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use analyze::{analyze, analyze_deployment, Report, Severity, Topology};
+use analyze::{analyze, analyze_deployment, Report, Severity};
 use descriptors::{CacheDescriptor, DescriptorSet, UnitLinkSpec};
 use er::{AttrType, Attribute, ErModel, RelationalMapping};
 use webml::{
@@ -359,13 +359,14 @@ fn az204_controller_mapping_missing() {
 
 // ---- AZ4xx: distribution safety --------------------------------------------
 
-fn run_dist(f: &Fixture, topo: Topology) -> Report {
-    analyze_deployment(&f.er, &f.mapping, &f.ht, &f.set, &topo)
+/// Every distribution pass runs at one replica.
+fn run_dist(f: &Fixture) -> Report {
+    analyze_deployment(&f.er, &f.mapping, &f.ht, &f.set, 1)
 }
 
 /// Like [`assert_exactly`], against the topology-aware entry point.
-fn assert_exactly_dist(f: &Fixture, topo: Topology, code: &str, severity: Severity) {
-    let report = run_dist(f, topo);
+fn assert_exactly_dist(f: &Fixture, code: &str, severity: Severity) {
+    let report = run_dist(f);
     let codes: BTreeSet<&str> = report.diagnostics.iter().map(|d| d.code).collect();
     assert_eq!(
         codes,
@@ -380,11 +381,6 @@ fn assert_exactly_dist(f: &Fixture, topo: Topology, code: &str, severity: Severi
     );
 }
 
-const REPLICATED_SHARDED: Topology = Topology {
-    replicas: 1,
-    shards: 3,
-};
-
 #[test]
 fn distribution_baselines_are_clean() {
     // (the `deletes` variant is deliberately absent: its second writer IS
@@ -397,70 +393,13 @@ fn distribution_baselines_are_clean() {
         },
     ] {
         let f = library_variant(v);
-        let report = run_dist(&f, REPLICATED_SHARDED);
+        let report = run_dist(&f);
         assert!(
             report.diagnostics.is_empty(),
-            "variant baseline must be silent under replicas+shards:\n{}",
+            "variant baseline must be silent under replicas:\n{}",
             report.render_text("baseline")
         );
     }
-}
-
-#[test]
-fn az401_statement_unroutable_under_sharding() {
-    // a hand-"optimized" unit query with a cross-shard GROUP BY: fine on
-    // one store, a guaranteed 500 on a sharded deploy
-    let mut f = library();
-    let data = unit_id_by_name(&f.set, "BookData");
-    f.set.unit_mut(&data).unwrap().queries[0].sql =
-        "SELECT t.title, COUNT(*) FROM book t GROUP BY t.title".into();
-    assert_exactly_dist(
-        &f,
-        Topology {
-            replicas: 0,
-            shards: 3,
-        },
-        analyze::AZ401,
-        Severity::Error,
-    );
-}
-
-#[test]
-fn az402_scatter_gather_beside_a_keyed_path() {
-    // the index probes a selective non-key column while BookData still
-    // routes by the shard key: the probe fans out on every request
-    let mut f = library();
-    let books = unit_id_by_name(&f.set, "Books");
-    f.set.unit_mut(&books).unwrap().queries[0].sql =
-        "SELECT t.oid, t.title FROM book t WHERE t.title = :q ORDER BY t.title".into();
-    assert_exactly_dist(
-        &f,
-        Topology {
-            replicas: 0,
-            shards: 3,
-        },
-        analyze::AZ402,
-        Severity::Warning,
-    );
-}
-
-#[test]
-fn az403_no_access_path_uses_the_shard_key() {
-    // the only selective access to book probes title, not the key: the
-    // derived partitioning helps no query at all
-    let mut f = library();
-    let data = unit_id_by_name(&f.set, "BookData");
-    f.set.unit_mut(&data).unwrap().queries[0].sql =
-        "SELECT t.oid, t.title, t.price FROM book t WHERE t.title = :book".into();
-    assert_exactly_dist(
-        &f,
-        Topology {
-            replicas: 0,
-            shards: 3,
-        },
-        analyze::AZ403,
-        Severity::Warning,
-    );
 }
 
 #[test]
@@ -478,15 +417,7 @@ fn az404_chain_target_loses_its_session_floor() {
         .find(|p| p.name == "Home")
         .unwrap()
         .protected = false;
-    assert_exactly_dist(
-        &f,
-        Topology {
-            replicas: 1,
-            shards: 0,
-        },
-        analyze::AZ404,
-        Severity::Error,
-    );
+    assert_exactly_dist(&f, analyze::AZ404, Severity::Error);
 }
 
 #[test]
@@ -503,15 +434,7 @@ fn az405_transitive_read_loses_its_session_floor() {
         .find(|p| p.name == "Detail")
         .unwrap()
         .protected = false;
-    assert_exactly_dist(
-        &f,
-        Topology {
-            replicas: 1,
-            shards: 0,
-        },
-        analyze::AZ405,
-        Severity::Warning,
-    );
+    assert_exactly_dist(&f, analyze::AZ405, Severity::Warning);
 }
 
 #[test]
@@ -522,29 +445,36 @@ fn az406_two_writers_contend_on_one_table() {
         deletes: true,
         ..Variant::default()
     });
-    assert_exactly_dist(&f, REPLICATED_SHARDED, analyze::AZ406, Severity::Warning);
+    assert_exactly_dist(&f, analyze::AZ406, Severity::Warning);
 }
 
 #[test]
 fn interleaved_pass_families_stay_sorted_and_deduped() {
-    // one deploy, defects in two pass families: AZ102 (invalidation) and
-    // AZ401 (distribution) must land in one stable, errors-first report
-    let mut f = library();
+    // one deploy, error defects in two pass families: AZ102 (invalidation)
+    // and AZ404 (distribution) must land in one stable, errors-first report
+    let mut f = library_variant(Variant {
+        protected: true,
+        ..Variant::default()
+    });
     f.set.operations[0].invalidates.clear();
-    let data = unit_id_by_name(&f.set, "BookData");
-    f.set.unit_mut(&data).unwrap().queries[0].sql =
-        "SELECT t.title, COUNT(*) FROM book t GROUP BY t.title".into();
+    f.set
+        .pages
+        .iter_mut()
+        .find(|p| p.name == "Home")
+        .unwrap()
+        .protected = false;
 
-    let a = run_dist(&f, REPLICATED_SHARDED);
-    let b = run_dist(&f, REPLICATED_SHARDED);
+    let a = run_dist(&f);
+    let b = run_dist(&f);
     assert_eq!(
         a.diagnostics, b.diagnostics,
         "repeated runs must render identically"
     );
-    assert_eq!(a.codes(), vec![analyze::AZ102, analyze::AZ401]);
+    assert_eq!(a.codes(), vec![analyze::AZ102, analyze::AZ404]);
     // errors first, then code order — AZ1xx sorts ahead of AZ4xx
+    assert!(a.diagnostics.iter().all(|d| d.severity == Severity::Error));
     assert_eq!(a.diagnostics[0].code, analyze::AZ102);
-    assert_eq!(a.diagnostics.last().unwrap().code, analyze::AZ401);
+    assert_eq!(a.diagnostics.last().unwrap().code, analyze::AZ404);
     // dedup across families: no (code, location, message) repeats
     let mut seen = BTreeSet::new();
     for d in &a.diagnostics {

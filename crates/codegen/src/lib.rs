@@ -23,7 +23,6 @@ pub mod generate;
 pub mod indexes;
 pub mod project;
 pub mod queries;
-pub mod shards;
 pub mod stats;
 
 pub use baseline::{
@@ -36,5 +35,4 @@ pub use generate::{
 pub use indexes::{derive_indexes, DerivedIndex};
 pub use project::{load_project, project_from_xml, project_to_xml, save_project};
 pub use queries::{GenError, QueryGen};
-pub use shards::{derive_shard_keys, ShardKey};
 pub use stats::{ArchitectureComparison, CategoryStats};

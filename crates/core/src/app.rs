@@ -105,7 +105,7 @@ impl Application {
     ///
     /// 1. Generate the artifacts, once.
     /// 2. Analysis gate: unless `options.analysis` is `Off`, analyze for
-    ///    the requested topology and — at [`analyze::Gate::Deny`] — refuse
+    ///    the requested replica count and — at [`analyze::Gate::Deny`] — refuse
     ///    a model with Error-severity findings *before* any durable side
     ///    effect. The report is counted into the metrics
     ///    (`analyze_diagnostics_total{code,severity}`,
@@ -200,10 +200,7 @@ impl Application {
             &self.mapping,
             &self.hypertext,
             &generated.descriptors,
-            &analyze::Topology {
-                replicas: options.replicas,
-                shards: options.shards,
-            },
+            options.replicas,
         );
         registry.analyze.runs.inc();
         registry
@@ -309,7 +306,7 @@ pub fn assemble_node(generated: &Generated, spec: NodeSpec<'_>) -> Result<Contro
 
 /// Runtime configuration plus the static-analysis gate level (defaults to
 /// [`analyze::Gate::Deny`] — an unsound model is rejected before it
-/// serves traffic) and the topology.
+/// serves traffic) and the replica count.
 #[derive(Debug, Clone, Default)]
 pub struct DeployOptions {
     pub runtime: RuntimeOptions,
@@ -317,9 +314,6 @@ pub struct DeployOptions {
     /// Log-shipping read replicas behind the routing tier (0 = a single
     /// store). Built by `repl::deploy_replicated`; analyzed everywhere.
     pub replicas: usize,
-    /// Hash partitions for the data tier (0 or 1 = unsharded). Built by
-    /// `repl::deploy_replicated`; analyzed everywhere.
-    pub shards: usize,
 }
 
 impl DeployOptions {
@@ -340,12 +334,6 @@ impl DeployOptions {
     /// Ask for `n` log-shipping read replicas.
     pub fn with_replicas(mut self, n: usize) -> DeployOptions {
         self.replicas = n;
-        self
-    }
-
-    /// Ask for `n` hash partitions.
-    pub fn with_shards(mut self, n: usize) -> DeployOptions {
-        self.shards = n;
         self
     }
 }

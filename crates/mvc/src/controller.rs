@@ -42,18 +42,22 @@ pub enum StylingMode {
     Runtime,
 }
 
-/// Runtime configuration of a deployed application.
+/// Beans the business-tier cache holds before it evicts.
+pub const BEAN_CACHE_CAPACITY: usize = 4096;
+/// Fragments the markup cache holds before it evicts.
+pub const FRAGMENT_CAPACITY: usize = 4096;
+
+/// Runtime configuration of a deployed application. Idle sessions expire
+/// after [`DEFAULT_SESSION_TTL`].
 #[derive(Debug, Clone)]
 pub struct RuntimeOptions {
-    /// Enable the business-tier bean cache (§6, level 2).
+    /// Enable the business-tier bean cache (§6, level 2) of
+    /// [`BEAN_CACHE_CAPACITY`] entries.
     pub bean_cache: bool,
-    pub bean_cache_capacity: usize,
-    /// Enable the ESI-like fragment cache (§6, level 1).
+    /// Enable the ESI-like fragment cache (§6, level 1) of
+    /// [`FRAGMENT_CAPACITY`] entries.
     pub fragment_cache: bool,
     pub fragment_ttl: Duration,
-    pub fragment_capacity: usize,
-    /// Idle sessions older than this are expired (TTL sweep).
-    pub session_ttl: Duration,
     pub styling: StylingMode,
     /// `Some(n)`: deploy business services in the application server with
     /// `n` clones (Fig. 6); `None`: in-process.
@@ -68,11 +72,8 @@ impl Default for RuntimeOptions {
     fn default() -> RuntimeOptions {
         RuntimeOptions {
             bean_cache: true,
-            bean_cache_capacity: 4096,
             fragment_cache: false,
             fragment_ttl: Duration::from_secs(1),
-            fragment_capacity: 4096,
-            session_ttl: DEFAULT_SESSION_TTL,
             styling: StylingMode::CompileTime,
             app_server_clones: None,
             conditional_get: false,
@@ -189,20 +190,20 @@ impl Controller {
         } = parts;
         let sessions = sessions.unwrap_or_else(|| {
             Arc::new(SessionManager::with_config(
-                options.session_ttl,
+                DEFAULT_SESSION_TTL,
                 Arc::clone(&observability.sessions_expired),
             ))
         });
         let plan = Arc::new(SitePlan::build(set, &services));
         let bean_cache = options.bean_cache.then(|| {
             Arc::new(BeanCache::with_stats(
-                options.bean_cache_capacity,
+                BEAN_CACHE_CAPACITY,
                 webcache::CacheStats::shared(Arc::clone(&observability.bean_cache)),
             ))
         });
         let fragment_cache = options.fragment_cache.then(|| {
             Arc::new(FragmentCache::with_stats(
-                options.fragment_capacity,
+                FRAGMENT_CAPACITY,
                 options.fragment_ttl,
                 webcache::CacheStats::shared(Arc::clone(&observability.fragment_cache)),
             ))

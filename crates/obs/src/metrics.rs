@@ -272,7 +272,7 @@ pub struct AnalyzeCounters {
     diagnostics: Mutex<BTreeMap<(String, String), u64>>,
     /// Distribution-safety findings (`AZ4xx`) keyed by code — rendered as
     /// the labelled `analyze_distribution_total{code}` family, split out
-    /// from `diagnostics` so replicated/sharded deploys are monitorable
+    /// from `diagnostics` so replicated deploys are monitorable
     /// on their own.
     distribution: Mutex<BTreeMap<String, u64>>,
     /// Wall time of one whole-model analysis, in µs.
@@ -414,7 +414,7 @@ pub struct ReplicaGauges {
     pub lag_lsn: Gauge,
 }
 
-/// The counter block the replication/partitioning tier reports into:
+/// The counter block the replication tier reports into:
 /// routing decisions, shipped batches, and per-replica lag.
 #[derive(Debug, Default)]
 pub struct ReplCounters {
@@ -425,7 +425,7 @@ pub struct ReplCounters {
     pub batches_applied: Counter,
     /// Change batches skipped as duplicates (reconnect replay overlap).
     pub batches_duplicate: Counter,
-    /// Reads routed per target (`leader`, `replica-0`, `shard-1`, ...) —
+    /// Reads routed per target (`leader`, `replica-0`, ...) —
     /// rendered as the labelled `repl_reads_total{target}` family.
     reads: Mutex<BTreeMap<String, u64>>,
     /// Per-replica progress gauges, keyed by replica name.
@@ -502,7 +502,7 @@ pub struct MetricsRegistry {
     pub http: Arc<HttpCounters>,
     /// Incremental cache-maintenance counters (`webcache::maintain`).
     pub maint: Arc<MaintCounters>,
-    /// Replication/partitioning tier counters (`repl`).
+    /// Replication tier counters (`repl`).
     pub repl: Arc<ReplCounters>,
     /// Sessions evicted by the TTL sweep (`mvc::SessionManager` holds a
     /// clone of this counter).
@@ -898,7 +898,7 @@ impl MetricsRegistry {
         // the name even before the first routed read
         let _ = writeln!(
             out,
-            "# HELP repl_reads_total Reads routed per target (leader, replica-N, shard-N)"
+            "# HELP repl_reads_total Reads routed per target (leader, replica-N)"
         );
         let _ = writeln!(out, "# TYPE repl_reads_total counter");
         for (target, v) in self.repl.read_counts() {
@@ -1039,12 +1039,12 @@ mod tests {
         let reg = MetricsRegistry::new();
         let empty = reg.render_prometheus();
         assert!(empty.contains("# TYPE analyze_distribution_total counter"));
-        reg.analyze.record_distribution("AZ401", 1);
-        reg.analyze.record_distribution("AZ402", 2);
-        reg.analyze.record_distribution("AZ401", 1);
+        reg.analyze.record_distribution("AZ404", 1);
+        reg.analyze.record_distribution("AZ406", 2);
+        reg.analyze.record_distribution("AZ404", 1);
         let text = reg.render_prometheus();
-        assert!(text.contains("analyze_distribution_total{code=\"AZ401\"} 2"));
-        assert!(text.contains("analyze_distribution_total{code=\"AZ402\"} 2"));
+        assert!(text.contains("analyze_distribution_total{code=\"AZ404\"} 2"));
+        assert!(text.contains("analyze_distribution_total{code=\"AZ406\"} 2"));
         assert_eq!(reg.analyze.distribution_counts().len(), 2);
     }
 

@@ -316,8 +316,7 @@ impl Database {
     }
 
     /// Resolve `sql` once at deploy time and return the shared plan, so
-    /// the prepare is never paid on a request. Holders of the returned
-    /// `Arc` can skip the lookup too ([`Database::execute_prepared`]).
+    /// the prepare is never paid on a request.
     pub fn pin_plan(&self, sql: &str) -> Result<Arc<Statement>> {
         let (stmt, hit) = self.cached_plan(sql)?;
         if !hit {
@@ -335,22 +334,6 @@ impl Database {
     pub fn execute(&self, sql: &str, params: &Params) -> Result<ExecResult> {
         let stmt = self.prepare(sql)?;
         self.execute_stmt(&stmt, params)
-    }
-
-    /// Execute a pre-resolved plan (from [`Database::pin_plan`]) without any
-    /// cache lookup. Counted as a plan-cache hit: the prepare was paid once
-    /// at deploy time.
-    pub fn execute_prepared(&self, stmt: &Arc<Statement>, params: &Params) -> Result<ExecResult> {
-        self.counters.plan_cache_hits.inc();
-        self.execute_stmt(stmt, params)
-    }
-
-    /// [`Database::execute_prepared`] specialised to SELECTs.
-    pub fn query_prepared(&self, stmt: &Arc<Statement>, params: &Params) -> Result<ResultSet> {
-        match self.execute_prepared(stmt, params)? {
-            ExecResult::Rows(r) => Ok(r),
-            ExecResult::Affected(_) => Err(Error::Unsupported("query() on a non-SELECT".into())),
-        }
     }
 
     /// Execute a prepared statement in autocommit mode.
@@ -1022,12 +1005,6 @@ mod tests {
         assert!(Arc::ptr_eq(&plan, &db.prepare(sql).unwrap()));
         assert_eq!(db.counters().prepares.get(), prepares);
         assert_eq!(db.counters().plan_cache_hits.get(), hits + 1);
-        // execute_prepared skips lookup entirely and still counts a hit
-        let rs = db
-            .query_prepared(&plan, &Params::new().bind("y", 2002))
-            .unwrap();
-        assert_eq!(rs.len(), 1);
-        assert_eq!(db.counters().plan_cache_hits.get(), hits + 2);
     }
 
     #[test]

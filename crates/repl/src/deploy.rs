@@ -1,10 +1,10 @@
-//! Deploy wiring: one application, a leader, N replicas, M shards.
+//! Deploy wiring: one application, a leader, N replicas.
 //!
-//! [`deploy_replicated`] honors `webratio::DeployOptions::{replicas,
-//! shards}`: the leader deploys durably (its WAL is the replication log),
-//! each replica bootstraps by recovering the leader's snapshot + log into
-//! its own store, then subscribes to the durable batch stream via
-//! [`Wal::replay_from`] — the hole between "recovered to LSN x" and
+//! [`deploy_replicated`] honors `webratio::DeployOptions::replicas`: the
+//! leader deploys durably (its WAL is the replication log), each replica
+//! bootstraps by recovering the leader's snapshot + log into its own
+//! store, then subscribes to the durable batch stream via
+//! [`wal::Wal::replay_from`] — the hole between "recovered to LSN x" and
 //! "subscribed" is closed by replaying the tail under the observer lock.
 //! The leader's vacuum horizon is pinned to the slowest replica so MVCC
 //! versions a replica still needs are never reclaimed under it.
@@ -18,19 +18,15 @@ use webratio::{
 
 use crate::router::{ReplicaEndpoint, Router};
 use crate::transport::{InProcessLink, ShippingObserver};
-use crate::{Replica, ShardedStore};
+use crate::Replica;
 
-/// A replicated (and optionally partitioned) deployment.
+/// A replicated deployment.
 pub struct ReplicatedDeployment {
     /// The write side: a plain durable deployment.
     pub leader: Deployment,
     /// The routing tier in front of leader + replicas.
     pub router: Arc<Router>,
     pub replicas: Vec<Arc<Replica>>,
-    /// The partitioned data tier, when `options.shards >= 2`. Runs beside
-    /// the replicated store (shard routing is exercised directly and by
-    /// the bench); folding the controller onto it is future work.
-    pub sharded: Option<ShardedStore>,
 }
 
 impl ReplicatedDeployment {
@@ -41,14 +37,14 @@ impl ReplicatedDeployment {
 }
 
 /// Deploy `app` with `options.replicas` log-shipping read replicas behind
-/// a [`Router`], and — when `options.shards >= 2` — a model-partitioned
-/// [`ShardedStore`] bootstrapped from the same generated DDL.
+/// a [`Router`].
 ///
 /// The leader is `Application::assemble` with `durability` — so the
-/// analysis gate runs for the requested topology (the distribution-safety
-/// passes `AZ4xx` included) and an `AZ401`, or any other Error-severity
-/// finding, refuses the deploy at `Gate::Deny` *before* any durable side
-/// effect; the report lands on `leader.analysis`. Every replica is the
+/// analysis gate runs for the requested replica count (the
+/// distribution-safety passes `AZ4xx` included) and an `AZ404`, or any
+/// other Error-severity finding, refuses the deploy at `Gate::Deny`
+/// *before* any durable side effect; the report lands on
+/// `leader.analysis`. Every replica is the
 /// same node assembly ([`assemble_node`]) over its recovered store, the
 /// leader's session store, and its own applied-batch stream.
 pub fn deploy_replicated(
@@ -121,21 +117,6 @@ pub fn deploy_replicated(
         }));
     }
 
-    let sharded = if options.shards >= 2 {
-        let keys = codegen::derive_shard_keys(&app.er, &app.mapping, &app.hypertext);
-        Some(
-            ShardedStore::bootstrap(
-                options.shards,
-                &generated.ddl,
-                &keys,
-                Arc::clone(&registry.repl),
-            )
-            .map_err(DeployError::Schema)?,
-        )
-    } else {
-        None
-    };
-
     let router = Arc::new(Router::new(
         Arc::clone(&leader.controller),
         Arc::clone(&wal),
@@ -147,6 +128,5 @@ pub fn deploy_replicated(
         leader,
         router,
         replicas,
-        sharded,
     })
 }

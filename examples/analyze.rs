@@ -13,7 +13,7 @@
 //! a paramless link into a keyed detail page, the paper's canonical
 //! modelling slip, reported with its witness path.
 
-use webml_ratio::analyze::{analyze_deployment, Topology};
+use webml_ratio::analyze::analyze_deployment;
 use webml_ratio::webml::LinkEnd;
 use webml_ratio::webratio::{fixtures, synthesize, Application, SynthSpec};
 
@@ -42,13 +42,9 @@ fn main() {
     }
 
     // distribution-safety smoke: the paper fixtures must be deployable —
-    // zero errors — on a replicated, sharded topology. (The synthetic
-    // apps stay out: their operations are deliberately unlinked, which
-    // the per-app analysis above already reports as AZ004.)
-    let topo = Topology {
-        replicas: 1,
-        shards: 3,
-    };
+    // zero errors — behind a read replica. (The synthetic apps stay out:
+    // their operations are deliberately unlinked, which the per-app
+    // analysis above already reports as AZ004.)
     for (name, app) in apps.iter().take(2) {
         let generated = app.generate().expect("generate");
         let report = analyze_deployment(
@@ -56,13 +52,10 @@ fn main() {
             &app.mapping,
             &app.hypertext,
             &generated.descriptors,
-            &topo,
+            1,
         );
         if !json {
-            println!(
-                "{}",
-                report.render_text(&format!("{name} @ replicas=1 shards=3"))
-            );
+            println!("{}", report.render_text(&format!("{name} @ replicas=1")));
         }
         if report.has_errors() {
             failed = true;
@@ -70,22 +63,32 @@ fn main() {
     }
 
     if !json {
-        // what a distribution defect looks like: a cross-shard GROUP BY
-        // smuggled into a generated unit query fires AZ401 and would deny
-        // the deploy at Gate::Deny before any durable side effect
-        let app = fixtures::bookstore();
+        // what a distribution defect looks like: the page CreateBook
+        // forwards to drops its protected site view's flag, so a
+        // sessionless client can read a replica that lags its own write —
+        // AZ404, which would deny the deploy at Gate::Deny before any
+        // durable side effect
+        let mut app = fixtures::bookstore();
+        let (sv, _) = app.hypertext.site_view_by_name("Store").unwrap();
+        app.hypertext.protect_site_view(sv);
         let mut generated = app.generate().expect("generate");
-        let victim = &mut generated.descriptors.units[0].queries[0];
-        victim.sql = "SELECT t.title, COUNT(*) FROM book t GROUP BY t.title".into();
+        for page in &mut generated.descriptors.pages {
+            if page.name == "Books" {
+                page.protected = false;
+            }
+        }
         let report = analyze_deployment(
             &app.er,
             &app.mapping,
             &app.hypertext,
             &generated.descriptors,
-            &topo,
+            1,
         );
         println!("--- for comparison: a seeded distribution defect ---");
-        println!("{}", report.render_text("bookstore+group_by @ shards=3"));
+        println!(
+            "{}",
+            report.render_text("bookstore+unprotected_forward @ replicas=1")
+        );
 
         // what a defect looks like: break the bookstore on purpose
         let mut broken = fixtures::bookstore();

@@ -1,176 +1,19 @@
 //! Distribution-safety analysis, end to end: the AZ4xx passes behind the
-//! `deploy_replicated` gate, the `analyze_distribution_total` metrics
-//! family, and the headline single-source-of-truth property — for every
-//! model-generated statement in every example app, the analyzer's
-//! deploy-time routing verdict equals the sharded store's actual runtime
-//! routing outcome (single-shard / fan-out / rejected), with zero
-//! disagreements.
+//! `deploy_replicated` gate and the `analyze_distribution_total` metrics
+//! family.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use webml_ratio::analyze::routing::{self, ShardKeyMap, Verdict};
-use webml_ratio::analyze::{self, Topology};
-use webml_ratio::codegen;
-use webml_ratio::obs::ReplCounters;
-use webml_ratio::relstore::{parse_statement, Error, Params, Statement, Value};
-use webml_ratio::repl::{deploy_replicated, ShardedStore};
+use webml_ratio::analyze;
+use webml_ratio::repl::deploy_replicated;
 use webml_ratio::wal::TempDir;
-use webml_ratio::webml::LinkEnd;
-use webml_ratio::webratio::{fixtures, Application, DeployError, DeployOptions, DurabilityConfig};
-
-const SHARDS: usize = 3;
+use webml_ratio::webml::{LinkEnd, LinkParam, OperationKind};
+use webml_ratio::webratio::{fixtures, DeployError, DeployOptions, DurabilityConfig};
 
 fn manual(dir: &TempDir) -> DurabilityConfig {
     let mut d = DurabilityConfig::new(dir.path());
     d.group_commit_window = Duration::from_secs(3600);
     d
-}
-
-/// Every generated statement of `app`, with the named inputs it binds and
-/// a label for failure messages.
-fn generated_statements(app: &Application) -> Vec<(String, Vec<String>, String)> {
-    let generated = app.generate().expect("generate");
-    let mut out = Vec::new();
-    for u in &generated.descriptors.units {
-        for q in &u.queries {
-            out.push((
-                q.sql.clone(),
-                q.inputs.clone(),
-                format!("{}/{}", u.name, q.name),
-            ));
-        }
-    }
-    for o in &generated.descriptors.operations {
-        if let Some(sql) = &o.sql {
-            out.push((sql.clone(), o.inputs.clone(), o.name.clone()));
-        }
-    }
-    out
-}
-
-fn bind(inputs: &[String], v: Value) -> Params {
-    let mut p = Params::new();
-    for name in inputs {
-        p.set(name.clone(), v.clone());
-    }
-    p
-}
-
-fn total_reads(counters: &ReplCounters) -> u64 {
-    (0..SHARDS)
-        .map(|i| counters.reads_for(&format!("shard-{i}")))
-        .sum()
-}
-
-fn rows_per_shard(store: &ShardedStore, table: &str) -> Vec<i64> {
-    store
-        .shards()
-        .iter()
-        .map(|db| {
-            let rs = db
-                .query(&format!("SELECT COUNT(*) FROM {table}"), &Params::new())
-                .unwrap();
-            match &rs.rows()[0][0] {
-                Value::Integer(n) => *n,
-                other => panic!("count came back as {other:?}"),
-            }
-        })
-        .collect()
-}
-
-/// The acceptance property: lower every generated statement through the
-/// shared classifier AND execute it against a real sharded store; the
-/// two must agree statement by statement.
-fn assert_classifier_matches_runtime(app: &Application) {
-    let generated = app.generate().expect("generate");
-    let shard_keys = codegen::derive_shard_keys(&app.er, &app.mapping, &app.hypertext);
-    let keys = ShardKeyMap::new(&shard_keys);
-    let counters = Arc::new(ReplCounters::new());
-    let store = ShardedStore::bootstrap(SHARDS, &generated.ddl, &shard_keys, Arc::clone(&counters))
-        .expect("bootstrap");
-
-    let statements = generated_statements(app);
-    assert!(
-        statements.len() >= 3,
-        "property would be vacuous: only {} statements",
-        statements.len()
-    );
-
-    for (sql, inputs, label) in &statements {
-        let stmt = parse_statement(sql).unwrap_or_else(|e| panic!("{label}: parse {sql}: {e}"));
-        let verdict = routing::classify(sql, &stmt, &keys);
-
-        // execute with everything bound; retry with text bindings when an
-        // integer binding trips a non-routing execution error
-        let run = |v: Value| store.execute(sql, &bind(inputs, v));
-        let before = total_reads(&counters);
-        let insert_table = match &stmt {
-            Statement::Insert(i) => Some(i.table.clone()),
-            _ => None,
-        };
-        let counts_before = insert_table.as_deref().map(|t| rows_per_shard(&store, t));
-        let mut outcome = run(Value::Integer(7));
-        if let Err(e) = &outcome {
-            let routing_rejection =
-                matches!(e, Error::Unsupported(m) if m.starts_with("sharding: "));
-            if !routing_rejection {
-                outcome = run(Value::Text("7".into()));
-            }
-        }
-        let reads = total_reads(&counters) - before;
-
-        match (&verdict, &outcome) {
-            // analyzer says unroutable ⇔ runtime rejects with the same
-            // shared "sharding:" explanation
-            (Err(unroutable), Err(Error::Unsupported(msg))) => {
-                assert_eq!(
-                    msg,
-                    &unroutable.explain(),
-                    "{label}: analyzer and runtime must render one explanation"
-                );
-            }
-            (Err(unroutable), other) => panic!(
-                "{label}: analyzer rejects ({}) but runtime ran: {other:?}",
-                unroutable.explain()
-            ),
-            (Ok(v), Err(Error::Unsupported(msg))) if msg.starts_with("sharding: ") => {
-                panic!("{label}: analyzer allows ({v:?}) but runtime rejected: {msg}")
-            }
-            // non-routing execution errors (type mismatches etc.) don't
-            // contradict the routing verdict
-            (Ok(_), Err(_)) => {}
-            (Ok(v), Ok(_)) => {
-                if matches!(stmt, Statement::Select(_)) {
-                    let expect = match v {
-                        Verdict::SingleShard => 1,
-                        Verdict::Fanout => SHARDS as u64,
-                    };
-                    assert_eq!(
-                        reads, expect,
-                        "{label}: verdict {v:?} but {reads} shard reads for {sql}"
-                    );
-                }
-                if let (Verdict::SingleShard, Some(t)) = (v, insert_table.as_deref()) {
-                    let after = rows_per_shard(&store, t);
-                    let changed = counts_before
-                        .as_ref()
-                        .unwrap()
-                        .iter()
-                        .zip(&after)
-                        .filter(|(b, a)| b != a)
-                        .count();
-                    assert_eq!(changed, 1, "{label}: INSERT must land on exactly one shard");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn analyzer_verdict_equals_runtime_routing_for_every_generated_statement() {
-    assert_classifier_matches_runtime(&fixtures::bookstore());
-    assert_classifier_matches_runtime(&fixtures::acm_library());
 }
 
 // ---- the deploy gate -------------------------------------------------------
@@ -190,9 +33,7 @@ fn deny_gate_blocks_replicated_deploy_before_any_durable_side_effect() {
     let dir = TempDir::new("dist-deny").unwrap();
     match deploy_replicated(
         &app,
-        DeployOptions::default()
-            .with_replicas(1)
-            .with_shards(SHARDS),
+        DeployOptions::default().with_replicas(1),
         &manual(&dir),
     ) {
         Err(DeployError::Analysis(report)) => {
@@ -210,36 +51,56 @@ fn deny_gate_blocks_replicated_deploy_before_any_durable_side_effect() {
 
 #[test]
 fn replicated_deploy_attaches_report_and_distribution_metrics() {
-    // acm_library is clean at Deny (no errors) but carries one legitimate
-    // AZ402: the paper detail unit probes paper.oid while papers shard by
-    // issue_oid — a true scatter-gather on a hot path, surfaced not fatal
-    let app = fixtures::acm_library();
+    // seed an AZ406: two deletes of book, one from the list and one from
+    // the detail page of the one site view — contention the gate surfaces
+    // as a warning, not a denial
+    let mut app = fixtures::bookstore();
+    let (sv, _) = app.hypertext.site_view_by_name("Store").unwrap();
+    let (books, _) = app.hypertext.page_by_name(sv, "Books").unwrap();
+    let (detail, _) = app.hypertext.page_by_name(sv, "Book Detail").unwrap();
+    let book = app.er.entity_by_name("Book").unwrap().0;
+    for (name, page) in [("DeleteBook", books), ("PurgeBook", detail)] {
+        let unit = app.hypertext.page(page).units[0];
+        let op = app.hypertext.add_operation(
+            name,
+            OperationKind::Delete { entity: book },
+            vec!["oid".into()],
+        );
+        app.hypertext.link_contextual(
+            LinkEnd::Unit(unit),
+            LinkEnd::Operation(op),
+            name,
+            vec![LinkParam::oid("oid")],
+        );
+        app.hypertext.link_ok(op, LinkEnd::Page(books));
+        app.hypertext.link_ko(op, LinkEnd::Page(books));
+    }
+
     let dir = TempDir::new("dist-metrics").unwrap();
     let rd = deploy_replicated(
         &app,
-        DeployOptions::default()
-            .with_replicas(1)
-            .with_shards(SHARDS),
+        DeployOptions::default().with_replicas(1),
         &manual(&dir),
     )
     .expect("replicated deploy at Deny");
 
     let report = rd.leader.analysis.as_ref().expect("report attached");
-    assert!(report.is_clean(), "{}", report.render_text("acm"));
-    assert!(
-        report.with_code(analyze::AZ402).count() == 1,
-        "expected the paper-detail scatter-gather advisory:\n{}",
-        report.render_text("acm")
+    assert!(report.is_clean(), "{}", report.render_text("bookstore"));
+    assert_eq!(
+        report.codes(),
+        vec![analyze::AZ406],
+        "expected exactly the contention advisory:\n{}",
+        report.render_text("bookstore")
     );
 
     let prom = rd.leader.obs.render_prometheus();
     assert!(prom.contains("analyze_runs_total 1"), "{prom}");
     assert!(
-        prom.contains("analyze_distribution_total{code=\"AZ402\"} 1"),
+        prom.contains("analyze_distribution_total{code=\"AZ406\"} 1"),
         "{prom}"
     );
     assert!(
-        prom.contains("analyze_diagnostics_total{code=\"AZ402\",severity=\"warning\"} 1"),
+        prom.contains("analyze_diagnostics_total{code=\"AZ406\",severity=\"warning\"} 1"),
         "{prom}"
     );
 }
@@ -259,14 +120,11 @@ fn single_node_topology_reduces_to_plain_analysis() {
         &app.mapping,
         &app.hypertext,
         &generated.descriptors,
-        &Topology {
-            replicas: 0,
-            shards: 1,
-        },
+        0,
     );
     assert_eq!(plain.diagnostics, dist.diagnostics);
     assert!(
-        dist.with_code(analyze::AZ402).count() == 0,
-        "no AZ4xx without shards"
+        dist.codes().iter().all(|c| !c.starts_with("AZ4")),
+        "no AZ4xx without replicas"
     );
 }

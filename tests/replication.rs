@@ -1,8 +1,8 @@
-//! Replication + partitioning, end to end: log-shipping replicas behind
-//! the router (read-your-writes, staleness redirects), idempotent
-//! convergence under duplicated/overlapping batch delivery, replica crash
-//! recovery from its own snapshot + log catch-up, model-derived shard
-//! routing, and the leader's vacuum horizon pinned to the slowest replica.
+//! Replication, end to end: log-shipping replicas behind the router
+//! (read-your-writes, staleness redirects), idempotent convergence under
+//! duplicated/overlapping batch delivery, replica crash recovery from its
+//! own snapshot + log catch-up, and the leader's vacuum horizon pinned to
+//! the slowest replica.
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -167,73 +167,6 @@ fn replica_crashes_mid_stream_and_recovers_from_snapshot_plus_catchup() {
         d.db.dump(),
         "recovered replica must be byte-identical to the leader"
     );
-}
-
-#[test]
-fn sharded_store_routes_unit_queries_to_one_shard_and_fans_out_the_rest() {
-    let dir = TempDir::new("repl-shards").unwrap();
-    let app = fixtures::acm_library();
-    let rd = deploy_replicated(&app, DeployOptions::default().with_shards(3), &manual(&dir))
-        .expect("sharded deploy");
-    let sharded = rd.sharded.as_ref().expect("shards requested");
-    let repl = Arc::clone(&rd.leader.obs.repl);
-
-    // the model decided the keys: children co-partition with their parent
-    assert_eq!(sharded.shard_key("issue"), "volume_oid");
-
-    for y in 0..6i64 {
-        sharded
-            .execute(
-                "INSERT INTO volume (title, year) VALUES (?, ?)",
-                &Params::positional([Value::Text(format!("vol {y}")), Value::Integer(1990 + y)]),
-            )
-            .unwrap();
-    }
-    for v in 1..=6i64 {
-        for n in 1..=3i64 {
-            sharded
-                .execute(
-                    "INSERT INTO issue (number, volume_oid) VALUES (?, ?)",
-                    &Params::positional([Value::Integer(n), Value::Integer(v)]),
-                )
-                .unwrap();
-        }
-    }
-
-    let shard_reads = |repl: &webml_ratio::obs::ReplCounters| -> u64 {
-        (0..3).map(|i| repl.reads_for(&format!("shard-{i}"))).sum()
-    };
-
-    // the unit-query hot path (`issue WHERE volume_oid = ?`) is
-    // single-shard by construction
-    let before = shard_reads(&repl);
-    let rs = sharded
-        .query(
-            "SELECT oid, number FROM issue WHERE volume_oid = ? ORDER BY number",
-            &Params::positional([Value::Integer(4)]),
-        )
-        .unwrap();
-    assert_eq!(rs.len(), 3);
-    assert_eq!(shard_reads(&repl) - before, 1, "exactly one shard touched");
-
-    // scatter-gather: global Top-K across all shards, counts add
-    let before = shard_reads(&repl);
-    let rs = sharded
-        .query(
-            "SELECT title, year FROM volume ORDER BY year DESC LIMIT 2",
-            &Params::new(),
-        )
-        .unwrap();
-    assert_eq!(
-        shard_reads(&repl) - before,
-        3,
-        "fan-out touches every shard"
-    );
-    assert_eq!(rs.first("title"), Some(&Value::Text("vol 5".into())));
-    let rs = sharded
-        .query("SELECT COUNT(*) FROM issue", &Params::new())
-        .unwrap();
-    assert_eq!(rs.rows()[0][0], Value::Integer(18));
 }
 
 #[test]

@@ -9,6 +9,9 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (intra-doc links resolve: no dangling or ambiguous names)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+
 echo "== every test of every crate (unit + integration + property suites; tier-1 included)"
 cargo test --workspace --release -q
 
