@@ -65,8 +65,8 @@ pub const AZ404: &str = "AZ404";
 /// from the operation's OK/KO chain (warning).
 pub const AZ405: &str = "AZ405";
 /// AZ406: two operations reachable from the same site view update the
-/// same table's non-disjoint key space — first-writer-wins conflict
-/// churn under MVCC (warning).
+/// same table's non-disjoint key space — concurrent submissions race
+/// last-writer-wins, so one silently loses its update (warning).
 pub const AZ406: &str = "AZ406";
 /// AZ501: a cached unit's query shape is not incrementally maintainable —
 /// under WAL-driven maintenance every dependent write drops and
@@ -96,7 +96,7 @@ pub fn describe(code: &str) -> &'static str {
         AZ302 => "LIKE selector forces a per-request table scan",
         AZ404 => "post-operation page may read stale data replica-side",
         AZ405 => "transitively reachable page may read stale data replica-side",
-        AZ406 => "operations from one site view contend on the same rows",
+        AZ406 => "operations from one site view race on the same rows (lost update)",
         AZ501 => "cached unit's query shape defeats incremental maintenance",
         AZ502 => "cached unit's kind defeats incremental maintenance",
         _ => "model validation finding",

@@ -16,9 +16,10 @@
 //!   error); pages only transitively reachable from the chain get the
 //!   advisory form (`AZ405`).
 //! * **Pass 7 — conflict hotspots** (`AZ406`): two non-create operations
-//!   reachable from the same site view that update the same table contend
-//!   on a non-disjoint key space; under MVCC the loser's request dies with
-//!   `WriteConflict` (first-writer-wins churn).
+//!   reachable from the same site view that update the same table race on
+//!   a non-disjoint key space. Every write holds the storage write lock, so
+//!   neither request fails: the later commit silently overwrites the
+//!   earlier one (last-writer-wins — a lost update).
 
 use crate::diag::{Diagnostic, AZ404, AZ405, AZ406};
 use crate::ir::{EdgeKind, NavIr, NodeKind};
@@ -248,8 +249,8 @@ fn conflict_hotspots(
                 sv,
                 format!(
                     "operations \"{}\" and \"{}\" both update table \"{}\" and are reachable \
-                     from site view \"{}\": concurrent submissions contend on the same rows \
-                     (first-writer-wins WriteConflict churn under MVCC)",
+                     from site view \"{}\": concurrent submissions race on the same rows \
+                     and the last writer silently overwrites the other (lost update)",
                     a.name, b.name, a.table, sv,
                 ),
             ));

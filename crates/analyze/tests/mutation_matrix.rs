@@ -440,7 +440,8 @@ fn az405_transitive_read_loses_its_session_floor() {
 #[test]
 fn az406_two_writers_contend_on_one_table() {
     // DeleteBook (from Home) and PurgeBook (from Detail) both update the
-    // book table from site view "main" — first-writer-wins churn
+    // book table from site view "main" — the later commit overwrites the
+    // earlier one (last-writer-wins lost update)
     let f = library_variant(Variant {
         deletes: true,
         ..Variant::default()

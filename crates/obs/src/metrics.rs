@@ -208,21 +208,12 @@ pub struct DbCounters {
     /// Rows scanned by one SELECT — the per-query distribution behind
     /// the `rows_scanned` total (unitless histogram).
     pub rows_scanned_per_query: Histogram,
-    /// Statements that lost a first-writer-wins race under snapshot
-    /// isolation and surfaced `WriteConflict` to the caller.
+    /// Write conflicts surfaced to a caller. Always 0: every write holds
+    /// the storage write lock, so no write can lose a race to another.
     pub write_conflicts: Counter,
-    /// Row versions reclaimed by MVCC vacuum (superseded below every
-    /// live snapshot's horizon).
-    pub vacuum_reclaimed: Counter,
-    /// Read snapshots currently pinned by open transactions.
-    pub snapshots_active: Gauge,
-    /// Row versions currently held in version chains (visible + pending
-    /// + retained-for-snapshots).
+    /// Rows stored across all tables (one version per row), set at every
+    /// commit.
     pub versions_live: Gauge,
-    /// The low-water LSN the last vacuum pass was allowed to reclaim
-    /// below — min of local pinned snapshots and the external replication
-    /// horizon. 0 until the first vacuum runs.
-    pub vacuum_horizon_lsn: Gauge,
 }
 
 impl DbCounters {
@@ -670,32 +661,14 @@ impl MetricsRegistry {
         counter_into(
             &mut out,
             "db_write_conflicts_total",
-            "Statements that lost a first-writer-wins race under snapshot isolation",
+            "Write conflicts surfaced to callers (always 0: every write holds the storage lock)",
             self.db.write_conflicts.get(),
-        );
-        counter_into(
-            &mut out,
-            "db_vacuum_reclaimed_total",
-            "Row versions reclaimed by MVCC vacuum",
-            self.db.vacuum_reclaimed.get(),
-        );
-        gauge_into(
-            &mut out,
-            "db_snapshots_active",
-            "Read snapshots currently pinned by open transactions",
-            self.db.snapshots_active.get(),
         );
         gauge_into(
             &mut out,
             "db_versions_live",
-            "Row versions currently held in MVCC version chains",
+            "Stored rows across all tables, as of the last commit",
             self.db.versions_live.get(),
-        );
-        gauge_into(
-            &mut out,
-            "db_vacuum_horizon_lsn",
-            "Low-water LSN the last vacuum pass could reclaim below",
-            self.db.vacuum_horizon_lsn.get(),
         );
         counter_into(
             &mut out,
@@ -1113,16 +1086,10 @@ mod tests {
     #[test]
     fn mvcc_counters_render() {
         let reg = MetricsRegistry::new();
-        reg.db.write_conflicts.inc();
-        reg.db.vacuum_reclaimed.add(12);
-        reg.db.snapshots_active.add(3);
-        reg.db.snapshots_active.add(-1);
         reg.db.versions_live.set(42);
         let text = reg.render_prometheus();
-        assert!(text.contains("db_write_conflicts_total 1"));
-        assert!(text.contains("db_vacuum_reclaimed_total 12"));
-        assert!(text.contains("# TYPE db_snapshots_active gauge"));
-        assert!(text.contains("db_snapshots_active 2"));
+        assert!(text.contains("# TYPE db_write_conflicts_total counter"));
+        assert!(text.contains("db_write_conflicts_total 0"));
         assert!(text.contains("# TYPE db_versions_live gauge"));
         assert!(text.contains("db_versions_live 42"));
     }
@@ -1172,7 +1139,6 @@ mod tests {
         let g = reg.repl.replica_gauges("replica-0");
         g.applied_lsn.set(17);
         g.lag_lsn.set(3);
-        reg.db.vacuum_horizon_lsn.set(14);
         let text = reg.render_prometheus();
         assert!(text.contains("repl_reads_total{target=\"leader\"} 1"));
         assert!(text.contains("repl_reads_total{target=\"replica-0\"} 2"));
@@ -1182,7 +1148,6 @@ mod tests {
         assert!(text.contains("repl_batches_duplicate_total 1"));
         assert!(text.contains("repl_applied_lsn{replica=\"replica-0\"} 17"));
         assert!(text.contains("repl_lag_lsn{replica=\"replica-0\"} 3"));
-        assert!(text.contains("db_vacuum_horizon_lsn 14"));
     }
 
     #[test]

@@ -89,9 +89,10 @@ pub trait CommitSink: Send + Sync {
 ///
 /// Values are resolved *backwards*: the value a row had right after an
 /// operation is the `old` image stored by the **next** operation on the
-/// same row, or — for the last operation — the row's current value in
-/// `storage`. This handles insert-then-update-then-delete chains without
-/// ever logging uncommitted intermediates that no longer exist.
+/// same slot, or — for the last operation — the slot's current row in
+/// `storage`. This handles insert-then-update-then-delete chains, and a
+/// delete whose freed slot a later insert reuses, without ever logging
+/// intermediates that no longer exist.
 ///
 /// Rows that vanished entirely (inserted and deleted in the same
 /// transaction) still produce their `Insert`/`Delete` pair so that slot
@@ -142,13 +143,7 @@ pub fn redo_from_undo(storage: &Storage, undo: &[UndoOp]) -> Vec<ChangeRecord> {
 }
 
 fn current_row(storage: &Storage, table: &str, id: RowId) -> Option<Row> {
-    // the newest version in the chain: at commit time the committer's own
-    // versions are still txn-marked, so the committed view won't do
-    storage
-        .tables
-        .get(table)
-        .and_then(|t| t.latest_row(id))
-        .cloned()
+    storage.tables.get(table)?.get(id).cloned()
 }
 
 #[cfg(test)]
@@ -297,23 +292,79 @@ mod tests {
     }
 
     #[test]
-    fn session_commit_emits_once_rollback_never() {
+    fn transaction_commit_emits_once_rollback_never() {
         let (db, sink) = db_with_sink();
-        let db = Arc::new(db);
-        let mut s = crate::Session::new(Arc::clone(&db));
-        s.execute("BEGIN", &Params::new()).unwrap();
-        s.execute("INSERT INTO t (v) VALUES ('a')", &Params::new())
-            .unwrap();
-        s.execute("INSERT INTO t (v) VALUES ('b')", &Params::new())
-            .unwrap();
-        s.execute("COMMIT", &Params::new()).unwrap();
+        db.transaction(|tx| {
+            tx.execute("INSERT INTO t (v) VALUES ('a')", &Params::new())?;
+            tx.execute("INSERT INTO t (v) VALUES ('b')", &Params::new())?;
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(sink.commits.lock().len(), 1);
         assert_eq!(sink.commits.lock()[0].len(), 2);
-        s.execute("BEGIN", &Params::new()).unwrap();
-        s.execute("INSERT INTO t (v) VALUES ('c')", &Params::new())
-            .unwrap();
-        s.execute("ROLLBACK", &Params::new()).unwrap();
+        let r = db.transaction(|tx| -> crate::Result<()> {
+            tx.execute("INSERT INTO t (v) VALUES ('c')", &Params::new())?;
+            Err(crate::Error::Eval("revert".into()))
+        });
+        assert!(r.is_err());
         assert_eq!(sink.commits.lock().len(), 1);
+    }
+
+    /// A transaction may delete a row and insert another into the slot the
+    /// delete freed. Rolled back, the store is exactly as before and the old
+    /// key probes to the old row; committed, its redo batch replays into a
+    /// copy that is physically identical.
+    #[test]
+    fn delete_then_insert_into_the_freed_slot_rolls_back_and_replays() {
+        fn swap(tx: &mut crate::Transaction<'_>) -> crate::Result<()> {
+            tx.execute("DELETE FROM s WHERE k = 1", &Params::new())?;
+            tx.execute("INSERT INTO s (k, v) VALUES (1, 'z')", &Params::new())?;
+            Ok(())
+        }
+        let one = |db: &Database, sql: &str| db.query(sql, &Params::new()).unwrap();
+        let db = Database::new();
+        let sink = Arc::new(Capture::default());
+        db.set_commit_sink(sink.clone(), false);
+        db.execute_script(
+            "CREATE TABLE s (k INTEGER PRIMARY KEY, v TEXT NOT NULL);
+             CREATE INDEX ix_v ON s (v);
+             INSERT INTO s (k, v) VALUES (1, 'a'), (2, 'b');",
+        )
+        .unwrap();
+        let before = db.dump();
+        let batches = sink.commits.lock().len();
+
+        let r = db.transaction(|tx| -> crate::Result<()> {
+            swap(tx)?;
+            Err(crate::Error::Eval("revert".into()))
+        });
+        assert!(r.is_err());
+        assert_eq!(db.dump(), before, "rollback left a trace");
+        assert_eq!(sink.commits.lock().len(), batches);
+        let rs = one(&db, "SELECT v FROM s WHERE k = 1");
+        assert_eq!(rs.len(), 1);
+        assert_eq!(rs.first("v"), Some(&Value::Text("a".into())));
+        let rs = one(&db, "SELECT k FROM s WHERE v = 'a'");
+        assert_eq!(rs.first("k"), Some(&Value::Integer(1)));
+        assert!(one(&db, "SELECT k FROM s WHERE v = 'z'").is_empty());
+
+        db.transaction(swap).unwrap();
+        let commits = sink.commits.lock();
+        match commits.last().unwrap().as_slice() {
+            [ChangeRecord::Delete { row_id: freed, .. }, ChangeRecord::Insert { row_id, .. }] => {
+                assert_eq!(freed, row_id, "the insert must reuse the freed slot")
+            }
+            other => panic!("unexpected records: {other:?}"),
+        }
+        let copy = Database::new();
+        for rec in commits.iter().flatten() {
+            copy.apply_change(rec).unwrap();
+        }
+        assert_eq!(copy.dump(), db.dump());
+        assert_eq!(
+            one(&copy, "SELECT v FROM s WHERE k = 1").first("v"),
+            Some(&Value::Text("z".into()))
+        );
     }
 
     #[test]

@@ -6,18 +6,15 @@ use crate::error::{Error, Result};
 use crate::exec::{run_select_with_stats, SelectStats};
 use crate::expr::Params;
 use crate::result::{ExecResult, ResultSet};
-use crate::sql::ast::Statement;
+use crate::sql::ast::{Select, Statement};
 use crate::sql::parser::{parse_script, parse_statement};
 use crate::storage::{Storage, UndoLog};
-use crate::table::{Snapshot, Table, WriteCtx};
+use crate::table::Table;
 use obs::DbCounters;
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use parking_lot::RwLock;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Commits between inline vacuum sweeps (amortized under the write lock).
-const VACUUM_EVERY: u64 = 64;
 
 /// An installed commit sink plus its durability contract.
 struct CommitHook {
@@ -42,10 +39,10 @@ struct CommitHook {
 /// in an [`obs::DbCounters`] so a deployment can hand every tier one shared
 /// [`obs::MetricsRegistry`].
 ///
-/// Storage is **multi-versioned** (snapshot isolation): rows are version
-/// chains stamped with begin/end commit LSNs minted by the commit path, so
-/// readers under the shared lock see a consistent committed prefix while a
-/// [`crate::Session`] transaction keeps uncommitted versions in place.
+/// Isolation is one storage `RwLock`: a SELECT runs under the read lock;
+/// every autocommit statement and every [`Database::transaction`] closure
+/// runs under the write lock, and the commit sink is called under that same
+/// lock, so the order of the redo stream is the commit order.
 pub struct Database {
     storage: RwLock<Storage>,
     /// The plan cache.
@@ -57,27 +54,7 @@ pub struct Database {
     /// Optional durability hook: receives the redo stream of every committed
     /// transaction, called while the storage write lock is still held.
     sink: RwLock<Option<CommitHook>>,
-    /// The newest commit stamp (version-chain LSN clock). Written only
-    /// under the storage write lock; aligned with the WAL LSN whenever a
-    /// sink is installed (the stamp is `max(clock + 1, sink LSN)`).
-    clock: AtomicU64,
-    /// Transaction-id mint for MVCC writers (0 is the plain-reader id).
-    next_txid: AtomicU64,
-    /// Commit LSNs pinned by open session snapshots (lsn → open count);
-    /// vacuum's low-water mark is the smallest key.
-    pinned_snapshots: Mutex<BTreeMap<u64, usize>>,
-    /// Commits since the last inline vacuum sweep.
-    commits_since_vacuum: AtomicU64,
-    /// Optional external vacuum horizon (replication): vacuum never
-    /// reclaims versions at or above the returned LSN, so a lagging
-    /// replica's readers keep seeing the history they pinned. `None`
-    /// means unconstrained.
-    external_horizon: RwLock<Option<HorizonFn>>,
 }
-
-/// Callback answering "what is the oldest LSN an external consumer (e.g.
-/// a lagging replica) may still need?" — `u64::MAX` for "no constraint".
-pub type HorizonFn = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 impl Default for Database {
     fn default() -> Self {
@@ -99,24 +76,7 @@ impl Database {
             pinned: AtomicUsize::new(0),
             counters,
             sink: RwLock::new(None),
-            clock: AtomicU64::new(0),
-            next_txid: AtomicU64::new(1),
-            pinned_snapshots: Mutex::new(BTreeMap::new()),
-            commits_since_vacuum: AtomicU64::new(0),
-            external_horizon: RwLock::new(None),
         }
-    }
-
-    /// Install an external vacuum-horizon source (replication tier). The
-    /// callback is polled at every vacuum sweep; versions at or above the
-    /// smaller of the local pin horizon and this value survive.
-    pub fn set_vacuum_horizon(&self, source: HorizonFn) {
-        *self.external_horizon.write() = Some(source);
-    }
-
-    /// Remove the external vacuum horizon, if any.
-    pub fn clear_vacuum_horizon(&self) {
-        *self.external_horizon.write() = None;
     }
 
     /// Install a [`CommitSink`] that receives the redo image of every
@@ -135,127 +95,55 @@ impl Database {
         *self.sink.write() = None;
     }
 
-    /// Commit `txid`'s mutations: publish the redo image to the sink (if
-    /// any), then replace the transaction's uncommitted version marks with
-    /// the commit stamp — `max(clock + 1, sink LSN)`, so version stamps
-    /// align with WAL LSNs whenever a sink is installed. Must be called
-    /// with the storage write lock held so the emitted stream and the
-    /// stamp order agree with commit order.
+    /// Commit a transaction's mutations: publish their redo image to the
+    /// sink (if any). Must be called with the storage write lock held so
+    /// the emitted stream agrees with commit order.
     ///
     /// Returns `Some(lsn)` when the caller must wait for durability after
     /// releasing the lock (strict mode).
-    pub(crate) fn commit_locked(
-        &self,
-        storage: &mut Storage,
-        undo: &UndoLog,
-        txid: u64,
-    ) -> Option<u64> {
+    fn commit_locked(&self, storage: &Storage, undo: &UndoLog) -> Option<u64> {
         if undo.is_empty() {
             return None;
         }
         let mut wait = None;
-        let mut sink_lsn = 0u64;
-        {
-            let guard = self.sink.read();
-            if let Some(hook) = guard.as_ref() {
-                let changes = redo_from_undo(storage, undo);
-                if !changes.is_empty() {
-                    let lsn = hook.sink.on_commit(changes);
-                    sink_lsn = lsn;
-                    if hook.strict {
-                        wait = Some(lsn);
-                    }
+        if let Some(hook) = self.sink.read().as_ref() {
+            let changes = redo_from_undo(storage, undo);
+            if !changes.is_empty() {
+                let lsn = hook.sink.on_commit(changes);
+                if hook.strict {
+                    wait = Some(lsn);
                 }
             }
         }
-        let stamp = (self.clock.load(Ordering::Relaxed) + 1).max(sink_lsn);
-        storage.stamp_commit(undo, txid, stamp);
-        self.clock.store(stamp, Ordering::SeqCst);
-        self.counters
-            .versions_live
-            .set(storage.version_count() as i64);
-        if self.commits_since_vacuum.fetch_add(1, Ordering::Relaxed) + 1 >= VACUUM_EVERY {
-            self.commits_since_vacuum.store(0, Ordering::Relaxed);
-            self.vacuum_locked(storage);
-        }
+        self.counters.versions_live.set(storage.row_count() as i64);
         wait
     }
 
-    /// The vacuum low-water mark: the oldest LSN a live snapshot can still
-    /// read, or the clock when no snapshot is pinned — further capped by
-    /// the external horizon (lagging replicas) when one is installed.
-    fn low_water(&self) -> u64 {
-        let pins = self.pinned_snapshots.lock();
-        let clock = self.clock.load(Ordering::SeqCst);
-        let local = pins.keys().next().map_or(clock, |&lsn| lsn.min(clock));
-        let external = self
-            .external_horizon
-            .read()
-            .as_ref()
-            .map_or(u64::MAX, |f| f());
-        local.min(external)
-    }
-
-    /// Reclaim versions no live snapshot can see (caller holds the write
-    /// lock, which also excludes in-flight plain readers).
-    fn vacuum_locked(&self, storage: &mut Storage) -> usize {
-        let horizon = self.low_water();
-        self.counters.vacuum_horizon_lsn.set(horizon as i64);
-        let reclaimed = storage.vacuum(horizon);
-        if reclaimed > 0 {
-            self.counters.vacuum_reclaimed.add(reclaimed as u64);
-            self.counters
-                .versions_live
-                .set(storage.version_count() as i64);
-        }
-        reclaimed
-    }
-
-    /// Run a vacuum sweep now; returns the number of versions reclaimed.
-    pub fn vacuum(&self) -> usize {
-        let mut storage = self.storage.write();
-        self.vacuum_locked(&mut storage)
-    }
-
-    /// Mint a transaction id for an MVCC writer.
-    pub(crate) fn mint_txid(&self) -> u64 {
-        self.next_txid.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Pin a read snapshot at the current clock (session BEGIN). The
-    /// returned LSN stays protected from vacuum until unpinned.
-    pub(crate) fn pin_snapshot(&self) -> u64 {
-        let mut pins = self.pinned_snapshots.lock();
-        // read the clock *inside* the registry lock so a concurrent commit
-        // + vacuum cannot slip between the read and the registration
-        let lsn = self.clock.load(Ordering::SeqCst);
-        *pins.entry(lsn).or_insert(0) += 1;
-        self.counters.snapshots_active.add(1);
-        lsn
-    }
-
-    /// Release a pinned snapshot (session COMMIT/ROLLBACK/drop).
-    pub(crate) fn unpin_snapshot(&self, lsn: u64) {
-        let mut pins = self.pinned_snapshots.lock();
-        if let Some(n) = pins.get_mut(&lsn) {
-            *n -= 1;
-            if *n == 0 {
-                pins.remove(&lsn);
+    /// Run `f` as one transaction under the storage write lock: commit
+    /// what it recorded in the undo log when it returns `Ok`, restore the
+    /// before-images when it returns `Err`. Autocommit statements and
+    /// [`Database::transaction`] both come through here.
+    fn write_txn<T>(&self, f: impl FnOnce(&mut Storage, &mut UndoLog) -> Result<T>) -> Result<T> {
+        let (r, seq) = {
+            let mut storage = self.storage.write();
+            let mut undo = UndoLog::new();
+            match f(&mut storage, &mut undo) {
+                Ok(v) => {
+                    let seq = self.commit_locked(&storage, &undo);
+                    (Ok(v), seq)
+                }
+                Err(e) => {
+                    storage.rollback(undo);
+                    (Err(e), None)
+                }
             }
-        }
-        self.counters.snapshots_active.add(-1);
-    }
-
-    /// Count a first-writer-wins loss in the obs counters, pass-through.
-    pub(crate) fn note_conflict(&self, e: Error) -> Error {
-        if matches!(e, Error::WriteConflict { .. }) {
-            self.counters.write_conflicts.inc();
-        }
-        e
+        };
+        self.wait_durable_opt(seq)?;
+        r
     }
 
     /// Publish a DDL record to the sink (if any). Caller holds the storage
-    /// write lock (same ordering contract as [`Database::emit_locked`]).
+    /// write lock (same ordering contract as [`Database::commit_locked`]).
     pub(crate) fn emit_ddl_locked(&self, sql: String) -> Option<u64> {
         let guard = self.sink.read();
         let hook = guard.as_ref()?;
@@ -263,8 +151,8 @@ impl Database {
         hook.strict.then_some(lsn)
     }
 
-    /// Complete the strict-mode handshake started by `emit_locked`. Must be
-    /// called *after* the storage lock is released. Propagates
+    /// Complete the strict-mode handshake started by `commit_locked`. Must
+    /// be called *after* the storage lock is released. Propagates
     /// [`Error::Durability`] when the sink hit a real I/O failure: the
     /// caller's mutation is applied in memory but will not survive a
     /// restart, and acking it with `Ok` would be a lie.
@@ -342,28 +230,10 @@ impl Database {
         match stmt {
             Statement::Select(sel) => {
                 let storage = self.storage.read();
-                let mut stats = SelectStats::default();
-                let rows =
-                    run_select_with_stats(&storage, sel, params, Snapshot::latest(), &mut stats)?;
-                self.record_select_stats(&stats);
-                Ok(ExecResult::Rows(rows))
+                self.select(&storage, sel, params)
             }
-            Statement::Insert(ins) => {
-                let n = self.autocommit_dml(|storage, undo, ctx| {
-                    storage.run_insert(ins, params, undo, ctx)
-                })?;
-                Ok(ExecResult::Affected(n))
-            }
-            Statement::Update(upd) => {
-                let n = self.autocommit_dml(|storage, undo, ctx| {
-                    storage.run_update(upd, params, undo, ctx)
-                })?;
-                Ok(ExecResult::Affected(n))
-            }
-            Statement::Delete(del) => {
-                let n = self.autocommit_dml(|storage, undo, ctx| {
-                    storage.run_delete(del, params, undo, ctx)
-                })?;
+            Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
+                let n = self.write_txn(|storage, undo| run_dml(storage, stmt, params, undo))?;
                 Ok(ExecResult::Affected(n))
             }
             Statement::CreateTable(schema) => {
@@ -404,36 +274,23 @@ impl Database {
                 self.wait_durable_opt(seq)?;
                 Ok(ExecResult::Affected(0))
             }
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::Transaction(
-                "transaction control requires a Session".into(),
-            )),
         }
     }
 
-    /// Run one DML statement as its own transaction: install uncommitted
-    /// versions under the write lock, then commit-stamp (or roll back).
-    fn autocommit_dml(
-        &self,
-        f: impl FnOnce(&mut Storage, &mut UndoLog, &WriteCtx) -> Result<usize>,
-    ) -> Result<usize> {
-        let txid = self.mint_txid();
-        let ctx = WriteCtx::exclusive(txid);
-        let (n, seq) = {
-            let mut storage = self.storage.write();
-            let mut undo: UndoLog = Vec::new();
-            match f(&mut storage, &mut undo, &ctx) {
-                Ok(n) => {
-                    let seq = self.commit_locked(&mut storage, &undo, txid);
-                    (n, seq)
-                }
-                Err(e) => {
-                    storage.rollback(undo, txid);
-                    return Err(self.note_conflict(e));
-                }
-            }
-        };
-        self.wait_durable_opt(seq)?;
-        Ok(n)
+    /// Run a SELECT over `storage` and report its executor statistics into
+    /// the shared counters: totals, access-path choices, and the per-query
+    /// rows-scanned distribution.
+    fn select(&self, storage: &Storage, sel: &Select, params: &Params) -> Result<ExecResult> {
+        let mut stats = SelectStats::default();
+        let rows = run_select_with_stats(storage, sel, params, &mut stats)?;
+        let c = &self.counters;
+        c.rows_scanned.add(stats.scanned);
+        c.rows_scanned_per_query.observe(stats.scanned);
+        c.index_probes.add(stats.index_probes);
+        c.hash_joins.add(stats.hash_joins);
+        c.topk_shortcuts.add(stats.topk_shortcuts);
+        c.scan_fallbacks.add(stats.scan_fallbacks);
+        Ok(ExecResult::Rows(rows))
     }
 
     /// Execute a SELECT and return its rows.
@@ -455,70 +312,17 @@ impl Database {
     }
 
     /// Run `f` inside an **exclusive** transaction: all mutations are
-    /// rolled back if `f` returns an error. The write lock is held for the
-    /// duration, giving serializable isolation with no possibility of a
-    /// write conflict — the lock-the-world path. Interactive transactions
-    /// that must not block readers belong on [`crate::Session`], the
-    /// snapshot-isolation path.
+    /// rolled back if `f` returns an error, and committed as one redo batch
+    /// if it returns `Ok`. The write lock is held for the duration, so the
+    /// transaction is serializable and readers wait for it.
     pub fn transaction<T>(&self, f: impl FnOnce(&mut Transaction<'_>) -> Result<T>) -> Result<T> {
-        let txid = self.mint_txid();
-        let (r, seq) = {
-            let mut storage = self.storage.write();
-            let mut tx = Transaction {
-                storage: &mut storage,
-                undo: Vec::new(),
+        self.write_txn(|storage, undo| {
+            f(&mut Transaction {
+                storage,
+                undo,
                 db: self,
-                ctx: WriteCtx::exclusive(txid),
-            };
-            let r = f(&mut tx);
-            let undo = std::mem::take(&mut tx.undo);
-            match r {
-                Ok(v) => {
-                    let seq = self.commit_locked(&mut storage, &undo, txid);
-                    (Ok(v), seq)
-                }
-                Err(e) => {
-                    storage.rollback(undo, txid);
-                    (Err(e), None)
-                }
-            }
-        };
-        self.wait_durable_opt(seq)?;
-        r
-    }
-
-    /// Run `f` with shared access to the storage (used by [`crate::Session`]).
-    pub(crate) fn with_storage<T>(
-        &self,
-        f: impl FnOnce(&Storage) -> crate::error::Result<T>,
-    ) -> crate::error::Result<T> {
-        let storage = self.storage.read();
-        f(&storage)
-    }
-
-    /// Run `f` with exclusive access to the storage.
-    pub(crate) fn with_storage_mut<T>(&self, f: impl FnOnce(&mut Storage) -> T) -> T {
-        let mut storage = self.storage.write();
-        f(&mut storage)
-    }
-
-    /// Bump the executed-statement counter (session-path statements).
-    pub(crate) fn count_statement(&self) {
-        self.counters.statements_executed.inc();
-    }
-
-    /// Add to the rows-scanned counter (session-path SELECTs).
-    /// Report one SELECT's executor statistics into the shared counters:
-    /// totals, access-path choices, and the per-query rows-scanned
-    /// distribution.
-    pub(crate) fn record_select_stats(&self, stats: &SelectStats) {
-        let c = &self.counters;
-        c.rows_scanned.add(stats.scanned);
-        c.rows_scanned_per_query.observe(stats.scanned);
-        c.index_probes.add(stats.index_probes);
-        c.hash_joins.add(stats.hash_joins);
-        c.topk_shortcuts.add(stats.topk_shortcuts);
-        c.scan_fallbacks.add(stats.scan_fallbacks);
+            })
+        })
     }
 
     /// Names of all tables (sorted).
@@ -665,14 +469,31 @@ impl Database {
     }
 }
 
+/// Run one INSERT/UPDATE/DELETE, recording it in `undo`; anything else is
+/// refused (DDL never runs inside a transaction).
+fn run_dml(
+    storage: &mut Storage,
+    stmt: &Statement,
+    params: &Params,
+    undo: &mut UndoLog,
+) -> Result<usize> {
+    match stmt {
+        Statement::Insert(ins) => storage.run_insert(ins, params, undo),
+        Statement::Update(upd) => storage.run_update(upd, params, undo),
+        Statement::Delete(del) => storage.run_delete(del, params, undo),
+        _ => Err(Error::Transaction(
+            "DDL is not allowed inside a transaction".into(),
+        )),
+    }
+}
+
 /// An open transaction. All statements executed through it share one undo
-/// log; dropping without `commit` (or returning `Err` from the closure)
-/// rolls everything back.
+/// log; returning `Err` from the [`Database::transaction`] closure rolls
+/// everything back.
 pub struct Transaction<'a> {
     storage: &'a mut Storage,
-    undo: UndoLog,
+    undo: &'a mut UndoLog,
     db: &'a Database,
-    ctx: WriteCtx,
 }
 
 impl Transaction<'_> {
@@ -680,35 +501,14 @@ impl Transaction<'_> {
         let stmt = self.db.prepare(sql)?;
         self.db.counters.statements_executed.inc();
         match stmt.as_ref() {
-            Statement::Select(sel) => {
-                let mut stats = SelectStats::default();
-                // read-your-own-writes: the exclusive writer's view
-                let snap = Snapshot::current(self.ctx.txid);
-                let rows = run_select_with_stats(self.storage, sel, params, snap, &mut stats)?;
-                self.db.record_select_stats(&stats);
-                Ok(ExecResult::Rows(rows))
-            }
-            Statement::Insert(ins) => Ok(ExecResult::Affected(self.storage.run_insert(
-                ins,
+            // read-your-own-writes: the transaction holds the write lock
+            Statement::Select(sel) => self.db.select(self.storage, sel, params),
+            dml => Ok(ExecResult::Affected(run_dml(
+                self.storage,
+                dml,
                 params,
-                &mut self.undo,
-                &self.ctx,
+                self.undo,
             )?)),
-            Statement::Update(upd) => Ok(ExecResult::Affected(self.storage.run_update(
-                upd,
-                params,
-                &mut self.undo,
-                &self.ctx,
-            )?)),
-            Statement::Delete(del) => Ok(ExecResult::Affected(self.storage.run_delete(
-                del,
-                params,
-                &mut self.undo,
-                &self.ctx,
-            )?)),
-            _ => Err(Error::Transaction(
-                "DDL is not allowed inside a transaction".into(),
-            )),
         }
     }
 
@@ -940,6 +740,35 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rs.first("n"), Some(&Value::Integer(0)));
+    }
+
+    #[test]
+    fn rollback_of_insert_frees_slot_and_indexes() {
+        let db = db();
+        seed(&db);
+        let _ = db.transaction(|tx| -> Result<()> {
+            tx.execute(
+                "INSERT INTO issue (number, volume_oid) VALUES (7, 2)",
+                &Params::new(),
+            )?;
+            Err(Error::Eval("revert".into()))
+        });
+        // the secondary index forgot the ghost
+        let rs = db
+            .query(
+                "SELECT number FROM issue WHERE volume_oid = 2",
+                &Params::new(),
+            )
+            .unwrap();
+        assert_eq!(rs.len(), 1);
+        // its slot is free again: the next insert takes it
+        db.execute(
+            "INSERT INTO issue (number, volume_oid) VALUES (8, 2)",
+            &Params::new(),
+        )
+        .unwrap();
+        let ids: Vec<_> = db.dump()["issue"].0.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]

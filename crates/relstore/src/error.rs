@@ -29,11 +29,6 @@ pub enum Error {
     Unsupported(String),
     /// Attempt to use a transaction handle in an invalid state.
     Transaction(String),
-    /// First-writer-wins conflict under snapshot isolation: the row this
-    /// transaction tried to write was created, updated, or deleted by a
-    /// transaction that is still uncommitted or that committed after this
-    /// transaction's snapshot. The loser must roll back and retry.
-    WriteConflict { table: String },
     /// The commit sink (write-ahead log) failed to make a committed
     /// transaction durable — the mutation is visible in memory but its
     /// redo record never reached stable storage.
@@ -67,12 +62,6 @@ impl fmt::Display for Error {
             Error::Parameter(m) => write!(f, "parameter error: {m}"),
             Error::Unsupported(m) => write!(f, "unsupported: {m}"),
             Error::Transaction(m) => write!(f, "transaction error: {m}"),
-            Error::WriteConflict { table } => {
-                write!(
-                    f,
-                    "write conflict on {table}: row written by a concurrent transaction"
-                )
-            }
             Error::Durability(m) => write!(f, "durability error: {m}"),
             Error::Eval(m) => write!(f, "evaluation error: {m}"),
         }

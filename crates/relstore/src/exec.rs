@@ -6,7 +6,7 @@ use crate::expr::{contains_aggregate, eval, is_aggregate, Binding, EvalCtx, Para
 use crate::result::ResultSet;
 use crate::sql::ast::*;
 use crate::storage::Storage;
-use crate::table::{Row, RowId, Snapshot, Table};
+use crate::table::{Row, RowId, Table};
 use crate::value::{DataType, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -17,9 +17,6 @@ type Combo = Vec<Option<RowId>>;
 struct Source<'a> {
     binding: String,
     table: &'a Table,
-    /// Visibility horizon every read through this source honours: scans,
-    /// index probes, and hash builds all filter version chains by it.
-    snap: Snapshot,
 }
 
 /// Executor work statistics for one SELECT: how the planner answered each
@@ -56,35 +53,12 @@ impl SelectStats {
     }
 }
 
-/// Execute a SELECT against the latest committed state.
-pub fn run_select(storage: &Storage, sel: &Select, params: &Params) -> Result<ResultSet> {
-    let mut stats = SelectStats::default();
-    run_select_with_stats(storage, sel, params, Snapshot::latest(), &mut stats)
-}
-
-/// Like [`run_select`], but additionally reports how many candidate rows the
-/// executor examined (base-scan/probe results plus join candidates) into
-/// `scanned`. Compatibility wrapper over [`run_select_with_stats`].
-pub fn run_select_counted(
-    storage: &Storage,
-    sel: &Select,
-    params: &Params,
-    scanned: &mut u64,
-) -> Result<ResultSet> {
-    let mut stats = SelectStats::default();
-    let out = run_select_with_stats(storage, sel, params, Snapshot::latest(), &mut stats)?;
-    *scanned += stats.scanned;
-    Ok(out)
-}
-
-/// Like [`run_select`], but reads at an explicit MVCC snapshot and reports
-/// full executor statistics (rows scanned, access-path choices, Top-K
-/// shortcuts) into `stats`.
+/// Execute a SELECT and report executor statistics (rows scanned,
+/// access-path choices, Top-K shortcuts) into `stats`.
 pub fn run_select_with_stats(
     storage: &Storage,
     sel: &Select,
     params: &Params,
-    snap: Snapshot,
     stats: &mut SelectStats,
 ) -> Result<ResultSet> {
     // SELECT without FROM: a single constant row.
@@ -113,13 +87,11 @@ pub fn run_select_with_stats(
     sources.push(Source {
         binding: from.base.binding().to_string(),
         table: storage.require_table(&from.base.table)?,
-        snap,
     });
     for j in &from.joins {
         sources.push(Source {
             binding: j.table.binding().to_string(),
             table: storage.require_table(&j.table.table)?,
-            snap,
         });
     }
 
@@ -169,8 +141,7 @@ pub fn run_select_with_stats(
                     params,
                 };
                 stats.index_probes += 1;
-                lists
-                    .push(try_index_probe(cur.table, &probes, &ctx, cur.snap)?.unwrap_or_default());
+                lists.push(try_index_probe(cur.table, &probes, &ctx)?.unwrap_or_default());
             }
             JoinPlan::PerCombo(lists)
         } else if !probes.is_empty() {
@@ -185,7 +156,7 @@ pub fn run_select_with_stats(
             )?)
         } else {
             stats.scan_fallbacks += 1;
-            JoinPlan::Scan(cur.table.iter_visible(cur.snap).map(|(id, _)| id).collect())
+            JoinPlan::Scan(cur.table.iter().map(|(id, _)| id).collect())
         };
 
         let mut next: Vec<Combo> = Vec::new();
@@ -408,7 +379,7 @@ fn make_bindings<'a>(sources: &'a [Source<'a>], combo: &'a Combo) -> Vec<Binding
         .map(|(s, id)| Binding {
             name: &s.binding,
             schema: &s.table.schema,
-            row: id.and_then(|id| s.table.visible_row(id, s.snap)),
+            row: id.and_then(|id| s.table.get(id)),
         })
         .collect()
 }
@@ -578,7 +549,7 @@ fn hash_join_candidates(
                 by_key.entry(key).or_default().push(i);
             }
         }
-        for (id, row) in cur.table.iter_visible(cur.snap) {
+        for (id, row) in cur.table.iter() {
             if let Some(key) = row_key(row) {
                 if let Some(targets) = by_key.get(&key) {
                     for &i in targets {
@@ -591,7 +562,7 @@ fn hash_join_candidates(
         // build over the table, probe once per prefix combo
         let mut by_key: HashMap<Vec<Value>, Vec<RowId>> =
             HashMap::with_capacity(cur.table.len().min(1024));
-        for (id, row) in cur.table.iter_visible(cur.snap) {
+        for (id, row) in cur.table.iter() {
             if let Some(key) = row_key(row) {
                 by_key.entry(key).or_default().push(id);
             }
@@ -655,17 +626,13 @@ fn probe_or_scan(
             bindings: &bindings,
             params,
         };
-        if let Some(ids) = try_index_probe(base.table, &probes, &ctx, base.snap)? {
+        if let Some(ids) = try_index_probe(base.table, &probes, &ctx)? {
             stats.index_probes += 1;
             return Ok(ids);
         }
     }
     stats.scan_fallbacks += 1;
-    Ok(base
-        .table
-        .iter_visible(base.snap)
-        .map(|(id, _)| id)
-        .collect())
+    Ok(base.table.iter().map(|(id, _)| id).collect())
 }
 
 fn references_any_column(e: &Expr) -> bool {
@@ -679,14 +646,11 @@ fn references_any_column(e: &Expr) -> bool {
 }
 
 /// Attempt a PK or secondary-index probe with the extracted equalities.
-/// Returns `None` when no usable index exists. Index buckets cover every
-/// version holding the key, so each candidate is re-checked against the
-/// snapshot's visible version before it is returned.
+/// Returns `None` when no usable index exists.
 fn try_index_probe(
     table: &Table,
     probes: &[(usize, &Expr)],
     ctx: &EvalCtx<'_>,
-    snap: Snapshot,
 ) -> Result<Option<Vec<RowId>>> {
     // primary key: all PK columns must be bound
     let pk = &table.schema.primary_key;
@@ -699,7 +663,7 @@ fn try_index_probe(
         }
         return Ok(Some(
             table
-                .get_by_pk_visible(&key, snap)
+                .get_by_pk(&key)
                 .map(|(id, _)| id)
                 .into_iter()
                 .collect(),
@@ -718,7 +682,7 @@ fn try_index_probe(
                 let col_type = table.schema.columns[*c].data_type;
                 key.push(eval(e, ctx)?.coerce(col_type)?);
             }
-            return Ok(Some(table.probe_visible(ix, &key, snap)));
+            return Ok(Some(ix.lookup(&key).to_vec()));
         }
     }
     Ok(None)

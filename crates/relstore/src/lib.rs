@@ -47,21 +47,19 @@ pub mod exec;
 pub mod expr;
 pub mod result;
 pub mod schema;
-pub mod session;
 pub mod sql;
 pub mod storage;
 pub mod table;
 pub mod value;
 
 pub use change::{redo_from_undo, ChangeRecord, CommitSink};
-pub use db::{Database, HorizonFn, Transaction};
+pub use db::{Database, Transaction};
 pub use error::{Error, Result};
 pub use exec::SelectStats;
 pub use expr::Params;
 pub use result::{ExecResult, ResultSet};
 pub use schema::{Column, ForeignKey, ReferentialAction, TableSchema};
-pub use session::Session;
 pub use sql::ast::Statement;
 pub use sql::parser::{parse_script, parse_statement};
-pub use table::{Row, RowId, Snapshot, Table};
+pub use table::{Row, RowId, Table};
 pub use value::{DataType, Value};

@@ -17,9 +17,6 @@ pub enum Statement {
     CreateTable(TableSchema),
     CreateIndex(CreateIndex),
     DropTable { name: String, if_exists: bool },
-    Begin,
-    Commit,
-    Rollback,
 }
 
 /// `SELECT` statement.

@@ -139,13 +139,6 @@ impl Parser {
             self.create()
         } else if self.eat_kw("DROP") {
             self.drop_table()
-        } else if self.eat_kw("BEGIN") || self.eat_kw("START") {
-            self.eat_kw("TRANSACTION");
-            Ok(Statement::Begin)
-        } else if self.eat_kw("COMMIT") {
-            Ok(Statement::Commit)
-        } else if self.eat_kw("ROLLBACK") {
-            Ok(Statement::Rollback)
         } else {
             Err(self.err(format!("expected statement, found {:?}", self.peek())))
         }
@@ -968,17 +961,6 @@ mod tests {
         assert!(parse_statement("SELEC 1").is_err());
         assert!(parse_statement("SELECT FROM").is_err());
         assert!(parse_statement("INSERT INTO t").is_err());
-    }
-
-    #[test]
-    fn parses_transaction_statements() {
-        assert_eq!(parse_statement("BEGIN").unwrap(), Statement::Begin);
-        assert_eq!(
-            parse_statement("BEGIN TRANSACTION").unwrap(),
-            Statement::Begin
-        );
-        assert_eq!(parse_statement("COMMIT").unwrap(), Statement::Commit);
-        assert_eq!(parse_statement("ROLLBACK;").unwrap(), Statement::Rollback);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::error::{Error, Result};
 use crate::expr::{eval, Binding, EvalCtx, Params};
 use crate::sql::ast::{Delete, Expr, Insert, Update};
-use crate::table::{Row, RowId, Snapshot, Table, WriteCtx};
+use crate::table::{Row, RowId, Table};
 use crate::value::Value;
 use std::collections::BTreeMap;
 
@@ -87,10 +87,12 @@ impl Storage {
 
     // ---- foreign keys ----------------------------------------------------
 
-    /// Check every FK of `table_name` against the given row values, from
-    /// the writer's view `snap` (own uncommitted parents count).
-    fn check_outgoing_fks(&self, table_name: &str, row: &Row, snap: Snapshot) -> Result<()> {
+    /// Check every FK of `table_name` against the row stored in slot `id`.
+    fn check_outgoing_fks(&self, table_name: &str, id: RowId) -> Result<()> {
         let table = self.require_table(table_name)?;
+        let Some(row) = table.get(id) else {
+            return Ok(());
+        };
         for fk in &table.schema.foreign_keys {
             let mut key = Vec::with_capacity(fk.columns.len());
             let mut any_null = false;
@@ -105,7 +107,7 @@ impl Storage {
                 continue; // SQL semantics: NULL FK components opt out
             }
             let referenced = self.require_table(&fk.referenced_table)?;
-            if !self.referenced_row_exists(referenced, &fk.referenced_columns, &key, snap)? {
+            if !self.referenced_row_exists(referenced, &fk.referenced_columns, &key)? {
                 return Err(Error::ForeignKeyViolation {
                     table: table.schema.name.clone(),
                     constraint: fk.name.clone(),
@@ -120,7 +122,6 @@ impl Storage {
         referenced: &Table,
         ref_cols: &[String],
         key: &[Value],
-        snap: Snapshot,
     ) -> Result<bool> {
         // fast path: the referenced columns are the primary key
         let pk_names = referenced.schema.primary_key_names();
@@ -136,7 +137,7 @@ impl Storage {
             for (v, c) in key.iter().zip(&referenced.schema.primary_key) {
                 coerced.push(v.clone().coerce(referenced.schema.columns[*c].data_type)?);
             }
-            return Ok(referenced.get_by_pk_visible(&coerced, snap).is_some());
+            return Ok(referenced.get_by_pk(&coerced).is_some());
         }
         let mut idxs = Vec::with_capacity(ref_cols.len());
         for c in ref_cols {
@@ -148,12 +149,12 @@ impl Storage {
         if let Some(ix) = referenced.find_index_on(&idxs) {
             if ix.columns.len() == idxs.len() {
                 if let Some(coerced) = coerce_key(referenced, &idxs, key) {
-                    return Ok(!referenced.probe_visible(ix, &coerced, snap).is_empty());
+                    return Ok(!ix.lookup(&coerced).is_empty());
                 }
             }
         }
         // slow path: scan
-        Ok(referenced.iter_visible(snap).any(|(_, row)| {
+        Ok(referenced.iter().any(|(_, row)| {
             idxs.iter()
                 .zip(key)
                 .all(|(&i, v)| row[i].sql_eq(v) == Some(true))
@@ -166,7 +167,6 @@ impl Storage {
         &self,
         table_name: &str,
         row: &Row,
-        snap: Snapshot,
     ) -> Result<Vec<(String, usize, Vec<RowId>)>> {
         let target = self.require_table(table_name)?;
         let mut out = Vec::new();
@@ -199,17 +199,14 @@ impl Storage {
                         .find_index_on(&col_idxs)
                         .filter(|ix| ix.columns.len() == col_idxs.len())
                         .and_then(|ix| {
-                            coerce_key(other, &col_idxs, &ref_vals).map(|key| {
-                                let mut ids = other.probe_visible(ix, &key, snap);
-                                ids.sort_unstable(); // match scan (slot) order
-                                ids
-                            })
+                            coerce_key(other, &col_idxs, &ref_vals)
+                                .map(|key| ix.lookup(&key).to_vec())
                         })
                 };
                 let hits: Vec<RowId> = match by_index {
                     Some(ids) => ids,
                     None => other
-                        .iter_visible(snap)
+                        .iter()
                         .filter(|(_, r)| {
                             col_idxs
                                 .iter()
@@ -229,16 +226,13 @@ impl Storage {
 
     // ---- DML --------------------------------------------------------------
 
-    /// Execute INSERT; returns number of rows inserted. New versions are
-    /// txn-marked with `ctx.txid` until commit stamps them.
+    /// Execute INSERT; returns number of rows inserted.
     pub fn run_insert(
         &mut self,
         ins: &Insert,
         params: &Params,
         undo: &mut UndoLog,
-        ctx: &WriteCtx,
     ) -> Result<usize> {
-        let snap = Snapshot::current(ctx.txid);
         let table = self.require_table(&ins.table)?;
         let schema = table.schema.clone();
         let n_cols = schema.columns.len();
@@ -271,12 +265,10 @@ impl Storage {
                 row[*pos] = eval(e, &eval_ctx)?;
             }
             let table = self.require_table_mut(&ins.table)?;
-            let id = table.insert_version(row, ctx)?;
-            let stored = table.latest_row(id).unwrap().clone();
+            let id = table.insert(row)?;
             // FK check after defaults/auto-increment are applied
-            if let Err(e) = self.check_outgoing_fks(&ins.table, &stored, snap) {
-                self.require_table_mut(&ins.table)?
-                    .rollback_insert(id, ctx.txid);
+            if let Err(e) = self.check_outgoing_fks(&ins.table, id) {
+                self.require_table_mut(&ins.table)?.delete(id);
                 return Err(e);
             }
             undo.push(UndoOp::Inserted {
@@ -294,9 +286,7 @@ impl Storage {
         upd: &Update,
         params: &Params,
         undo: &mut UndoLog,
-        ctx: &WriteCtx,
     ) -> Result<usize> {
-        let snap = Snapshot::current(ctx.txid);
         let table = self.require_table(&upd.table)?;
         let schema = table.schema.clone();
         let binding_name = schema.name.clone();
@@ -305,9 +295,9 @@ impl Storage {
         for (c, e) in &upd.assignments {
             targets.push((schema.require_column(c)?, e));
         }
-        // select affected rows first (snapshot ids), then mutate
+        // select affected rows first, then mutate
         let mut affected: Vec<(RowId, Row)> = Vec::new();
-        for (id, row) in table.iter_visible(snap) {
+        for (id, row) in table.iter() {
             let keep = match &upd.where_clause {
                 Some(w) => {
                     let bindings = [Binding {
@@ -349,23 +339,17 @@ impl Storage {
                 .primary_key
                 .iter()
                 .any(|&i| old_row[i].sql_eq(&new_row[i]) != Some(true));
-            if pk_changed
-                && !self
-                    .referencing_rows(&upd.table, &old_row, snap)?
-                    .is_empty()
-            {
+            if pk_changed && !self.referencing_rows(&upd.table, &old_row)?.is_empty() {
                 return Err(Error::ForeignKeyViolation {
                     table: upd.table.clone(),
                     constraint: "update of referenced key".into(),
                 });
             }
             let table = self.require_table_mut(&upd.table)?;
-            let old = table.update_version(id, new_row, ctx)?;
-            let stored = table.latest_row(id).unwrap().clone();
-            if let Err(e) = self.check_outgoing_fks(&upd.table, &stored, snap) {
-                // restore: pop the uncommitted version we just installed
-                self.require_table_mut(&upd.table)?
-                    .rollback_update(id, ctx.txid);
+            let old = table.update(id, new_row)?;
+            if let Err(e) = self.check_outgoing_fks(&upd.table, id) {
+                // restore the row this statement just replaced
+                self.require_table_mut(&upd.table)?.insert_at(id, old)?;
                 return Err(e);
             }
             undo.push(UndoOp::Updated {
@@ -384,14 +368,12 @@ impl Storage {
         del: &Delete,
         params: &Params,
         undo: &mut UndoLog,
-        ctx: &WriteCtx,
     ) -> Result<usize> {
-        let snap = Snapshot::current(ctx.txid);
         let table = self.require_table(&del.table)?;
         let schema = table.schema.clone();
         let binding_name = schema.name.clone();
         let mut victims: Vec<RowId> = Vec::new();
-        for (id, row) in table.iter_visible(snap) {
+        for (id, row) in table.iter() {
             let keep = match &del.where_clause {
                 Some(w) => {
                     let bindings = [Binding {
@@ -413,29 +395,18 @@ impl Storage {
         }
         let mut count = 0;
         for id in victims {
-            count += self.delete_row(&del.table, id, undo, ctx)?;
+            count += self.delete_row(&del.table, id, undo)?;
         }
         Ok(count)
     }
 
     /// Delete one row honouring referential actions; counts cascaded rows.
-    pub fn delete_row(
-        &mut self,
-        table_name: &str,
-        id: RowId,
-        undo: &mut UndoLog,
-        ctx: &WriteCtx,
-    ) -> Result<usize> {
-        let snap = Snapshot::current(ctx.txid);
-        let Some(row) = self
-            .require_table(table_name)?
-            .visible_row(id, snap)
-            .cloned()
-        else {
+    pub fn delete_row(&mut self, table_name: &str, id: RowId, undo: &mut UndoLog) -> Result<usize> {
+        let Some(row) = self.require_table(table_name)?.get(id).cloned() else {
             return Ok(0); // already gone via an earlier cascade
         };
         let mut count = 0;
-        let refs = self.referencing_rows(table_name, &row, snap)?;
+        let refs = self.referencing_rows(table_name, &row)?;
         for (ref_table, fk_i, ids) in refs {
             let action = {
                 let t = self.require_table(&ref_table)?;
@@ -451,7 +422,7 @@ impl Storage {
                 }
                 crate::schema::ReferentialAction::Cascade => {
                     for rid in ids {
-                        count += self.delete_row(&ref_table, rid, undo, ctx)?;
+                        count += self.delete_row(&ref_table, rid, undo)?;
                     }
                 }
                 crate::schema::ReferentialAction::SetNull => {
@@ -477,12 +448,12 @@ impl Storage {
                     }
                     for rid in ids {
                         let t = self.require_table_mut(&ref_table)?;
-                        if let Some(r) = t.visible_row(rid, snap).cloned() {
+                        if let Some(r) = t.get(rid).cloned() {
                             let mut new_r = r.clone();
                             for &c in &cols {
                                 new_r[c] = Value::Null;
                             }
-                            let old = t.update_version(rid, new_r, ctx)?;
+                            let old = t.update(rid, new_r)?;
                             undo.push(UndoOp::Updated {
                                 table: ref_table.to_ascii_lowercase(),
                                 row_id: rid,
@@ -493,79 +464,48 @@ impl Storage {
                 }
             }
         }
-        let t = self.require_table_mut(table_name)?;
-        let old = t.delete_version(id, ctx)?;
+        self.require_table_mut(table_name)?.delete(id);
         undo.push(UndoOp::Deleted {
             table: table_name.to_ascii_lowercase(),
             row_id: id,
-            row: old,
+            row,
         });
         count += 1;
         Ok(count)
     }
 
-    // ---- commit / rollback / vacuum ---------------------------------------
+    // ---- rollback ----------------------------------------------------------
 
-    /// Replace `txid`'s uncommitted marks with the commit stamp and adjust
-    /// the committed-row counts. Called under the write lock at commit.
-    pub fn stamp_commit(&mut self, undo: &UndoLog, txid: u64, stamp: u64) {
-        for op in undo {
-            match op {
-                UndoOp::Inserted { table, row_id } => {
-                    if let Some(t) = self.tables.get_mut(table) {
-                        t.stamp_chain(*row_id, txid, stamp);
-                        t.adjust_live(1);
-                    }
-                }
-                UndoOp::Updated { table, row_id, .. } => {
-                    if let Some(t) = self.tables.get_mut(table) {
-                        t.stamp_chain(*row_id, txid, stamp);
-                    }
-                }
-                UndoOp::Deleted { table, row_id, .. } => {
-                    if let Some(t) = self.tables.get_mut(table) {
-                        t.stamp_chain(*row_id, txid, stamp);
-                        t.adjust_live(-1);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Apply an undo log in reverse, removing `txid`'s uncommitted
-    /// versions and reviving the ones they superseded.
-    pub fn rollback(&mut self, undo: UndoLog, txid: u64) {
+    /// Undo a failed statement or transaction: restore the before-images
+    /// the undo log recorded, newest first. An insert is deleted; an update
+    /// or delete puts the old row back in its slot.
+    pub fn rollback(&mut self, undo: UndoLog) {
         for op in undo.into_iter().rev() {
             match op {
                 UndoOp::Inserted { table, row_id } => {
                     if let Some(t) = self.tables.get_mut(&table) {
-                        t.rollback_insert(row_id, txid);
+                        t.delete(row_id);
                     }
                 }
-                UndoOp::Deleted { table, row_id, .. } => {
-                    if let Some(t) = self.tables.get_mut(&table) {
-                        t.rollback_delete(row_id, txid);
-                    }
+                UndoOp::Updated {
+                    table,
+                    row_id,
+                    old: row,
                 }
-                UndoOp::Updated { table, row_id, .. } => {
+                | UndoOp::Deleted { table, row_id, row } => {
                     if let Some(t) = self.tables.get_mut(&table) {
-                        t.rollback_update(row_id, txid);
+                        // a before-image was a stored row of this table, so
+                        // its arity always fits
+                        let _ = t.insert_at(row_id, row);
                     }
                 }
             }
         }
     }
 
-    /// Reclaim versions no snapshot at or above `low_water` can see.
-    /// Returns the number of versions reclaimed across all tables.
-    pub fn vacuum(&mut self, low_water: u64) -> usize {
-        self.tables.values_mut().map(|t| t.vacuum(low_water)).sum()
-    }
-
-    /// Total stored versions across all tables (the `db_versions_live`
-    /// gauge).
-    pub fn version_count(&self) -> usize {
-        self.tables.values().map(|t| t.version_count()).sum()
+    /// Stored rows across all tables (the `db_versions_live` gauge).
+    pub fn row_count(&self) -> usize {
+        self.tables.values().map(Table::len).sum()
     }
 
     /// Evaluate a constant expression (used by DDL paths needing literals).

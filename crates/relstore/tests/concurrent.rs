@@ -5,7 +5,7 @@
 //! each transaction hold globally, and a commit sink observes one batch
 //! per committed transaction in a single total order.
 
-use relstore::{ChangeRecord, CommitSink, Database, Error, Params, Session, Value};
+use relstore::{ChangeRecord, CommitSink, Database, Error, Params, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -229,224 +229,18 @@ fn readers_never_observe_a_half_applied_transaction() {
     assert_eq!(rs.len(), 80);
 }
 
-// ---- snapshot-isolation property suite ----------------------------------
+// ---- seeded schedules on the exclusive path --------------------------------
 
-fn sum_via(s: &mut Session) -> i64 {
-    let rs = s
-        .query("SELECT SUM(balance) AS total FROM account", &Params::new())
-        .unwrap();
-    int(rs.first("total"))
-}
-
-/// Session transfers under snapshot isolation conserve the invariant: the
-/// losers of first-writer-wins races roll back cleanly, every committed
-/// transfer moves money without creating or destroying it, and readers
-/// with pinned snapshots always see a sum-consistent state — never a
-/// half-committed transfer.
-#[test]
-fn snapshot_isolation_conserves_invariant_under_session_transfers() {
-    let db = Arc::new(Database::new());
-    db.execute_script(
-        "CREATE TABLE account (oid INTEGER PRIMARY KEY AUTOINCREMENT, balance INTEGER NOT NULL);",
-    )
-    .unwrap();
-    let accounts = 6i64;
-    for _ in 0..accounts {
-        db.execute(
-            "INSERT INTO account (balance) VALUES (1000)",
-            &Params::new(),
-        )
-        .unwrap();
-    }
-    let total = accounts * 1000;
-
-    let writers: Vec<_> = (0..4i64)
-        .map(|t| {
-            let db = Arc::clone(&db);
-            thread::spawn(move || {
-                let mut conflicts = 0u32;
-                for i in 0..40i64 {
-                    let amount = (t * 40 + i) % 9 + 1;
-                    let from = (t + i) % accounts + 1;
-                    let to = (t + i + 1) % accounts + 1;
-                    let mut s = Session::new(Arc::clone(&db));
-                    s.execute("BEGIN", &Params::new()).unwrap();
-                    let r = s
-                        .execute(
-                            "UPDATE account SET balance = balance - :a WHERE oid = :o",
-                            &Params::new().bind("a", amount).bind("o", from),
-                        )
-                        .and_then(|_| {
-                            s.execute(
-                                "UPDATE account SET balance = balance + :a WHERE oid = :o",
-                                &Params::new().bind("a", amount).bind("o", to),
-                            )
-                        });
-                    match r {
-                        Ok(_) => {
-                            s.execute("COMMIT", &Params::new()).unwrap();
-                        }
-                        Err(Error::WriteConflict { .. }) => {
-                            // first writer won: abandon the whole transfer
-                            conflicts += 1;
-                            s.execute("ROLLBACK", &Params::new()).unwrap();
-                        }
-                        Err(e) => panic!("unexpected error: {e}"),
-                    }
-                }
-                conflicts
-            })
-        })
-        .collect();
-    let readers: Vec<_> = (0..3)
-        .map(|_| {
-            let db = Arc::clone(&db);
-            thread::spawn(move || {
-                for _ in 0..40 {
-                    let mut s = Session::new(Arc::clone(&db));
-                    s.execute("BEGIN", &Params::new()).unwrap();
-                    // two reads at the same pinned snapshot agree exactly,
-                    // no matter what commits in between
-                    let first = sum_via(&mut s);
-                    assert_eq!(first, total, "half-committed transfer visible");
-                    let second = sum_via(&mut s);
-                    assert_eq!(first, second, "snapshot drifted mid-transaction");
-                    s.execute("COMMIT", &Params::new()).unwrap();
-                    // an autocommit read next to the open writers sees no
-                    // uncommitted debit either
-                    let rs = db
-                        .query("SELECT SUM(balance) AS total FROM account", &Params::new())
-                        .unwrap();
-                    assert_eq!(int(rs.first("total")), total, "torn autocommit read");
-                }
-            })
-        })
-        .collect();
-
-    let conflicts: u32 = writers.into_iter().map(|h| h.join().unwrap()).sum();
-    for r in readers {
-        r.join().unwrap();
-    }
-    // the invariant survived every interleaving, conflicts included
-    let rs = db
-        .query("SELECT SUM(balance) AS total FROM account", &Params::new())
-        .unwrap();
-    assert_eq!(int(rs.first("total")), total, "money created or destroyed");
-    // with 4 writers hammering 6 accounts, at least one race must have
-    // been decided by first-writer-wins (statistically certain; if this
-    // ever flakes the schedule got lucky, not the engine wrong)
-    let _ = conflicts;
-}
-
-/// Vacuum must never reclaim a version still visible to a pinned
-/// snapshot — and must reclaim it once the snapshot is released.
-#[test]
-fn vacuum_never_reclaims_a_live_visible_version() {
-    let db = Arc::new(Database::new());
-    db.execute_script(
-        "CREATE TABLE doc (oid INTEGER PRIMARY KEY, body TEXT NOT NULL);
-         INSERT INTO doc (oid, body) VALUES (1, 'v0');",
-    )
-    .unwrap();
-
-    let mut pinned = Session::new(Arc::clone(&db));
-    pinned.execute("BEGIN", &Params::new()).unwrap();
-    // materialize the snapshot view before any overwrite
-    let rs = pinned
-        .query("SELECT body FROM doc WHERE oid = 1", &Params::new())
-        .unwrap();
-    assert_eq!(rs.first("body"), Some(&Value::Text("v0".into())));
-
-    // bury v0 under newer committed versions
-    for i in 1..=20 {
-        db.execute(
-            "UPDATE doc SET body = :b WHERE oid = 1",
-            &Params::new().bind("b", format!("v{i}")),
-        )
-        .unwrap();
-    }
-    // vacuum with the snapshot still pinned: v0 must survive
-    let reclaimed_while_pinned = db.vacuum();
-    let rs = pinned
-        .query("SELECT body FROM doc WHERE oid = 1", &Params::new())
-        .unwrap();
-    assert_eq!(
-        rs.first("body"),
-        Some(&Value::Text("v0".into())),
-        "vacuum reclaimed a version still visible to a pinned snapshot"
-    );
-    pinned.execute("COMMIT", &Params::new()).unwrap();
-
-    // snapshot released: everything but the current version is garbage
-    let reclaimed_after = db.vacuum();
-    assert!(
-        reclaimed_after >= 1,
-        "vacuum reclaimed nothing after the pin was released \
-         (while pinned: {reclaimed_while_pinned}, after: {reclaimed_after})"
-    );
-    let rs = db
-        .query("SELECT body FROM doc WHERE oid = 1", &Params::new())
-        .unwrap();
-    assert_eq!(rs.first("body"), Some(&Value::Text("v20".into())));
-}
-
-/// An external vacuum horizon (a lagging replica's applied LSN) must cap
-/// the low-water mark exactly like a local pinned snapshot: versions the
-/// horizon still protects survive, and raising the horizon releases them.
-#[test]
-fn external_horizon_blocks_vacuum_until_raised() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let db = Arc::new(Database::new());
-    db.execute_script(
-        "CREATE TABLE doc (oid INTEGER PRIMARY KEY, body TEXT NOT NULL);
-         INSERT INTO doc (oid, body) VALUES (1, 'v0');",
-    )
-    .unwrap();
-
-    // a "replica" that has applied nothing yet pins the whole history
-    let applied = Arc::new(AtomicU64::new(0));
-    let src = Arc::clone(&applied);
-    db.set_vacuum_horizon(Arc::new(move || src.load(Ordering::SeqCst)));
-
-    for i in 1..=20 {
-        db.execute(
-            "UPDATE doc SET body = :b WHERE oid = 1",
-            &Params::new().bind("b", format!("v{i}")),
-        )
-        .unwrap();
-    }
-    let reclaimed_lagging = db.vacuum();
-    assert_eq!(
-        reclaimed_lagging, 0,
-        "vacuum reclaimed versions a lagging replica may still need"
-    );
-    assert_eq!(db.counters().vacuum_horizon_lsn.get(), 0);
-
-    // the replica catches up: the horizon no longer constrains anything
-    applied.store(u64::MAX, Ordering::SeqCst);
-    let reclaimed_caught_up = db.vacuum();
-    assert!(
-        reclaimed_caught_up >= 1,
-        "vacuum reclaimed nothing after the replica caught up"
-    );
-    assert!(db.counters().vacuum_horizon_lsn.get() > 0);
-
-    // clearing the hook leaves vacuum purely locally constrained
-    db.clear_vacuum_horizon();
-    let _ = db.vacuum();
-    let rs = db
-        .query("SELECT body FROM doc WHERE oid = 1", &Params::new())
-        .unwrap();
-    assert_eq!(rs.first("body"), Some(&Value::Text("v20".into())));
-}
+const SUM: &str = "SELECT SUM(balance) AS total FROM account";
 
 /// Seeded pseudo-random schedule stress: threads run a deterministic
-/// (per-seed) mix of transfers, rollbacks, pinned-snapshot reads, inserts
-/// and deletes through sessions, with periodic vacuums. Every interleaving
-/// must preserve the invariant sum over `account` plus the ledger rows'
-/// own consistency. Override the seed with `RELSTORE_STRESS_SEED` to
-/// explore different schedules.
+/// (per-seed) mix of committed transfers, transfers rolled back after their
+/// debit, full-sum autocommit reads and ledger inserts. Transfers run in
+/// `Database::transaction`; a rollback is the closure returning `Err`.
+/// Every interleaving must preserve the invariant sum over `account`, every
+/// read must see it exactly, and the ledger must hold exactly the committed
+/// inserts. Override the seed with `RELSTORE_STRESS_SEED` to explore
+/// different schedules.
 #[test]
 fn seeded_schedule_stress() {
     let seed: u64 = std::env::var("RELSTORE_STRESS_SEED")
@@ -469,6 +263,8 @@ fn seeded_schedule_stress() {
     }
     let total = accounts * 1000;
     let committed_ledger = Arc::new(AtomicU64::new(0));
+    let debit = "UPDATE account SET balance = balance - :a WHERE oid = :o";
+    let credit = "UPDATE account SET balance = balance + :a WHERE oid = :o";
 
     let threads: Vec<_> = (0..4u64)
         .map(|t| {
@@ -485,71 +281,55 @@ fn seeded_schedule_stress() {
                 };
                 for _ in 0..60 {
                     match rng() % 5 {
-                        // transfer, commit (retrying conflicts is the
-                        // caller's job; here losers just give up)
+                        // transfer, committed
                         0 | 1 => {
                             let amount = (rng() % 9 + 1) as i64;
                             let from = (rng() % accounts as u64) as i64 + 1;
                             let to = (rng() % accounts as u64) as i64 + 1;
-                            let mut s = Session::new(Arc::clone(&db));
-                            s.execute("BEGIN", &Params::new()).unwrap();
-                            let r = s
-                                .execute(
-                                    "UPDATE account SET balance = balance - :a WHERE oid = :o",
+                            db.transaction(|tx| {
+                                tx.execute(
+                                    debit,
                                     &Params::new().bind("a", amount).bind("o", from),
-                                )
-                                .and_then(|_| {
-                                    s.execute(
-                                        "UPDATE account SET balance = balance + :a WHERE oid = :o",
-                                        &Params::new().bind("a", amount).bind("o", to),
-                                    )
-                                });
-                            match r {
-                                Ok(_) => {
-                                    s.execute("COMMIT", &Params::new()).unwrap();
-                                }
-                                Err(Error::WriteConflict { .. }) => {
-                                    s.execute("ROLLBACK", &Params::new()).unwrap();
-                                }
-                                Err(e) => panic!("stress transfer: {e}"),
-                            }
+                                )?;
+                                tx.execute(credit, &Params::new().bind("a", amount).bind("o", to))?;
+                                Ok(())
+                            })
+                            .unwrap();
                         }
-                        // transfer, then deliberately roll back
+                        // transfer rolled back after its debit: inside, the
+                        // transaction sees its own debit and no one else's
                         2 => {
                             let amount = (rng() % 9 + 1) as i64;
                             let from = (rng() % accounts as u64) as i64 + 1;
-                            let mut s = Session::new(Arc::clone(&db));
-                            s.execute("BEGIN", &Params::new()).unwrap();
-                            let _ = s.execute(
-                                "UPDATE account SET balance = balance - :a WHERE oid = :o",
-                                &Params::new().bind("a", amount).bind("o", from),
-                            );
-                            s.execute("ROLLBACK", &Params::new()).unwrap();
+                            let r = db.transaction(|tx| -> Result<(), Error> {
+                                tx.execute(
+                                    debit,
+                                    &Params::new().bind("a", amount).bind("o", from),
+                                )?;
+                                let seen = int(tx.query(SUM, &Params::new())?.first("total"));
+                                assert_eq!(
+                                    seen,
+                                    total - amount,
+                                    "foreign write inside a transaction"
+                                );
+                                Err(Error::Transaction("deliberate rollback".into()))
+                            });
+                            assert!(r.is_err());
                         }
-                        // pinned-snapshot read: sum must be exact, twice
+                        // full-sum autocommit read: always exact
                         3 => {
-                            let mut s = Session::new(Arc::clone(&db));
-                            s.execute("BEGIN", &Params::new()).unwrap();
-                            let first = sum_via(&mut s);
-                            assert_eq!(first, total, "torn read under stress");
-                            assert_eq!(first, sum_via(&mut s), "snapshot drifted");
-                            s.execute("COMMIT", &Params::new()).unwrap();
+                            let rs = db.query(SUM, &Params::new()).unwrap();
+                            assert_eq!(int(rs.first("total")), total, "torn read under stress");
                         }
-                        // ledger insert (append-only table) + maybe vacuum
+                        // ledger insert (append-only table)
                         _ => {
                             let delta = (rng() % 100) as i64;
-                            let mut s = Session::new(Arc::clone(&db));
-                            s.execute("BEGIN", &Params::new()).unwrap();
-                            s.execute(
+                            db.execute(
                                 "INSERT INTO ledger (delta) VALUES (:d)",
                                 &Params::new().bind("d", delta),
                             )
                             .unwrap();
-                            s.execute("COMMIT", &Params::new()).unwrap();
                             committed_ledger.fetch_add(1, Ordering::Relaxed);
-                            if rng() % 4 == 0 {
-                                db.vacuum();
-                            }
                         }
                     }
                 }
@@ -560,9 +340,7 @@ fn seeded_schedule_stress() {
         h.join().unwrap();
     }
 
-    let rs = db
-        .query("SELECT SUM(balance) AS total FROM account", &Params::new())
-        .unwrap();
+    let rs = db.query(SUM, &Params::new()).unwrap();
     assert_eq!(int(rs.first("total")), total, "stress broke the invariant");
     let rs = db
         .query("SELECT COUNT(*) AS n FROM ledger", &Params::new())
@@ -572,10 +350,5 @@ fn seeded_schedule_stress() {
         committed_ledger.load(Ordering::Relaxed),
         "ledger rows != committed ledger inserts"
     );
-    // a final vacuum leaves exactly one version per live row
-    db.vacuum();
-    let rs = db
-        .query("SELECT COUNT(*) AS n FROM account", &Params::new())
-        .unwrap();
-    assert_eq!(int(rs.first("n")), accounts);
+    assert_eq!(db.table_len("account").unwrap(), accounts as usize);
 }

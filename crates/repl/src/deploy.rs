@@ -6,8 +6,6 @@
 //! store, then subscribes to the durable batch stream via
 //! [`wal::Wal::replay_from`] — the hole between "recovered to LSN x" and
 //! "subscribed" is closed by replaying the tail under the observer lock.
-//! The leader's vacuum horizon is pinned to the slowest replica so MVCC
-//! versions a replica still needs are never reclaimed under it.
 
 use mvc::{WebRequest, WebResponse};
 use relstore::Database;
@@ -102,19 +100,6 @@ pub fn deploy_replicated(
             controller,
         });
         replicas.push(replica);
-    }
-
-    // the leader must not vacuum MVCC versions a lagging replica has not
-    // applied past: pin the vacuum horizon to the slowest replica
-    if !replicas.is_empty() {
-        let horizon_view: Vec<Arc<Replica>> = replicas.clone();
-        leader.db.set_vacuum_horizon(Arc::new(move || {
-            horizon_view
-                .iter()
-                .map(|r| r.applied_lsn())
-                .min()
-                .unwrap_or(u64::MAX)
-        }));
     }
 
     let router = Arc::new(Router::new(

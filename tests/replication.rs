@@ -1,8 +1,7 @@
 //! Replication, end to end: log-shipping replicas behind the router
 //! (read-your-writes, staleness redirects), idempotent convergence under
 //! duplicated/overlapping batch delivery, replica crash recovery from its
-//! own snapshot + log catch-up, and the leader's vacuum horizon pinned to
-//! the slowest replica.
+//! own snapshot + log catch-up.
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -166,57 +165,6 @@ fn replica_crashes_mid_stream_and_recovers_from_snapshot_plus_catchup() {
         revived.db().dump(),
         d.db.dump(),
         "recovered replica must be byte-identical to the leader"
-    );
-}
-
-#[test]
-fn leader_vacuum_horizon_is_pinned_to_the_slowest_replica() {
-    let dir = TempDir::new("repl-vacuum").unwrap();
-    let app = fixtures::bookstore();
-    let rd = deploy_replicated(
-        &app,
-        DeployOptions::default().with_replicas(1),
-        &manual(&dir),
-    )
-    .expect("replicated deploy");
-    let wal = Arc::clone(rd.leader.wal.as_ref().unwrap());
-    wal.flush_and_notify();
-    let replica = &rd.replicas[0];
-    let stale_lsn = replica.applied_lsn();
-    assert!(stale_lsn > 0);
-
-    // churn versions on the leader without making them durable: the
-    // replica stays at `stale_lsn`, so vacuum must not reclaim past it
-    rd.leader
-        .db
-        .execute(
-            "INSERT INTO book (title, price) VALUES (:t, :p)",
-            &Params::new().bind("t", "churn").bind("p", 1.0),
-        )
-        .unwrap();
-    for i in 0..5 {
-        rd.leader
-            .db
-            .execute(
-                "UPDATE book SET price = :p WHERE title = :t",
-                &Params::new().bind("p", f64::from(i)).bind("t", "churn"),
-            )
-            .unwrap();
-    }
-    rd.leader.db.vacuum();
-    assert_eq!(
-        rd.leader.obs.db.vacuum_horizon_lsn.get(),
-        stale_lsn as i64,
-        "horizon must clamp to the lagging replica's applied LSN"
-    );
-
-    // once the replica catches up, the horizon advances with it
-    wal.flush_and_notify();
-    assert!(replica.applied_lsn() > stale_lsn);
-    rd.leader.db.vacuum();
-    assert!(
-        rd.leader.obs.db.vacuum_horizon_lsn.get() > stale_lsn as i64,
-        "horizon follows the replica forward"
     );
 }
 

@@ -30,7 +30,7 @@ failed, hit = run["failed"], run["metrics"]["cache.fragment_hit_ratio"]["value"]
 print(f"failed={failed} cache.fragment_hit_ratio={hit:.2f} (gate: 0 failed, ratio > 0.3)")
 sys.exit(0 if failed == 0 and hit > 0.3 else 1)'
 
-echo "== MVCC seeded-schedule stress (snapshot-isolation properties under three seeds)"
+echo "== storage seeded-schedule stress (transactions, rollbacks and exact reads under three seeds)"
 for seed in 1 20030108 "${RELSTORE_STRESS_SEED:-3224275387}"; do
   RELSTORE_STRESS_SEED="$seed" \
     cargo test -p relstore --release -q --test concurrent seeded_schedule_stress
