@@ -67,14 +67,24 @@ fn dedicated_compute(db: &Database, cat: i64) -> UnitBean {
     let oid_c = rs.column_index("oid").unwrap();
     let name_c = rs.column_index("name").unwrap();
     let price_c = rs.column_index("price").unwrap();
+    let names: [Arc<str>; 3] = ["oid".into(), "name".into(), "price".into()];
     let rows: Vec<BeanRow> = rs
-        .rows()
-        .iter()
-        .map(|r| BeanRow {
+        .into_rows()
+        .into_iter()
+        .map(|mut r| BeanRow {
             values: vec![
-                ("oid".to_string(), r[oid_c].clone()),
-                ("name".to_string(), r[name_c].clone()),
-                ("price".to_string(), r[price_c].clone()),
+                (
+                    Arc::clone(&names[0]),
+                    std::mem::replace(&mut r[oid_c], Value::Null),
+                ),
+                (
+                    Arc::clone(&names[1]),
+                    std::mem::replace(&mut r[name_c], Value::Null),
+                ),
+                (
+                    Arc::clone(&names[2]),
+                    std::mem::replace(&mut r[price_c], Value::Null),
+                ),
             ],
         })
         .collect();

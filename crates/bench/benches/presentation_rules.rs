@@ -13,8 +13,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use presentation::{
-    render_template, ContentBody, ContentRow, DeviceRegistry, RuleSet, TemplateSkeleton,
-    UnitContent,
+    render_template_chunks, ContentBody, ContentRow, DeviceRegistry, HtmlChunk, RuleSet,
+    StyledTemplate, TemplateSkeleton, UnitContent,
 };
 use std::hint::black_box;
 
@@ -30,15 +30,15 @@ fn skeleton(units: usize) -> TemplateSkeleton {
     TemplateSkeleton::grid("page0", "Bench Page", "two-columns", &slots, 2)
 }
 
-fn content(unit: &str) -> UnitContent {
+fn content(unit: &str) -> UnitContent<'_> {
     UnitContent {
-        unit: unit.to_string(),
+        unit: unit.into(),
         unit_type: "index".into(),
-        title: format!("Unit {unit}"),
+        title: format!("Unit {unit}").into(),
         body: ContentBody::Rows(
             (0..12)
                 .map(|i| ContentRow {
-                    fields: vec![("name".into(), format!("Row {i} of {unit}"))],
+                    fields: vec![("name".into(), format!("Row {i} of {unit}").into())],
                     anchor: None,
                     checkbox: None,
                 })
@@ -47,6 +47,18 @@ fn content(unit: &str) -> UnitContent {
         pager: None,
         actions: vec![],
     }
+}
+
+/// Render one page: every unit slot gets [`content`], written in place.
+fn render(template: &StyledTemplate, rules: &RuleSet) -> Vec<HtmlChunk> {
+    render_template_chunks(
+        template,
+        &mut |u, glue| {
+            rules.render_unit_into(&content(u), glue);
+            None
+        },
+        "<nav/>",
+    )
 }
 
 fn bench(c: &mut Criterion) {
@@ -69,15 +81,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("compile_time_styling", units),
             &units,
-            |b, _| {
-                b.iter(|| {
-                    black_box(render_template(
-                        &compiled,
-                        &mut |u| rules.render_unit(&content(u)),
-                        "<nav/>",
-                    ))
-                })
-            },
+            |b, _| b.iter(|| black_box(render(&compiled, &rules))),
         );
         group.bench_with_input(
             BenchmarkId::new("runtime_styling", units),
@@ -85,11 +89,7 @@ fn bench(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     let styled = rules.apply(&sk); // per-request transformation
-                    black_box(render_template(
-                        &styled,
-                        &mut |u| rules.render_unit(&content(u)),
-                        "<nav/>",
-                    ))
+                    black_box(render(&styled, &rules))
                 })
             },
         );
@@ -103,11 +103,7 @@ fn bench(c: &mut Criterion) {
                     let ua = if flip { desktop_ua } else { pda_ua };
                     let rs = devices.select(ua).unwrap();
                     let styled = rs.apply(&sk);
-                    black_box(render_template(
-                        &styled,
-                        &mut |u| rs.render_unit(&content(u)),
-                        "<nav/>",
-                    ))
+                    black_box(render(&styled, rs))
                 })
             },
         );

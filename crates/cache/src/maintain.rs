@@ -296,8 +296,9 @@ pub struct UnitPlan {
     /// The single table the unit's query reads (empty for fallback-only
     /// plans whose SQL was not recognizable).
     pub table: String,
-    /// Bean row shape `(property name, table column)`.
-    pub projection: Vec<(String, String)>,
+    /// Bean row shape `(property name, table column)`. The names are
+    /// minted once per plan and shared by every row a patch projects.
+    pub projection: Vec<(Arc<str>, String)>,
     pub strategy: Strategy,
 }
 
@@ -320,14 +321,17 @@ fn classify(u: &UnitShape) -> UnitPlan {
         Ok(s) => s,
         Err(reason) => return fallback(entity, reason),
     };
-    let projection: Vec<(String, String)> = if u.bean_columns.is_empty() {
+    let projection: Vec<(Arc<str>, String)> = if u.bean_columns.is_empty() {
         shape
             .projection
             .iter()
-            .map(|c| (c.clone(), c.clone()))
+            .map(|c| (Arc::from(c.as_str()), c.clone()))
             .collect()
     } else {
-        u.bean_columns.clone()
+        u.bean_columns
+            .iter()
+            .map(|(name, col)| (Arc::from(name.as_str()), col.clone()))
+            .collect()
     };
     let strategy = if u.unit_kind == "data" {
         match shape.filters.as_slice() {
@@ -950,8 +954,8 @@ mod tests {
         assert_eq!(
             p.projection,
             vec![
-                ("oid".to_string(), "oid".to_string()),
-                ("title".to_string(), "title".to_string())
+                (Arc::from("oid"), "oid".to_string()),
+                (Arc::from("title"), "title".to_string())
             ]
         );
 

@@ -11,11 +11,16 @@
 //! serialize to/from JSON.
 
 use relstore::Value;
+use std::sync::Arc;
 
 /// One row of bean properties: `(property name, value)` in bean order.
+///
+/// Property names are shared: the unit service mints them once per result
+/// set and every row of the result holds a reference, so a cached bean
+/// keeps one copy of each name however many rows it has.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BeanRow {
-    pub values: Vec<(String, Value)>,
+    pub values: Vec<(Arc<str>, Value)>,
 }
 
 impl BeanRow {
@@ -130,7 +135,7 @@ fn row_to_json(r: &BeanRow) -> serde_json::Value {
     serde_json::Value::Array(
         r.values
             .iter()
-            .map(|(n, v)| serde_json::json!([n, value_to_json(v)]))
+            .map(|(n, v)| serde_json::json!([&**n, value_to_json(v)]))
             .collect(),
     )
 }
@@ -140,10 +145,7 @@ fn row_from_json(j: &serde_json::Value) -> Option<BeanRow> {
     let mut values = Vec::with_capacity(arr.len());
     for pair in arr {
         let p = pair.as_array()?;
-        values.push((
-            p.first()?.as_str()?.to_string(),
-            value_from_json(p.get(1)?)?,
-        ));
+        values.push((Arc::from(p.first()?.as_str()?), value_from_json(p.get(1)?)?));
     }
     Some(BeanRow { values })
 }
@@ -261,6 +263,18 @@ mod tests {
             Some(Value::Text("TODS".into()))
         );
         assert_eq!(b.propagated_attribute("missing"), None);
+    }
+
+    #[test]
+    fn json_format_names_each_property_as_a_string() {
+        let b = UnitBean::Rows {
+            rows: vec![row(1, "a"), row(2, "b")],
+            total: 2,
+        };
+        assert_eq!(
+            b.to_json().to_string(),
+            r#"{"kind":"rows","rows":[[["oid",{"t":"i","v":1}],["title",{"t":"s","v":"a"}]],[["oid",{"t":"i","v":2}],["title",{"t":"s","v":"b"}]]],"total":2}"#
+        );
     }
 
     #[test]

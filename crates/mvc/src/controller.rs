@@ -23,7 +23,7 @@ use crate::services::{fingerprint, ParamMap, ServiceRegistry};
 use crate::session::{SessionManager, DEFAULT_SESSION_TTL};
 use descriptors::DescriptorSet;
 use presentation::{
-    render_template_chunks, DeviceRegistry, HtmlChunk, RuleSet, StyledTemplate, TemplateSkeleton,
+    render_template_chunks, DeviceRegistry, RuleSet, StyledTemplate, TemplateSkeleton,
 };
 use relstore::{Database, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -674,10 +674,10 @@ impl Controller {
         let render_token = ctx.enter("render");
         let chunks = render_template_chunks(
             styled,
-            &mut |unit_id| {
+            &mut |unit_id, glue| {
                 let Some(at) = plan.position(unit_id) else {
                     render_err = Some(MvcError::MissingDescriptor(unit_id.to_string()));
-                    return HtmlChunk::Owned(String::new());
+                    return None;
                 };
                 let (step, unit) = (&plan.units[at], &result.units[at]);
                 let fragment_token = ctx.enter(step.fragment_span.as_str());
@@ -702,7 +702,7 @@ impl Controller {
                 if let Some((fc, _, key)) = &cached {
                     if let Some(markup) = fc.get(key) {
                         ctx.exit(fragment_token);
-                        return HtmlChunk::Shared(markup);
+                        return Some(markup);
                     }
                 }
                 let content = unit_content(
@@ -712,27 +712,35 @@ impl Controller {
                     &unit.bean,
                     &request_params,
                 );
-                let markup = rules.render_unit(&content);
-                let chunk = match cached {
+                let shared = match cached {
                     // the put returns the freshly interned Arc, so even the
                     // miss path serves the cache-resident bytes; a put over
                     // a dirty tombstone is a re-render; a put that lost to
                     // an invalidation serves its own buffer, uncached
                     Some((fc, generation, key)) => {
+                        let mut markup = String::new();
+                        rules.render_unit_into(&content, &mut markup);
                         match fc.put_if_current(key, markup, generation) {
                             Ok((shared, _version, rerendered)) => {
                                 if rerendered {
                                     self.obs.maint.fragment_rerenders.inc();
                                 }
-                                HtmlChunk::Shared(shared)
+                                Some(shared)
                             }
-                            Err(markup) => HtmlChunk::Owned(markup),
+                            Err(markup) => {
+                                glue.push_str(&markup);
+                                None
+                            }
                         }
                     }
-                    None => HtmlChunk::Owned(markup),
+                    // uncached: written once, straight into the page
+                    None => {
+                        rules.render_unit_into(&content, glue);
+                        None
+                    }
                 };
                 ctx.exit(fragment_token);
-                chunk
+                shared
             },
             &plan.nav,
         );
@@ -757,6 +765,7 @@ mod tests {
         ActionKind, ActionMapping, CacheDescriptor, ControllerConfig, OperationDescriptor,
         PageDescriptor, ParamBinding, QuerySpec, TransportEdge, UnitDescriptor, UnitLinkSpec,
     };
+    use presentation::HtmlChunk;
     use relstore::{ChangeRecord, Params};
 
     /// A small two-page application with a create operation.
@@ -1365,7 +1374,26 @@ mod tests {
         }
     }
 
-    /// `RuleSet::render_unit` differs per device (desktop zebra-stripes
+    /// The scroller service and its pager read `block_offset` through one
+    /// helper: a negative or non-integer offset shows, and says it shows,
+    /// the first block.
+    #[test]
+    fn malformed_block_offsets_page_from_the_first_block() {
+        let c = catalog(RuntimeOptions::default());
+        for raw in ["-10", "abc", "1e3"] {
+            let body = c
+                .handle(&WebRequest::get("/shop/browse").with_param("block_offset", raw))
+                .body;
+            assert!(body.contains("<span>1-10 of 40</span>"), "{raw}: {body}");
+            assert!(
+                !body.contains("&lt; prev"),
+                "{raw}: a first block has no prev"
+            );
+            assert!(body.contains("block_offset=10"), "{raw}: next block link");
+        }
+    }
+
+    /// `RuleSet::render_unit_into` differs per device (desktop zebra-stripes
     /// its index rows, the PDA rules do not), so the rule set is part of
     /// the fragment key.
     #[test]

@@ -48,7 +48,9 @@ pub use operations::{Mail, OpResult, OperationEngine, OperationHandler};
 pub use page::{compute_page, PageEnv, PageResult};
 pub use plan::{ComputedUnit, PagePlan, Route, SitePlan, UnitStep};
 pub use render::{navigation_html, unit_content};
-pub use request::{build_url, url_decode, url_encode, WebRequest, WebResponse, WebResponseParts};
+pub use request::{
+    build_url, url_decode, url_encode, url_encode_into, WebRequest, WebResponse, WebResponseParts,
+};
 pub use services::{fingerprint, ParamMap, ServiceRegistry, UnitService};
 pub use session::{Session, SessionManager, DEFAULT_SESSION_TTL};
 

@@ -25,6 +25,7 @@ use crate::beans::{BeanRow, UnitBean};
 use descriptors::DescriptorSet;
 use relstore::Value;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use webcache::{DeltaOp, PatchOutcome, Patcher, RowDelta, RowOrder, Strategy, UnitPlan, UnitShape};
 
 /// Build the planner's unit shapes from a deployed descriptor set.
@@ -61,7 +62,10 @@ fn project(plan: &UnitPlan, delta: &RowDelta<'_>) -> BeanRow {
         values: plan
             .projection
             .iter()
-            .map(|(name, col)| (name.clone(), delta.get(col).cloned().unwrap_or(Value::Null)))
+            .map(|(name, col)| {
+                let v = delta.get(col).cloned().unwrap_or(Value::Null);
+                (Arc::clone(name), v)
+            })
             .collect(),
     }
 }
@@ -139,7 +143,7 @@ impl UnitBeanPatcher {
                                     .projection
                                     .iter()
                                     .find(|(_, c)| c == col)
-                                    .map(|(name, _)| name.as_str());
+                                    .map(|(name, _)| &**name);
                                 let moved = match (prop, delta.get(col)) {
                                     (Some(prop), Some(new_key)) => {
                                         rows[p].get(prop) != Some(new_key)

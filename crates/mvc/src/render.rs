@@ -7,59 +7,93 @@
 //! logic (§3's first key issue).
 
 use crate::beans::{BeanRow, NestedBeanRow, UnitBean};
-use crate::request::build_url;
-use crate::services::ParamMap;
-use descriptors::{PageDescriptor, ParamBinding, UnitDescriptor, UnitLinkSpec};
+use crate::request::push_query_param;
+use crate::services::{block_offset, ParamMap};
+use descriptors::{PageDescriptor, UnitDescriptor, UnitLinkSpec};
 use presentation::{
-    AnchorRef, ContentBody, ContentRow, FormContent, FormField, NestedRow, Pager, UnitContent,
+    AnchorRef, ContentBody, ContentRow, Field, FormContent, FormField, NestedRow, Pager,
+    UnitContent,
 };
 use relstore::Value;
+use std::borrow::Cow;
 
-/// Resolve one link parameter against a row.
-fn row_param(p: &ParamBinding, row: &BeanRow) -> Option<(String, String)> {
-    match p.source_kind.as_str() {
-        "oid" => row.oid().map(|oid| (p.name.clone(), oid.to_string())),
-        "attribute" => row.get(&p.source).map(|v| (p.name.clone(), v.render())),
-        "constant" => Some((p.name.clone(), p.source.clone())),
-        _ => None,
+#[cfg(test)]
+mod oracle;
+
+/// A value as displayed and as a URL parameter: text is borrowed as it
+/// is, any other value is rendered.
+fn text(v: &Value) -> Cow<'_, str> {
+    match v {
+        Value::Text(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.render()),
     }
 }
 
-/// Build the href of a link for one row.
+/// The href of a link for one row, written once: the target URL, then
+/// every parameter the row binds — its oid, one of its attributes, or a
+/// constant — percent-encoded in place.
 fn row_href(link: &UnitLinkSpec, row: &BeanRow) -> String {
-    let params: Vec<(String, String)> = link
-        .params
-        .iter()
-        .filter_map(|p| row_param(p, row))
-        .collect();
-    build_url(&link.target_url, &params)
+    // room for every `?name=value` with a short value: one allocation
+    let room: usize = link.params.iter().map(|p| p.name.len() + 24).sum();
+    let mut href = String::with_capacity(link.target_url.len() + room);
+    href.push_str(&link.target_url);
+    let mut first = true;
+    for p in &link.params {
+        let value = match p.source_kind.as_str() {
+            "oid" => row.oid().map(|oid| Cow::Owned(oid.to_string())),
+            "attribute" => row.get(&p.source).map(text),
+            "constant" => Some(Cow::Borrowed(p.source.as_str())),
+            _ => None,
+        };
+        if let Some(v) = value {
+            push_query_param(&mut href, &mut first, &p.name, &v);
+        }
+    }
+    href
 }
 
-fn display_pairs(row: &BeanRow) -> Vec<(String, String)> {
-    row.values
-        .iter()
-        .filter(|(n, _)| !n.eq_ignore_ascii_case("oid"))
-        .map(|(n, v)| (n.clone(), v.render()))
-        .collect()
+/// The displayed `(label, value)` pairs of a row: every property but the
+/// oid, borrowed from the bean.
+fn fields(row: &BeanRow) -> Vec<Field<'_>> {
+    let mut out = Vec::with_capacity(row.values.len());
+    out.extend(
+        row.values
+            .iter()
+            .filter(|(n, _)| !n.eq_ignore_ascii_case("oid"))
+            .map(|(n, v)| (Cow::Borrowed(&**n), text(v))),
+    );
+    out
 }
 
-fn nested_rows(rows: &[NestedBeanRow], link: Option<&UnitLinkSpec>) -> Vec<NestedRow> {
+fn nested_rows<'a>(
+    rows: &'a [NestedBeanRow],
+    link: Option<&'a UnitLinkSpec>,
+) -> Vec<NestedRow<'a>> {
     rows.iter()
-        .map(|r| {
-            let is_leaf = r.children.is_empty();
-            NestedRow {
-                fields: display_pairs(&r.row),
-                anchor: match (is_leaf, link) {
-                    (true, Some(l)) => Some(AnchorRef {
-                        href: row_href(l, &r.row),
-                        label: l.label.clone(),
-                    }),
-                    _ => None,
-                },
-                children: nested_rows(&r.children, link),
-            }
+        .map(|r| NestedRow {
+            fields: fields(&r.row),
+            anchor: link.filter(|_| r.children.is_empty()).map(|l| AnchorRef {
+                href: row_href(l, &r.row),
+                label: Cow::Borrowed(&l.label),
+            }),
+            children: nested_rows(&r.children, link),
         })
         .collect()
+}
+
+/// A scroller pager href: the page URL with every request parameter but
+/// `block_offset`, then `block_offset` itself.
+fn pager_href(page_url: &str, request_params: &ParamMap, offset: usize) -> String {
+    let mut href = String::with_capacity(page_url.len() + 32);
+    href.push_str(page_url);
+    let mut first = true;
+    for (k, v) in request_params {
+        if k != "block_offset" {
+            push_query_param(&mut href, &mut first, k, &text(v));
+        }
+    }
+    push_query_param(&mut href, &mut first, "block_offset", &offset.to_string());
+    href
 }
 
 /// Convert a computed bean into renderable content.
@@ -67,14 +101,16 @@ fn nested_rows(rows: &[NestedBeanRow], link: Option<&UnitLinkSpec>) -> Vec<Neste
 /// `links` are the navigable links leaving this unit, `page_url` the URL
 /// of its page. `request_params` feeds the scroller's pager links so
 /// paging preserves page context — the one place markup embeds the raw
-/// request (the page plan keys such fragments on it).
-pub fn unit_content(
-    desc: &UnitDescriptor,
-    links: &[UnitLinkSpec],
-    page_url: &str,
-    bean: &UnitBean,
+/// request (the page plan keys such fragments on it). The content borrows
+/// labels, titles and text values from `desc`, `links` and `bean`; it
+/// mints only hrefs, rendered non-text values and the pager.
+pub fn unit_content<'a>(
+    desc: &'a UnitDescriptor,
+    links: &'a [UnitLinkSpec],
+    page_url: &'a str,
+    bean: &'a UnitBean,
     request_params: &ParamMap,
-) -> UnitContent {
+) -> UnitContent<'a> {
     let primary = links.first();
     let mut actions = Vec::new();
 
@@ -86,25 +122,25 @@ pub fn unit_content(
                 for l in links {
                     actions.push(AnchorRef {
                         href: row_href(l, r),
-                        label: if l.label.is_empty() {
-                            l.target_url.clone()
+                        label: Cow::Borrowed(if l.label.is_empty() {
+                            &l.target_url
                         } else {
-                            l.label.clone()
-                        },
+                            &l.label
+                        }),
                     });
                 }
             }
-            ContentBody::Single(row.as_ref().map(display_pairs).unwrap_or_default())
+            ContentBody::Single(row.as_ref().map(fields).unwrap_or_default())
         }
         UnitBean::Rows { rows, .. } => {
             let multichoice = desc.unit_type == "multichoice";
             ContentBody::Rows(
                 rows.iter()
                     .map(|r| ContentRow {
-                        fields: display_pairs(r),
+                        fields: fields(r),
                         anchor: primary.map(|l| AnchorRef {
                             href: row_href(l, r),
-                            label: l.label.clone(),
+                            label: Cow::Borrowed(&l.label),
                         }),
                         checkbox: if multichoice {
                             r.oid().map(|o| o.to_string())
@@ -117,86 +153,78 @@ pub fn unit_content(
         }
         UnitBean::Nested(rows) => ContentBody::Nested(nested_rows(rows, primary)),
         UnitBean::Form => {
-            let action = primary
-                .map(|l| l.target_url.clone())
-                .unwrap_or_else(|| page_url.to_string());
+            let action = primary.map_or(page_url, |l| l.target_url.as_str());
             // fields named after the link parameters they feed, so the
             // target receives them under the names it expects
-            let mut fields = Vec::new();
-            for f in &desc.fields {
-                let param_name = primary
-                    .and_then(|l| {
-                        l.params
-                            .iter()
-                            .find(|p| p.source_kind == "field" && p.source == f.name)
-                    })
-                    .map(|p| p.name.clone())
-                    .unwrap_or_else(|| f.name.clone());
-                fields.push(FormField {
-                    name: param_name,
-                    label: f.name.clone(),
-                    input_type: match f.field_type.as_str() {
-                        "Integer" | "Float" => "number".into(),
-                        "Boolean" => "checkbox".into(),
-                        "Date" => "date".into(),
-                        _ => "text".into(),
-                    },
-                    required: f.required,
-                    pattern: f.pattern.clone(),
-                });
-            }
-            // propagate constant/oid link params as hidden inputs
-            let hidden: Vec<(String, String)> = primary
+            let fields = desc
+                .fields
+                .iter()
+                .map(|f| {
+                    let name = primary
+                        .and_then(|l| {
+                            l.params
+                                .iter()
+                                .find(|p| p.source_kind == "field" && p.source == f.name)
+                        })
+                        .map_or(f.name.as_str(), |p| p.name.as_str());
+                    FormField {
+                        name: Cow::Borrowed(name),
+                        label: Cow::Borrowed(&f.name),
+                        input_type: Cow::Borrowed(match f.field_type.as_str() {
+                            "Integer" | "Float" => "number",
+                            "Boolean" => "checkbox",
+                            "Date" => "date",
+                            _ => "text",
+                        }),
+                        required: f.required,
+                        pattern: f.pattern.as_deref().map(Cow::Borrowed),
+                    }
+                })
+                .collect();
+            // propagate constant link params as hidden inputs
+            let hidden = primary
                 .map(|l| {
                     l.params
                         .iter()
-                        .filter_map(|p| match p.source_kind.as_str() {
-                            "constant" => Some((p.name.clone(), p.source.clone())),
-                            _ => None,
+                        .filter(|p| p.source_kind == "constant")
+                        .map(|p| {
+                            (
+                                Cow::Borrowed(p.name.as_str()),
+                                Cow::Borrowed(p.source.as_str()),
+                            )
                         })
                         .collect()
                 })
                 .unwrap_or_default();
             ContentBody::Form(FormContent {
-                action,
+                action: Cow::Borrowed(action),
                 fields,
-                submit_label: primary
-                    .map(|l| l.label.clone())
-                    .filter(|l| !l.is_empty())
-                    .unwrap_or_else(|| "Submit".into()),
+                submit_label: Cow::Borrowed(
+                    primary
+                        .map(|l| l.label.as_str())
+                        .filter(|l| !l.is_empty())
+                        .unwrap_or("Submit"),
+                ),
                 hidden,
             })
         }
-        UnitBean::Raw(html) => ContentBody::Raw(html.clone()),
+        UnitBean::Raw(html) => ContentBody::Raw(Cow::Borrowed(html)),
     };
 
-    // scroller pager
+    // scroller pager: the block shown is the block the service computed
     let pager = match (bean, desc.block_size) {
         (UnitBean::Rows { rows, total }, Some(block)) if desc.unit_type == "scroller" => {
-            let offset = request_params
-                .get("block_offset")
-                .and_then(|v| match v {
-                    Value::Integer(i) => Some(*i as usize),
-                    Value::Text(s) => s.parse().ok(),
-                    _ => None,
-                })
-                .unwrap_or(0);
-            let mk = |off: usize| {
-                let mut params: Vec<(String, String)> = request_params
-                    .iter()
-                    .filter(|(k, _)| k.as_str() != "block_offset")
-                    .map(|(k, v)| (k.clone(), v.render()))
-                    .collect();
-                params.push(("block_offset".into(), off.to_string()));
-                build_url(page_url, &params)
-            };
+            let offset = block_offset(request_params);
+            let shown = offset.saturating_add(rows.len());
             Some(Pager {
-                prev: (offset > 0).then(|| mk(offset.saturating_sub(block))),
-                next: (offset + rows.len() < *total).then(|| mk(offset + block)),
+                prev: (offset > 0)
+                    .then(|| pager_href(page_url, request_params, offset.saturating_sub(block))),
+                next: (shown < *total)
+                    .then(|| pager_href(page_url, request_params, offset.saturating_add(block))),
                 position: if *total == 0 {
                     "0 of 0".into()
                 } else {
-                    format!("{}-{} of {}", offset + 1, offset + rows.len(), total)
+                    format!("{}-{} of {}", offset.saturating_add(1), shown, total)
                 },
             })
         }
@@ -204,9 +232,9 @@ pub fn unit_content(
     };
 
     UnitContent {
-        unit: desc.id.clone(),
-        unit_type: desc.unit_type.clone(),
-        title: desc.name.clone(),
+        unit: Cow::Borrowed(&desc.id),
+        unit_type: Cow::Borrowed(&desc.unit_type),
+        title: Cow::Borrowed(&desc.name),
         body,
         pager,
         actions,
@@ -242,7 +270,8 @@ pub fn navigation_html(landmarks: &[&PageDescriptor], current: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use descriptors::{FieldSpec, QuerySpec};
+    use descriptors::{FieldSpec, ParamBinding, QuerySpec};
+    use std::sync::Arc;
 
     fn page(links: Vec<UnitLinkSpec>) -> PageDescriptor {
         PageDescriptor {
@@ -324,7 +353,7 @@ mod tests {
         assert_eq!(rows[0].anchor.as_ref().unwrap().href, "/sv/detail?item=1");
         assert_eq!(rows[1].anchor.as_ref().unwrap().href, "/sv/detail?item=2");
         // oid never shows as a field
-        assert_eq!(rows[0].fields, vec![("title".to_string(), "a".to_string())]);
+        assert_eq!(rows[0].fields, vec![("title".into(), "a".into())]);
     }
 
     #[test]
@@ -436,6 +465,46 @@ mod tests {
         let nav = navigation_html(&[&p1, &p2], "page0");
         assert!(nav.contains("<span class=\"current\">P</span>"));
         assert!(nav.contains("<a href=\"/sv/other\">Other</a>"));
+    }
+
+    /// An uncached index unit copies no label and no text value: per row
+    /// it allocates the fields `Vec`, the href, and the oid's digits.
+    #[test]
+    fn index_unit_allocates_only_fields_href_and_oid_per_row() {
+        const ROWS: usize = 100;
+        let d = desc("index");
+        let p = page(vec![link(vec![oid_param()])]);
+        let (title, name): (Arc<str>, Arc<str>) = ("title".into(), "name".into());
+        let rows = (0..ROWS as i64)
+            .map(|i| BeanRow {
+                values: vec![
+                    ("oid".into(), Value::Integer(1000 + i)),
+                    (Arc::clone(&title), Value::Text(format!("Title <{i}>"))),
+                    (Arc::clone(&name), Value::Text(format!("naïve & {i}"))),
+                ],
+            })
+            .collect();
+        let bean = UnitBean::Rows { rows, total: ROWS };
+        let rules = presentation::RuleSet::default_desktop("desktop");
+        let render = || {
+            let content = unit_content(&d, &p.links, &p.url, &bean, &ParamMap::new());
+            let mut html = String::new();
+            rules.render_unit_into(&content, &mut html);
+            html
+        };
+        // warm-up outside the measured window (lazy runtime init)
+        let warm = render();
+        assert!(
+            warm.contains("href=\"/sv/detail?item=1099\">Title &lt;99&gt; — naïve &amp; 99</a>")
+        );
+        let (allocs, html) = crate::alloc_counter::allocations_during(render);
+        assert_eq!(html, warm);
+        let bound = 3 * ROWS + 32;
+        assert!(
+            allocs <= bound,
+            "{allocs} allocations for {ROWS} rows (bound {bound}): \
+             per-cell labels, values or href temporaries are back"
+        );
     }
 
     #[test]

@@ -166,16 +166,28 @@ impl WebResponseParts {
 /// Percent-encode a query-string component.
 pub fn url_encode(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    url_encode_into(&mut out, s);
+    out
+}
+
+/// Percent-encode `s` straight onto `out`: unreserved bytes as they are,
+/// space as `+`, every other byte as `%XX` — the allocation-free form
+/// hrefs are written with.
+pub fn url_encode_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
     for b in s.bytes() {
         match b {
             b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
                 out.push(b as char)
             }
             b' ' => out.push('+'),
-            _ => out.push_str(&format!("%{b:02X}")),
+            _ => {
+                out.push('%');
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xF)] as char);
+            }
         }
     }
-    out
 }
 
 /// Decode a percent-encoded component.
@@ -189,17 +201,21 @@ pub fn url_decode(s: &str) -> String {
                 out.push(b' ');
                 i += 1;
             }
-            b'%' if i + 2 < bytes.len() + 1 && i + 2 < bytes.len() + 1 => {
-                if i + 2 < bytes.len() + 1 && i + 2 < bytes.len() {
-                    let hex = &s[i + 1..i + 3];
-                    if let Ok(v) = u8::from_str_radix(hex, 16) {
+            b'%' => {
+                // a malformed escape (short or not hex) passes through
+                let hex = bytes
+                    .get(i + 1..i + 3)
+                    .and_then(|h| std::str::from_utf8(h).ok());
+                match hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
+                    Some(v) => {
                         out.push(v);
                         i += 3;
-                        continue;
+                    }
+                    None => {
+                        out.push(b'%');
+                        i += 1;
                     }
                 }
-                out.push(b'%');
-                i += 1;
             }
             b => {
                 out.push(b);
@@ -210,16 +226,24 @@ pub fn url_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
+/// Append `name=value`, percent-encoded, to a URL under construction:
+/// `?` before the first parameter, `&` before every later one.
+pub(crate) fn push_query_param(url: &mut String, first: &mut bool, name: &str, value: &str) {
+    url.push(if std::mem::take(first) { '?' } else { '&' });
+    url_encode_into(url, name);
+    url.push('=');
+    url_encode_into(url, value);
+}
+
 /// Build a URL with query parameters.
 pub fn build_url(path: &str, params: &[(String, String)]) -> String {
-    if params.is_empty() {
-        return path.to_string();
+    let mut url = String::with_capacity(path.len() + 16 * params.len());
+    url.push_str(path);
+    let mut first = true;
+    for (k, v) in params {
+        push_query_param(&mut url, &mut first, k, v);
     }
-    let qs: Vec<String> = params
-        .iter()
-        .map(|(k, v)| format!("{}={}", url_encode(k), url_encode(v)))
-        .collect();
-    format!("{path}?{}", qs.join("&"))
+    url
 }
 
 #[cfg(test)]
@@ -255,5 +279,19 @@ mod tests {
     fn decode_tolerates_malformed_percent() {
         assert_eq!(url_decode("%zz"), "%zz");
         assert_eq!(url_decode("abc%"), "abc%");
+        assert_eq!(url_decode("abc%4"), "abc%4");
+        assert_eq!(url_decode("%41%4"), "A%4");
+        // a multi-byte character right after `%` is not an escape
+        assert_eq!(url_decode("%é1"), "%é1");
+        assert_eq!(url_decode("%aé"), "%aé");
+        assert_eq!(url_decode("%C3%A9"), "é");
+    }
+
+    #[test]
+    fn encode_into_appends_percent_escapes() {
+        let mut out = String::from("/p?q=");
+        url_encode_into(&mut out, "a b&c=100% é~");
+        assert_eq!(out, "/p?q=a+b%26c%3D100%25+%C3%A9~");
+        assert_eq!(url_encode("a b&c=100% é~"), "a+b%26c%3D100%25+%C3%A9~");
     }
 }

@@ -74,40 +74,62 @@ fn bind(q: &QuerySpec, params: &ParamMap, unit: &str) -> Result<Params> {
     Ok(out)
 }
 
-/// Pack a result set into bean rows following the descriptor's bean shape
-/// (all result columns when the shape is empty). Column positions are
-/// resolved once per result set, not per cell.
-fn pack(rs: &ResultSet, q: &QuerySpec) -> Vec<BeanRow> {
-    let mut rows = Vec::with_capacity(rs.len());
-    if q.bean.is_empty() {
-        for row in rs.rows() {
-            let values = rs
-                .columns()
-                .iter()
-                .zip(row)
-                .map(|(col, v)| (col.clone(), v.clone()))
-                .collect();
-            rows.push(BeanRow { values });
-        }
-    } else {
-        let positions: Vec<(usize, Option<usize>)> = q
-            .bean
+/// Pack rows `skip..skip + take` of a result set into bean rows following
+/// the descriptor's bean shape (all result columns when the shape is
+/// empty). Property names and column positions are resolved once per
+/// result set; cells move from the result into the beans, and a cell is
+/// cloned only for a column that feeds more than one property.
+fn pack(rs: ResultSet, q: &QuerySpec, skip: usize, take: usize) -> Vec<BeanRow> {
+    let shape: Vec<(Arc<str>, Option<usize>)> = if q.bean.is_empty() {
+        rs.columns()
             .iter()
             .enumerate()
-            .map(|(i, p)| (i, rs.column_index(&p.column)))
-            .collect();
-        for row in rs.rows() {
-            let values = positions
+            .map(|(c, name)| (Arc::from(name.as_str()), Some(c)))
+            .collect()
+    } else {
+        q.bean
+            .iter()
+            .map(|p| (Arc::from(p.name.as_str()), rs.column_index(&p.column)))
+            .collect()
+    };
+    // the last property a column feeds takes the cell, earlier ones clone
+    let moves: Vec<bool> = shape
+        .iter()
+        .enumerate()
+        .map(|(i, (_, pos))| !shape[i + 1..].iter().any(|(_, later)| later == pos))
+        .collect();
+    rs.into_rows()
+        .into_iter()
+        .skip(skip)
+        .take(take)
+        .map(|mut row| {
+            let values = shape
                 .iter()
-                .map(|&(i, pos)| {
-                    let v = pos.map(|c| row[c].clone()).unwrap_or(Value::Null);
-                    (q.bean[i].name.clone(), v)
+                .zip(&moves)
+                .map(|((name, pos), &moves)| {
+                    let v = match *pos {
+                        Some(c) if moves => std::mem::replace(&mut row[c], Value::Null),
+                        Some(c) => row[c].clone(),
+                        None => Value::Null,
+                    };
+                    (Arc::clone(name), v)
                 })
                 .collect();
-            rows.push(BeanRow { values });
-        }
+            BeanRow { values }
+        })
+        .collect()
+}
+
+/// The scroller block a request asks for: `block_offset` as a
+/// non-negative integer, 0 when it is absent, negative or not an integer.
+/// The scroller service and its pager read it through this one function,
+/// so they always agree on which block is shown.
+pub(crate) fn block_offset(params: &ParamMap) -> usize {
+    match params.get("block_offset") {
+        Some(Value::Integer(i)) => usize::try_from(*i).unwrap_or(0),
+        Some(Value::Text(s)) => s.parse().unwrap_or(0),
+        _ => 0,
     }
-    rows
 }
 
 fn main_query(desc: &UnitDescriptor) -> Result<&QuerySpec> {
@@ -122,7 +144,7 @@ impl UnitService for GenericDataService {
     fn compute(&self, desc: &UnitDescriptor, params: &ParamMap, db: &Database) -> Result<UnitBean> {
         let q = main_query(desc)?;
         let rs = db.query(&q.sql, &bind(q, params, &desc.id)?)?;
-        Ok(UnitBean::Single(pack(&rs, q).into_iter().next()))
+        Ok(UnitBean::Single(pack(rs, q, 0, 1).pop()))
     }
 }
 
@@ -134,7 +156,7 @@ impl UnitService for GenericIndexService {
     fn compute(&self, desc: &UnitDescriptor, params: &ParamMap, db: &Database) -> Result<UnitBean> {
         let q = main_query(desc)?;
         let rs = db.query(&q.sql, &bind(q, params, &desc.id)?)?;
-        let rows = pack(&rs, q);
+        let rows = pack(rs, q, 0, usize::MAX);
         let total = rows.len();
         Ok(UnitBean::Rows { rows, total })
     }
@@ -147,20 +169,14 @@ impl UnitService for GenericScrollerService {
     fn compute(&self, desc: &UnitDescriptor, params: &ParamMap, db: &Database) -> Result<UnitBean> {
         let q = main_query(desc)?;
         let block = desc.block_size.unwrap_or(10).max(1);
-        let offset = match params.get("block_offset") {
-            Some(Value::Integer(i)) if *i >= 0 => *i as usize,
-            Some(Value::Text(s)) => s.parse().unwrap_or(0),
-            _ => 0,
-        };
         // fetch everything once (the simulated data tier is in memory),
-        // then slice the requested block; `total` drives the pager
+        // then pack only the requested block; `total` drives the pager
         let mut effective = params.clone();
         effective.insert("block_limit".into(), Value::Integer(i64::MAX / 2));
         effective.insert("block_offset".into(), Value::Integer(0));
         let rs = db.query(&q.sql, &bind(q, &effective, &desc.id)?)?;
-        let all = pack(&rs, q);
-        let total = all.len();
-        let rows: Vec<BeanRow> = all.into_iter().skip(offset).take(block).collect();
+        let total = rs.len();
+        let rows = pack(rs, q, block_offset(params), block);
         Ok(UnitBean::Rows { rows, total })
     }
 }
@@ -185,7 +201,7 @@ impl GenericHierarchyService {
             return Ok(Vec::new());
         };
         let rs = db.query(&q.sql, &bind(q, parent_params, &desc.id)?)?;
-        let rows = pack(&rs, q);
+        let rows = pack(rs, q, 0, usize::MAX);
         let mut out = Vec::with_capacity(rows.len());
         let has_next = desc
             .queries
@@ -527,6 +543,62 @@ mod tests {
         };
         assert_eq!(row.values.len(), 1);
         assert_eq!(row.get("displayTitle"), Some(&Value::Text("Vol 1".into())));
+    }
+
+    #[test]
+    fn one_column_may_feed_two_properties() {
+        let db = db();
+        let prop = |name: &str, column: &str| BeanProperty {
+            name: name.into(),
+            column: column.into(),
+            attr_type: "String".into(),
+        };
+        let d = desc(
+            "u6",
+            "index",
+            "GenericIndexService",
+            vec![QuerySpec {
+                name: "main".into(),
+                sql: "SELECT t.oid, t.title FROM volume t ORDER BY t.oid".into(),
+                inputs: vec![],
+                bean: vec![
+                    prop("heading", "title"),
+                    prop("oid", "oid"),
+                    prop("caption", "title"),
+                    prop("missing", "nope"),
+                ],
+            }],
+        );
+        let UnitBean::Rows { rows, total } = GenericIndexService
+            .compute(&d, &ParamMap::new(), &db)
+            .unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(total, 3);
+        let vol = Value::Text("Vol 3".into());
+        assert_eq!(rows[2].get("heading"), Some(&vol));
+        assert_eq!(rows[2].get("caption"), Some(&vol));
+        assert_eq!(rows[2].oid(), Some(3));
+        assert_eq!(rows[2].get("missing"), Some(&Value::Null));
+        // the names are minted once per result set, not once per row
+        assert!(Arc::ptr_eq(&rows[0].values[0].0, &rows[2].values[0].0));
+    }
+
+    #[test]
+    fn block_offset_reads_negative_and_non_integers_as_zero() {
+        for (raw, want) in [
+            (Value::Integer(20), 20),
+            (Value::Integer(-10), 0),
+            (Value::Text("abc".into()), 0),
+            (Value::Real(1e3), 0),
+            (Value::Null, 0),
+        ] {
+            let mut p = ParamMap::new();
+            p.insert("block_offset".into(), raw.clone());
+            assert_eq!(block_offset(&p), want, "{raw:?}");
+        }
+        assert_eq!(block_offset(&ParamMap::new()), 0);
     }
 
     #[test]

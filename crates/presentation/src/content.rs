@@ -5,55 +5,60 @@
 //! boundary of §3: tags "transform the content stored in the unit beans
 //! into HTML" without knowing how the beans were computed.
 
+use std::borrow::Cow;
+
+/// A `(label, value)` pair of a displayed instance.
+pub type Field<'a> = (Cow<'a, str>, Cow<'a, str>);
+
 /// A hyperlink produced by a unit row (href + anchor label).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnchorRef {
+pub struct AnchorRef<'a> {
     pub href: String,
-    pub label: String,
+    pub label: Cow<'a, str>,
 }
 
 /// One row of an index-like unit.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ContentRow {
+pub struct ContentRow<'a> {
     /// Displayed fields in order: (label, value).
-    pub fields: Vec<(String, String)>,
+    pub fields: Vec<Field<'a>>,
     /// Row anchor (index units link each row).
-    pub anchor: Option<AnchorRef>,
+    pub anchor: Option<AnchorRef<'a>>,
     /// Checkbox value for multichoice rows.
     pub checkbox: Option<String>,
 }
 
 /// One row of a hierarchical index, with nested children.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct NestedRow {
-    pub fields: Vec<(String, String)>,
-    pub anchor: Option<AnchorRef>,
-    pub children: Vec<NestedRow>,
+pub struct NestedRow<'a> {
+    pub fields: Vec<Field<'a>>,
+    pub anchor: Option<AnchorRef<'a>>,
+    pub children: Vec<NestedRow<'a>>,
 }
 
 /// One input of a rendered form.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FormField {
-    pub name: String,
-    pub label: String,
+pub struct FormField<'a> {
+    pub name: Cow<'a, str>,
+    pub label: Cow<'a, str>,
     /// HTML input type (`text`, `number`, `checkbox`, ...).
-    pub input_type: String,
+    pub input_type: Cow<'a, str>,
     pub required: bool,
     /// Client-side validation pattern, emitted as a `pattern` attribute
     /// (§1: "client-side processing (like input validation) should be
     /// factored out of the code generation process").
-    pub pattern: Option<String>,
+    pub pattern: Option<Cow<'a, str>>,
 }
 
 /// The content of an entry unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FormContent {
+pub struct FormContent<'a> {
     /// Submit target URL.
-    pub action: String,
-    pub fields: Vec<FormField>,
-    pub submit_label: String,
+    pub action: Cow<'a, str>,
+    pub fields: Vec<FormField<'a>>,
+    pub submit_label: Cow<'a, str>,
     /// Hidden parameters propagated with the form.
-    pub hidden: Vec<(String, String)>,
+    pub hidden: Vec<Field<'a>>,
 }
 
 /// Scroller block-navigation state.
@@ -67,35 +72,39 @@ pub struct Pager {
 
 /// Kind-specific payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ContentBody {
+pub enum ContentBody<'a> {
     /// Data unit: one instance as (label, value) pairs.
-    Single(Vec<(String, String)>),
+    Single(Vec<Field<'a>>),
     /// Index / multidata / multichoice / scroller rows.
-    Rows(Vec<ContentRow>),
+    Rows(Vec<ContentRow<'a>>),
     /// Hierarchical index.
-    Nested(Vec<NestedRow>),
+    Nested(Vec<NestedRow<'a>>),
     /// Entry unit form.
-    Form(FormContent),
+    Form(FormContent<'a>),
     /// Raw markup from a plug-in unit.
-    Raw(String),
+    Raw(Cow<'a, str>),
 }
 
 /// The complete renderable content of one computed unit.
+///
+/// Content borrows from what it presents — the unit descriptor and the
+/// unit bean — so building it copies no label and no text value; only
+/// hrefs, non-text values and the pager are minted per request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnitContent {
+pub struct UnitContent<'a> {
     /// Unit descriptor id.
-    pub unit: String,
+    pub unit: Cow<'a, str>,
     /// WebML type name (drives unit-rule matching).
-    pub unit_type: String,
+    pub unit_type: Cow<'a, str>,
     /// Displayed unit title (the unit's model name).
-    pub title: String,
-    pub body: ContentBody,
+    pub title: Cow<'a, str>,
+    pub body: ContentBody<'a>,
     pub pager: Option<Pager>,
     /// Unit-level action links (e.g. "edit" from a data unit).
-    pub actions: Vec<AnchorRef>,
+    pub actions: Vec<AnchorRef<'a>>,
 }
 
-impl UnitContent {
+impl UnitContent<'_> {
     /// Number of instance rows (for stats and paging UIs).
     pub fn row_count(&self) -> usize {
         match &self.body {

@@ -22,12 +22,10 @@ pub mod rules;
 pub mod skeleton;
 
 pub use content::{
-    escape_html, escape_html_into, AnchorRef, ContentBody, ContentRow, FormContent, FormField,
-    NestedRow, Pager, UnitContent,
+    escape_html, escape_html_into, AnchorRef, ContentBody, ContentRow, Field, FormContent,
+    FormField, NestedRow, Pager, UnitContent,
 };
 pub use css::{CssRule, Stylesheet};
 pub use device::{DeviceClass, DeviceRegistry};
-pub use rules::{
-    render_template, render_template_chunks, HtmlChunk, PageRule, RuleSet, StyledTemplate, UnitRule,
-};
+pub use rules::{render_template_chunks, HtmlChunk, PageRule, RuleSet, StyledTemplate, UnitRule};
 pub use skeleton::{TemplateNode, TemplateSkeleton};

@@ -8,6 +8,7 @@ use crate::sql::ast::*;
 use crate::storage::Storage;
 use crate::table::{Row, RowId, Table};
 use crate::value::{DataType, Value};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// One position in the join product: a row id per table binding (None for
@@ -227,10 +228,16 @@ pub fn run_select_with_stats(
             .iter()
             .any(|i| matches!(i, SelectItem::Expr { expr, .. } if contains_aggregate(expr)));
 
-    let (names, mut out_rows, sort_keys) = if grouped {
+    let Projection {
+        names,
+        rows: mut out_rows,
+        keys,
+        computed,
+        stride,
+    } = if grouped {
         project_grouped(sel, &sources, combos, params)?
     } else {
-        project_plain(sel, &sources, combos, params)?
+        project_plain(sel, &sources, &combos, params)?
     };
 
     // LIMIT / OFFSET are row-independent, so evaluate them up front: when
@@ -252,9 +259,16 @@ pub fn run_select_with_stats(
     // Comparator shared by the full sort and the Top-K heap: the ORDER BY
     // spec first, then the original row position — which makes the heap
     // selection exactly equivalent to a stable sort followed by a slice.
+    // Keys that name an output column are compared where they stand.
+    let key = |row: usize, k: usize| -> &Value {
+        match keys[k] {
+            SortKey::Output(pos) => &out_rows[row][pos],
+            SortKey::Computed(at) => &computed[row * stride + at],
+        }
+    };
     let cmp_rows = |a: usize, b: usize| -> std::cmp::Ordering {
         for (k, item) in sel.order_by.iter().enumerate() {
-            let ord = sort_keys[a][k].total_cmp(&sort_keys[b][k]);
+            let ord = key(a, k).total_cmp(key(b, k));
             let ord = if item.ascending { ord } else { ord.reverse() };
             if ord != std::cmp::Ordering::Equal {
                 return ord;
@@ -294,10 +308,12 @@ pub fn run_select_with_stats(
         out_rows = reordered;
     }
 
-    // DISTINCT.
+    // DISTINCT: first occurrence wins, decided on borrowed rows.
     if sel.distinct {
-        let mut seen: HashSet<Vec<Value>> = HashSet::with_capacity(out_rows.len());
-        out_rows.retain(|r| seen.insert(r.clone()));
+        let mut seen: HashSet<&[Value]> = HashSet::with_capacity(out_rows.len());
+        let first: Vec<bool> = out_rows.iter().map(|r| seen.insert(r)).collect();
+        let mut first = first.into_iter();
+        out_rows.retain(|_| first.next().unwrap_or(false));
     }
 
     // LIMIT / OFFSET.
@@ -691,21 +707,27 @@ fn try_index_probe(
 // ---- projection ---------------------------------------------------------
 
 /// Expand wildcards into concrete output column names + expressions.
-fn expand_items(sel: &Select, sources: &[Source<'_>]) -> Result<Vec<(String, Expr)>> {
+fn expand_items<'e>(
+    sel: &'e Select,
+    sources: &[Source<'_>],
+) -> Result<Vec<(String, Cow<'e, Expr>)>> {
     let mut out = Vec::new();
+    let columns_of = |s: &Source<'_>, out: &mut Vec<(String, Cow<'e, Expr>)>| {
+        for c in &s.table.schema.columns {
+            out.push((
+                c.name.clone(),
+                Cow::Owned(Expr::Column {
+                    table: Some(s.binding.clone()),
+                    name: c.name.clone(),
+                }),
+            ));
+        }
+    };
     for item in &sel.items {
         match item {
             SelectItem::Wildcard => {
                 for s in sources {
-                    for c in &s.table.schema.columns {
-                        out.push((
-                            c.name.clone(),
-                            Expr::Column {
-                                table: Some(s.binding.clone()),
-                                name: c.name.clone(),
-                            },
-                        ));
-                    }
+                    columns_of(s, &mut out);
                 }
             }
             SelectItem::QualifiedWildcard(t) => {
@@ -713,19 +735,11 @@ fn expand_items(sel: &Select, sources: &[Source<'_>]) -> Result<Vec<(String, Exp
                     .iter()
                     .find(|s| s.binding.eq_ignore_ascii_case(t))
                     .ok_or_else(|| Error::UnknownTable(t.clone()))?;
-                for c in &s.table.schema.columns {
-                    out.push((
-                        c.name.clone(),
-                        Expr::Column {
-                            table: Some(s.binding.clone()),
-                            name: c.name.clone(),
-                        },
-                    ));
-                }
+                columns_of(s, &mut out);
             }
             SelectItem::Expr { expr, alias } => {
                 let name = alias.clone().unwrap_or_else(|| default_name(expr));
-                out.push((name, expr.clone()));
+                out.push((name, Cow::Borrowed(expr)));
             }
         }
     }
@@ -763,35 +777,165 @@ fn order_key(item: &Expr, names: &[String], out_row: &[Value], ctx: &EvalCtx<'_>
     }
 }
 
-#[allow(clippy::type_complexity)]
+/// Projected rows, plus where each row's ORDER BY keys live.
+struct Projection {
+    names: Vec<String>,
+    rows: Vec<Vec<Value>>,
+    /// One entry per ORDER BY item.
+    keys: Vec<SortKey>,
+    /// The keys not read from the output row: `stride` values per row.
+    computed: Vec<Value>,
+    stride: usize,
+}
+
+/// Where an ORDER BY key of a row is found.
+#[derive(Clone, Copy)]
+enum SortKey {
+    /// In the output row, at this position (alias, ordinal, or the
+    /// projected column itself): compared in place.
+    Output(usize),
+    /// In the row's block of [`Projection::computed`], at this offset.
+    Computed(usize),
+}
+
+/// Where one projected value or computed sort key comes from, decided
+/// once per statement.
+#[derive(Clone, Copy)]
+enum Fetch<'e> {
+    /// A plain column of one source: read from the stored row.
+    Slot(usize, usize),
+    /// A real expression (or a reference that does not resolve, so the
+    /// per-row evaluation reports the same error it always did).
+    Eval(&'e Expr),
+}
+
+/// Resolve a column reference to its `(source, column)` slot exactly as
+/// [`EvalCtx::column`] would; `None` when that lookup would fail.
+fn resolve_column(
+    sources: &[Source<'_>],
+    table: Option<&str>,
+    name: &str,
+) -> Option<(usize, usize)> {
+    match table {
+        Some(t) => {
+            let s = sources
+                .iter()
+                .position(|s| s.binding.eq_ignore_ascii_case(t))?;
+            Some((s, sources[s].table.schema.column_index(name)?))
+        }
+        None => {
+            let mut found = None;
+            for (s, src) in sources.iter().enumerate() {
+                if let Some(c) = src.table.schema.column_index(name) {
+                    if found.is_some() {
+                        return None; // ambiguous
+                    }
+                    found = Some((s, c));
+                }
+            }
+            found
+        }
+    }
+}
+
+fn fetch_of<'e>(e: &'e Expr, sources: &[Source<'_>]) -> Fetch<'e> {
+    match e {
+        Expr::Column { table, name } => match resolve_column(sources, table.as_deref(), name) {
+            Some((s, c)) => Fetch::Slot(s, c),
+            None => Fetch::Eval(e),
+        },
+        _ => Fetch::Eval(e),
+    }
+}
+
+/// The value of a slot in one join combo (NULL on the null-extended side
+/// of a LEFT JOIN).
+fn read_slot(sources: &[Source<'_>], combo: &Combo, s: usize, c: usize) -> Value {
+    combo[s]
+        .and_then(|id| sources[s].table.get(id))
+        .map_or(Value::Null, |row| row[c].clone())
+}
+
 fn project_plain(
     sel: &Select,
     sources: &[Source<'_>],
-    combos: Vec<Combo>,
+    combos: &[Combo],
     params: &Params,
-) -> Result<(Vec<String>, Vec<Vec<Value>>, Vec<Vec<Value>>)> {
+) -> Result<Projection> {
     let items = expand_items(sel, sources)?;
     let names: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
+    let fetches: Vec<Fetch<'_>> = items.iter().map(|(_, e)| fetch_of(e, sources)).collect();
+
+    // Resolve every ORDER BY key once: output positions first (the alias
+    // and ordinal rules of `order_key`), then the projected column itself.
+    let mut keys = Vec::with_capacity(sel.order_by.len());
+    let mut key_fetches = Vec::new();
+    for o in &sel.order_by {
+        let pos = match &o.expr {
+            Expr::Literal(Value::Integer(i)) => usize::try_from(*i)
+                .ok()
+                .filter(|&i| i >= 1 && i <= names.len())
+                .map(|i| i - 1),
+            Expr::Column { table: None, name } => {
+                names.iter().position(|n| n.eq_ignore_ascii_case(name))
+            }
+            _ => None,
+        };
+        let fetch = fetch_of(&o.expr, sources);
+        let pos = pos.or_else(|| match fetch {
+            Fetch::Slot(s, c) => fetches
+                .iter()
+                .position(|f| matches!(*f, Fetch::Slot(fs, fc) if fs == s && fc == c)),
+            Fetch::Eval(_) => None,
+        });
+        keys.push(match pos {
+            Some(p) => SortKey::Output(p),
+            None => {
+                key_fetches.push(fetch);
+                SortKey::Computed(key_fetches.len() - 1)
+            }
+        });
+    }
+    let needs_bindings = fetches
+        .iter()
+        .chain(&key_fetches)
+        .any(|f| matches!(f, Fetch::Eval(_)));
+
+    let stride = key_fetches.len();
     let mut rows = Vec::with_capacity(combos.len());
-    let mut keys = Vec::with_capacity(combos.len());
-    for combo in &combos {
-        let bindings = make_bindings(sources, combo);
+    let mut computed = Vec::with_capacity(combos.len() * stride);
+    for combo in combos {
+        let bindings = if needs_bindings {
+            make_bindings(sources, combo)
+        } else {
+            Vec::new()
+        };
         let ctx = EvalCtx {
             bindings: &bindings,
             params,
         };
-        let mut row = Vec::with_capacity(items.len());
-        for (_, e) in &items {
-            row.push(eval(e, &ctx)?);
+        let mut row = Vec::with_capacity(fetches.len());
+        for f in &fetches {
+            row.push(match f {
+                Fetch::Slot(s, c) => read_slot(sources, combo, *s, *c),
+                Fetch::Eval(e) => eval(e, &ctx)?,
+            });
         }
-        let mut key = Vec::with_capacity(sel.order_by.len());
-        for o in &sel.order_by {
-            key.push(order_key(&o.expr, &names, &row, &ctx)?);
+        for f in &key_fetches {
+            computed.push(match f {
+                Fetch::Slot(s, c) => read_slot(sources, combo, *s, *c),
+                Fetch::Eval(e) => order_key(e, &names, &row, &ctx)?,
+            });
         }
         rows.push(row);
-        keys.push(key);
     }
-    Ok((names, rows, keys))
+    Ok(Projection {
+        names,
+        rows,
+        keys,
+        computed,
+        stride,
+    })
 }
 
 /// Replace every aggregate call in `e` with its value over `group`.
@@ -922,13 +1066,12 @@ fn compute_aggregate(
     }
 }
 
-#[allow(clippy::type_complexity)]
 fn project_grouped(
     sel: &Select,
     sources: &[Source<'_>],
     combos: Vec<Combo>,
     params: &Params,
-) -> Result<(Vec<String>, Vec<Vec<Value>>, Vec<Vec<Value>>)> {
+) -> Result<Projection> {
     let items = expand_items(sel, sources)?;
     let names: Vec<String> = items.iter().map(|(n, _)| n.clone()).collect();
 
@@ -962,8 +1105,10 @@ fn project_grouped(
         }
     }
 
+    // every key of a group is computed: aggregates are rewritten first
+    let stride = sel.order_by.len();
     let mut rows = Vec::with_capacity(groups.len());
-    let mut keys = Vec::with_capacity(groups.len());
+    let mut computed = Vec::with_capacity(groups.len() * stride);
     for (_, group) in &groups {
         if group.is_empty() {
             // implicit group over empty input: aggregates still produce a row
@@ -998,13 +1143,63 @@ fn project_grouped(
             let rewritten = rewrite_aggregates(e, sources, group, params)?;
             row.push(eval(&rewritten, &ctx)?);
         }
-        let mut key = Vec::with_capacity(sel.order_by.len());
         for o in &sel.order_by {
             let rewritten = rewrite_aggregates(&o.expr, sources, group, params)?;
-            key.push(order_key(&rewritten, &names, &row, &ctx)?);
+            computed.push(order_key(&rewritten, &names, &row, &ctx)?);
         }
         rows.push(row);
-        keys.push(key);
     }
-    Ok((names, rows, keys))
+    Ok(Projection {
+        names,
+        rows,
+        keys: (0..stride).map(SortKey::Computed).collect(),
+        computed,
+        stride,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::alloc_counter::allocations_during;
+    use crate::{Database, Params, Value};
+
+    /// A single-table `SELECT … ORDER BY name` copies each cell once. Per
+    /// row it allocates the join combo, the output row and one clone per
+    /// text cell — no per-row bindings, no key vector, no key clone.
+    #[test]
+    fn ordered_scan_allocates_only_combo_row_and_text_cells_per_row() {
+        const ROWS: usize = 100;
+        const TEXT_COLUMNS: usize = 2;
+        let db = Database::new();
+        db.execute_script(
+            "CREATE TABLE item (oid INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT NOT NULL, \
+             note TEXT, price REAL);",
+        )
+        .unwrap();
+        for i in 0..ROWS {
+            db.execute(
+                "INSERT INTO item (name, note, price) VALUES (:n, :d, :p)",
+                &Params::new()
+                    .bind("n", format!("Item {:03}", (i * 37) % ROWS))
+                    .bind("d", format!("note {i}"))
+                    .bind("p", i as f64 / 4.0),
+            )
+            .unwrap();
+        }
+        let sql = "SELECT t.oid, t.name, t.note, t.price FROM item t ORDER BY name";
+        let params = Params::new();
+        // warm-up outside the measured window: parse + plan cache
+        let warm = db.query(sql, &params).unwrap();
+        let (allocs, rs) = allocations_during(|| db.query(sql, &params).unwrap());
+        assert_eq!(rs, warm);
+        assert_eq!(rs.len(), ROWS);
+        assert_eq!(rs.get(0, "name"), Some(&Value::Text("Item 000".into())));
+        assert_eq!(rs.get(99, "name"), Some(&Value::Text("Item 099".into())));
+        let bound = ROWS * (2 + TEXT_COLUMNS) + 64;
+        assert!(
+            allocs <= bound,
+            "{allocs} allocations for {ROWS} rows (bound {bound}): \
+             per-row bindings or sort-key copies are back"
+        );
+    }
 }

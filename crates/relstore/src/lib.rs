@@ -63,3 +63,42 @@ pub use sql::ast::Statement;
 pub use sql::parser::{parse_script, parse_statement};
 pub use table::{Row, RowId, Table};
 pub use value::{DataType, Value};
+
+/// A counting [`std::alloc::GlobalAlloc`] for the unit-test binary only:
+/// executor tests assert how many heap allocations a statement makes per
+/// row, which pins the mechanism without timing noise.
+#[cfg(test)]
+pub(crate) mod alloc_counter {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        // const-init: reading the counter inside `alloc` never allocates
+        static COUNT: Cell<usize> = const { Cell::new(0) };
+    }
+
+    struct Counting;
+
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = COUNT.try_with(|c| c.set(c.get() + 1));
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+
+    /// Heap allocations performed on the current thread while running `f`.
+    /// Per-thread, so parallel tests do not pollute each other's counts.
+    pub fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
+        let before = COUNT.try_with(Cell::get).unwrap_or(0);
+        let out = f();
+        let after = COUNT.try_with(Cell::get).unwrap_or(0);
+        (after.saturating_sub(before), out)
+    }
+}

@@ -277,48 +277,93 @@ fn topk_is_stable_like_full_sort() {
     assert_eq!(ints(&top, "k"), ints(&full, "k")[2..9]);
 }
 
-// ---- property: Top-K ≡ sort-then-slice --------------------------------------
+// ---- property: Top-K ≡ sort-then-slice ≡ a model ordering --------------------
+
+/// How each ORDER BY form of the property below is resolved, and the key
+/// it sorts by, computed from an inserted `(k, v, s)` row.
+type ModelKey = (Option<i64>, Option<String>);
+type KeyOf = fn(i64, Option<i64>, &Option<String>) -> ModelKey;
+const ORDER_KEYS: [(&str, KeyOf); 7] = [
+    // an alias, and the ordinal of the same output column
+    ("w", |_, v, _| (v.map(|v| v * 2), None)),
+    ("1", |_, v, _| (v.map(|v| v * 2), None)),
+    // the projected column, bare and qualified
+    ("s", |_, _, s| (None, s.clone())),
+    ("t.s", |_, _, s| (None, s.clone())),
+    // a column that is not projected, bare and qualified
+    ("v", |_, v, _| (v, None)),
+    ("t.v", |_, v, _| (v, None)),
+    // an expression
+    ("v - k", |k, v, _| (v.map(|v| v - k), None)),
+];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Top-K selection equals a full sort followed by a slice, and both
+    /// equal a stable ordering computed here from the inserted rows — for
+    /// every way an ORDER BY key resolves (alias, ordinal, projected
+    /// column, column not projected, expression), with an expression item
+    /// beside a column item, with and without DISTINCT.
     #[test]
     fn topk_equals_sort_then_slice(
-        vals in proptest::collection::vec(prop_oneof![Just(None), (0i64..20).prop_map(Some)], 0..40),
+        vals in proptest::collection::vec(
+            (proptest::option::of(0i64..20), proptest::option::of("[ab]{0,2}")),
+            0..40,
+        ),
         limit in 0usize..12,
         offset in 0usize..12,
         desc in any::<bool>(),
+        key in 0usize..ORDER_KEYS.len(),
+        distinct in any::<bool>(),
     ) {
         let db = Database::new();
-        db.execute_script("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER);").unwrap();
-        for (i, v) in vals.iter().enumerate() {
-            match v {
-                Some(v) => db.execute(
-                    "INSERT INTO t (k, v) VALUES (:k, :v)",
-                    &Params::new().bind("k", i as i64).bind("v", *v),
-                ),
-                None => db.execute(
-                    "INSERT INTO t (k, v) VALUES (:k, NULL)",
-                    &Params::new().bind("k", i as i64),
-                ),
-            }
-            .unwrap();
-        }
-        let dir = if desc { "DESC" } else { "ASC" };
-        let top = db
-            .query(
-                &format!("SELECT k FROM t ORDER BY v {dir} LIMIT {limit} OFFSET {offset}"),
-                &Params::new(),
+        db.execute_script("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER, s TEXT);").unwrap();
+        for (i, (v, s)) in vals.iter().enumerate() {
+            db.execute(
+                "INSERT INTO t (k, v, s) VALUES (:k, :v, :s)",
+                &Params::new()
+                    .bind("k", i as i64)
+                    .bind("v", v.map_or(Value::Null, Value::Integer))
+                    .bind("s", s.clone().map_or(Value::Null, Value::Text)),
             )
             .unwrap();
-        let full = db
-            .query(&format!("SELECT k FROM t ORDER BY v {dir}"), &Params::new())
+        }
+        let (order, model_key) = ORDER_KEYS[key];
+        let dir = if desc { "DESC" } else { "ASC" };
+        let select = if distinct { "SELECT DISTINCT" } else { "SELECT" };
+        let sql = format!("{select} v * 2 AS w, s FROM t ORDER BY {order} {dir}");
+        let top = db
+            .query(&format!("{sql} LIMIT {limit} OFFSET {offset}"), &Params::new())
             .unwrap();
-        let expected: Vec<i64> = ints(&full, "k")
-            .into_iter()
-            .skip(offset)
-            .take(limit)
+        let full = db.query(&sql, &Params::new()).unwrap();
+
+        // the model: stable sort by key, project, dedupe, slice
+        let mut order_of: Vec<usize> = (0..vals.len()).collect();
+        order_of.sort_by(|&a, &b| {
+            let ka = model_key(a as i64, vals[a].0, &vals[a].1);
+            let kb = model_key(b as i64, vals[b].0, &vals[b].1);
+            if desc { kb.cmp(&ka) } else { ka.cmp(&kb) }
+        });
+        let mut expected: Vec<Vec<Value>> = order_of
+            .iter()
+            .map(|&i| {
+                vec![
+                    vals[i].0.map_or(Value::Null, |v| Value::Integer(v * 2)),
+                    vals[i].1.clone().map_or(Value::Null, Value::Text),
+                ]
+            })
             .collect();
-        prop_assert_eq!(ints(&top, "k"), expected);
+        if distinct {
+            let mut seen = Vec::new();
+            expected.retain(|r| {
+                let first = !seen.contains(r);
+                seen.push(r.clone());
+                first
+            });
+        }
+        prop_assert_eq!(full.rows(), &expected[..]);
+        let sliced: Vec<Vec<Value>> = expected.into_iter().skip(offset).take(limit).collect();
+        prop_assert_eq!(top.rows(), &sliced[..]);
     }
 }
 

@@ -403,3 +403,115 @@ fn comments_in_optimized_queries_are_tolerated() {
         .unwrap();
     assert_eq!(rs.len(), 1);
 }
+
+fn texts(rs: &relstore::ResultSet, col: &str) -> Vec<Option<String>> {
+    (0..rs.len())
+        .map(|i| match rs.get(i, col) {
+            Some(Value::Text(t)) => Some(t.clone()),
+            Some(Value::Null) => None,
+            other => panic!("{col}[{i}] = {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn order_by_resolution_honours_aliases_before_columns() {
+    let db = db();
+    // each alias shadows the *other* column's name: ORDER BY names the
+    // output column, not the table column
+    let rs = db
+        .query(
+            "SELECT name AS salary, salary AS name FROM emp ORDER BY salary",
+            &Params::new(),
+        )
+        .unwrap();
+    let by_name = ["Ada", "Don", "Edsger", "Grace", "Tim", "Vint"];
+    assert_eq!(texts(&rs, "salary"), by_name.map(|n| Some(n.to_string())));
+    let rs = db
+        .query(
+            "SELECT name AS salary, salary AS name FROM emp ORDER BY name",
+            &Params::new(),
+        )
+        .unwrap();
+    let by_salary = ["Tim", "Vint", "Edsger", "Ada", "Grace", "Don"];
+    assert_eq!(texts(&rs, "salary"), by_salary.map(|n| Some(n.to_string())));
+    // a qualified reference is always the table column
+    let rs = db
+        .query(
+            "SELECT e.name AS salary FROM emp e ORDER BY e.salary DESC",
+            &Params::new(),
+        )
+        .unwrap();
+    assert_eq!(rs.get(0, "salary"), Some(&Value::Text("Don".into())));
+}
+
+#[test]
+fn order_by_resolution_errors_are_unchanged() {
+    let db = db();
+    for ordinal in [0, 3] {
+        let err = db
+            .query(
+                &format!("SELECT name, salary FROM emp ORDER BY {ordinal}"),
+                &Params::new(),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::Eval(m) if *m == format!("ORDER BY ordinal {ordinal} out of range")),
+            "{err:?}"
+        );
+    }
+    let joined = "FROM emp e INNER JOIN dept d ON d.oid = e.dept_oid";
+    for sql in [
+        format!("SELECT name {joined}"),
+        format!("SELECT e.name AS who {joined} ORDER BY name"),
+    ] {
+        let err = db.query(&sql, &Params::new()).unwrap_err();
+        assert!(
+            matches!(&err, Error::UnknownColumn(m) if m == "name is ambiguous"),
+            "{sql}: {err:?}"
+        );
+    }
+    let err = db
+        .query("SELECT name FROM emp ORDER BY ghost", &Params::new())
+        .unwrap_err();
+    assert!(matches!(err, Error::UnknownColumn(_)), "{err:?}");
+    // resolution failures surface per row, as they always did: a
+    // statement that produces no rows reports none
+    assert!(db
+        .query(
+            "SELECT name FROM emp WHERE oid = 99 ORDER BY 7",
+            &Params::new()
+        )
+        .is_ok());
+}
+
+#[test]
+fn left_join_null_extension_is_projected_and_ordered() {
+    let db = db();
+    db.execute("INSERT INTO dept (name) VALUES ('Empty')", &Params::new())
+        .unwrap();
+    // the null-extended `e.name` is both an output column and the first
+    // key; NULL sorts first. `e.salary` orders without being projected.
+    let rs = db
+        .query(
+            "SELECT d.name AS dept, e.name FROM dept d \
+             LEFT JOIN emp e ON e.dept_oid = d.oid \
+             ORDER BY e.name, e.salary DESC, d.name",
+            &Params::new(),
+        )
+        .unwrap();
+    assert_eq!(rs.len(), 7);
+    assert_eq!(rs.get(0, "dept"), Some(&Value::Text("Empty".into())));
+    assert_eq!(rs.get(0, "name"), Some(&Value::Null));
+    assert_eq!(rs.get(1, "name"), Some(&Value::Text("Ada".into())));
+    let rs = db
+        .query(
+            "SELECT d.name AS dept FROM dept d LEFT JOIN emp e ON e.dept_oid = d.oid \
+             ORDER BY e.salary DESC, dept",
+            &Params::new(),
+        )
+        .unwrap();
+    let depts = texts(&rs, "dept");
+    assert_eq!(depts.first(), Some(&Some("Marketing".to_string())));
+    assert_eq!(depts.last(), Some(&Some("Empty".to_string())));
+}
