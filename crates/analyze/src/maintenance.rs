@@ -13,9 +13,9 @@ use crate::diag::{Diagnostic, AZ501, AZ502};
 use descriptors::DescriptorSet;
 use webcache::{MaintenancePlan, Strategy, UnitShape};
 
-/// Lower the descriptor bundle into the classifier's unit shapes. Must
-/// mirror `mvc::maintain::unit_shapes` — the runtime builds its plan from
-/// the same fields, so deploy-time verdicts match runtime behaviour.
+/// Lower the descriptor bundle into the classifier's unit shapes — the
+/// ones the runtime builds its plan from (see [`plan_for`]), so
+/// deploy-time verdicts match runtime behaviour.
 pub fn unit_shapes(set: &DescriptorSet) -> Vec<UnitShape> {
     set.units
         .iter()
@@ -27,7 +27,6 @@ pub fn unit_shapes(set: &DescriptorSet) -> Vec<UnitShape> {
                 unit_kind: u.unit_type.clone(),
                 entity_table: u.entity_table.clone(),
                 sql: main.map(|q| q.sql.clone()).unwrap_or_default(),
-                inputs: main.map(|q| q.inputs.clone()).unwrap_or_default(),
                 bean_columns: main
                     .map(|q| {
                         q.bean

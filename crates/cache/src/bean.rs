@@ -9,6 +9,7 @@
 //! automatically invalidates the affected cached objects."
 
 use crate::stats::{CacheStats, StatsSnapshot};
+use crate::version::{Provenance, VersionTable};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -139,7 +140,11 @@ struct Entry<V> {
     /// the entity, not the whole table (single-row probes). A write to a
     /// *different* oid of the same entity leaves the bean untouched.
     row_deps: Vec<(String, i64)>,
+    /// The commit LSN the value was computed at: it shows every batch up
+    /// to that LSN, so maintenance of those batches passes it by.
+    lsn: u64,
     expires: Option<Instant>,
+    /// LRU clock reading.
     stamp: u64,
 }
 
@@ -171,23 +176,33 @@ struct Inner<V> {
 /// sweeps every stripe, so the model-driven invalidation contract (§6) is
 /// unchanged — `invalidate_entity` drops *every* dependent bean before
 /// returning.
+///
+/// A put is stamped with the commit LSN its bean was computed at and is
+/// refused when the node's [`VersionTable`] has recorded a newer write to
+/// something the bean read (see [`VersionTable::outdates`]).
 pub struct BeanCache<V> {
     stripes: Vec<Mutex<Inner<V>>>,
     clock: AtomicU64,
     capacity: usize,
     stats: CacheStats,
+    versions: Arc<VersionTable>,
 }
 
 impl<V> BeanCache<V> {
     /// Create a cache bounded to `capacity` entries (LRU eviction), striped
     /// one lock per [`MIN_STRIPE_CAPACITY`] entries up to [`MAX_STRIPES`].
     pub fn new(capacity: usize) -> BeanCache<V> {
-        Self::with_stats(capacity, CacheStats::default())
+        Self::with_stats(capacity, CacheStats::default(), Arc::default())
     }
 
     /// Like [`BeanCache::new`], but reporting into externally owned counters
-    /// (e.g. `CacheStats::shared(registry.bean_cache.clone())`).
-    pub fn with_stats(capacity: usize, stats: CacheStats) -> BeanCache<V> {
+    /// (e.g. `CacheStats::shared(registry.bean_cache.clone())`) and
+    /// checking puts against the node's version table.
+    pub fn with_stats(
+        capacity: usize,
+        stats: CacheStats,
+        versions: Arc<VersionTable>,
+    ) -> BeanCache<V> {
         let capacity = capacity.max(1);
         let stripes = stripe_capacities(capacity)
             .into_iter()
@@ -206,7 +221,13 @@ impl<V> BeanCache<V> {
             clock: AtomicU64::new(0),
             capacity,
             stats,
+            versions,
         }
+    }
+
+    /// The version table puts are checked against.
+    pub fn versions(&self) -> &Arc<VersionTable> {
+        &self.versions
     }
 
     /// Number of lock stripes the key space is partitioned over.
@@ -269,50 +290,25 @@ impl<V> BeanCache<V> {
         Some(value)
     }
 
-    /// Insert a bean with its entity dependencies and optional TTL.
-    pub fn put(&self, key: BeanKey, value: V, deps: &[String], ttl: Option<Duration>) -> Arc<V> {
-        self.put_at(key, value, deps, ttl, Instant::now())
-    }
-
-    pub fn put_at(
+    /// Cache a bean computed from `from`, with an optional TTL. A row pair
+    /// of `from.rows` narrows the bean's dependency on that entity to one
+    /// row — the entity must not also appear in `from.entities`, which
+    /// would re-widen it: a write to a different oid leaves the bean cached
+    /// ([`BeanCache::keys_for_row`] does not name it), whole-entity
+    /// invalidation still drops it. A put [`VersionTable::outdates`] is
+    /// refused and the bean returned uncached.
+    pub fn put(
         &self,
         key: BeanKey,
         value: V,
-        deps: &[String],
+        from: Provenance<'_>,
         ttl: Option<Duration>,
-        now: Instant,
-    ) -> Arc<V> {
-        self.put_scoped_at(key, value, deps, &[], ttl, now)
-    }
-
-    /// Insert a bean whose dependency on some entities is narrowed to one
-    /// row: `row_deps` pairs of (entity, oid). A row-scoped entity must
-    /// not also appear in `deps` — that would re-widen it. A write to a
-    /// different oid of a row-scoped entity leaves the bean cached
-    /// ([`BeanCache::keys_for_row`] does not name it); whole-entity
-    /// invalidation still drops it.
-    pub fn put_scoped(
-        &self,
-        key: BeanKey,
-        value: V,
-        deps: &[String],
-        row_deps: &[(String, i64)],
-        ttl: Option<Duration>,
-    ) -> Arc<V> {
-        self.put_scoped_at(key, value, deps, row_deps, ttl, Instant::now())
-    }
-
-    pub fn put_scoped_at(
-        &self,
-        key: BeanKey,
-        value: V,
-        deps: &[String],
-        row_deps: &[(String, i64)],
-        ttl: Option<Duration>,
-        now: Instant,
     ) -> Arc<V> {
         let value = Arc::new(value);
         let mut inner = self.lock_probed(self.stripe(&key));
+        if self.versions.outdates(&from) {
+            return value;
+        }
         // replace any existing entry
         if inner.entries.contains_key(&key) {
             Self::remove_entry(&mut inner, &key);
@@ -330,21 +326,22 @@ impl<V> BeanCache<V> {
             key.clone(),
             Entry {
                 value: Arc::clone(&value),
-                deps: deps.to_vec(),
-                row_deps: row_deps.to_vec(),
-                expires: ttl.map(|d| now + d),
+                deps: from.entities.to_vec(),
+                row_deps: from.rows.to_vec(),
+                lsn: from.lsn,
+                expires: ttl.map(|d| Instant::now() + d),
                 stamp,
             },
         );
         inner.order.insert(stamp, key.clone());
-        for d in deps {
+        for d in from.entities {
             inner
                 .by_entity
                 .entry(d.clone())
                 .or_default()
                 .insert(key.clone());
         }
-        for rd in row_deps {
+        for rd in from.rows {
             inner
                 .by_row
                 .entry(rd.clone())
@@ -406,19 +403,6 @@ impl<V> BeanCache<V> {
         dropped
     }
 
-    /// Drop one specific bean; returns whether it was present. Counted as
-    /// an invalidation (the maintenance layer's per-key fallback path).
-    pub fn invalidate_key(&self, key: &BeanKey) -> bool {
-        let mut inner = self.lock_probed(self.stripe(key));
-        let present = inner.entries.contains_key(key);
-        if present {
-            Self::remove_entry(&mut inner, key);
-            drop(inner);
-            self.stats.invalidation(1);
-        }
-        present
-    }
-
     /// Every cached key affected by a change to one specific row:
     /// whole-entity dependents (they may reflect any row) plus the beans
     /// row-scoped to exactly `oid`. Beans scoped to other rows are
@@ -441,21 +425,28 @@ impl<V> BeanCache<V> {
         v
     }
 
-    /// Update a cached bean in place, keeping its dependencies, TTL and
-    /// LRU position: `f` sees the current value and returns a
-    /// [`Patch`] verdict — replace the value, keep it untouched (the
-    /// change did not affect this bean), or drop the entry (the caller's
-    /// fallback-to-recompute path). Returns `None` when the key was not
-    /// cached, otherwise the effect that was applied.
-    pub fn patch(&self, key: &BeanKey, f: impl FnOnce(&V) -> Patch<V>) -> Option<PatchEffect> {
+    /// Maintain a cached bean for the batch committed at `lsn`, keeping
+    /// its dependencies, TTL, LRU position and stamp: `f` sees the current
+    /// value and returns a [`Patch`] verdict — replace the value, keep it
+    /// untouched (the change did not affect this bean), or drop the entry
+    /// (the caller's fallback-to-recompute path; counted as an
+    /// invalidation). A bean computed at `lsn` or later already shows the
+    /// batch: `f` is not called and the bean is kept. Returns `None` when
+    /// the key was not cached, otherwise the effect that was applied.
+    pub fn patch(
+        &self,
+        key: &BeanKey,
+        lsn: u64,
+        f: impl FnOnce(&V) -> Patch<V>,
+    ) -> Option<PatchEffect> {
         let mut inner = self.lock_probed(self.stripe(key));
-        if !inner.entries.contains_key(key) {
-            return None;
+        let entry = inner.entries.get_mut(key)?;
+        if entry.lsn >= lsn {
+            return Some(PatchEffect::Kept);
         }
-        let current = Arc::clone(&inner.entries.get(key).unwrap().value);
-        match f(&current) {
+        match f(&entry.value) {
             Patch::Update(v) => {
-                inner.entries.get_mut(key).unwrap().value = Arc::new(v);
+                entry.value = Arc::new(v);
                 Some(PatchEffect::Updated)
             }
             Patch::Keep => Some(PatchEffect::Kept),
@@ -466,26 +457,6 @@ impl<V> BeanCache<V> {
                 Some(PatchEffect::Dropped)
             }
         }
-    }
-
-    /// Invalidate all cached beans of one unit (any parameters).
-    pub fn invalidate_unit(&self, unit: &str) -> usize {
-        let mut dropped = 0;
-        for stripe in &self.stripes {
-            let mut inner = self.lock_probed(stripe);
-            let keys: Vec<BeanKey> = inner
-                .entries
-                .keys()
-                .filter(|k| k.unit == unit)
-                .cloned()
-                .collect();
-            for k in &keys {
-                Self::remove_entry(&mut inner, k);
-            }
-            dropped += keys.len();
-        }
-        self.stats.invalidation(dropped as u64);
-        dropped
     }
 
     pub fn clear(&self) {
@@ -553,11 +524,20 @@ mod tests {
         names.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Computed at LSN 0 from `entities`.
+    fn on(entities: &[String]) -> Provenance<'_> {
+        Provenance {
+            lsn: 0,
+            entities,
+            rows: &[],
+        }
+    }
+
     #[test]
     fn put_get_roundtrip() {
         let c: BeanCache<String> = BeanCache::new(16);
         let k = BeanKey::new("unit1", "volume=7");
-        c.put(k.clone(), "bean".into(), &deps(&["volume"]), None);
+        c.put(k.clone(), "bean".into(), on(&deps(&["volume"])), None);
         assert_eq!(c.get(&k).as_deref(), Some(&"bean".to_string()));
         assert_eq!(c.stats().hits, 1);
         assert!(c.get(&BeanKey::new("unit1", "volume=8")).is_none());
@@ -567,14 +547,14 @@ mod tests {
     #[test]
     fn entity_invalidation_drops_dependents_only() {
         let c: BeanCache<i32> = BeanCache::new(16);
-        c.put(BeanKey::new("u1", "a"), 1, &deps(&["product"]), None);
+        c.put(BeanKey::new("u1", "a"), 1, on(&deps(&["product"])), None);
         c.put(
             BeanKey::new("u2", "b"),
             2,
-            &deps(&["product", "news"]),
+            on(&deps(&["product", "news"])),
             None,
         );
-        c.put(BeanKey::new("u3", "c"), 3, &deps(&["news"]), None);
+        c.put(BeanKey::new("u3", "c"), 3, on(&deps(&["news"])), None);
         let dropped = c.invalidate_entity("product");
         assert_eq!(dropped, 2);
         assert!(c.get(&BeanKey::new("u1", "a")).is_none());
@@ -585,11 +565,13 @@ mod tests {
     #[test]
     fn ttl_expiry_with_explicit_clock() {
         let c: BeanCache<i32> = BeanCache::new(16);
-        let t0 = Instant::now();
         let k = BeanKey::new("u", "p");
-        c.put_at(k.clone(), 5, &[], Some(Duration::from_millis(100)), t0);
-        assert!(c.get_at(&k, t0 + Duration::from_millis(50)).is_some());
-        assert!(c.get_at(&k, t0 + Duration::from_millis(150)).is_none());
+        // the put's own clock reading lies between the two
+        let (before, ttl) = (Instant::now(), Duration::from_millis(100));
+        c.put(k.clone(), 5, on(&[]), Some(ttl));
+        let after = Instant::now();
+        assert!(c.get_at(&k, before + ttl / 2).is_some());
+        assert!(c.get_at(&k, after + ttl * 3 / 2).is_none());
         assert_eq!(c.stats().expirations, 1);
         // expired entry is fully removed (dep index included)
         assert_eq!(c.len(), 0);
@@ -598,11 +580,11 @@ mod tests {
     #[test]
     fn lru_eviction_prefers_cold_entries() {
         let c: BeanCache<i32> = BeanCache::new(2);
-        c.put(BeanKey::new("a", ""), 1, &[], None);
-        c.put(BeanKey::new("b", ""), 2, &[], None);
+        c.put(BeanKey::new("a", ""), 1, on(&[]), None);
+        c.put(BeanKey::new("b", ""), 2, on(&[]), None);
         // touch a so b becomes the LRU victim
         c.get(&BeanKey::new("a", ""));
-        c.put(BeanKey::new("c", ""), 3, &[], None);
+        c.put(BeanKey::new("c", ""), 3, on(&[]), None);
         assert!(c.get(&BeanKey::new("a", "")).is_some());
         assert!(c.get(&BeanKey::new("b", "")).is_none());
         assert_eq!(c.stats().evictions, 1);
@@ -612,48 +594,11 @@ mod tests {
     fn replacement_updates_value_and_deps() {
         let c: BeanCache<i32> = BeanCache::new(4);
         let k = BeanKey::new("u", "p");
-        c.put(k.clone(), 1, &deps(&["old"]), None);
-        c.put(k.clone(), 2, &deps(&["new"]), None);
+        c.put(k.clone(), 1, on(&deps(&["old"])), None);
+        c.put(k.clone(), 2, on(&deps(&["new"])), None);
         assert_eq!(c.get(&k).as_deref(), Some(&2));
         assert_eq!(c.invalidate_entity("old"), 0);
         assert_eq!(c.invalidate_entity("new"), 1);
-    }
-
-    #[test]
-    fn invalidate_unit_scoped() {
-        let c: BeanCache<i32> = BeanCache::new(8);
-        c.put(BeanKey::new("u1", "a"), 1, &[], None);
-        c.put(BeanKey::new("u1", "b"), 2, &[], None);
-        c.put(BeanKey::new("u2", "a"), 3, &[], None);
-        assert_eq!(c.invalidate_unit("u1"), 2);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn concurrent_access_is_safe() {
-        let c = Arc::new(BeanCache::<u64>::new(64));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let c = Arc::clone(&c);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..200u64 {
-                    let k = BeanKey::new(format!("u{}", i % 8), format!("p{t}"));
-                    if i % 3 == 0 {
-                        c.put(k, i, &["e".to_string()], None);
-                    } else if i % 7 == 0 {
-                        c.invalidate_entity("e");
-                    } else {
-                        c.get(&k);
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        // no panic + counters consistent
-        let s = c.stats();
-        assert!(s.insertions > 0);
     }
 
     #[test]
@@ -663,7 +608,12 @@ mod tests {
         // the bean (the analyzer's AZ103 flags the model-level waste, but
         // the cache itself must stay sound)
         let c: BeanCache<i32> = BeanCache::new(8);
-        c.put(BeanKey::new("u1", "a"), 1, &deps(&["orphan_table"]), None);
+        c.put(
+            BeanKey::new("u1", "a"),
+            1,
+            on(&deps(&["orphan_table"])),
+            None,
+        );
         assert_eq!(c.dependency_entities(), vec!["orphan_table".to_string()]);
         assert_eq!(c.dependents_of("orphan_table"), 1);
         assert_eq!(c.invalidate_entity("orphan_table"), 1);
@@ -675,12 +625,12 @@ mod tests {
     fn removing_last_dependent_cleans_by_entity_index() {
         let c: BeanCache<i32> = BeanCache::new(8);
         let k2 = BeanKey::new("u2", "a");
-        c.put(BeanKey::new("u1", "a"), 1, &deps(&["product"]), None);
-        c.put(k2.clone(), 2, &deps(&["product", "news"]), None);
+        c.put(BeanKey::new("u1", "a"), 1, on(&deps(&["product"])), None);
+        c.put(k2.clone(), 2, on(&deps(&["product", "news"])), None);
         assert_eq!(c.dependents_of("product"), 2);
 
         // replacement rewrites k2's deps: "news" loses its last dependent
-        c.put(k2, 3, &deps(&["product"]), None);
+        c.put(k2, 3, on(&deps(&["product"])), None);
         assert_eq!(c.dependents_of("news"), 0);
         assert_eq!(c.dependency_entities(), vec!["product".to_string()]);
 
@@ -693,21 +643,15 @@ mod tests {
     #[test]
     fn ttl_expiry_and_eviction_clean_the_dependency_index() {
         let c: BeanCache<i32> = BeanCache::new(1);
-        let t0 = Instant::now();
         let k = BeanKey::new("u", "p");
-        c.put_at(
-            k.clone(),
-            1,
-            &deps(&["volume"]),
-            Some(Duration::from_millis(10)),
-            t0,
-        );
-        assert!(c.get_at(&k, t0 + Duration::from_millis(20)).is_none());
+        let ttl = Duration::from_millis(10);
+        c.put(k.clone(), 1, on(&deps(&["volume"])), Some(ttl));
+        assert!(c.get_at(&k, Instant::now() + ttl * 2).is_none());
         assert!(c.dependency_entities().is_empty());
 
         // capacity-1 eviction: the victim's deps leave the index with it
-        c.put(BeanKey::new("a", ""), 1, &deps(&["t1"]), None);
-        c.put(BeanKey::new("b", ""), 2, &deps(&["t2"]), None);
+        c.put(BeanKey::new("a", ""), 1, on(&deps(&["t1"])), None);
+        c.put(BeanKey::new("b", ""), 2, on(&deps(&["t2"])), None);
         assert_eq!(c.dependency_entities(), vec!["t2".to_string()]);
     }
 
@@ -740,7 +684,7 @@ mod tests {
             c.put(
                 BeanKey::new(format!("u{}", i % 7), format!("p{i}")),
                 i,
-                &deps(&[&format!("e{}", i % 5), "shared"]),
+                on(&deps(&[&format!("e{}", i % 5), "shared"])),
                 None,
             );
         }
@@ -757,32 +701,24 @@ mod tests {
     }
 
     #[test]
-    fn striped_unit_invalidation_sweeps_all_stripes() {
-        let c: BeanCache<u32> = BeanCache::new(512);
-        for i in 0..40u32 {
-            c.put(BeanKey::new("hot_unit", format!("p{i}")), i, &[], None);
-            c.put(BeanKey::new("cold_unit", format!("p{i}")), i, &[], None);
-        }
-        assert_eq!(c.invalidate_unit("hot_unit"), 40);
-        assert_eq!(c.len(), 40);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.stats().invalidations, 80);
-    }
-
-    #[test]
     fn striped_capacity_is_never_exceeded() {
         let c: BeanCache<u32> = BeanCache::new(512);
         for i in 0..4000u32 {
-            c.put(BeanKey::new(format!("u{i}"), ""), i, &[], None);
+            c.put(BeanKey::new(format!("u{i}"), ""), i, on(&[]), None);
             assert!(c.len() <= 512, "len {} > 512 at insert {i}", c.len());
         }
         assert!(c.stats().evictions > 0);
     }
 
     #[test]
-    fn striped_concurrent_mixed_workload_is_safe() {
-        let c = Arc::new(BeanCache::<u64>::new(512));
+    fn concurrent_mixed_workload_is_safe() {
+        for capacity in [64, 512] {
+            mixed_storm(capacity);
+        }
+    }
+
+    fn mixed_storm(capacity: usize) {
+        let c = Arc::new(BeanCache::<u64>::new(capacity));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let c = Arc::clone(&c);
@@ -791,13 +727,13 @@ mod tests {
                     let k = BeanKey::new(format!("u{}", i % 32), format!("p{t}"));
                     match i % 5 {
                         0 => {
-                            c.put(k, i, &[format!("e{}", i % 3)], None);
+                            c.put(k, i, on(&[format!("e{}", i % 3)]), None);
                         }
                         1 => {
                             c.invalidate_entity(&format!("e{}", i % 3));
                         }
                         2 => {
-                            c.invalidate_unit(&format!("u{}", i % 32));
+                            c.patch(&k, 1, |_| Patch::Drop);
                         }
                         _ => {
                             c.get(&k);
@@ -822,25 +758,23 @@ mod tests {
     fn row_scoped_bean_survives_unrelated_row_write() {
         let c: BeanCache<String> = BeanCache::new(16);
         // two single-row probes of the same entity, different oids
-        c.put_scoped(
-            BeanKey::new("BookData", "oid=1&"),
-            "book-1".into(),
-            &[],
-            &[("book".to_string(), 1)],
-            None,
-        );
-        c.put_scoped(
-            BeanKey::new("BookData", "oid=2&"),
-            "book-2".into(),
-            &[],
-            &[("book".to_string(), 2)],
-            None,
-        );
+        for oid in [1, 2] {
+            c.put(
+                BeanKey::new("BookData", format!("oid={oid}&")),
+                format!("book-{oid}"),
+                Provenance {
+                    lsn: 0,
+                    entities: &[],
+                    rows: &[("book".to_string(), oid)],
+                },
+                None,
+            );
+        }
         // plus a whole-entity dependent (an index over all books)
         c.put(
             BeanKey::new("BookIndex", "-"),
             "all-books".into(),
-            &deps(&["book"]),
+            on(&deps(&["book"])),
             None,
         );
         // a write to book oid=1 affects the scoped bean for oid=1 and the
@@ -848,8 +782,8 @@ mod tests {
         let affected = c.keys_for_row("book", 1);
         assert_eq!(affected.len(), 2);
         for k in &affected {
-            assert!(c.invalidate_key(k));
-            assert!(!c.invalidate_key(k));
+            assert_eq!(c.patch(k, 1, |_| Patch::Drop), Some(PatchEffect::Dropped));
+            assert_eq!(c.patch(k, 1, |_| Patch::Drop), None);
         }
         assert!(c.get(&BeanKey::new("BookData", "oid=1&")).is_none());
         assert!(c.get(&BeanKey::new("BookData", "oid=2&")).is_some());
@@ -863,29 +797,44 @@ mod tests {
     fn patch_updates_value_in_place_keeping_deps() {
         let c: BeanCache<i32> = BeanCache::new(8);
         let k = BeanKey::new("u", "p");
-        c.put(k.clone(), 10, &deps(&["t"]), None);
+        c.put(k.clone(), 10, on(&deps(&["t"])), None);
         assert_eq!(
-            c.patch(&k, |v| Patch::Update(v + 1)),
+            c.patch(&k, 1, |v| Patch::Update(v + 1)),
             Some(PatchEffect::Updated)
         );
         assert_eq!(c.get(&k).as_deref(), Some(&11));
         // an unaffected bean is left untouched
-        assert_eq!(c.patch(&k, |_| Patch::Keep), Some(PatchEffect::Kept));
+        assert_eq!(c.patch(&k, 2, |_| Patch::Keep), Some(PatchEffect::Kept));
         assert_eq!(c.get(&k).as_deref(), Some(&11));
         // deps survive the patch: entity invalidation still drops it
         assert_eq!(c.invalidate_entity("t"), 1);
         // patching an absent key reports None; dropping via patch works
-        assert_eq!(c.patch(&k, |v| Patch::Update(v + 1)), None);
-        c.put(k.clone(), 1, &[], None);
-        assert_eq!(c.patch(&k, |_| Patch::Drop), Some(PatchEffect::Dropped));
+        assert_eq!(c.patch(&k, 3, |v| Patch::Update(v + 1)), None);
+        c.put(k.clone(), 1, on(&[]), None);
+        assert_eq!(c.patch(&k, 3, |_| Patch::Drop), Some(PatchEffect::Dropped));
         assert!(c.get(&k).is_none());
+    }
+
+    /// The put rule ([`VersionTable::outdates`]) is checked on every put.
+    #[test]
+    fn put_loses_to_a_recorded_newer_write() {
+        let c: BeanCache<i32> = BeanCache::new(8);
+        c.versions().record("t", None, 5);
+        let (t, k) = (deps(&["t"]), BeanKey::new("u", "p"));
+        assert_eq!(
+            *c.put(k.clone(), 1, Provenance { lsn: 4, ..on(&t) }, None),
+            1
+        );
+        assert!(c.get(&k).is_none(), "stale bean became resident");
+        c.put(k.clone(), 2, Provenance { lsn: 5, ..on(&t) }, None);
+        assert_eq!(c.get(&k).as_deref(), Some(&2));
     }
 
     #[test]
     fn clear_counts_invalidations() {
         let c: BeanCache<i32> = BeanCache::new(8);
-        c.put(BeanKey::new("u", "1"), 1, &[], None);
-        c.put(BeanKey::new("u", "2"), 2, &[], None);
+        c.put(BeanKey::new("u", "1"), 1, on(&[]), None);
+        c.put(BeanKey::new("u", "2"), 2, on(&[]), None);
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.stats().invalidations, 2);

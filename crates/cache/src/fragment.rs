@@ -14,8 +14,9 @@
 
 use crate::bean::{fnv1a, stripe_capacities, stripe_of};
 use crate::stats::{CacheStats, StatsSnapshot};
+use crate::version::{Provenance, VersionTable};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,9 +120,6 @@ struct Entry {
     markup: Arc<[u8]>,
     expires: Instant,
     stamp: u64,
-    /// Monotonically bumped per key: each re-render of the same fragment
-    /// (after its unit's bean changed) increments it. Starts at 1.
-    version: u64,
     /// Read since it was queued for eviction: the sweep passes it over
     /// once (second chance) instead of evicting it.
     touched: bool,
@@ -135,10 +133,9 @@ const UNBOUND: i64 = i64::MIN;
 struct Inner {
     entries: HashMap<FragmentKey, Entry>,
     order: BTreeMap<u64, FragmentKey>,
-    /// Dirty tombstones: fragments dropped by unit-level invalidation,
-    /// keyed to the version they had. The next `put` of the same key
-    /// continues the version sequence and reports itself as a re-render.
-    dirty: HashMap<FragmentKey, u64>,
+    /// Dirty tombstones: fragments dropped by unit-level invalidation.
+    /// The next `put` of the same key reports itself as a re-render.
+    dirty: HashSet<FragmentKey>,
     /// Stamps of live entries per unit id, so unit-level invalidation
     /// visits only the unit's own fragments instead of the stripe.
     by_unit: HashMap<String, BTreeSet<u64>>,
@@ -205,18 +202,29 @@ impl Inner {
         }
     }
 
-    /// `(stamp, key, version)` of every live entry of `unit`, resolved
-    /// through the unit index — O(unit's entries).
-    fn unit_entries(&self, unit: &str) -> Vec<(u64, FragmentKey, u64)> {
+    /// `(stamp, key)` of every live entry of `unit`, resolved through the
+    /// unit index — O(unit's entries).
+    fn unit_entries(&self, unit: &str) -> Vec<(u64, FragmentKey)> {
         self.by_unit
             .get(unit)
             .into_iter()
             .flatten()
-            .filter_map(|stamp| {
-                let k = self.order.get(stamp)?;
-                Some((*stamp, k.clone(), self.entries.get(k)?.version))
-            })
+            .filter_map(|stamp| Some((*stamp, self.order.get(stamp)?.clone())))
             .collect()
+    }
+
+    /// Remove dirtied entries, leaving a tombstone for each. Tombstones
+    /// are bounded by the stripe's capacity: a full set is emptied, which
+    /// only under-counts re-renders.
+    fn dirty(&mut self, keys: &[(u64, FragmentKey)]) {
+        for (stamp, k) in keys {
+            self.entries.remove(k);
+            self.order.remove(stamp);
+            if self.dirty.len() >= self.capacity {
+                self.dirty.clear();
+            }
+            self.dirty.insert(k.clone());
+        }
     }
 }
 
@@ -225,30 +233,35 @@ impl Inner {
 /// Like [`crate::bean::BeanCache`], the key space is hash-partitioned over
 /// N lock stripes so concurrent template rendering no longer serializes
 /// behind one global mutex; small caches stay on a single stripe, and
-/// `invalidate_template` sweeps every stripe. A full stripe evicts first
+/// unit invalidation sweeps every stripe. A full stripe evicts first
 /// in, first out, passing over once any entry read since it was queued
 /// (second chance): a hit costs a flag store, and fragments that are
 /// written once per URL and never read cannot flush the shared ones.
+///
+/// Puts follow the bean cache's rule ([`VersionTable::outdates`]); a
+/// refused put hands its markup back, to be served once, uncached.
 pub struct FragmentCache {
     stripes: Vec<Mutex<Inner>>,
     clock: AtomicU64,
-    /// Bumped by every invalidation *before* it sweeps. A renderer reads
-    /// it before it computes and hands it back to
-    /// [`FragmentCache::put_if_current`]: markup derived from state an
-    /// invalidation has since condemned never becomes resident.
-    generation: AtomicU64,
     default_ttl: Duration,
     stats: CacheStats,
+    versions: Arc<VersionTable>,
 }
 
 impl FragmentCache {
     pub fn new(capacity: usize, default_ttl: Duration) -> FragmentCache {
-        Self::with_stats(capacity, default_ttl, CacheStats::default())
+        Self::with_stats(capacity, default_ttl, CacheStats::default(), Arc::default())
     }
 
     /// Like [`FragmentCache::new`], but reporting into externally owned
-    /// counters (e.g. `CacheStats::shared(registry.fragment_cache.clone())`).
-    pub fn with_stats(capacity: usize, default_ttl: Duration, stats: CacheStats) -> FragmentCache {
+    /// counters (e.g. `CacheStats::shared(registry.fragment_cache.clone())`)
+    /// and checking puts against the node's version table.
+    pub fn with_stats(
+        capacity: usize,
+        default_ttl: Duration,
+        stats: CacheStats,
+        versions: Arc<VersionTable>,
+    ) -> FragmentCache {
         let capacity = capacity.max(1);
         let stripes = stripe_capacities(capacity)
             .into_iter()
@@ -256,7 +269,7 @@ impl FragmentCache {
                 Mutex::new(Inner {
                     entries: HashMap::new(),
                     order: BTreeMap::new(),
-                    dirty: HashMap::new(),
+                    dirty: HashSet::new(),
                     by_unit: HashMap::new(),
                     probe_params: HashMap::new(),
                     probe: HashMap::new(),
@@ -267,10 +280,15 @@ impl FragmentCache {
         FragmentCache {
             stripes,
             clock: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
             default_ttl,
             stats,
+            versions,
         }
+    }
+
+    /// The version table puts are checked against.
+    pub fn versions(&self) -> &Arc<VersionTable> {
+        &self.versions
     }
 
     /// Number of lock stripes the key space is partitioned over.
@@ -323,50 +341,33 @@ impl FragmentCache {
         }
     }
 
-    /// The invalidation generation: read it *before* computing what a
-    /// fragment is rendered from, pass it to
-    /// [`FragmentCache::put_if_current`].
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-
-    /// Called by every invalidation before it takes its first stripe lock.
-    /// A put that loaded the old value did so under its stripe lock, so the
-    /// sweep that follows visits that stripe after the put and removes what
-    /// it inserted; a put that loads the new value does not insert.
-    fn condemn(&self) {
-        self.generation.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Unconditional put (no concurrent invalidation to lose against).
-    pub fn put(&self, key: FragmentKey, markup: String) -> Arc<[u8]> {
-        self.put_at(key, markup, Instant::now())
-    }
-
-    pub fn put_at(&self, key: FragmentKey, markup: String, now: Instant) -> Arc<[u8]> {
-        let mut inner = self.lock_probed(self.stripe(&key));
-        self.insert(&mut inner, key, markup, now).0
-    }
-
-    /// Generation-checked put: cache `markup` unless an invalidation ran
-    /// since the caller read `seen` from [`FragmentCache::generation`] —
-    /// then the markup may show state the invalidation condemned, and it
-    /// is handed back (`Err`) to be served once, uncached. `Ok` carries
-    /// the interned bytes, the fragment's new version, and whether this
-    /// put *re-rendered* a fragment a maintenance invalidation had dirtied
-    /// (or replaced a live one) — the signal behind
-    /// `fragment_rerenders_total`.
-    pub fn put_if_current(
+    /// Cache `markup` rendered from `from` unless the version table
+    /// [`outdates`](VersionTable::outdates) it — then it may show state a
+    /// write has since changed, and it is handed back (`Err`) to be served
+    /// once, uncached. `Ok` carries the interned bytes and whether this put
+    /// *re-rendered* a fragment a maintenance invalidation had dirtied (or
+    /// replaced a live one) — the signal behind `fragment_rerenders_total`.
+    pub fn put(
         &self,
         key: FragmentKey,
         markup: String,
-        seen: u64,
-    ) -> Result<(Arc<[u8]>, u64, bool), String> {
+        from: Provenance<'_>,
+    ) -> Result<(Arc<[u8]>, bool), String> {
+        self.put_at(key, markup, from, Instant::now())
+    }
+
+    fn put_at(
+        &self,
+        key: FragmentKey,
+        markup: String,
+        from: Provenance<'_>,
+        now: Instant,
+    ) -> Result<(Arc<[u8]>, bool), String> {
         let mut inner = self.lock_probed(self.stripe(&key));
-        if self.generation.load(Ordering::SeqCst) != seen {
+        if self.versions.outdates(&from) {
             return Err(markup);
         }
-        Ok(self.insert(&mut inner, key, markup, Instant::now()))
+        Ok(self.insert(&mut inner, key, markup, now))
     }
 
     fn insert(
@@ -375,13 +376,13 @@ impl FragmentCache {
         key: FragmentKey,
         markup: String,
         now: Instant,
-    ) -> (Arc<[u8]>, u64, bool) {
+    ) -> (Arc<[u8]>, bool) {
         let markup: Arc<[u8]> = markup.into_bytes().into();
-        let base = match inner.entries.remove(&key) {
+        let rerendered = match inner.entries.remove(&key) {
             Some(old) => {
                 inner.order.remove(&old.stamp);
                 inner.index_remove(&key, old.stamp);
-                Some(old.version)
+                true
             }
             None => inner.dirty.remove(&key),
         };
@@ -406,51 +407,34 @@ impl FragmentCache {
             self.stats.eviction();
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let version = base.unwrap_or(0) + 1;
         inner.entries.insert(
             key.clone(),
             Entry {
                 markup: Arc::clone(&markup),
                 expires: now + self.default_ttl,
                 stamp,
-                version,
                 touched: false,
             },
         );
         inner.index_insert(&key, stamp);
         inner.order.insert(stamp, key);
         self.stats.insertion();
-        (markup, version, base.is_some())
-    }
-
-    /// Current version of a cached fragment (`None` when absent).
-    pub fn version_of(&self, key: &FragmentKey) -> Option<u64> {
-        self.stripe(key).lock().entries.get(key).map(|e| e.version)
+        (markup, rerendered)
     }
 
     /// Drop every fragment rendered from `unit`'s bean (the key's
     /// `fragment` field is the unit id), leaving dirty tombstones so the
-    /// next render of each key continues its version sequence and is
-    /// counted as a re-render. Returns how many fragments were dirtied.
+    /// next render of each key is counted as a re-render. Returns how many
+    /// fragments were dirtied.
     pub fn invalidate_unit(&self, unit: &str) -> usize {
-        self.condemn();
         let mut dropped = 0;
         for stripe in &self.stripes {
             let mut inner = self.lock_probed(stripe);
             let keys = inner.unit_entries(unit);
-            for (stamp, k, version) in keys.iter().cloned() {
-                inner.entries.remove(&k);
-                inner.order.remove(&stamp);
-                inner.dirty.insert(k, version);
-            }
+            inner.dirty(&keys);
             // every live entry of the unit is gone, so its indexes are too
             inner.by_unit.remove(unit);
             inner.probe.remove(unit);
-            // bound tombstone memory; a reset restarts version sequences,
-            // which only under-counts re-renders (ETags never read these)
-            if inner.dirty.len() > inner.capacity * 4 {
-                inner.dirty.clear();
-            }
             dropped += keys.len();
         }
         self.stats.invalidation(dropped as u64);
@@ -465,7 +449,6 @@ impl FragmentCache {
     /// default) cannot be identified and are dropped conservatively;
     /// every other instance keeps serving its bytes untouched.
     pub fn invalidate_unit_where(&self, unit: &str, param: &str, oid: i64) -> usize {
-        self.condemn();
         let mut dropped = 0;
         for stripe in &self.stripes {
             let mut inner = self.lock_probed(stripe);
@@ -473,33 +456,25 @@ impl FragmentCache {
             // only the affected row's bucket (plus the unidentifiable
             // remainder) is visited — O(dropped), not O(stripe)
             let indexed = inner.probe_params.get(unit).is_some_and(|p| p == param);
-            let keys: Vec<(u64, FragmentKey, u64)> = if indexed {
+            let keys: Vec<(u64, FragmentKey)> = if indexed {
                 let rows = inner.probe.get(unit);
                 [oid, UNBOUND]
                     .iter()
                     .filter_map(|b| rows.and_then(|r| r.get(b)))
                     .flatten()
-                    .filter_map(|stamp| {
-                        let k = inner.order.get(stamp)?;
-                        Some((*stamp, k.clone(), inner.entries.get(k)?.version))
-                    })
+                    .filter_map(|stamp| Some((*stamp, inner.order.get(stamp)?.clone())))
                     .collect()
             } else {
                 inner
                     .unit_entries(unit)
                     .into_iter()
-                    .filter(|(_, k, _)| param_binds(&k.params, param, oid))
+                    .filter(|(_, k)| [oid, UNBOUND].contains(&binding_of(&k.params, param)))
                     .collect()
             };
-            for (stamp, k, version) in keys.iter().cloned() {
-                inner.entries.remove(&k);
-                inner.order.remove(&stamp);
-                inner.index_remove(&k, stamp);
-                inner.dirty.insert(k, version);
+            for (stamp, k) in &keys {
+                inner.index_remove(k, *stamp);
             }
-            if inner.dirty.len() > inner.capacity * 4 {
-                inner.dirty.clear();
-            }
+            inner.dirty(&keys);
             dropped += keys.len();
         }
         self.stats.invalidation(dropped as u64);
@@ -520,7 +495,7 @@ impl FragmentCache {
                 .insert(unit.to_string(), param.to_string());
             inner.probe.remove(unit);
             let existing = inner.unit_entries(unit);
-            for (stamp, k, _) in existing {
+            for (stamp, k) in existing {
                 inner.index_insert(&k, stamp);
             }
         }
@@ -528,9 +503,8 @@ impl FragmentCache {
 
     /// Drop everything — live entries and dirty tombstones alike (the
     /// maintenance layer's DDL response: a schema change invalidates all
-    /// derived markup and restarts the version sequences).
+    /// derived markup).
     pub fn clear(&self) {
-        self.condemn();
         let mut n = 0u64;
         for stripe in &self.stripes {
             let mut inner = self.lock_probed(stripe);
@@ -542,30 +516,6 @@ impl FragmentCache {
             inner.probe.clear();
         }
         self.stats.invalidation(n);
-    }
-
-    /// Drop every fragment of a template (e.g. after redeployment).
-    /// Sweeps every stripe before returning.
-    pub fn invalidate_template(&self, template: &str) -> usize {
-        self.condemn();
-        let mut dropped = 0;
-        for stripe in &self.stripes {
-            let mut inner = self.lock_probed(stripe);
-            let keys: Vec<(u64, FragmentKey)> = inner
-                .entries
-                .iter()
-                .filter(|(k, _)| k.template == template)
-                .map(|(k, e)| (e.stamp, k.clone()))
-                .collect();
-            for (stamp, k) in &keys {
-                inner.entries.remove(k);
-                inner.order.remove(stamp);
-                inner.index_remove(k, *stamp);
-            }
-            dropped += keys.len();
-        }
-        self.stats.invalidation(dropped as u64);
-        dropped
     }
 
     pub fn len(&self) -> usize {
@@ -581,14 +531,10 @@ impl FragmentCache {
     }
 }
 
-/// Does a `k=v&…` fingerprint bind `param` to the row `oid`? Bindings
-/// compare numerically when the rendered value parses as an integer
-/// (`paper=05` still matches oid 5); a missing or non-numeric binding
-/// answers `true` — the caller cannot identify the instance and must
-/// treat it as affected.
-/// The row a `k=v&…` fingerprint binds `param` to, or [`UNBOUND`] when
-/// the binding is missing or non-numeric (same conservative contract as
-/// [`param_binds`]).
+/// The row a `k=v&…` fingerprint binds `param` to, compared numerically
+/// (`paper=05` is row 5), or [`UNBOUND`] when the binding is missing or
+/// non-numeric — the instance cannot be identified and must be treated as
+/// affected by every row.
 fn binding_of(fingerprint: &str, param: &str) -> i64 {
     for seg in fingerprint.split('&') {
         if let Some(v) = seg.strip_prefix(param).and_then(|r| r.strip_prefix('=')) {
@@ -598,28 +544,32 @@ fn binding_of(fingerprint: &str, param: &str) -> i64 {
     UNBOUND
 }
 
-fn param_binds(fingerprint: &str, param: &str, oid: i64) -> bool {
-    for seg in fingerprint.split('&') {
-        if let Some(v) = seg.strip_prefix(param).and_then(|r| r.strip_prefix('=')) {
-            return match v.parse::<i64>() {
-                Ok(n) => n == oid,
-                Err(_) => true,
-            };
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rendered before any write was recorded, from nothing in particular.
+    const FRESH: Provenance<'static> = Provenance {
+        lsn: 0,
+        entities: &[],
+        rows: &[],
+    };
+
+    /// Put that must be accepted; whether it re-rendered.
+    fn put(c: &FragmentCache, key: FragmentKey, markup: &str) -> bool {
+        c.put(key, markup.into(), FRESH).unwrap().1
+    }
+
+    fn put_at(c: &FragmentCache, key: FragmentKey, markup: &str, now: Instant) {
+        c.put_at(key, markup.into(), FRESH, now).unwrap();
+    }
 
     #[test]
     fn hit_and_miss() {
         let c = FragmentCache::new(8, Duration::from_secs(60));
         let k = FragmentKey::new("home.jsp", "unit3", "p=1");
         assert!(c.get(&k).is_none());
-        c.put(k.clone(), "<ul>...</ul>".into());
+        put(&c, k.clone(), "<ul>...</ul>");
         assert_eq!(c.get(&k).as_deref(), Some(&b"<ul>...</ul>"[..]));
     }
 
@@ -628,28 +578,18 @@ mod tests {
         let c = FragmentCache::new(8, Duration::from_millis(10));
         let t0 = Instant::now();
         let k = FragmentKey::new("t", "f", "");
-        c.put_at(k.clone(), "x".into(), t0);
+        put_at(&c, k.clone(), "x", t0);
         assert!(c.get_at(&k, t0 + Duration::from_millis(5)).is_some());
         assert!(c.get_at(&k, t0 + Duration::from_millis(15)).is_none());
         assert_eq!(c.stats().expirations, 1);
     }
 
     #[test]
-    fn template_invalidation() {
-        let c = FragmentCache::new(8, Duration::from_secs(60));
-        c.put(FragmentKey::new("a.jsp", "u1", ""), "1".into());
-        c.put(FragmentKey::new("a.jsp", "u2", ""), "2".into());
-        c.put(FragmentKey::new("b.jsp", "u1", ""), "3".into());
-        assert_eq!(c.invalidate_template("a.jsp"), 2);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
     fn capacity_eviction_fifo_when_untouched() {
         let c = FragmentCache::new(2, Duration::from_secs(60));
-        c.put(FragmentKey::new("t", "1", ""), "a".into());
-        c.put(FragmentKey::new("t", "2", ""), "b".into());
-        c.put(FragmentKey::new("t", "3", ""), "c".into());
+        put(&c, FragmentKey::new("t", "1", ""), "a");
+        put(&c, FragmentKey::new("t", "2", ""), "b");
+        put(&c, FragmentKey::new("t", "3", ""), "c");
         assert_eq!(c.len(), 2);
         assert!(c.get(&FragmentKey::new("t", "1", "")).is_none());
         assert_eq!(c.stats().evictions, 1);
@@ -662,20 +602,21 @@ mod tests {
     fn capacity_eviction_gives_read_fragments_a_second_chance() {
         let c = FragmentCache::new(3, Duration::from_secs(60));
         let shared = FragmentKey::new("t", "index", "");
-        c.put(shared.clone(), "shared".into());
+        put(&c, shared.clone(), "shared");
         for url in 0..20 {
             assert!(c.get(&shared).is_some(), "flushed by put #{url}");
             let one_shot = FragmentKey::keyed("t", "scroller", "", "", format!("o={url}"));
-            c.put(one_shot, "pager".into());
+            put(&c, one_shot, "pager");
         }
         assert_eq!(c.len(), 3);
         assert_eq!(c.stats().evictions, 18);
         // the chance is spent by the sweep that granted it: once the reads
         // stop, the fragment is evicted like any other
         for url in 20..23 {
-            c.put(
+            put(
+                &c,
                 FragmentKey::keyed("t", "scroller", "", "", format!("o={url}")),
-                "pager".into(),
+                "pager",
             );
         }
         assert!(c.get(&shared).is_none());
@@ -685,7 +626,7 @@ mod tests {
     /// accounted: capacity eviction is an `eviction` (never an
     /// expiration), a TTL lapse discovered by `get` is an `expiration`
     /// *and* a miss, an expired-but-untouched entry still occupies a slot
-    /// (lazy expiry), and `invalidate_template` counts its removals as
+    /// (lazy expiry), and `invalidate_unit` counts its removals as
     /// invalidations only.
     #[test]
     fn ttl_expiry_eviction_and_invalidation_stats_compose() {
@@ -696,13 +637,13 @@ mod tests {
         let kb = FragmentKey::new("t", "b", "");
         let kc = FragmentKey::new("t", "c", "");
         let kd = FragmentKey::new("u", "d", "");
-        c.put_at(ka.clone(), "A".into(), t0);
-        c.put_at(kb.clone(), "B".into(), t0);
-        c.put_at(kc.clone(), "C".into(), t0 + ms(2));
+        put_at(&c, ka.clone(), "A", t0);
+        put_at(&c, kb.clone(), "B", t0);
+        put_at(&c, kc.clone(), "C", t0 + ms(2));
         assert!(c.get_at(&kb, t0 + ms(1)).is_some()); // hit #1
 
         // Capacity eviction: a 4th insert drops the oldest entry (a).
-        c.put_at(kd.clone(), "D".into(), t0 + ms(3));
+        put_at(&c, kd.clone(), "D", t0 + ms(3));
         assert_eq!(c.len(), 3);
         assert!(c.get_at(&ka, t0 + ms(3)).is_none()); // miss #1 — evicted, not expired
         let s = c.stats();
@@ -721,15 +662,15 @@ mod tests {
         // c lapsed at t0+12 but was never touched: lazy expiry means it
         // still occupies its slot and no expiration was counted for it.
         assert_eq!(c.len(), 2);
-        // Template invalidation removes it as an *invalidation* — the
+        // Unit invalidation removes it as an *invalidation* — the
         // expiration/eviction counters must not move.
-        assert_eq!(c.invalidate_template("t"), 1);
+        assert_eq!(c.invalidate_unit("c"), 1);
         let s = c.stats();
         assert_eq!((s.invalidations, s.evictions, s.expirations), (1, 1, 1));
         assert_eq!(c.len(), 1); // only d survives
 
         // The slot freed by invalidation is reusable without eviction.
-        c.put_at(kc.clone(), "C2".into(), t0 + ms(12));
+        put_at(&c, kc.clone(), "C2", t0 + ms(12));
         assert_eq!(c.get_at(&kc, t0 + ms(13)).as_deref(), Some(&b"C2"[..]));
         let s = c.stats();
         assert_eq!((s.insertions, s.evictions, s.hits), (5, 1, 3));
@@ -740,21 +681,19 @@ mod tests {
         let c = FragmentCache::new(512, Duration::from_secs(60));
         assert_eq!(c.stripe_count(), 8);
         for i in 0..48 {
-            c.put(
-                FragmentKey::new(format!("t{}", i % 3), format!("u{i}"), ""),
-                format!("m{i}"),
-            );
+            let k = FragmentKey::new("t", format!("u{}", i % 3), format!("p={i}"));
+            put(&c, k, &format!("m{i}"));
         }
         assert_eq!(c.len(), 48);
         for i in 0..48 {
-            let k = FragmentKey::new(format!("t{}", i % 3), format!("u{i}"), "");
+            let k = FragmentKey::new("t", format!("u{}", i % 3), format!("p={i}"));
             let want = format!("m{i}");
             assert_eq!(c.get(&k).as_deref(), Some(want.as_bytes()));
         }
-        // template invalidation sweeps all stripes
-        assert_eq!(c.invalidate_template("t0"), 16);
+        // unit invalidation sweeps all stripes
+        assert_eq!(c.invalidate_unit("u0"), 16);
         assert_eq!(c.len(), 32);
-        assert!(c.get(&FragmentKey::new("t0", "u0", "")).is_none());
+        assert!(c.get(&FragmentKey::new("t", "u0", "p=0")).is_none());
     }
 
     #[test]
@@ -772,10 +711,10 @@ mod tests {
                     );
                     match i % 4 {
                         0 => {
-                            c.put(k, format!("m{i}"));
+                            put(&c, k, &format!("m{i}"));
                         }
                         1 => {
-                            c.invalidate_template(&format!("t{}", i % 4));
+                            c.invalidate_unit(&format!("u{}", i % 16));
                         }
                         _ => {
                             c.get(&k);
@@ -792,32 +731,24 @@ mod tests {
     }
 
     #[test]
-    fn unit_invalidation_dirties_and_rerender_bumps_version() {
+    fn unit_invalidation_dirties_and_the_next_put_rerenders() {
         let c = FragmentCache::new(8, Duration::from_secs(60));
         let k1 = FragmentKey::new("home.jsp", "idx1", "p=1");
         let k2 = FragmentKey::new("home.jsp", "idx2", "p=1");
-        let (_, v, rerendered) = c
-            .put_if_current(k1.clone(), "one".into(), c.generation())
-            .unwrap();
-        assert_eq!((v, rerendered), (1, false));
-        c.put(k2.clone(), "two".into());
+        assert!(!put(&c, k1.clone(), "one"));
+        put(&c, k2.clone(), "two");
         // dirty only idx1's fragments; idx2 keeps serving the same bytes
         let before = c.get(&k2).unwrap();
         assert_eq!(c.invalidate_unit("idx1"), 1);
         assert!(c.get(&k1).is_none());
         let after = c.get(&k2).unwrap();
         assert!(Arc::ptr_eq(&before, &after), "clean fragment re-interned");
-        // re-render continues the version sequence and reports itself
-        let (_, v, rerendered) = c
-            .put_if_current(k1.clone(), "one'".into(), c.generation())
-            .unwrap();
-        assert_eq!((v, rerendered), (2, true));
-        assert_eq!(c.version_of(&k1), Some(2));
-        // a fresh key starts at version 1, not re-rendered
-        let (_, v, rerendered) = c
-            .put_if_current(FragmentKey::new("x", "u", ""), "n".into(), c.generation())
-            .unwrap();
-        assert_eq!((v, rerendered), (1, false));
+        // the put over the tombstone reports a re-render, once
+        assert!(put(&c, k1.clone(), "one'"));
+        assert_eq!(c.get(&k1).as_deref(), Some(&b"one'"[..]));
+        // replacing a live fragment is a re-render too; a fresh key is not
+        assert!(put(&c, k1, "one''"));
+        assert!(!put(&c, FragmentKey::new("x", "u", ""), "n"));
     }
 
     /// Row-precise dirtying: a write to paper 2 leaves paper 1's
@@ -831,7 +762,7 @@ mod tests {
         let k3 = FragmentKey::new("paper.jsp", "u1", "kw=%db%&"); // no binding
         let other = FragmentKey::new("paper.jsp", "u2", "paper=2&");
         for k in [&k1, &k2, &k3, &other] {
-            c.put(k.clone(), "m".into());
+            put(&c, k.clone(), "m");
         }
         let live = c.get(&k1).unwrap();
         assert_eq!(c.invalidate_unit_where("u1", "paper", 2), 2);
@@ -841,15 +772,13 @@ mod tests {
         assert!(Arc::ptr_eq(&live, &after), "clean instance re-interned");
         assert!(c.get(&other).is_some(), "other unit's fragment dropped");
         // zero-padded bindings still identify the row numerically
-        c.put(k2.clone(), "m2".into());
+        put(&c, k2.clone(), "m2");
         let pad = FragmentKey::new("paper.jsp", "u1", "paper=02&");
-        c.put(pad.clone(), "m02".into());
+        put(&c, pad.clone(), "m02");
         assert_eq!(c.invalidate_unit_where("u1", "paper", 2), 2);
         assert!(c.get(&pad).is_none());
-        // the dirtied instance re-renders with its version continued
-        // (render #3: initial put, re-render after each invalidation)
-        let (_, v, rerendered) = c.put_if_current(k2, "m2'".into(), c.generation()).unwrap();
-        assert_eq!((v, rerendered), (3, true));
+        // the dirtied instance re-renders
+        assert!(put(&c, k2, "m2'"));
     }
 
     /// Rule set and request fingerprint are key components of their own:
@@ -861,11 +790,11 @@ mod tests {
         let desktop = FragmentKey::keyed("t", "u", "desktop", "sel=1&", "");
         let pda = FragmentKey::keyed("t", "u", "pda", "sel=1&", "");
         let paged = FragmentKey::keyed("t", "u", "desktop", "sel=1&", "block_offset=20&");
-        c.put(desktop.clone(), "zebra".into());
+        put(&c, desktop.clone(), "zebra");
         assert!(c.get(&pda).is_none());
         assert!(c.get(&paged).is_none());
-        c.put(pda.clone(), "plain".into());
-        c.put(paged.clone(), "page 3".into());
+        put(&c, pda.clone(), "plain");
+        put(&c, paged.clone(), "page 3");
         assert_eq!(c.get(&desktop).as_deref(), Some(&b"zebra"[..]));
         assert_eq!(c.get(&pda).as_deref(), Some(&b"plain"[..]));
         // all three show row 1: a write to it dirties every variant
@@ -873,28 +802,34 @@ mod tests {
         assert_eq!(c.invalidate_unit_where("u", "sel", 1), 3);
     }
 
+    /// The put rule: markup rendered before a recorded write to what its
+    /// unit reads is handed back; writes elsewhere do not count.
     #[test]
-    fn put_loses_to_an_invalidation_since_its_generation() {
+    fn put_loses_to_a_newer_write_to_what_it_read() {
         let c = FragmentCache::new(8, Duration::from_secs(60));
         let k = FragmentKey::new("t", "u", "sel=1&");
-        let seen = c.generation();
-        c.invalidate_unit("other"); // any invalidation condemns in-flight renders
+        let paper = ["paper".to_string()];
+        let at = |lsn| Provenance {
+            lsn,
+            entities: &paper,
+            rows: &[],
+        };
+        c.versions().record("author", Some(1), 3);
+        c.versions().record("paper", Some(1), 2);
         assert_eq!(
-            c.put_if_current(k.clone(), "stale".into(), seen),
+            c.put(k.clone(), "stale".into(), at(1)),
             Err("stale".to_string())
         );
         assert!(c.get(&k).is_none());
-        assert!(c
-            .put_if_current(k.clone(), "fresh".into(), c.generation())
-            .is_ok());
+        assert!(c.put(k.clone(), "fresh".into(), at(2)).is_ok());
         assert_eq!(c.get(&k).as_deref(), Some(&b"fresh"[..]));
     }
 
     #[test]
     fn distinct_params_are_distinct_fragments() {
         let c = FragmentCache::new(8, Duration::from_secs(60));
-        c.put(FragmentKey::new("t", "u", "volume=1"), "v1".into());
-        c.put(FragmentKey::new("t", "u", "volume=2"), "v2".into());
+        put(&c, FragmentKey::new("t", "u", "volume=1"), "v1");
+        put(&c, FragmentKey::new("t", "u", "volume=2"), "v2");
         assert_eq!(
             c.get(&FragmentKey::new("t", "u", "volume=2")).as_deref(),
             Some(&b"v2"[..])

@@ -18,6 +18,11 @@
 //! [`maintain::MaintenancePlan`], and with an empty plan it is the plain
 //! row-granular invalidator (drop what the changed row can affect).
 //!
+//! One version runs through all of it: the commit LSN
+//! ([`version::VersionTable`]). Every cached value is put with the LSN it
+//! was computed at, and a put that a recorded newer write has outdated is
+//! refused.
+//!
 //! Both caches are bounded (LRU), thread-safe, lock-striped for
 //! concurrent serving (hash(key) → stripe; see [`bean::BeanCache`]), and
 //! instrumented
@@ -28,12 +33,13 @@ pub mod bean;
 pub mod fragment;
 pub mod maintain;
 pub mod stats;
+pub mod version;
 
 pub use bean::{BeanCache, BeanKey, Patch, PatchEffect, MAX_STRIPES, MIN_STRIPE_CAPACITY};
 pub use fragment::{FragmentCache, FragmentKey};
 pub use maintain::{
     oid_probe_param, parse_fingerprint, DeltaOp, LogDrivenMaintainer, MaintenancePlan,
     PatchOutcome, Patcher, RowDelta, RowOrder, Strategy, TableCatalog, UnitPlan, UnitShape,
-    VersionTable,
 };
 pub use stats::{CacheStats, StatsSnapshot};
+pub use version::{Provenance, VersionTable};

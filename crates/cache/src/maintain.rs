@@ -38,17 +38,17 @@
 //! Fragments are maintained alongside: every fragment rendered from a
 //! dependent unit is dirtied ([`FragmentCache::invalidate_unit`]), so the
 //! next page render re-renders *only* the dirty fragments and keeps
-//! serving clean ones as the same interned bytes. The [`VersionTable`]
-//! records a monotonic version per entity (plus a DDL epoch); the
-//! controller derives strong `ETag`s from it for conditional GET.
+//! serving clean ones as the same interned bytes. Each batch's LSN is
+//! recorded in the caches' [`VersionTable`] before any of this: cache
+//! puts and the controller's `ETag`s read it.
 
 use crate::bean::{BeanCache, BeanKey, Patch, PatchEffect};
 use crate::fragment::FragmentCache;
+use crate::version::VersionTable;
 use obs::MaintCounters;
 use parking_lot::RwLock;
 use relstore::{ChangeRecord, Database, Value};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -68,8 +68,6 @@ pub struct UnitShape {
     pub entity_table: Option<String>,
     /// The unit's main query, in the generated grammar.
     pub sql: String,
-    /// Named inputs of the main query (the bean-key fingerprint's params).
-    pub inputs: Vec<String>,
     /// Bean shape `(property name, result column)`; empty = identity.
     pub bean_columns: Vec<(String, String)>,
     /// Entities the unit depends on (canonical lower-case table names).
@@ -521,124 +519,6 @@ impl<'a> RowDelta<'a> {
             .position(|c| c.eq_ignore_ascii_case(col))?;
         self.row.get(i)
     }
-
-    /// Construct a delta directly (tests, synthetic streams).
-    pub fn synthetic(
-        table: &'a str,
-        op: DeltaOp,
-        oid: i64,
-        columns: &'a [String],
-        row: &'a [Value],
-    ) -> RowDelta<'a> {
-        RowDelta {
-            table,
-            op,
-            oid,
-            columns,
-            row,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Entity versions (ETag substrate)
-// ---------------------------------------------------------------------------
-
-/// Monotonic version per entity plus a DDL epoch. The controller folds
-/// the versions of a page's dependency closure into its strong `ETag`;
-/// any durable (or in-process) write to a dependency changes the stamp,
-/// so a stale `If-None-Match` can never validate.
-///
-/// Entities also carry *row-granular* versions (`bump_row`): a page whose
-/// units are all key probes over one row validates against that row's
-/// version, so writes to sibling rows do not move its `ETag` and its
-/// revalidations keep answering `304`.
-#[derive(Debug)]
-pub struct VersionTable {
-    versions: RwLock<HashMap<String, u64>>,
-    /// `entity → oid → version`, bumped alongside the entity version
-    /// whenever the changed row is identifiable.
-    rows: RwLock<HashMap<String, HashMap<i64, u64>>>,
-    epoch: AtomicU64,
-}
-
-impl Default for VersionTable {
-    fn default() -> VersionTable {
-        VersionTable::new()
-    }
-}
-
-impl VersionTable {
-    /// Every table starts at its own epoch, so stamps of two tables never
-    /// coincide: each node of a replicated deployment counts versions on
-    /// its own, and a validator minted by one node must not answer `304`
-    /// on another whose counters merely happen to agree.
-    pub fn new() -> VersionTable {
-        static TABLES: AtomicU64 = AtomicU64::new(0);
-        VersionTable {
-            versions: RwLock::default(),
-            rows: RwLock::default(),
-            epoch: AtomicU64::new(TABLES.fetch_add(1, Ordering::Relaxed) << 32),
-        }
-    }
-
-    pub fn bump(&self, entity: &str) {
-        *self.versions.write().entry(entity.to_string()).or_insert(0) += 1;
-    }
-
-    /// Bump one row's version (the entity version moves separately).
-    pub fn bump_row(&self, entity: &str, oid: i64) {
-        let mut rows = self.rows.write();
-        match rows.get_mut(entity) {
-            Some(m) => *m.entry(oid).or_insert(0) += 1,
-            None => {
-                rows.entry(entity.to_string()).or_default().insert(oid, 1);
-            }
-        }
-    }
-
-    pub fn row_version(&self, entity: &str, oid: i64) -> u64 {
-        self.rows
-            .read()
-            .get(entity)
-            .and_then(|m| m.get(&oid))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// A schema change invalidates every stamp at once. Row versions
-    /// restart too — the epoch (mixed into every stamp) already moves
-    /// every validator, so the reset cannot produce a colliding tag.
-    pub fn bump_epoch(&self) {
-        self.rows.write().clear();
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn version(&self, entity: &str) -> u64 {
-        self.versions.read().get(entity).copied().unwrap_or(0)
-    }
-
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Fold the epoch and each entity's version into one stamp (FNV-1a).
-    pub fn stamp<'a>(&self, entities: impl IntoIterator<Item = &'a str>) -> u64 {
-        let versions = self.versions.read();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        mix(&self.epoch.load(Ordering::Relaxed).to_le_bytes());
-        for e in entities {
-            mix(e.as_bytes());
-            mix(&versions.get(e).copied().unwrap_or(0).to_le_bytes());
-        }
-        h
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -697,10 +577,10 @@ pub fn parse_fingerprint(fp: &str) -> BTreeMap<String, String> {
 // ---------------------------------------------------------------------------
 
 /// Consumes the durable change stream and maintains the two cache levels
-/// incrementally: beans are patched in place where the plan allows,
-/// dropped (and counted) where it does not; fragments of dependent units
-/// are dirtied so only they re-render; entity versions are bumped for
-/// conditional GET.
+/// incrementally: each write's LSN is recorded in the version table first;
+/// then beans are patched in place where the plan allows, dropped (and
+/// counted) where it does not; fragments of dependent units are dirtied so
+/// only they re-render; last, the batch is declared settled.
 ///
 /// Attach with `wal::Wal::attach_observer`. The observer runs once the
 /// batch has reached the log: post-fsync on the flusher thread and via
@@ -722,14 +602,15 @@ pub struct LogDrivenMaintainer<V> {
 }
 
 impl<V> LogDrivenMaintainer<V> {
+    /// Maintain `cache`, recording versions in its version table.
     pub fn new(
         cache: Arc<BeanCache<V>>,
         plan: MaintenancePlan,
         catalog: TableCatalog,
         patcher: Arc<dyn Patcher<V>>,
-        versions: Arc<VersionTable>,
         counters: Arc<MaintCounters>,
     ) -> LogDrivenMaintainer<V> {
+        let versions = Arc::clone(cache.versions());
         LogDrivenMaintainer {
             cache,
             fragments: None,
@@ -742,11 +623,16 @@ impl<V> LogDrivenMaintainer<V> {
         }
     }
 
-    /// Also maintain a fragment cache (dirty dependent units' fragments).
+    /// Also maintain a fragment cache (dirty dependent units' fragments),
+    /// which must check its puts against the bean cache's version table.
     /// Every key-probe unit of the plan is registered in the cache's
     /// probe index, so row-precise dirtying touches only the affected
     /// fragments instead of sweeping each stripe.
     pub fn with_fragments(mut self, fragments: Arc<FragmentCache>) -> Self {
+        assert!(
+            Arc::ptr_eq(fragments.versions(), &self.versions),
+            "the two cache levels must share one version table"
+        );
         for (unit, plan) in &self.plan.plans {
             if let Strategy::KeyProbe { param } = &plan.strategy {
                 fragments.index_probe(unit, param);
@@ -764,17 +650,13 @@ impl<V> LogDrivenMaintainer<V> {
         self
     }
 
-    pub fn versions(&self) -> Arc<VersionTable> {
-        Arc::clone(&self.versions)
-    }
-
     pub fn counters(&self) -> Arc<MaintCounters> {
         Arc::clone(&self.counters)
     }
 
-    /// Apply one durable batch. Public so recovery/replay paths can drive
-    /// it directly.
-    pub fn apply(&self, changes: &[ChangeRecord]) {
+    /// Apply the durable batch committed at `lsn`. Public so
+    /// recovery/replay paths can drive it directly.
+    pub fn apply(&self, lsn: u64, changes: &[ChangeRecord]) {
         let start = Instant::now();
         // fragment dirtying plan, deduped across the batch: each dependent
         // unit accumulates row-precise `(probe param, oid)` selectors until
@@ -784,11 +666,11 @@ impl<V> LogDrivenMaintainer<V> {
             match c {
                 ChangeRecord::Ddl { .. } => {
                     // structural change: no plan survives it
+                    self.versions.record_ddl(lsn);
                     self.cache.clear();
                     if let Some(f) = &self.fragments {
                         f.clear();
                     }
-                    self.versions.bump_epoch();
                     self.counters.record_fallback("ddl");
                     if let Some(db) = self.db.upgrade() {
                         *self.catalog.write() = TableCatalog::from_database(&db);
@@ -797,12 +679,9 @@ impl<V> LogDrivenMaintainer<V> {
                 }
                 _ => {
                     let Some(table) = c.table() else { continue };
-                    self.versions.bump(table);
                     let catalog = self.catalog.read();
                     let delta = catalog.delta(c);
-                    if let Some(d) = &delta {
-                        self.versions.bump_row(table, d.oid);
-                    }
+                    self.versions.record(table, delta.map(|d| d.oid), lsn);
                     for u in self.plan.units_for_table(table) {
                         // a key-probe bean over this table is affected only
                         // by its own row, so only the page instances bound
@@ -832,7 +711,7 @@ impl<V> LogDrivenMaintainer<V> {
                             // unaffected; only whole-entity dependents and
                             // this row's beans need a patch decision
                             for key in self.cache.keys_for_row(table, delta.oid) {
-                                self.maintain_key(&key, table, &delta);
+                                self.maintain_key(&key, table, &delta, lsn);
                             }
                         }
                         None => {
@@ -858,33 +737,32 @@ impl<V> LogDrivenMaintainer<V> {
                 }
             }
         }
+        self.versions.settle(lsn);
         self.counters
             .apply_micros
             .observe(start.elapsed().as_micros() as u64);
     }
 
-    fn maintain_key(&self, key: &BeanKey, table: &str, delta: &RowDelta<'_>) {
+    /// Drop one bean computed before `lsn`, counting why.
+    fn drop_key(&self, key: &BeanKey, lsn: u64, reason: &'static str) {
+        if self.cache.patch(key, lsn, |_| Patch::Drop) == Some(PatchEffect::Dropped) {
+            self.counters.record_fallback(reason);
+        }
+    }
+
+    fn maintain_key(&self, key: &BeanKey, table: &str, delta: &RowDelta<'_>, lsn: u64) {
         let Some(plan) = self.plan.unit(&key.unit) else {
             // cached bean without a plan (drop-only deployment, or a
             // hand-registered service): drop it
-            if self.cache.invalidate_key(key) {
-                self.counters.record_fallback("no-plan");
-            }
-            return;
+            return self.drop_key(key, lsn, "no-plan");
         };
         if let Strategy::Fallback { reason } = plan.strategy {
-            if self.cache.invalidate_key(key) {
-                self.counters.record_fallback(reason);
-            }
-            return;
+            return self.drop_key(key, lsn, reason);
         }
         if plan.table != table {
             // the bean declares a dependency beyond its own query's table
             // (cross-entity coupling the plan cannot see through)
-            if self.cache.invalidate_key(key) {
-                self.counters.record_fallback("foreign-dep");
-            }
-            return;
+            return self.drop_key(key, lsn, "foreign-dep");
         }
         if let Strategy::KeyProbe { param } = &plan.strategy {
             // precision: a probe bean is affected only by its own row —
@@ -896,7 +774,7 @@ impl<V> LogDrivenMaintainer<V> {
         }
         let params = parse_fingerprint(&key.params);
         let mut reason = None;
-        let effect = self.cache.patch(key, |bean| {
+        let effect = self.cache.patch(key, lsn, |bean| {
             match self.patcher.apply(plan, &params, bean, delta) {
                 PatchOutcome::Patched(v) => Patch::Update(v),
                 PatchOutcome::Unchanged => Patch::Keep,
@@ -915,14 +793,15 @@ impl<V> LogDrivenMaintainer<V> {
 }
 
 impl<V: Send + Sync> wal::LogObserver for LogDrivenMaintainer<V> {
-    fn on_durable(&self, _lsn: u64, changes: &[ChangeRecord]) {
-        self.apply(changes);
+    fn on_durable(&self, lsn: u64, changes: &[ChangeRecord]) {
+        self.apply(lsn, changes);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::version::Provenance;
 
     fn shape(kind: &str, sql: &str) -> UnitShape {
         UnitShape {
@@ -931,7 +810,6 @@ mod tests {
             unit_kind: kind.into(),
             entity_table: Some("paper".into()),
             sql: sql.into(),
-            inputs: vec![],
             bean_columns: vec![],
             depends_on: vec!["paper".into()],
             cached: true,
@@ -1038,21 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn version_table_stamps_move_with_writes() {
-        let v = VersionTable::new();
-        let s0 = v.stamp(["paper", "author"]);
-        v.bump("paper");
-        let s1 = v.stamp(["paper", "author"]);
-        assert_ne!(s0, s1);
-        // unrelated entity: stamp of a disjoint closure is unaffected
-        let a0 = v.stamp(["author"]);
-        v.bump("paper");
-        assert_eq!(a0, v.stamp(["author"]));
-        v.bump_epoch();
-        assert_ne!(a0, v.stamp(["author"]));
-    }
-
-    #[test]
     fn fingerprint_round_trips() {
         let m = parse_fingerprint("a=x&b=2&");
         assert_eq!(m.get("a").map(String::as_str), Some("x"));
@@ -1077,22 +940,31 @@ mod tests {
     }
 
     /// Whole-entity index beans over `book` and `author`, plus one
-    /// row-scoped data bean for each of book 1 and book 2.
-    fn warm_cache() -> Arc<BeanCache<String>> {
+    /// row-scoped data bean for each of book 1 and book 2, all computed
+    /// at `lsn`.
+    fn warm_cache_at(lsn: u64) -> Arc<BeanCache<String>> {
         let cache = Arc::new(BeanCache::new(16));
         for (unit, entity) in [("BookIndex", "book"), ("AuthorIndex", "author")] {
-            cache.put(
-                BeanKey::new(unit, "-"),
-                "rows".into(),
-                &[entity.into()],
-                None,
-            );
+            put(&cache, BeanKey::new(unit, "-"), lsn, &[entity.into()], &[]);
         }
         for oid in [1, 2] {
             let key = BeanKey::new("BookData", format!("item={oid}&"));
-            cache.put_scoped(key, "row".into(), &[], &[("book".into(), oid)], None);
+            put(&cache, key, lsn, &[], &[("book".into(), oid)]);
         }
         cache
+    }
+
+    fn put(c: &BeanCache<String>, key: BeanKey, lsn: u64, e: &[String], rows: &[(String, i64)]) {
+        let from = Provenance {
+            lsn,
+            entities: e,
+            rows,
+        };
+        c.put(key, "rows".into(), from, None);
+    }
+
+    fn warm_cache() -> Arc<BeanCache<String>> {
+        warm_cache_at(0)
     }
 
     fn drop_only(
@@ -1104,7 +976,6 @@ mod tests {
             MaintenancePlan::default(),
             catalog,
             Arc::new(NeverPatches),
-            Arc::new(VersionTable::new()),
             Arc::new(MaintCounters::new()),
         )
     }
@@ -1134,17 +1005,64 @@ mod tests {
         let mut catalog = TableCatalog::new();
         catalog.add("book", vec!["oid".into(), "t".into()]);
         let maint = drop_only(&cache, catalog);
-        maint.apply(&[book_update(1), book_update(1)]);
+        maint.apply(5, &[book_update(1), book_update(1)]);
         // the written row's bean and the whole-entity index are gone; the
         // unrelated row and the unrelated entity survive
         assert_eq!(cached(&cache), ["AuthorIndex?-", "BookData?item=2&"]);
         // each bean dropped once, despite two changes
         assert_eq!(cache.stats().invalidations, 2);
         assert_eq!(maint.counters().fallback_counts(), [("no-plan".into(), 2)]);
-        // the ETag substrate moves with the batch
-        assert_eq!(maint.versions().version("book"), 2);
-        assert_eq!(maint.versions().row_version("book", 1), 2);
-        assert_eq!(maint.versions().version("author"), 0);
+        // the versions move to the batch's LSN, row-precisely
+        let v = cache.versions();
+        assert_eq!(
+            (v.entity("book"), v.row("book", 1), v.row("book", 2)),
+            (5, 5, 0)
+        );
+        assert_eq!((v.entity("author"), v.settled()), (0, 5));
+    }
+
+    /// A bean computed at the batch's LSN or later already shows the
+    /// batch: neither a drop-only nor a patching plan touches it.
+    #[test]
+    fn beans_computed_at_the_batch_are_passed_by() {
+        let cache = warm_cache_at(7);
+        // an older bean, which the batch does make stale
+        put(
+            &cache,
+            BeanKey::new("BookIndex", "old"),
+            6,
+            &["book".into()],
+            &[],
+        );
+        let mut catalog = TableCatalog::new();
+        catalog.add("book", vec!["oid".into(), "t".into()]);
+        // `BookData` has a key-probe plan; `NeverPatches` panics if asked
+        let plan = MaintenancePlan::build(&[UnitShape {
+            unit_id: "BookData".into(),
+            unit_kind: "data".into(),
+            entity_table: Some("book".into()),
+            sql: "SELECT t.oid, t.t FROM book t WHERE t.oid = :item".into(),
+            depends_on: vec!["book".into()],
+            cached: true,
+            ..UnitShape::default()
+        }]);
+        let maint = LogDrivenMaintainer::new(
+            Arc::clone(&cache),
+            plan,
+            catalog,
+            Arc::new(NeverPatches),
+            Arc::new(MaintCounters::new()),
+        );
+        maint.apply(7, &[book_update(1)]);
+        let kept = [
+            "AuthorIndex?-",
+            "BookData?item=1&",
+            "BookData?item=2&",
+            "BookIndex?-",
+        ];
+        assert_eq!(cached(&cache), kept);
+        assert_eq!(maint.counters().fallback_counts(), [("no-plan".into(), 1)]);
+        assert_eq!(maint.counters().patches_applied.get(), 0);
     }
 
     #[test]
@@ -1152,7 +1070,7 @@ mod tests {
         let cache = warm_cache();
         // a catalog that does not know `book` cannot name the row
         let maint = drop_only(&cache, TableCatalog::new());
-        maint.apply(&[book_update(1)]);
+        maint.apply(1, &[book_update(1)]);
         assert_eq!(cached(&cache), ["AuthorIndex?-"]);
         assert_eq!(maint.counters().fallback_counts(), [("no-oid".into(), 1)]);
     }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
-use webcache::{BeanCache, BeanKey};
+use webcache::{BeanCache, BeanKey, Provenance};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -17,7 +17,6 @@ enum Op {
         params: u8,
     },
     InvalidateEntity(u8),
-    InvalidateUnit(u8),
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -37,7 +36,6 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
                 }),
             (0u8..6, 0u8..4).prop_map(|(unit, params)| Op::Get { unit, params }),
             (0u8..4).prop_map(Op::InvalidateEntity),
-            (0u8..6).prop_map(Op::InvalidateUnit),
         ],
         0..60,
     )
@@ -45,6 +43,15 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 
 fn key(unit: u8, params: u8) -> BeanKey {
     BeanKey::new(format!("u{unit}"), format!("p{params}"))
+}
+
+/// Computed before any write, from `entities`.
+fn on(entities: &[String]) -> Provenance<'_> {
+    Provenance {
+        lsn: 0,
+        entities,
+        rows: &[],
+    }
 }
 
 proptest! {
@@ -62,7 +69,7 @@ proptest! {
                     cache.put(
                         k.clone(),
                         value,
-                        &deps.iter().map(|d| format!("e{d}")).collect::<Vec<_>>(),
+                        on(&deps.iter().map(|d| format!("e{d}")).collect::<Vec<_>>()),
                         None,
                     );
                     oracle.insert(k, (value, deps.into_iter().collect()));
@@ -79,13 +86,6 @@ proptest! {
                     oracle.retain(|_, (_, deps)| !deps.contains(&e));
                     prop_assert_eq!(dropped, before - oracle.len());
                 }
-                Op::InvalidateUnit(u) => {
-                    let dropped = cache.invalidate_unit(&format!("u{u}"));
-                    let before = oracle.len();
-                    let unit_name = format!("u{u}");
-                    oracle.retain(|k, _| k.unit != unit_name);
-                    prop_assert_eq!(dropped, before - oracle.len());
-                }
             }
             prop_assert_eq!(cache.len(), oracle.len());
         }
@@ -98,7 +98,7 @@ proptest! {
     ) {
         let cache: BeanCache<u32> = BeanCache::new(capacity);
         for (k, v) in puts {
-            cache.put(key(k, 0), v, &[], None);
+            cache.put(key(k, 0), v, on(&[]), None);
             prop_assert!(cache.len() <= capacity);
         }
     }
@@ -109,11 +109,11 @@ proptest! {
     ) {
         let cache: BeanCache<u32> = BeanCache::new(4);
         let hot = BeanKey::new("hot", "");
-        cache.put(hot.clone(), 1, &[], None);
+        cache.put(hot.clone(), 1, on(&[]), None);
         for (i, f) in filler.iter().enumerate() {
             // keep touching the hot entry between fills
             prop_assert!(cache.get(&hot).is_some(), "hot entry evicted at step {i}");
-            cache.put(key(*f, 1), i as u32, &[], None);
+            cache.put(key(*f, 1), i as u32, on(&[]), None);
         }
         prop_assert!(cache.get(&hot).is_some());
     }

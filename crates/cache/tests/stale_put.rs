@@ -1,46 +1,172 @@
-//! A fragment put must not outlive the invalidation of what it was
-//! rendered from: reader computes → maintenance dirties → reader puts.
-//! The interleaving is forced with channels, never slept for.
+//! A cache put must not outlive the write that made it stale: a reader
+//! computes → the write commits and the maintenance pass runs → the reader
+//! puts. The interleavings are forced with channels, never slept for.
 
+use relstore::{ChangeRecord, Value};
+use std::collections::BTreeMap;
 use std::sync::mpsc::channel;
+use std::sync::Arc;
 use std::time::Duration;
-use webcache::{FragmentCache, FragmentKey};
+use webcache::{
+    BeanCache, BeanKey, CacheStats, FragmentCache, FragmentKey, LogDrivenMaintainer,
+    MaintenancePlan, PatchOutcome, Patcher, Provenance, RowDelta, TableCatalog, UnitPlan,
+    UnitShape,
+};
 
+/// Patches a bean to the written row's title.
+struct Title;
+
+impl Patcher<String> for Title {
+    fn apply(
+        &self,
+        _: &UnitPlan,
+        _: &BTreeMap<String, String>,
+        _: &String,
+        delta: &RowDelta<'_>,
+    ) -> PatchOutcome<String> {
+        PatchOutcome::Patched(delta.get("title").unwrap().render())
+    }
+}
+
+fn catalog() -> TableCatalog {
+    let mut c = TableCatalog::new();
+    c.add("book", vec!["oid".into(), "title".into()]);
+    c
+}
+
+fn retitle(oid: i64, title: &str) -> ChangeRecord {
+    ChangeRecord::Update {
+        table: "book".into(),
+        row_id: 0,
+        row: vec![Value::Integer(oid), Value::Text(title.into())],
+    }
+}
+
+fn maintainer(
+    cache: &Arc<BeanCache<String>>,
+    plan: MaintenancePlan,
+) -> LogDrivenMaintainer<String> {
+    LogDrivenMaintainer::new(
+        Arc::clone(cache),
+        plan,
+        catalog(),
+        Arc::new(Title),
+        Arc::new(obs::MaintCounters::new()),
+    )
+}
+
+/// The bean half: the reader computes book 7 at LSN 4; the write at LSN 5
+/// is maintained while the key is absent (nothing to patch); the reader's
+/// put then lands — and is refused, because the version table already
+/// holds LSN 5 for the row it read.
 #[test]
-fn put_after_dirty_does_not_become_resident() {
-    let cache = FragmentCache::new(64, Duration::from_secs(3600));
-    cache.index_probe("data1", "sel");
-    let key = FragmentKey::keyed("page.jsp", "data1", "desktop", "sel=7&", "");
-    // an older render of the same row is resident
-    cache.put(key.clone(), "<p>old</p>".into());
+fn bean_put_after_the_maintenance_pass_does_not_become_resident() {
+    let cache = Arc::new(BeanCache::<String>::new(64));
+    let maint = maintainer(&cache, MaintenancePlan::default());
+    let key = BeanKey::new("BookData", "item=7&");
+    let row = [("book".to_string(), 7)];
+    let at = |lsn| Provenance {
+        lsn,
+        entities: &[],
+        rows: &row,
+    };
 
     let (computed_tx, computed) = channel();
-    let (dirtied_tx, dirtied) = channel::<()>();
+    let (maintained_tx, maintained) = channel::<()>();
     std::thread::scope(|s| {
         let (cache, key) = (&cache, &key);
         let reader = s.spawn(move || {
-            // the reader takes the generation, then "computes" its bean
-            // from the pre-commit state
-            let seen = cache.generation();
+            // the reader's query ran before the write committed
+            let bean = String::from("pre-commit");
             computed_tx.send(()).unwrap();
-            // … the write commits and the maintenance pass runs …
-            dirtied.recv().unwrap();
-            cache.put_if_current(key.clone(), "<p>pre-commit</p>".into(), seen)
+            maintained.recv().unwrap();
+            cache.put(key.clone(), bean, at(4), None)
         });
         computed.recv().unwrap();
-        assert_eq!(cache.invalidate_unit_where("data1", "sel", 7), 1);
-        dirtied_tx.send(()).unwrap();
-        let put = reader.join().unwrap();
-        // served once from the reader's own buffer, never cached
-        assert_eq!(put, Err("<p>pre-commit</p>".to_string()));
+        maint.apply(5, &[retitle(7, "post-commit")]);
+        maintained_tx.send(()).unwrap();
+        // served once to its own page, never cached
+        assert_eq!(*reader.join().unwrap(), "pre-commit");
     });
-    assert!(cache.get(&key).is_none(), "stale put became resident");
+    assert!(cache.get(&key).is_none(), "stale bean became resident");
 
-    // the next render starts after the invalidation and is cached, as a
-    // re-render of the dirtied fragment
-    let (_, version, rerendered) = cache
-        .put_if_current(key.clone(), "<p>new</p>".into(), cache.generation())
+    // a reader whose query ran after the commit caches its bean
+    cache.put(key.clone(), "post-commit".into(), at(5), None);
+    assert_eq!(
+        cache.get(&key).as_deref().map(String::as_str),
+        Some("post-commit")
+    );
+}
+
+/// The fragment half: markup rendered from a bean the maintenance pass
+/// has not yet patched must not stay resident, even when the store had
+/// already committed the write when rendering began. The render's stamp
+/// is therefore the LSN the caches are maintained through.
+#[test]
+fn fragment_put_after_the_maintenance_pass_does_not_become_resident() {
+    let cache = Arc::new(BeanCache::<String>::new(64));
+    let fragments = Arc::new(FragmentCache::with_stats(
+        64,
+        Duration::from_secs(3600),
+        CacheStats::default(),
+        Arc::clone(cache.versions()),
+    ));
+    let plan = MaintenancePlan::build(&[UnitShape {
+        unit_id: "data1".into(),
+        unit_kind: "data".into(),
+        entity_table: Some("book".into()),
+        sql: "SELECT t.oid, t.title FROM book t WHERE t.oid = :sel".into(),
+        depends_on: vec!["book".into()],
+        cached: true,
+        ..UnitShape::default()
+    }]);
+    let maint = maintainer(&cache, plan).with_fragments(Arc::clone(&fragments));
+    let versions = Arc::clone(cache.versions());
+    let book = ["book".to_string()];
+    let rendered_at = |lsn| Provenance {
+        lsn,
+        entities: &book,
+        rows: &[],
+    };
+    let bean_key = BeanKey::new("data1", "sel=7&");
+    let key = FragmentKey::keyed("page.jsp", "data1", "desktop", "sel=7&", "");
+    // LSN 4 is maintained: the bean and an earlier render are resident
+    versions.settle(4);
+    cache.put(bean_key.clone(), "old".into(), rendered_at(4), None);
+    fragments
+        .put(key.clone(), "<p>old</p>".into(), rendered_at(4))
         .unwrap();
-    assert_eq!((version, rerendered), (2, true));
-    assert_eq!(cache.get(&key).as_deref(), Some(&b"<p>new</p>"[..]));
+
+    // the write to book 7 commits at LSN 5; maintenance has not run yet
+    let (computed_tx, computed) = channel();
+    let (dirtied_tx, dirtied) = channel::<()>();
+    std::thread::scope(|s| {
+        let (cache, fragments, versions, bean_key, key) =
+            (&cache, &fragments, &versions, &bean_key, &key);
+        let reader = s.spawn(move || {
+            let stamp = versions.settled();
+            let bean = cache.get(bean_key).unwrap();
+            computed_tx.send(()).unwrap();
+            dirtied.recv().unwrap();
+            fragments.put(key.clone(), format!("<p>{bean}</p>"), rendered_at(stamp))
+        });
+        computed.recv().unwrap();
+        maint.apply(5, &[retitle(7, "new")]);
+        dirtied_tx.send(()).unwrap();
+        assert_eq!(reader.join().unwrap(), Err("<p>old</p>".to_string()));
+    });
+    assert!(fragments.get(&key).is_none(), "stale put became resident");
+    // stamped with the store's LSN instead, the same put would have passed
+    assert!(!versions.outdates(&rendered_at(5)));
+
+    // the next render starts after the pass: patched bean, cached markup,
+    // counted as a re-render of the dirtied fragment
+    let stamp = versions.settled();
+    let bean = cache.get(&bean_key).unwrap();
+    assert_eq!((stamp, bean.as_str()), (5, "new"));
+    let (_, rerendered) = fragments
+        .put(key.clone(), format!("<p>{bean}</p>"), rendered_at(stamp))
+        .unwrap();
+    assert!(rerendered);
+    assert_eq!(fragments.get(&key).as_deref(), Some(&b"<p>new</p>"[..]));
 }

@@ -658,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn generation_fails_on_invalid_model() {
+    fn generate_fails_on_invalid_model() {
         let mut app = acm();
         // break the model: second site view without a home
         app.ht.add_site_view("broken", Audience::default());

@@ -255,8 +255,9 @@ pub struct NodeSpec<'a> {
 /// `incremental_maintenance` with the compiled plan (beans patched,
 /// dependent fragments dirtied, the write barrier in place of the op-path
 /// invalidation), otherwise with the empty plan (row-granular drops beside
-/// the op-path invalidation). Either way it moves the node's versions, so
-/// `ETag`s follow writes the node's own controller never ran.
+/// the op-path invalidation). Either way it records each batch's LSN in the
+/// node's version table, so `ETag`s follow writes the node's own controller
+/// never ran.
 pub fn assemble_node(generated: &Generated, spec: NodeSpec<'_>) -> Result<Controller, DeployError> {
     // recovered indexes are skipped; derivations new since the last boot
     // are created — and logged — here
@@ -278,7 +279,7 @@ pub fn assemble_node(generated: &Generated, spec: NodeSpec<'_>) -> Result<Contro
 
     if let (Some(stream), Some(cache)) = (spec.stream, controller.bean_cache_arc()) {
         let plan = if spec.incremental_maintenance {
-            webcache::MaintenancePlan::build(&mvc::unit_shapes(&generated.descriptors))
+            analyze::maintenance::plan_for(&generated.descriptors)
         } else {
             webcache::MaintenancePlan::default()
         };
@@ -287,7 +288,6 @@ pub fn assemble_node(generated: &Generated, spec: NodeSpec<'_>) -> Result<Contro
             plan,
             webcache::TableCatalog::from_database(&spec.db),
             Arc::new(mvc::UnitBeanPatcher),
-            controller.version_table(),
             Arc::clone(&spec.obs.maint),
         )
         .with_database(&spec.db);

@@ -462,7 +462,7 @@ mod tests {
     }
 
     #[test]
-    fn generation_is_deterministic() {
+    fn generated_descriptors_are_deterministic() {
         let a = synthesize(&SynthSpec::scaled(20, 4));
         let b = synthesize(&SynthSpec::scaled(20, 4));
         let ga = a.generate().unwrap();

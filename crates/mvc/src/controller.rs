@@ -26,10 +26,10 @@ use presentation::{
     render_template_chunks, DeviceRegistry, RuleSet, StyledTemplate, TemplateSkeleton,
 };
 use relstore::{Database, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
-use webcache::{BeanCache, FragmentCache, FragmentKey, VersionTable};
+use webcache::{BeanCache, FragmentCache, FragmentKey, Provenance, VersionTable};
 
 /// When presentation rules run (§5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,9 +62,9 @@ pub struct RuntimeOptions {
     /// `Some(n)`: deploy business services in the application server with
     /// `n` clones (Fig. 6); `None`: in-process.
     pub app_server_clones: Option<usize>,
-    /// Derive a strong `ETag` per page from its dependency entities'
-    /// versions and answer matching `If-None-Match` conditional GETs with
-    /// `304 Not Modified` before any unit computes.
+    /// Derive a strong `ETag` per page from the commit LSNs of its
+    /// dependencies' last writes and answer matching `If-None-Match`
+    /// conditional GETs with `304 Not Modified` before any unit computes.
     pub conditional_get: bool,
 }
 
@@ -148,9 +148,11 @@ pub struct Controller {
     /// Shared observability registry: request/forward/error counters, cache
     /// counter blocks, per-unit-kind histograms, …
     obs: Arc<obs::MetricsRegistry>,
-    /// Per-entity content versions (plus DDL epoch). Operations bump it
-    /// synchronously; the WAL maintenance layer bumps it on durable
-    /// batches. Strong `ETag`s hash the page's dependency versions.
+    /// The commit LSN of the last write to each entity and row, and of
+    /// the last schema change; shared with both caches. The op path
+    /// records its own commits when it invalidates; otherwise the WAL
+    /// maintenance layer records each durable batch. Strong `ETag`s fold
+    /// the page's dependency versions.
     versions: Arc<VersionTable>,
     conditional_get: bool,
     /// `Some`: the WAL-driven maintenance layer owns cache coherence.
@@ -195,10 +197,12 @@ impl Controller {
             ))
         });
         let plan = Arc::new(SitePlan::build(set, &services));
+        let versions = Arc::new(VersionTable::new(db.lsn()));
         let bean_cache = options.bean_cache.then(|| {
             Arc::new(BeanCache::with_stats(
                 BEAN_CACHE_CAPACITY,
                 webcache::CacheStats::shared(Arc::clone(&observability.bean_cache)),
+                Arc::clone(&versions),
             ))
         });
         let fragment_cache = options.fragment_cache.then(|| {
@@ -206,6 +210,7 @@ impl Controller {
                 FRAGMENT_CAPACITY,
                 options.fragment_ttl,
                 webcache::CacheStats::shared(Arc::clone(&observability.fragment_cache)),
+                Arc::clone(&versions),
             ))
         });
         let skeletons: HashMap<String, TemplateSkeleton> =
@@ -254,7 +259,7 @@ impl Controller {
             tier,
             app_server,
             obs: observability,
-            versions: Arc::new(VersionTable::new()),
+            versions,
             conditional_get: options.conditional_get,
             write_barrier: None,
         }
@@ -268,12 +273,6 @@ impl Controller {
     /// before the controller is shared.
     pub fn set_write_barrier(&mut self, barrier: WriteBarrier) {
         self.write_barrier = Some(barrier);
-    }
-
-    /// The entity version table `ETag`s derive from. Share it with the
-    /// WAL maintenance layer so durable batches move page versions too.
-    pub fn version_table(&self) -> Arc<VersionTable> {
-        Arc::clone(&self.versions)
     }
 
     /// The shared observability registry.
@@ -440,34 +439,14 @@ impl Controller {
                     sid,
                     ctx,
                 )?;
-                // §6: operations automatically invalidate affected beans.
-                // Entity versions bump either way, synchronously — ETags
-                // must move with the in-memory commit, not the fsync.
+                // §6: operations automatically invalidate affected beans
                 if result.ok {
-                    for table in &desc.invalidates {
-                        self.versions.bump(table);
-                    }
-                    // ops that name their row (edit/delete forms carry an
-                    // `oid` input) move that row's validator too, so
-                    // row-granular ETags stay honest even when the
-                    // deployment has no WAL maintenance pass
-                    if let Some(oid) = params.get("oid").and_then(|v| v.parse::<i64>().ok()) {
-                        for table in &desc.invalidates {
-                            self.versions.bump_row(table, oid);
-                        }
-                    }
                     match &self.write_barrier {
                         // maintained coherence: the durable-log pass owns
-                        // the caches; the barrier runs it before the
-                        // forward re-reads
+                        // the caches and the versions; the barrier runs it
+                        // before the forward re-reads
                         Some(barrier) => barrier(),
-                        None => {
-                            if let Some(cache) = &self.bean_cache {
-                                for table in &desc.invalidates {
-                                    cache.invalidate_entity(table);
-                                }
-                            }
-                        }
+                        None => self.invalidate(desc, params.get("oid")),
                     }
                 } else {
                     self.obs.ko_flows.inc();
@@ -500,14 +479,36 @@ impl Controller {
         }
     }
 
+    /// The op path's coherence, on a node with no write barrier: record the
+    /// operation's commit under every table it invalidates — the row when
+    /// it names one of its own table's rows by `oid`, an unknown row
+    /// otherwise — *then* drop the tables' dependent beans. `lsn()` read
+    /// after the commit is the commit's LSN, or a later one.
+    fn invalidate(&self, desc: &descriptors::OperationDescriptor, oid: Option<&String>) {
+        let lsn = self.db.lsn();
+        let oid = oid.and_then(|v| v.parse::<i64>().ok());
+        for table in &desc.invalidates {
+            let own = desc.entity_table.as_ref() == Some(table);
+            self.versions.record(table, oid.filter(|_| own), lsn);
+        }
+        if let Some(cache) = &self.bean_cache {
+            for table in &desc.invalidates {
+                cache.invalidate_entity(table);
+            }
+        }
+        self.versions.settle(lsn);
+    }
+
     /// Strong `ETag` for a page: FNV-1a over the page identity, the
-    /// request parameters, the device class, the session, and version
-    /// validators for the page's content. A key-probe unit whose row the
-    /// request itself names contributes the version of that *row*; every
-    /// other unit — among them every probe fed by an edge, which shows a
-    /// row the request does not choose — contributes its entities' table
-    /// stamps. Any committed write that can change the page moves the
-    /// tag; writes to sibling rows of a request-named row do not.
+    /// request parameters, the device class, the session, and the versions
+    /// — commit LSNs — of the page's content. A key-probe unit whose row
+    /// the request itself names contributes the version of that *row*;
+    /// every other unit — among them every probe fed by an edge, which
+    /// shows a row the request does not choose — contributes its entities'
+    /// versions. Any committed write that can change the page moves the
+    /// tag; writes to sibling rows of a request-named row do not. The LSNs
+    /// are the same on every node that applied the same writes, so a tag
+    /// minted on one replica validates on another.
     fn page_etag(
         &self,
         plan: &PagePlan,
@@ -545,26 +546,15 @@ impl Controller {
                 Some(oid) => {
                     mix(table.as_bytes());
                     mix(&oid.to_le_bytes());
-                    mix(&self.versions.row_version(table, oid).to_le_bytes());
+                    mix(&self.versions.row(table, oid).to_le_bytes());
                 }
                 None => unbound.push(table),
             }
         }
-        // the stamp always folds in the DDL epoch, which also resets
-        // row versions — so row validators can't survive a schema change
-        let stamp = if unbound.is_empty() {
-            self.versions
-                .stamp(plan.stamp_deps.iter().map(String::as_str))
-        } else {
-            let deps: BTreeSet<&str> = plan
-                .stamp_deps
-                .iter()
-                .map(String::as_str)
-                .chain(unbound)
-                .collect();
-            self.versions.stamp(deps)
-        };
-        mix(&stamp.to_le_bytes());
+        for table in plan.stamp_deps.iter().map(String::as_str).chain(unbound) {
+            mix(table.as_bytes());
+            mix(&self.versions.entity(table).to_le_bytes());
+        }
         format!("\"{h:016x}\"")
     }
 
@@ -634,14 +624,16 @@ impl Controller {
             .map(|s| s.lock().vars.clone().into_iter().collect())
             .unwrap_or_default();
 
-        // Read before the business tier computes: a maintenance pass that
-        // dirties fragments after this point (it has patched the beans by
-        // then) makes every put of this render lose, so markup of a
-        // pre-commit bean is served once and never cached.
+        // Read before the business tier computes: every bean this render
+        // reads shows at least the state the caches are maintained
+        // through, so markup put with this stamp loses to any write to its
+        // unit's entities recorded since — the render is served once and
+        // never cached. (The store's LSN would not do: a bean read from the
+        // cache may be one the maintenance pass has yet to patch.)
         let fragments = self
             .fragment_cache
             .as_deref()
-            .map(|fc| (fc, fc.generation()));
+            .map(|fc| (fc, self.versions.settled()));
 
         // Model: compute the unit beans in the business tier
         let result: PageResult =
@@ -684,7 +676,7 @@ impl Controller {
                 // level 1: fragment cache (markup only; queries already ran).
                 // Hits surface the cache's own `Arc<[u8]>` — the bytes are
                 // never copied between the cache and the response.
-                let cached = fragments.map(|(fc, generation)| {
+                let cached = fragments.map(|(fc, stamp)| {
                     let request = if step.embeds_request {
                         request_fp.as_str()
                     } else {
@@ -697,7 +689,7 @@ impl Controller {
                         unit.key.as_str(),
                         request,
                     );
-                    (fc, generation, key)
+                    (fc, stamp, key)
                 });
                 if let Some((fc, _, key)) = &cached {
                     if let Some(markup) = fc.get(key) {
@@ -716,12 +708,17 @@ impl Controller {
                     // the put returns the freshly interned Arc, so even the
                     // miss path serves the cache-resident bytes; a put over
                     // a dirty tombstone is a re-render; a put that lost to
-                    // an invalidation serves its own buffer, uncached
-                    Some((fc, generation, key)) => {
+                    // a newer write serves its own buffer, uncached
+                    Some((fc, stamp, key)) => {
                         let mut markup = String::new();
                         rules.render_unit_into(&content, &mut markup);
-                        match fc.put_if_current(key, markup, generation) {
-                            Ok((shared, _version, rerendered)) => {
+                        let from = Provenance {
+                            lsn: stamp,
+                            entities: &step.desc.depends_on,
+                            rows: &[],
+                        };
+                        match fc.put(key, markup, from) {
+                            Ok((shared, rerendered)) => {
                                 if rerendered {
                                     self.obs.maint.fragment_rerenders.inc();
                                 }
@@ -1421,10 +1418,9 @@ mod tests {
         let fc = c.fragment_cache_arc().unwrap();
         let maint = webcache::LogDrivenMaintainer::new(
             c.bean_cache_arc().unwrap(),
-            webcache::MaintenancePlan::build(&crate::unit_shapes(&catalog_set(&c))),
+            analyze::maintenance::plan_for(&catalog_set(&c)),
             webcache::TableCatalog::from_database(c.database()),
             Arc::new(crate::UnitBeanPatcher),
-            c.version_table(),
             Arc::new(obs::MaintCounters::new()),
         )
         .with_fragments(Arc::clone(&fc));
@@ -1450,11 +1446,14 @@ mod tests {
                     &Params::new().bind("n", name).bind("o", oid),
                 )
                 .unwrap();
-            maint.apply(&[ChangeRecord::Update {
-                table: "product".into(),
-                row_id: 0,
-                row: vec![Value::Integer(oid), Value::Text(name.into())],
-            }]);
+            maint.apply(
+                c.database().lsn(),
+                &[ChangeRecord::Update {
+                    table: "product".into(),
+                    row_id: 0,
+                    row: vec![Value::Integer(oid), Value::Text(name.into())],
+                }],
+            );
         };
         // row 37 is named by the URL but shown nowhere: nothing to dirty
         write(37, "Unseen");

@@ -43,7 +43,7 @@ pub use controller::{
     to_value, Controller, ControllerParts, RuntimeOptions, StylingMode, WriteBarrier,
 };
 pub use error::{MvcError, Result};
-pub use maintain::{unit_shapes, UnitBeanPatcher};
+pub use maintain::UnitBeanPatcher;
 pub use operations::{Mail, OpResult, OperationEngine, OperationHandler};
 pub use page::{compute_page, PageEnv, PageResult};
 pub use plan::{ComputedUnit, PagePlan, Route, SitePlan, UnitStep};

@@ -22,39 +22,10 @@
 //! content invalidation would not have served.
 
 use crate::beans::{BeanRow, UnitBean};
-use descriptors::DescriptorSet;
 use relstore::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use webcache::{DeltaOp, PatchOutcome, Patcher, RowDelta, RowOrder, Strategy, UnitPlan, UnitShape};
-
-/// Build the planner's unit shapes from a deployed descriptor set.
-pub fn unit_shapes(set: &DescriptorSet) -> Vec<UnitShape> {
-    set.units
-        .iter()
-        .map(|u| {
-            let main = u.main_query();
-            UnitShape {
-                unit_id: u.id.clone(),
-                page: u.page.clone(),
-                unit_kind: u.unit_type.clone(),
-                entity_table: u.entity_table.clone(),
-                sql: main.map(|q| q.sql.clone()).unwrap_or_default(),
-                inputs: main.map(|q| q.inputs.clone()).unwrap_or_default(),
-                bean_columns: main
-                    .map(|q| {
-                        q.bean
-                            .iter()
-                            .map(|b| (b.name.clone(), b.column.clone()))
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-                depends_on: u.depends_on.clone(),
-                cached: u.cache.is_some(),
-            }
-        })
-        .collect()
-}
+use webcache::{DeltaOp, PatchOutcome, Patcher, RowDelta, RowOrder, Strategy, UnitPlan};
 
 /// Project the changed row into the unit's bean-row shape.
 fn project(plan: &UnitPlan, delta: &RowDelta<'_>) -> BeanRow {
@@ -243,7 +214,7 @@ impl Patcher<UnitBean> for UnitBeanPatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcache::{MaintenancePlan, TableCatalog};
+    use webcache::{MaintenancePlan, TableCatalog, UnitShape};
 
     fn index_plan(sql: &str) -> UnitPlan {
         let plan = MaintenancePlan::build(&[UnitShape {
@@ -252,7 +223,6 @@ mod tests {
             unit_kind: "index".into(),
             entity_table: Some("paper".into()),
             sql: sql.into(),
-            inputs: vec![],
             bean_columns: vec![],
             depends_on: vec!["paper".into()],
             cached: true,
@@ -443,7 +413,6 @@ mod tests {
             unit_kind: "data".into(),
             entity_table: Some("paper".into()),
             sql: "SELECT t.oid, t.title FROM paper t WHERE t.oid = :item".into(),
-            inputs: vec!["item".into()],
             bean_columns: vec![],
             depends_on: vec!["paper".into()],
             cached: true,

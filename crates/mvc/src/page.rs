@@ -19,7 +19,7 @@ use crate::services::ParamMap;
 use relstore::{Database, Value};
 use std::sync::Arc;
 use std::time::Duration;
-use webcache::{BeanCache, BeanKey};
+use webcache::{BeanCache, BeanKey, Provenance};
 
 /// Outcome of computing a page: one computed unit per plan step, in plan
 /// order, plus cache telemetry.
@@ -107,6 +107,8 @@ pub fn compute_page(
             ctx.exit(token);
             return Err(MvcError::NoService(desc.service.clone()));
         };
+        // read before the query: the bean shows this commit or a later one
+        let lsn = db.lsn();
         // WebML semantics: a unit whose input context is missing (empty
         // source unit, absent request parameter) publishes no content
         // rather than failing the page
@@ -129,24 +131,24 @@ pub fn compute_page(
                 // A pure oid probe (`WHERE t.oid = :p`) touches exactly one
                 // row, so scope the bean to `(entity, oid)`: log-driven
                 // invalidation of another row then leaves it alone.
-                let row_dep = desc.entity_table.as_ref().and_then(|entity| {
+                let row = desc.entity_table.as_ref().and_then(|entity| {
                     match params.get(step.probe_param.as_ref()?) {
                         Some(Value::Integer(oid)) => Some((entity.clone(), *oid)),
                         _ => None,
                     }
                 });
-                match row_dep {
-                    Some((entity, oid)) => {
-                        let other_deps: Vec<String> = desc
-                            .depends_on
-                            .iter()
-                            .filter(|d| **d != entity)
-                            .cloned()
-                            .collect();
-                        cache.put_scoped(bean_key, bean, &other_deps, &[(entity, oid)], ttl)
-                    }
-                    None => cache.put(bean_key, bean, &desc.depends_on, ttl),
-                }
+                let entities: Vec<String> = desc
+                    .depends_on
+                    .iter()
+                    .filter(|d| row.as_ref().is_none_or(|(entity, _)| entity != *d))
+                    .cloned()
+                    .collect();
+                let from = Provenance {
+                    lsn,
+                    entities: &entities,
+                    rows: row.as_slice(),
+                };
+                cache.put(bean_key, bean, from, ttl)
             }
             None => Arc::new(bean),
         };

@@ -9,7 +9,7 @@
 //!
 //! The records are *physical*: they name the exact row slot ([`RowId`])
 //! they touch and carry full row values, so replaying them with
-//! [`crate::Database::apply_change`] is idempotent — re-applying a record
+//! [`crate::Database::apply_batch`] is idempotent — re-applying a record
 //! converges to the same state, which is what makes fuzzy snapshots (taken
 //! while the log keeps growing) safe.
 
@@ -357,9 +357,10 @@ mod tests {
             other => panic!("unexpected records: {other:?}"),
         }
         let copy = Database::new();
-        for rec in commits.iter().flatten() {
-            copy.apply_change(rec).unwrap();
+        for (lsn, batch) in commits.iter().enumerate() {
+            copy.apply_batch(lsn as u64 + 1, batch).unwrap();
         }
+        assert_eq!(copy.lsn(), commits.len() as u64);
         assert_eq!(copy.dump(), db.dump());
         assert_eq!(
             one(&copy, "SELECT v FROM s WHERE k = 1").first("v"),

@@ -13,7 +13,7 @@ use crate::table::Table;
 use obs::DbCounters;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// An installed commit sink plus its durability contract.
@@ -43,8 +43,13 @@ struct CommitHook {
 /// every autocommit statement and every [`Database::transaction`] closure
 /// runs under the write lock, and the commit sink is called under that same
 /// lock, so the order of the redo stream is the commit order.
+///
+/// [`Database::lsn`] names the state storage holds: the LSN of the last
+/// commit applied to it, advanced under the write lock.
 pub struct Database {
     storage: RwLock<Storage>,
+    /// See [`Database::lsn`].
+    lsn: AtomicU64,
     /// The plan cache.
     plans: RwLock<HashMap<String, Arc<Statement>>>,
     /// How many of `plans` entered through [`Database::pin_plan`].
@@ -72,6 +77,7 @@ impl Database {
     pub fn with_counters(counters: Arc<DbCounters>) -> Database {
         Database {
             storage: RwLock::new(Storage::default()),
+            lsn: AtomicU64::new(0),
             plans: RwLock::new(HashMap::new()),
             pinned: AtomicUsize::new(0),
             counters,
@@ -95,26 +101,43 @@ impl Database {
         *self.sink.write() = None;
     }
 
-    /// Commit a transaction's mutations: publish their redo image to the
-    /// sink (if any). Must be called with the storage write lock held so
-    /// the emitted stream agrees with commit order.
-    ///
-    /// Returns `Some(lsn)` when the caller must wait for durability after
+    /// The LSN of the last commit applied to storage: the sink's LSN for
+    /// it, or, with no sink installed, the store's own count of commits
+    /// (DDL included); on a replica or in recovery, the LSN of the last
+    /// batch [`Database::apply_batch`] applied. It is advanced under the
+    /// storage write lock, so a reader that loads `lsn()` and then queries
+    /// sees every change up to it, and possibly more.
+    pub fn lsn(&self) -> u64 {
+        self.lsn.load(Ordering::Acquire)
+    }
+
+    /// Publish one commit. Caller holds the storage write lock, so the
+    /// redo stream and [`Database::lsn`] agree with commit order. Returns
+    /// `Some(lsn)` when the caller must wait for durability after
     /// releasing the lock (strict mode).
+    fn publish_locked(&self, redo: impl FnOnce() -> Vec<ChangeRecord>) -> Option<u64> {
+        let guard = self.sink.read();
+        let (lsn, wait) = match guard.as_ref() {
+            Some(hook) => {
+                let changes = redo();
+                if changes.is_empty() {
+                    return None;
+                }
+                let lsn = hook.sink.on_commit(changes);
+                (lsn, hook.strict.then_some(lsn))
+            }
+            None => (self.lsn.load(Ordering::Relaxed) + 1, None),
+        };
+        self.lsn.store(lsn, Ordering::Release);
+        wait
+    }
+
+    /// Commit a transaction's mutations (see [`Database::publish_locked`]).
     fn commit_locked(&self, storage: &Storage, undo: &UndoLog) -> Option<u64> {
         if undo.is_empty() {
             return None;
         }
-        let mut wait = None;
-        if let Some(hook) = self.sink.read().as_ref() {
-            let changes = redo_from_undo(storage, undo);
-            if !changes.is_empty() {
-                let lsn = hook.sink.on_commit(changes);
-                if hook.strict {
-                    wait = Some(lsn);
-                }
-            }
-        }
+        let wait = self.publish_locked(|| redo_from_undo(storage, undo));
         self.counters.versions_live.set(storage.row_count() as i64);
         wait
     }
@@ -142,13 +165,10 @@ impl Database {
         r
     }
 
-    /// Publish a DDL record to the sink (if any). Caller holds the storage
-    /// write lock (same ordering contract as [`Database::commit_locked`]).
+    /// Publish a schema change as one commit. Caller holds the storage
+    /// write lock.
     pub(crate) fn emit_ddl_locked(&self, sql: String) -> Option<u64> {
-        let guard = self.sink.read();
-        let hook = guard.as_ref()?;
-        let lsn = hook.sink.on_commit(vec![ChangeRecord::Ddl { sql }]);
-        hook.strict.then_some(lsn)
+        self.publish_locked(|| vec![ChangeRecord::Ddl { sql }])
     }
 
     /// Complete the strict-mode handshake started by `commit_locked`. Must
@@ -374,57 +394,18 @@ impl Database {
         Ok(())
     }
 
-    /// Apply one committed [`ChangeRecord`] *physically* — rows land in the
-    /// exact slot the record names. Used by recovery / replica replay; never
-    /// emits to the commit sink and is idempotent (re-applying a record
-    /// converges to the same state, which makes fuzzy snapshots safe).
-    pub fn apply_change(&self, rec: &ChangeRecord) -> Result<()> {
-        match rec {
-            ChangeRecord::Insert { table, row_id, row }
-            | ChangeRecord::Update { table, row_id, row } => {
-                let mut storage = self.storage.write();
-                let t = storage.require_table_mut(table)?;
-                t.insert_at(*row_id, row.clone())
-            }
-            ChangeRecord::Delete { table, row_id, .. } => {
-                let mut storage = self.storage.write();
-                let t = storage.require_table_mut(table)?;
-                let _ = t.delete(*row_id); // already-gone is fine (idempotence)
-                Ok(())
-            }
-            ChangeRecord::Ddl { sql } => match self.replay_ddl(sql) {
-                Ok(()) => Ok(()),
-                // Replaying DDL over a snapshot that already contains the
-                // object (or no longer contains it) must converge, not fail.
-                Err(Error::DuplicateTable(_))
-                | Err(Error::DuplicateIndex(_))
-                | Err(Error::UnknownTable(_)) => Ok(()),
-                Err(e) => Err(e),
-            },
-        }
-    }
-
-    /// Re-execute recorded DDL without emitting it again.
-    fn replay_ddl(&self, sql: &str) -> Result<()> {
-        let stmt = parse_statement(sql)?;
+    /// Apply one committed batch *physically* — rows land in the exact
+    /// slots its records name — and advance [`Database::lsn`] to `lsn`,
+    /// all under one storage write lock: a reader sees the batch whole or
+    /// not at all. Used by recovery and replica replay; never emits to the
+    /// commit sink and is idempotent (re-applying a record converges to
+    /// the same state, which makes fuzzy snapshots safe).
+    pub fn apply_batch(&self, lsn: u64, records: &[ChangeRecord]) -> Result<()> {
         let mut storage = self.storage.write();
-        match &stmt {
-            Statement::CreateTable(schema) => {
-                storage.create_table(Table::new(schema.clone())?)?;
-            }
-            Statement::CreateIndex(ci) => {
-                let table = storage.require_table_mut(&ci.table)?;
-                table.create_index(ci.name.clone(), &ci.columns, ci.unique)?;
-            }
-            Statement::DropTable { name, if_exists } => {
-                storage.drop_table(name, *if_exists)?;
-            }
-            _ => {
-                return Err(Error::Unsupported(
-                    "only DDL can be replayed from a change record".into(),
-                ))
-            }
+        for rec in records {
+            apply_record(&mut storage, rec)?;
         }
+        self.lsn.fetch_max(lsn, Ordering::Release);
         Ok(())
     }
 
@@ -483,6 +464,43 @@ fn run_dml(
         Statement::Delete(del) => storage.run_delete(del, params, undo),
         _ => Err(Error::Transaction(
             "DDL is not allowed inside a transaction".into(),
+        )),
+    }
+}
+
+/// Apply one record of [`Database::apply_batch`].
+fn apply_record(storage: &mut Storage, rec: &ChangeRecord) -> Result<()> {
+    match rec {
+        ChangeRecord::Insert { table, row_id, row }
+        | ChangeRecord::Update { table, row_id, row } => storage
+            .require_table_mut(table)?
+            .insert_at(*row_id, row.clone()),
+        ChangeRecord::Delete { table, row_id, .. } => {
+            let _ = storage.require_table_mut(table)?.delete(*row_id); // already-gone is fine (idempotence)
+            Ok(())
+        }
+        ChangeRecord::Ddl { sql } => match replay_ddl(storage, sql) {
+            // Replaying DDL over a snapshot that already contains the
+            // object (or no longer contains it) must converge, not fail.
+            Err(Error::DuplicateTable(_))
+            | Err(Error::DuplicateIndex(_))
+            | Err(Error::UnknownTable(_)) => Ok(()),
+            r => r,
+        },
+    }
+}
+
+/// Re-execute recorded DDL without emitting it again.
+fn replay_ddl(storage: &mut Storage, sql: &str) -> Result<()> {
+    match parse_statement(sql)? {
+        Statement::CreateTable(schema) => storage.create_table(Table::new(schema)?),
+        Statement::CreateIndex(ci) => {
+            let table = storage.require_table_mut(&ci.table)?;
+            table.create_index(ci.name, &ci.columns, ci.unique)
+        }
+        Statement::DropTable { name, if_exists } => storage.drop_table(&name, if_exists),
+        _ => Err(Error::Unsupported(
+            "only DDL can be replayed from a change record".into(),
         )),
     }
 }

@@ -352,3 +352,60 @@ fn seeded_schedule_stress() {
     );
     assert_eq!(db.table_len("account").unwrap(), accounts as usize);
 }
+
+// ---- replica apply ----------------------------------------------------------
+
+/// A replica applies the leader's batches while readers serve pages from
+/// it. Each batch here is one committed transfer — two `Update` records —
+/// so a reader that ever sees the two rows out of balance saw half a
+/// transaction. `apply_batch` takes the storage write lock once per
+/// batch: no tear, and `lsn()` names the last batch applied.
+#[test]
+fn replica_readers_never_observe_half_a_batch() {
+    let db = Arc::new(Database::new());
+    db.execute_script(
+        "CREATE TABLE account (oid INTEGER PRIMARY KEY AUTOINCREMENT, balance INTEGER NOT NULL);
+         INSERT INTO account (balance) VALUES (1000);
+         INSERT INTO account (balance) VALUES (1000);",
+    )
+    .unwrap();
+    let batches = 2_000i64;
+    let row = |slot: usize, oid: i64, balance: i64| ChangeRecord::Update {
+        table: "account".into(),
+        row_id: slot,
+        row: vec![Value::Integer(oid), Value::Integer(balance)],
+    };
+    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let start = Arc::new(std::sync::Barrier::new(2));
+    let reader = {
+        let (db, done, start) = (Arc::clone(&db), Arc::clone(&done), Arc::clone(&start));
+        thread::spawn(move || {
+            let (mut reads, mut torn) = (0u64, 0u64);
+            start.wait();
+            loop {
+                let finished = done.load(Ordering::Acquire);
+                let rs = db.query(SUM, &Params::new()).unwrap();
+                reads += 1;
+                torn += u64::from(int(rs.first("total")) != 2000);
+                if finished {
+                    return (reads, torn);
+                }
+            }
+        })
+    };
+    let first = db.lsn() + 1;
+    start.wait();
+    for i in 1..=batches {
+        let lsn = first + i as u64;
+        db.apply_batch(lsn, &[row(0, 1, 1000 - i), row(1, 2, 1000 + i)])
+            .unwrap();
+        assert_eq!(db.lsn(), lsn);
+    }
+    done.store(true, Ordering::Release);
+    let (reads, torn) = reader.join().unwrap();
+    assert_eq!(torn, 0, "{torn} of {reads} reads saw half a batch");
+    let rs = db
+        .query("SELECT balance FROM account ORDER BY oid", &Params::new())
+        .unwrap();
+    assert_eq!(int(rs.get(0, "balance")), 1000 - batches);
+}

@@ -68,7 +68,8 @@ impl Replica {
         self.gauges.lag_lsn.set(lag as i64);
     }
 
-    /// Apply one durable batch: store, then observers (cache
+    /// Apply one durable batch: store (the whole batch under one storage
+    /// write lock, so no reader sees half of it), then observers (cache
     /// maintenance), and only then publish the LSN — the router reads
     /// `applied_lsn` as "this replica may serve a session that wrote at
     /// that LSN", which must not hold while a pre-write bean is still
@@ -81,11 +82,9 @@ impl Replica {
             self.counters.batches_duplicate.inc();
             return false;
         }
-        for c in changes {
-            self.db.apply_change(c).unwrap_or_else(|e| {
-                panic!("replica {} diverged applying lsn {lsn}: {e}", self.name)
-            });
-        }
+        self.db
+            .apply_batch(lsn, changes)
+            .unwrap_or_else(|e| panic!("replica {} diverged applying lsn {lsn}: {e}", self.name));
         for o in self.observers.read().iter() {
             o.on_durable(lsn, changes);
         }

@@ -288,13 +288,9 @@ impl Wal {
             if *lsn <= snapshot_lsn {
                 continue;
             }
-            for c in changes {
-                db.apply_change(c)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                if let Some(t) = c.table() {
-                    tables_touched.insert(t.to_string());
-                }
-            }
+            db.apply_batch(*lsn, changes)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+            tables_touched.extend(changes.iter().filter_map(|c| c.table()).map(str::to_string));
             replayed += 1;
             last_lsn = (*lsn).max(last_lsn);
         }

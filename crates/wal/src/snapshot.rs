@@ -85,27 +85,33 @@ impl SnapshotData {
     }
 
     /// Restore this image into a fresh database (schema, indexes, rows in
-    /// their exact slots, auto-increment counters).
+    /// their exact slots, auto-increment counters) as one batch at
+    /// `last_lsn`.
     pub fn restore_into(&self, db: &Database) -> relstore::Result<()> {
+        let mut batch = Vec::new();
         for (name, snap) in &self.tables {
-            db.execute_script(&snap.create_sql)?;
+            batch.push(ChangeRecord::Ddl {
+                sql: snap.create_sql.clone(),
+            });
             for (ix_name, unique, cols) in &snap.indexes {
-                let sql = format!(
-                    "CREATE {}INDEX {} ON {} ({})",
-                    if *unique { "UNIQUE " } else { "" },
-                    ix_name,
-                    name,
-                    cols.join(", ")
-                );
-                db.execute_script(&sql)?;
+                batch.push(ChangeRecord::Ddl {
+                    sql: format!(
+                        "CREATE {}INDEX {} ON {} ({})",
+                        if *unique { "UNIQUE " } else { "" },
+                        ix_name,
+                        name,
+                        cols.join(", ")
+                    ),
+                });
             }
-            for (row_id, row) in &snap.rows {
-                db.apply_change(&ChangeRecord::Insert {
-                    table: name.clone(),
-                    row_id: *row_id,
-                    row: row.clone(),
-                })?;
-            }
+            batch.extend(snap.rows.iter().map(|(row_id, row)| ChangeRecord::Insert {
+                table: name.clone(),
+                row_id: *row_id,
+                row: row.clone(),
+            }));
+        }
+        db.apply_batch(self.last_lsn, &batch)?;
+        for (name, snap) in &self.tables {
             db.set_auto_counter(name, snap.next_auto)?;
         }
         Ok(())

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
-use webml_ratio::mvc::WebRequest;
+use webml_ratio::mvc::{Controller, WebRequest};
 use webml_ratio::relstore::{ChangeRecord, Database, Params, Value};
 use webml_ratio::repl::{deploy_replicated, Replica};
 use webml_ratio::wal::{ChangeStream, LogObserver, TempDir, Wal, WalConfig};
@@ -270,6 +270,70 @@ fn replica_etag_moves_with_the_applied_write() {
     let etag2 = r2.etag.expect("etag");
     assert_ne!(etag1, etag2, "validator must move with the applied write");
     assert_eq!(get(Some(&etag2)).status, 304);
+}
+
+/// One version on every node: a write's commit LSN is the same on the
+/// leader and on every replica that applied it, so a validator minted on
+/// one replica answers `304` on the other and on the leader once all have
+/// applied the same LSN — and a write to the page's table moves it, to
+/// one new tag, on every node.
+#[test]
+fn a_validator_minted_on_one_replica_validates_on_every_node() {
+    let dir = TempDir::new("repl-etag-shared").unwrap();
+    let app = fixtures::bookstore();
+    let mut options = DeployOptions::default().with_replicas(2);
+    options.runtime.conditional_get = true;
+    let rd = deploy_replicated(&app, options, &manual(&dir)).expect("replicated deploy");
+    let wal = Arc::clone(rd.leader.wal.as_ref().unwrap());
+    let home = rd.leader.home_url("store").unwrap();
+    let op_url = rd.leader.generated.descriptors.operations[0].url.clone();
+    let create = |title: &str, sid: Option<&str>| {
+        let mut req = WebRequest::get(&op_url)
+            .with_param("title", title)
+            .with_param("price", "9.0");
+        req.session = sid.map(str::to_string);
+        let resp = rd.handle(&req);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        resp
+    };
+    let settle = || {
+        wal.flush_and_notify();
+        for r in &rd.replicas {
+            assert_eq!(r.applied_lsn(), wal.appended_lsn(), "{} lags", r.name());
+        }
+    };
+    let sid = create("First print", None).set_session.expect("session");
+    settle();
+
+    // leader, replica-0, replica-1 — asked directly, not via the router
+    let nodes: Vec<&Controller> = std::iter::once(&*rd.leader.controller)
+        .chain(rd.router.replicas().iter().map(|e| &*e.controller))
+        .collect();
+    let get = |node: &Controller, inm: Option<&str>| {
+        let mut req = WebRequest::get(&home).with_session(&sid);
+        req.if_none_match = inm.map(str::to_string);
+        node.handle(&req)
+    };
+    let minted = get(nodes[1], None);
+    assert_eq!(minted.status, 200);
+    let tag = minted.etag.expect("conditional_get mints an ETag");
+    for (i, node) in nodes.iter().enumerate() {
+        let r = get(node, Some(&tag));
+        assert_eq!(r.status, 304, "node {i} does not honour replica-0's tag");
+        assert_eq!(r.etag.as_ref(), Some(&tag));
+    }
+
+    create("Second print", Some(&sid));
+    settle();
+    let mut moved: Option<String> = None;
+    for (i, node) in nodes.iter().enumerate() {
+        let r = get(node, Some(&tag));
+        assert_eq!(r.status, 200, "stale 304 from node {i}");
+        assert!(r.body.contains("Second print"), "{}", r.body);
+        let now = r.etag.expect("etag");
+        assert_ne!(now, tag);
+        assert_eq!(moved.get_or_insert_with(|| now.clone()), &now, "node {i}");
+    }
 }
 
 /// One random op applied through the leader's SQL front door.

@@ -30,10 +30,12 @@ failed, hit = run["failed"], run["metrics"]["cache.fragment_hit_ratio"]["value"]
 print(f"failed={failed} cache.fragment_hit_ratio={hit:.2f} (gate: 0 failed, ratio > 0.3)")
 sys.exit(0 if failed == 0 and hit > 0.3 else 1)'
 
-echo "== storage seeded-schedule stress (transactions, rollbacks and exact reads under three seeds)"
+echo "== seeded schedules under three seeds: storage stress (transactions, rollbacks and exact reads) and the cache composition oracle (maintained caches vs cold recompute)"
 for seed in 1 20030108 "${RELSTORE_STRESS_SEED:-3224275387}"; do
   RELSTORE_STRESS_SEED="$seed" \
     cargo test -p relstore --release -q --test concurrent seeded_schedule_stress
+  RELSTORE_STRESS_SEED="$seed" \
+    cargo test --release -q --test caching maintained_cache_matches_cold_recompute
 done
 
 echo "verify.sh: all green"
