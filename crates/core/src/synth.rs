@@ -410,7 +410,7 @@ pub fn seed_data(app: &Application, db: &Database, rows_per_entity: usize, seed:
                         relstore::DataType::Timestamp => {
                             Value::Timestamp(1_000_000_000_000 + rng.gen_range(0..1_000_000_000i64))
                         }
-                        _ => Value::Text(format!("{} {} {}", entity.name, col.name, r)),
+                        _ => Value::Text(format!("{} {} {}", entity.name, col.name, r).into()),
                     }
                 };
                 params.set(pname.clone(), value);

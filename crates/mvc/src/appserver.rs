@@ -132,7 +132,7 @@ fn params_to_json(p: &ParamMap) -> serde_json::Value {
                 Value::Null => serde_json::Value::Null,
                 Value::Integer(i) => serde_json::json!({ "t": "i", "v": i }),
                 Value::Real(r) => serde_json::json!({ "t": "r", "v": r }),
-                Value::Text(s) => serde_json::json!({ "t": "s", "v": s }),
+                Value::Text(s) => serde_json::json!({ "t": "s", "v": &**s }),
                 Value::Boolean(b) => serde_json::json!({ "t": "b", "v": b }),
                 Value::Timestamp(t) => serde_json::json!({ "t": "ts", "v": t }),
                 Value::Blob(b) => serde_json::json!({ "t": "x", "v": b }),
@@ -153,7 +153,7 @@ fn params_from_json(j: &serde_json::Value) -> Option<ParamMap> {
             match t {
                 "i" => Value::Integer(w.as_i64()?),
                 "r" => Value::Real(w.as_f64()?),
-                "s" => Value::Text(w.as_str()?.to_string()),
+                "s" => Value::Text(w.as_str()?.into()),
                 "b" => Value::Boolean(w.as_bool()?),
                 "ts" => Value::Timestamp(w.as_i64()?),
                 "x" => Value::Blob(

@@ -102,7 +102,7 @@ fn value_to_json(v: &Value) -> serde_json::Value {
         Value::Null => serde_json::Value::Null,
         Value::Integer(i) => serde_json::json!({ "t": "i", "v": i }),
         Value::Real(r) => serde_json::json!({ "t": "r", "v": r }),
-        Value::Text(s) => serde_json::json!({ "t": "s", "v": s }),
+        Value::Text(s) => serde_json::json!({ "t": "s", "v": &**s }),
         Value::Boolean(b) => serde_json::json!({ "t": "b", "v": b }),
         Value::Timestamp(t) => serde_json::json!({ "t": "ts", "v": t }),
         Value::Blob(b) => serde_json::json!({ "t": "x", "v": b }),
@@ -118,7 +118,7 @@ fn value_from_json(j: &serde_json::Value) -> Option<Value> {
     Some(match t {
         "i" => Value::Integer(v.as_i64()?),
         "r" => Value::Real(v.as_f64()?),
-        "s" => Value::Text(v.as_str()?.to_string()),
+        "s" => Value::Text(v.as_str()?.into()),
         "b" => Value::Boolean(v.as_bool()?),
         "ts" => Value::Timestamp(v.as_i64()?),
         "x" => Value::Blob(

@@ -173,7 +173,7 @@ pub fn to_value(s: &str) -> Value {
     if let Ok(r) = s.parse::<f64>() {
         return Value::Real(r);
     }
-    Value::Text(s.to_string())
+    Value::Text(s.into())
 }
 
 impl Controller {

@@ -210,8 +210,8 @@ impl OperationEngine {
                 let rs = match db.query(
                     &sql,
                     &Params::new()
-                        .bind("u", Value::Text(u.render()))
-                        .bind("p", Value::Text(p.render())),
+                        .bind("u", Value::Text(u.render().into()))
+                        .bind("p", Value::Text(p.render().into())),
                 ) {
                     Ok(rs) => rs,
                     Err(e) => return Ok(OpResult::ko(e.to_string())),

@@ -98,7 +98,7 @@ impl UnitStep {
                 let value = match p.source_kind.as_str() {
                     "oid" => source.bean.propagated_oid().map(Value::Integer),
                     "attribute" => source.bean.propagated_attribute(&p.source),
-                    "constant" => Some(Value::Text(p.source.clone())),
+                    "constant" => Some(Value::Text(p.source.as_str().into())),
                     "session" => session.get(&p.source).cloned(),
                     // fields flow through the request, not the model
                     _ => None,

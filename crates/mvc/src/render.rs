@@ -479,8 +479,14 @@ mod tests {
             .map(|i| BeanRow {
                 values: vec![
                     ("oid".into(), Value::Integer(1000 + i)),
-                    (Arc::clone(&title), Value::Text(format!("Title <{i}>"))),
-                    (Arc::clone(&name), Value::Text(format!("naïve & {i}"))),
+                    (
+                        Arc::clone(&title),
+                        Value::Text(format!("Title <{i}>").into()),
+                    ),
+                    (
+                        Arc::clone(&name),
+                        Value::Text(format!("naïve & {i}").into()),
+                    ),
                 ],
             })
             .collect();

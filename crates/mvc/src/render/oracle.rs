@@ -555,7 +555,7 @@ impl Gen {
         }
         if self.chance(10) {
             // one empty field: the anchor falls back to its own label
-            values.push(("title".into(), Value::Text(String::new())));
+            values.push(("title".into(), Value::Text("".into())));
         } else {
             for _ in 0..self.below(4) {
                 let name = self.pick(PROPERTIES);

@@ -74,12 +74,12 @@ fn bind(q: &QuerySpec, params: &ParamMap, unit: &str) -> Result<Params> {
     Ok(out)
 }
 
-/// Pack rows `skip..skip + take` of a result set into bean rows following
+/// Pack the first `take` rows of a result set into bean rows following
 /// the descriptor's bean shape (all result columns when the shape is
 /// empty). Property names and column positions are resolved once per
 /// result set; cells move from the result into the beans, and a cell is
 /// cloned only for a column that feeds more than one property.
-fn pack(rs: ResultSet, q: &QuerySpec, skip: usize, take: usize) -> Vec<BeanRow> {
+fn pack(rs: ResultSet, q: &QuerySpec, take: usize) -> Vec<BeanRow> {
     let shape: Vec<(Arc<str>, Option<usize>)> = if q.bean.is_empty() {
         rs.columns()
             .iter()
@@ -100,7 +100,6 @@ fn pack(rs: ResultSet, q: &QuerySpec, skip: usize, take: usize) -> Vec<BeanRow> 
         .collect();
     rs.into_rows()
         .into_iter()
-        .skip(skip)
         .take(take)
         .map(|mut row| {
             let values = shape
@@ -132,6 +131,11 @@ pub(crate) fn block_offset(params: &ParamMap) -> usize {
     }
 }
 
+/// A row count as a SQL `LIMIT`/`OFFSET` value, saturating.
+fn sql_count(n: usize) -> i64 {
+    i64::try_from(n).unwrap_or(i64::MAX)
+}
+
 fn main_query(desc: &UnitDescriptor) -> Result<&QuerySpec> {
     desc.main_query()
         .ok_or_else(|| MvcError::MissingDescriptor(format!("{}: main query", desc.id)))
@@ -144,7 +148,7 @@ impl UnitService for GenericDataService {
     fn compute(&self, desc: &UnitDescriptor, params: &ParamMap, db: &Database) -> Result<UnitBean> {
         let q = main_query(desc)?;
         let rs = db.query(&q.sql, &bind(q, params, &desc.id)?)?;
-        Ok(UnitBean::Single(pack(rs, q, 0, 1).pop()))
+        Ok(UnitBean::Single(pack(rs, q, 1).pop()))
     }
 }
 
@@ -156,7 +160,7 @@ impl UnitService for GenericIndexService {
     fn compute(&self, desc: &UnitDescriptor, params: &ParamMap, db: &Database) -> Result<UnitBean> {
         let q = main_query(desc)?;
         let rs = db.query(&q.sql, &bind(q, params, &desc.id)?)?;
-        let rows = pack(rs, q, 0, usize::MAX);
+        let rows = pack(rs, q, usize::MAX);
         let total = rows.len();
         Ok(UnitBean::Rows { rows, total })
     }
@@ -169,14 +173,17 @@ impl UnitService for GenericScrollerService {
     fn compute(&self, desc: &UnitDescriptor, params: &ParamMap, db: &Database) -> Result<UnitBean> {
         let q = main_query(desc)?;
         let block = desc.block_size.unwrap_or(10).max(1);
-        // fetch everything once (the simulated data tier is in memory),
-        // then pack only the requested block; `total` drives the pager
+        // the statement returns just the block; the rows it matched
+        // without the window are the pager's total
         let mut effective = params.clone();
-        effective.insert("block_limit".into(), Value::Integer(i64::MAX / 2));
-        effective.insert("block_offset".into(), Value::Integer(0));
+        effective.insert("block_limit".into(), Value::Integer(sql_count(block)));
+        effective.insert(
+            "block_offset".into(),
+            Value::Integer(sql_count(block_offset(params))),
+        );
         let rs = db.query(&q.sql, &bind(q, &effective, &desc.id)?)?;
-        let total = rs.len();
-        let rows = pack(rs, q, block_offset(params), block);
+        let total = rs.matched();
+        let rows = pack(rs, q, block);
         Ok(UnitBean::Rows { rows, total })
     }
 }
@@ -186,36 +193,30 @@ impl UnitService for GenericScrollerService {
 pub struct GenericHierarchyService;
 
 impl GenericHierarchyService {
+    /// The rows of `levels[0]` under `parent_params`, each nesting its
+    /// children from the levels below.
     fn level(
         &self,
         desc: &UnitDescriptor,
-        level: usize,
+        levels: &[&QuerySpec],
         parent_params: &ParamMap,
         db: &Database,
     ) -> Result<Vec<NestedBeanRow>> {
-        let Some(q) = desc
-            .queries
-            .iter()
-            .find(|q| q.name == format!("level{level}"))
-        else {
+        let Some((q, below)) = levels.split_first() else {
             return Ok(Vec::new());
         };
         let rs = db.query(&q.sql, &bind(q, parent_params, &desc.id)?)?;
-        let rows = pack(rs, q, 0, usize::MAX);
+        let rows = pack(rs, q, usize::MAX);
         let mut out = Vec::with_capacity(rows.len());
-        let has_next = desc
-            .queries
-            .iter()
-            .any(|q| q.name == format!("level{}", level + 1));
         for row in rows {
-            let children = if has_next {
+            let children = if below.is_empty() {
+                Vec::new()
+            } else {
                 let mut child_params = ParamMap::new();
                 if let Some(oid) = row.oid() {
                     child_params.insert("parent".into(), Value::Integer(oid));
                 }
-                self.level(desc, level + 1, &child_params, db)?
-            } else {
-                Vec::new()
+                self.level(desc, below, &child_params, db)?
             };
             out.push(NestedBeanRow { row, children });
         }
@@ -225,7 +226,17 @@ impl GenericHierarchyService {
 
 impl UnitService for GenericHierarchyService {
     fn compute(&self, desc: &UnitDescriptor, params: &ParamMap, db: &Database) -> Result<UnitBean> {
-        Ok(UnitBean::Nested(self.level(desc, 0, params, db)?))
+        // the queries named `level0`, `level1`, … up to the first gap,
+        // resolved once per computation rather than once per parent row
+        let mut levels = Vec::new();
+        loop {
+            let name = format!("level{}", levels.len());
+            match desc.queries.iter().find(|q| q.name == name) {
+                Some(q) => levels.push(q),
+                None => break,
+            }
+        }
+        Ok(UnitBean::Nested(self.level(desc, &levels, params, db)?))
     }
 }
 
@@ -484,6 +495,114 @@ mod tests {
         assert_eq!(total, 6);
         assert_eq!(rows.len(), 2); // last block of 6 with offset 4
         assert_eq!(rows[0].oid(), Some(5));
+    }
+
+    /// A scroller over `table` in blocks of `block`, asked for the block
+    /// at `offset` (no `block_offset` parameter when `None`): the oids it
+    /// shows and its total.
+    fn scroll(
+        db: &Database,
+        table: &str,
+        block: usize,
+        offset: Option<Value>,
+    ) -> (Vec<i64>, usize) {
+        let mut d = desc(
+            "u3",
+            "scroller",
+            "GenericScrollerService",
+            vec![q(
+                "main",
+                &format!(
+                    "SELECT t.oid, t.* FROM {table} t ORDER BY t.oid \
+                     LIMIT :block_limit OFFSET :block_offset"
+                ),
+                &["block_limit", "block_offset"],
+            )],
+        );
+        d.block_size = Some(block);
+        let mut p = ParamMap::new();
+        if let Some(offset) = offset {
+            p.insert("block_offset".into(), offset);
+        }
+        let UnitBean::Rows { rows, total } = GenericScrollerService.compute(&d, &p, db).unwrap()
+        else {
+            panic!("a scroller computes rows")
+        };
+        (rows.iter().filter_map(BeanRow::oid).collect(), total)
+    }
+
+    #[test]
+    fn scroller_offset_past_the_end_shows_no_rows_and_the_true_total() {
+        let db = db();
+        for offset in [
+            Value::Integer(6),
+            Value::Integer(1_000),
+            Value::Integer(i64::MAX),
+            Value::Text(usize::MAX.to_string().into()),
+        ] {
+            assert_eq!(
+                scroll(&db, "issue", 4, Some(offset.clone())),
+                (vec![], 6),
+                "{offset:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn scroller_reads_negative_and_garbage_offsets_as_the_first_block() {
+        let db = db();
+        let first = (vec![1, 2, 3, 4], 6);
+        assert_eq!(scroll(&db, "issue", 4, None), first);
+        for offset in [
+            Value::Integer(-4),
+            Value::Integer(i64::MIN),
+            Value::Text("abc".into()),
+            Value::Text("-3".into()),
+            Value::Real(4.0),
+            Value::Null,
+        ] {
+            assert_eq!(
+                scroll(&db, "issue", 4, Some(offset.clone())),
+                first,
+                "{offset:?}"
+            );
+        }
+    }
+
+    /// A 100-row scroller in blocks of 10 asks the store for its block:
+    /// it projects and packs the 10 rows it shows, not the 90 it skips.
+    #[test]
+    fn scroller_allocates_for_its_shown_rows_only() {
+        const ROWS: usize = 100;
+        const BLOCK: usize = 10;
+        let db = Database::new();
+        db.execute_script(
+            "CREATE TABLE item (oid INTEGER PRIMARY KEY AUTOINCREMENT, title TEXT NOT NULL, \
+             note TEXT);",
+        )
+        .unwrap();
+        for i in 0..ROWS {
+            db.execute(
+                "INSERT INTO item (title, note) VALUES (:t, :n)",
+                &Params::new()
+                    .bind("t", format!("Item {i}"))
+                    .bind("n", format!("note {i}")),
+            )
+            .unwrap();
+        }
+        let offset = Some(Value::Integer(40));
+        // warm-up outside the measured window: parse + plan cache
+        let warm = scroll(&db, "item", BLOCK, offset.clone());
+        let (allocs, shown) =
+            crate::alloc_counter::allocations_during(|| scroll(&db, "item", BLOCK, offset));
+        assert_eq!(shown, warm);
+        assert_eq!(shown, ((41..=50).collect(), ROWS));
+        let bound = 3 * BLOCK + 64;
+        assert!(
+            allocs <= bound,
+            "{allocs} allocations for a {BLOCK}-row block of {ROWS} rows (bound {bound}): \
+             the scroller projects rows it does not show"
+        );
     }
 
     #[test]

@@ -202,8 +202,11 @@ pub struct DbCounters {
     /// ORDER BY + LIMIT queries answered by the bounded Top-K heap
     /// instead of a full materialize + sort.
     pub topk_shortcuts: Counter,
+    /// ORDER BY queries answered by walking a secondary index in key order
+    /// instead of sorting the scanned rows.
+    pub index_orders: Counter,
     /// Table accesses that fell back to a full scan (no usable index,
-    /// no hashable equi-conjunct).
+    /// no hashable equi-conjunct, no index order).
     pub scan_fallbacks: Counter,
     /// Rows scanned by one SELECT — the per-query distribution behind
     /// the `rows_scanned` total (unitless histogram).
@@ -649,6 +652,12 @@ impl MetricsRegistry {
         );
         counter_into(
             &mut out,
+            "db_index_orders_total",
+            "ORDER BY queries answered by walking a secondary index in key order",
+            self.db.index_orders.get(),
+        );
+        counter_into(
+            &mut out,
             "db_scan_fallbacks_total",
             "Table accesses that fell back to a full scan",
             self.db.scan_fallbacks.get(),
@@ -1072,12 +1081,14 @@ mod tests {
         reg.db.index_probes.add(4);
         reg.db.hash_joins.inc();
         reg.db.topk_shortcuts.add(2);
+        reg.db.index_orders.add(5);
         reg.db.scan_fallbacks.add(3);
         reg.db.rows_scanned_per_query.observe(7);
         let text = reg.render_prometheus();
         assert!(text.contains("db_index_probes_total 4"));
         assert!(text.contains("db_hash_joins_total 1"));
         assert!(text.contains("db_topk_shortcuts_total 2"));
+        assert!(text.contains("db_index_orders_total 5"));
         assert!(text.contains("db_scan_fallbacks_total 3"));
         assert!(text.contains("db_rows_scanned_per_query_count 1"));
         assert!(text.contains("db_rows_scanned_per_query_sum 7"));

@@ -309,6 +309,7 @@ impl Database {
         c.index_probes.add(stats.index_probes);
         c.hash_joins.add(stats.hash_joins);
         c.topk_shortcuts.add(stats.topk_shortcuts);
+        c.index_orders.add(stats.index_orders);
         c.scan_fallbacks.add(stats.scan_fallbacks);
         Ok(ExecResult::Rows(rows))
     }

@@ -252,7 +252,7 @@ fn eval_binary(op: BinaryOp, l: Value, r: Value) -> Result<Value> {
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);
             }
-            Ok(Value::Text(format!("{}{}", l.render(), r.render())))
+            Ok(Value::Text(format!("{}{}", l.render(), r.render()).into()))
         }
         Add | Sub | Mul | Div | Mod => {
             if l.is_null() || r.is_null() {
@@ -360,11 +360,11 @@ fn eval_scalar_function(name: &str, args: &[Expr], star: bool, ctx: &EvalCtx<'_>
     match name {
         "UPPER" => Ok(match arg(0)? {
             Value::Null => Value::Null,
-            v => Value::Text(v.render().to_uppercase()),
+            v => Value::Text(v.render().to_uppercase().into()),
         }),
         "LOWER" => Ok(match arg(0)? {
             Value::Null => Value::Null,
-            v => Value::Text(v.render().to_lowercase()),
+            v => Value::Text(v.render().to_lowercase().into()),
         }),
         "LENGTH" => Ok(match arg(0)? {
             Value::Null => Value::Null,
@@ -400,12 +400,17 @@ fn eval_scalar_function(name: &str, args: &[Expr], star: bool, ctx: &EvalCtx<'_>
                 None => chars.len().saturating_sub(start),
             };
             Ok(Value::Text(
-                chars.iter().skip(start).take(len).collect::<String>(),
+                chars
+                    .iter()
+                    .skip(start)
+                    .take(len)
+                    .collect::<String>()
+                    .into(),
             ))
         }
         "TRIM" => Ok(match arg(0)? {
             Value::Null => Value::Null,
-            v => Value::Text(v.render().trim().to_string()),
+            v => Value::Text(v.render().trim().into()),
         }),
         other => Err(Error::Unsupported(format!("function {other}"))),
     }

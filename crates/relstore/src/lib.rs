@@ -20,9 +20,12 @@
 //!
 //! Execution uses primary-key and secondary B-tree indexes for equality
 //! probes (base-table WHERE pushdown and join acceleration), a build/probe
-//! hash join for unindexed equi-join conjuncts, and a bounded Top-K heap
-//! for `ORDER BY` + `LIMIT`; everything else is a scan + filter, which is
-//! the right trade-off for the unit-query workload this engine serves.
+//! hash join for unindexed equi-join conjuncts, a walk of the secondary
+//! index whose columns are exactly the `ORDER BY` columns in place of a
+//! sort, and a bounded Top-K heap for `ORDER BY` + `LIMIT`; everything else
+//! is a scan + filter, which is the right trade-off for the unit-query
+//! workload this engine serves. Rows are ordered and cut to `OFFSET` /
+//! `LIMIT` as row ids; only the rows a statement returns are projected.
 //! [`exec::SelectStats`] reports which path answered each query.
 //!
 //! ```

@@ -34,11 +34,34 @@ impl ExecResult {
 pub struct ResultSet {
     columns: Vec<String>,
     rows: Vec<Vec<Value>>,
+    /// See [`ResultSet::matched`].
+    matched: usize,
 }
 
 impl ResultSet {
+    /// A result set that is all the rows its statement matched.
     pub fn new(columns: Vec<String>, rows: Vec<Vec<Value>>) -> ResultSet {
-        ResultSet { columns, rows }
+        let matched = rows.len();
+        ResultSet::windowed(columns, rows, matched)
+    }
+
+    /// The `OFFSET`/`LIMIT` window of a result that matched `matched` rows.
+    pub(crate) fn windowed(
+        columns: Vec<String>,
+        rows: Vec<Vec<Value>>,
+        matched: usize,
+    ) -> ResultSet {
+        ResultSet {
+            columns,
+            rows,
+            matched,
+        }
+    }
+
+    /// How many rows the statement would return without its `OFFSET` and
+    /// `LIMIT` (after `DISTINCT` and grouping) — the total a pager shows.
+    pub fn matched(&self) -> usize {
+        self.matched
     }
 
     pub fn columns(&self) -> &[String] {

@@ -731,7 +731,7 @@ impl Parser {
         match self.advance() {
             TokenKind::Integer(i) => Ok(Expr::Literal(Value::Integer(i))),
             TokenKind::Real(r) => Ok(Expr::Literal(Value::Real(r))),
-            TokenKind::Str(s) => Ok(Expr::Literal(Value::Text(s))),
+            TokenKind::Str(s) => Ok(Expr::Literal(Value::Text(s.into()))),
             TokenKind::Question => {
                 let i = self.next_positional;
                 self.next_positional += 1;

@@ -59,6 +59,14 @@ impl Index {
         self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
+    /// Every bucket in key order (`NULL` keys first), each in slot order.
+    /// Walked forwards this is exactly a stable sort of the table's rows by
+    /// the indexed columns; walked backwards, bucket by bucket, it is the
+    /// stable descending sort.
+    pub(crate) fn buckets(&self) -> impl DoubleEndedIterator<Item = &[RowId]> {
+        self.map.values().map(Vec::as_slice)
+    }
+
     /// Number of distinct keys (used by the planner's cost heuristic).
     pub fn distinct_keys(&self) -> usize {
         self.map.len()
@@ -145,8 +153,16 @@ impl Table {
 
     /// Exact-match lookup through the primary-key index.
     pub fn get_by_pk(&self, key: &[Value]) -> Option<(RowId, &Row)> {
-        let id = *self.pk_index.as_ref()?.get(key)?.first()?;
+        let id = *self.lookup_pk(key).first()?;
         Some((id, self.get(id)?))
+    }
+
+    /// The slot holding primary key `key`, as a slice of at most one.
+    pub(crate) fn lookup_pk(&self, key: &[Value]) -> &[RowId] {
+        self.pk_index
+            .as_ref()
+            .and_then(|m| m.get(key))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// The secondary indexes of this table.

@@ -8,6 +8,7 @@ use crate::error::{Error, Result};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Declared type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,12 +61,15 @@ impl fmt::Display for DataType {
 }
 
 /// A runtime value stored in a cell or produced by an expression.
+///
+/// Text is a shared `Arc<str>`: projecting, packing, caching and logging a
+/// stored text cell bumps a reference count instead of copying the string.
 #[derive(Debug, Clone)]
 pub enum Value {
     Null,
     Integer(i64),
     Real(f64),
-    Text(String),
+    Text(Arc<str>),
     Boolean(bool),
     /// Milliseconds since the Unix epoch.
     Timestamp(i64),
@@ -110,11 +114,11 @@ impl Value {
             (v @ Value::Integer(_), DataType::Integer) => Ok(v),
             (Value::Integer(i), DataType::Real) => Ok(Value::Real(i as f64)),
             (Value::Integer(i), DataType::Timestamp) => Ok(Value::Timestamp(i)),
-            (Value::Integer(i), DataType::Text) => Ok(Value::Text(i.to_string())),
+            (Value::Integer(i), DataType::Text) => Ok(Value::Text(i.to_string().into())),
             (Value::Integer(i), DataType::Boolean) => Ok(Value::Boolean(i != 0)),
             (v @ Value::Real(_), DataType::Real) => Ok(v),
             (Value::Real(r), DataType::Integer) if r.fract() == 0.0 => Ok(Value::Integer(r as i64)),
-            (Value::Real(r), DataType::Text) => Ok(Value::Text(format_real(r))),
+            (Value::Real(r), DataType::Text) => Ok(Value::Text(format_real(r).into())),
             (v @ Value::Text(_), DataType::Text) => Ok(v),
             (Value::Text(s), DataType::Integer) => s
                 .trim()
@@ -138,10 +142,10 @@ impl Value {
                 .map_err(|_| mismatch(&Value::Text(s))),
             (v @ Value::Boolean(_), DataType::Boolean) => Ok(v),
             (Value::Boolean(b), DataType::Integer) => Ok(Value::Integer(b as i64)),
-            (Value::Boolean(b), DataType::Text) => Ok(Value::Text(b.to_string())),
+            (Value::Boolean(b), DataType::Text) => Ok(Value::Text(b.to_string().into())),
             (v @ Value::Timestamp(_), DataType::Timestamp) => Ok(v),
             (Value::Timestamp(t), DataType::Integer) => Ok(Value::Integer(t)),
-            (Value::Timestamp(t), DataType::Text) => Ok(Value::Text(t.to_string())),
+            (Value::Timestamp(t), DataType::Text) => Ok(Value::Text(t.to_string().into())),
             (v @ Value::Blob(_), DataType::Blob) => Ok(v),
             (v, _) => Err(mismatch(&v)),
         }
@@ -164,7 +168,7 @@ impl Value {
             Value::Null => String::new(),
             Value::Integer(i) => i.to_string(),
             Value::Real(r) => format_real(*r),
-            Value::Text(s) => s.clone(),
+            Value::Text(s) => s.to_string(),
             Value::Boolean(b) => b.to_string(),
             Value::Timestamp(t) => t.to_string(),
             Value::Blob(b) => format!("<blob {} bytes>", b.len()),
@@ -324,12 +328,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Text(v.to_string())
+        Value::Text(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Text(v)
+        Value::Text(v.into())
     }
 }
 impl From<bool> for Value {

@@ -54,7 +54,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
         Just(Value::Null),
         any::<i64>().prop_map(Value::Integer),
         (-1e12f64..1e12f64).prop_map(Value::Real),
-        "[a-z]{0,6}".prop_map(Value::Text),
+        "[a-z]{0,6}".prop_map(Value::from),
         any::<bool>().prop_map(Value::Boolean),
         any::<i64>().prop_map(Value::Timestamp),
     ]
@@ -218,7 +218,7 @@ proptest! {
         prop_assert_eq!(rs.len(), oracle.len());
         for (i, (k, name, score)) in oracle.iter().enumerate() {
             prop_assert_eq!(rs.get(i, "k"), Some(&Value::Integer(*k)));
-            prop_assert_eq!(rs.get(i, "name"), Some(&Value::Text(name.clone())));
+            prop_assert_eq!(rs.get(i, "name"), Some(&Value::Text(name.as_str().into())));
             prop_assert_eq!(rs.get(i, "score"), Some(&Value::Integer(*score)));
         }
         // index probe agrees with scan for every distinct score

@@ -407,7 +407,7 @@ fn comments_in_optimized_queries_are_tolerated() {
 fn texts(rs: &relstore::ResultSet, col: &str) -> Vec<Option<String>> {
     (0..rs.len())
         .map(|i| match rs.get(i, col) {
-            Some(Value::Text(t)) => Some(t.clone()),
+            Some(Value::Text(t)) => Some(t.to_string()),
             Some(Value::Null) => None,
             other => panic!("{col}[{i}] = {other:?}"),
         })
@@ -514,4 +514,117 @@ fn left_join_null_extension_is_projected_and_ordered() {
     let depts = texts(&rs, "dept");
     assert_eq!(depts.first(), Some(&Some("Marketing".to_string())));
     assert_eq!(depts.last(), Some(&Some("Empty".to_string())));
+}
+
+#[test]
+fn matched_counts_the_rows_a_statement_returns_without_its_window() {
+    let db = db();
+    let bases = [
+        "SELECT oid, name FROM emp ORDER BY name",
+        "SELECT oid FROM emp",
+        // a residual WHERE (no index answers `salary > 100`)
+        "SELECT name FROM emp WHERE salary > 100 ORDER BY salary DESC",
+        // an empty result
+        "SELECT name FROM emp WHERE oid = 99 ORDER BY name",
+        "SELECT e.name, d.name AS dept FROM emp e \
+         INNER JOIN dept d ON d.oid = e.dept_oid ORDER BY d.name, e.name",
+        "SELECT DISTINCT dept_oid FROM emp ORDER BY dept_oid",
+        "SELECT DISTINCT active FROM emp",
+        "SELECT dept_oid, COUNT(*) AS n FROM emp GROUP BY dept_oid ORDER BY n DESC, dept_oid",
+    ];
+    let windows: [(&str, usize, Option<usize>); 6] = [
+        ("LIMIT 0", 0, Some(0)),
+        ("LIMIT 2", 0, Some(2)),
+        ("LIMIT 2 OFFSET 1", 1, Some(2)),
+        ("LIMIT 10 OFFSET 100", 100, Some(10)),
+        ("LIMIT 100 OFFSET 2", 2, Some(100)),
+        ("LIMIT 1, 100", 1, Some(100)),
+    ];
+    for base in bases {
+        let full = db.query(base, &Params::new()).unwrap();
+        assert_eq!(full.matched(), full.len(), "{base}");
+        for (window, offset, limit) in windows {
+            let sql = format!("{base} {window}");
+            let rs = db.query(&sql, &Params::new()).unwrap();
+            assert_eq!(rs.matched(), full.len(), "{sql}");
+            let expected: Vec<Vec<Value>> = full
+                .rows()
+                .iter()
+                .skip(offset)
+                .take(limit.unwrap_or(usize::MAX))
+                .cloned()
+                .collect();
+            assert_eq!(rs.rows(), &expected[..], "{sql}");
+        }
+    }
+}
+
+#[test]
+fn reference_errors_survive_a_window_that_cuts_every_row() {
+    let db = db();
+    let joined = "FROM emp e INNER JOIN dept d ON d.oid = e.dept_oid";
+    for window in ["", "LIMIT 0", "LIMIT 3 OFFSET 100"] {
+        let failures = [
+            format!("SELECT ghost FROM emp ORDER BY oid {window}"),
+            format!("SELECT UPPER(ghost) AS g FROM emp ORDER BY oid {window}"),
+            format!("SELECT x.name || '!' AS n FROM emp ORDER BY oid {window}"),
+            format!("SELECT name || '!' AS n {joined} ORDER BY e.oid {window}"),
+            format!("SELECT name FROM emp ORDER BY 3 {window}"),
+            format!("SELECT :missing AS p FROM emp ORDER BY oid {window}"),
+        ];
+        for sql in &failures {
+            let err = db.query(sql, &Params::new()).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    Error::UnknownColumn(_) | Error::UnknownTable(_) | Error::Parameter(_)
+                ) || matches!(&err, Error::Eval(m) if m == "ORDER BY ordinal 3 out of range"),
+                "{sql}: {err:?}"
+            );
+            // the same statement over an empty result reports nothing
+            let empty = sql.replace("ORDER BY", "WHERE 1 = 0 ORDER BY");
+            assert!(db.query(&empty, &Params::new()).is_ok(), "{empty}");
+        }
+        let err = db
+            .query(
+                &format!("SELECT name || '!' AS n {joined} ORDER BY e.oid {window}"),
+                &Params::new(),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::UnknownColumn(m) if m == "name is ambiguous"),
+            "{window}: {err:?}"
+        );
+    }
+}
+
+/// The one deliberate change of projecting after the window: a value error
+/// in a projected expression of a row the window cuts is not raised. Sort
+/// keys are still evaluated on every row, and `DISTINCT` still projects
+/// every row before its window.
+#[test]
+fn value_errors_of_rows_outside_the_window_are_not_raised() {
+    let db = db();
+    // `10 / (oid - 1)` divides by zero on oid 1 only
+    let sql = "SELECT oid, 10 / (oid - 1) AS x FROM emp ORDER BY oid";
+    let err = db.query(sql, &Params::new()).unwrap_err();
+    assert!(
+        matches!(&err, Error::Eval(m) if m == "division by zero"),
+        "{err:?}"
+    );
+    let rs = db
+        .query(&format!("{sql} LIMIT 10 OFFSET 1"), &Params::new())
+        .unwrap();
+    assert_eq!((rs.len(), rs.matched()), (5, 6));
+    assert_eq!(rs.get(0, "x"), Some(&Value::Integer(10)));
+    for still_raised in [
+        "SELECT oid FROM emp ORDER BY 10 / (oid - 1) LIMIT 1 OFFSET 3",
+        "SELECT oid, 10 / (oid - 1) AS x FROM emp ORDER BY x LIMIT 1 OFFSET 3",
+        "SELECT DISTINCT 10 / (oid - 1) AS x FROM emp LIMIT 1 OFFSET 3",
+    ] {
+        assert!(
+            db.query(still_raised, &Params::new()).is_err(),
+            "{still_raised}"
+        );
+    }
 }

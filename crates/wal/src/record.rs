@@ -202,7 +202,7 @@ impl<'a> Cursor<'a> {
             0 => Value::Null,
             1 => Value::Integer(self.u64()? as i64),
             2 => Value::Real(f64::from_bits(self.u64()?)),
-            3 => Value::Text(self.string()?),
+            3 => Value::Text(std::str::from_utf8(self.bytes()?).ok()?.into()),
             4 => Value::Boolean(self.u8()? != 0),
             5 => Value::Timestamp(self.u64()? as i64),
             6 => Value::Blob(self.bytes()?.to_vec()),

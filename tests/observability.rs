@@ -132,13 +132,14 @@ fn http_request_produces_span_tree_and_metrics() {
     assert!(metric(&text, "webml_sql_rows_scanned_total ") >= 1);
 
     // the query planner reports its access-path choices: every SELECT
-    // lands in the per-query rows-scanned histogram, and all four
+    // lands in the per-query rows-scanned histogram, and all five
     // path counters are exposed (values depend on the workload mix)
     assert!(metric(&text, "db_rows_scanned_per_query_count ") >= 1);
     for name in [
         "db_index_probes_total ",
         "db_hash_joins_total ",
         "db_topk_shortcuts_total ",
+        "db_index_orders_total ",
         "db_scan_fallbacks_total ",
     ] {
         metric(&text, name); // panics with context if the line is missing
