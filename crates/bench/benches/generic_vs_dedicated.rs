@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use descriptors::{QuerySpec, UnitDescriptor};
-use mvc::{BeanRow, ParamMap, ServiceRegistry, UnitBean};
+use mvc::{BeanRow, ParamMap, ServiceRegistry, Shape, UnitBean};
 use relstore::{Database, Params, Value};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -67,29 +67,20 @@ fn dedicated_compute(db: &Database, cat: i64) -> UnitBean {
     let oid_c = rs.column_index("oid").unwrap();
     let name_c = rs.column_index("name").unwrap();
     let price_c = rs.column_index("price").unwrap();
-    let names: [Arc<str>; 3] = ["oid".into(), "name".into(), "price".into()];
+    let shape = Arc::new(Shape::new(["oid", "name", "price"]));
     let rows: Vec<BeanRow> = rs
         .into_rows()
         .into_iter()
-        .map(|mut r| BeanRow {
-            values: vec![
-                (
-                    Arc::clone(&names[0]),
-                    std::mem::replace(&mut r[oid_c], Value::Null),
-                ),
-                (
-                    Arc::clone(&names[1]),
-                    std::mem::replace(&mut r[name_c], Value::Null),
-                ),
-                (
-                    Arc::clone(&names[2]),
-                    std::mem::replace(&mut r[price_c], Value::Null),
-                ),
-            ],
+        .map(|mut r| {
+            vec![
+                std::mem::replace(&mut r[oid_c], Value::Null),
+                std::mem::replace(&mut r[name_c], Value::Null),
+                std::mem::replace(&mut r[price_c], Value::Null),
+            ]
         })
         .collect();
     let total = rows.len();
-    UnitBean::Rows { rows, total }
+    UnitBean::Rows { shape, rows, total }
 }
 
 fn bench(c: &mut Criterion) {

@@ -12,11 +12,12 @@
 //! request; (c) style + render per request with per-UA rule-set selection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use presentation::{
-    render_template_chunks, ContentBody, ContentRow, DeviceRegistry, HtmlChunk, RuleSet,
-    StyledTemplate, TemplateSkeleton, UnitContent,
-};
+use descriptors::UnitDescriptor;
+use mvc::{ParamMap, Shape, UnitBean, UnitProgram};
+use presentation::{DeviceRegistry, HtmlChunk, PageRuns, RuleSet, TemplateSkeleton, UnitSkin};
+use relstore::Value;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn skeleton(units: usize) -> TemplateSkeleton {
     let slots: Vec<(String, String)> = (0..units)
@@ -30,35 +31,60 @@ fn skeleton(units: usize) -> TemplateSkeleton {
     TemplateSkeleton::grid("page0", "Bench Page", "two-columns", &slots, 2)
 }
 
-fn content(unit: &str) -> UnitContent<'_> {
-    UnitContent {
-        unit: unit.into(),
-        unit_type: "index".into(),
-        title: format!("Unit {unit}").into(),
-        body: ContentBody::Rows(
-            (0..12)
-                .map(|i| ContentRow {
-                    fields: vec![("name".into(), format!("Row {i} of {unit}").into())],
-                    anchor: None,
-                    checkbox: None,
-                })
-                .collect(),
-        ),
-        pager: None,
-        actions: vec![],
-    }
+/// The plan position of a slot's unit.
+fn slot(unit: &str) -> Option<usize> {
+    unit.strip_prefix("unit")?.parse().ok()
 }
 
-/// Render one page: every unit slot gets [`content`], written in place.
-fn render(template: &StyledTemplate, rules: &RuleSet) -> Vec<HtmlChunk> {
-    render_template_chunks(
-        template,
-        &mut |u, glue| {
-            rules.render_unit_into(&content(u), glue);
-            None
-        },
-        "<nav/>",
-    )
+/// Every unit is a 12-row index: its compiled program and its bean.
+fn units(n: usize) -> Vec<(UnitProgram, UnitBean)> {
+    (0..n)
+        .map(|i| {
+            let desc = UnitDescriptor {
+                id: format!("unit{i}"),
+                name: format!("Unit unit{i}"),
+                unit_type: "index".into(),
+                page: "page0".into(),
+                entity_table: None,
+                queries: vec![],
+                block_size: None,
+                fields: vec![],
+                optimized: false,
+                service: String::new(),
+                depends_on: vec![],
+                cache: None,
+            };
+            let bean = UnitBean::Rows {
+                shape: Arc::new(Shape::new(["name"])),
+                rows: (0..12)
+                    .map(|r| vec![Value::Text(format!("Row {r} of unit{i}").into())])
+                    .collect(),
+                total: 12,
+            };
+            (UnitProgram::compile(&desc, &[], "/page0"), bean)
+        })
+        .collect()
+}
+
+/// Render one page: every unit slot runs its program, written in place.
+fn render(runs: &PageRuns, skin: &UnitSkin, units: &[(UnitProgram, UnitBean)]) -> Vec<HtmlChunk> {
+    let request = ParamMap::new();
+    runs.render("<nav/>", |at, glue| {
+        let (program, bean) = &units[at];
+        program.render(skin, bean, "/page0", &request, glue);
+        None
+    })
+}
+
+/// Runtime styling: apply the rules to the skeleton and build the skin,
+/// then render.
+fn style_and_render(
+    sk: &TemplateSkeleton,
+    rules: &RuleSet,
+    units: &[(UnitProgram, UnitBean)],
+) -> Vec<HtmlChunk> {
+    let runs = rules.runs(sk, slot).unwrap();
+    render(&runs, &rules.skin("index"), units)
 }
 
 fn bench(c: &mut Criterion) {
@@ -69,28 +95,29 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("E4_presentation");
     for units in [4usize, 8, 16] {
         let sk = skeleton(units);
+        let programs = self::units(units);
         let rules = RuleSet::default_desktop("desktop");
-        let compiled = rules.apply(&sk);
+        // compile time: the flattened template and the skin, once
+        let compiled = rules.runs(&sk, slot).unwrap();
+        let skin = rules.skin("index");
 
         // the rule application alone — the per-request cost runtime mode adds
         group.bench_with_input(
             BenchmarkId::new("apply_rules_only", units),
             &units,
-            |b, _| b.iter(|| black_box(rules.apply(&sk))),
+            |b, _| b.iter(|| black_box(rules.runs(&sk, slot))),
         );
         group.bench_with_input(
             BenchmarkId::new("compile_time_styling", units),
             &units,
-            |b, _| b.iter(|| black_box(render(&compiled, &rules))),
+            |b, _| b.iter(|| black_box(render(&compiled, &skin, &programs))),
         );
         group.bench_with_input(
             BenchmarkId::new("runtime_styling", units),
             &units,
             |b, _| {
-                b.iter(|| {
-                    let styled = rules.apply(&sk); // per-request transformation
-                    black_box(render(&styled, &rules))
-                })
+                // per-request transformation
+                b.iter(|| black_box(style_and_render(&sk, &rules, &programs)))
             },
         );
         group.bench_with_input(
@@ -102,8 +129,7 @@ fn bench(c: &mut Criterion) {
                     flip = !flip;
                     let ua = if flip { desktop_ua } else { pda_ua };
                     let rs = devices.select(ua).unwrap();
-                    let styled = rs.apply(&sk);
-                    black_box(render(&styled, rs))
+                    black_box(style_and_render(&sk, rs, &programs))
                 })
             },
         );

@@ -12,7 +12,7 @@
 //! cargo run -p bench --release --bin exp_presentation_artifacts
 //! ```
 
-use presentation::{RuleSet, Stylesheet};
+use presentation::{RuleSet, Run, Stylesheet};
 use webratio::{synthesize, SynthSpec};
 
 fn main() {
@@ -35,8 +35,15 @@ fn main() {
     let mut styled_bytes = 0usize;
     for rs in &families {
         for sk in skeletons {
-            let styled = rs.apply(sk);
-            styled_bytes += styled.root.to_source().len();
+            let styled = rs.runs(sk, |_| Some(0)).expect("every slot is placed");
+            styled_bytes += styled
+                .runs
+                .iter()
+                .map(|r| match r {
+                    Run::Literal(markup) => markup.len(),
+                    Run::Slot(_) | Run::Nav => 0,
+                })
+                .sum::<usize>();
             styled_pages += 1;
         }
     }

@@ -275,7 +275,7 @@ pub fn assemble_node(generated: &Generated, spec: NodeSpec<'_>) -> Result<Contro
     if let Some(plugins) = spec.plugins {
         plugins(&mut parts);
     }
-    let mut controller = Controller::new(parts);
+    let mut controller = Controller::new(parts).map_err(DeployError::View)?;
 
     if let (Some(stream), Some(cache)) = (spec.stream, controller.bean_cache_arc()) {
         let plan = if spec.incremental_maintenance {
@@ -422,6 +422,9 @@ pub enum DeployError {
     /// The static-analysis gate (level [`analyze::Gate::Deny`]) refused
     /// the model; the full report is attached.
     Analysis(Box<analyze::Report>),
+    /// The view did not compile: a page template places a unit its page
+    /// does not list.
+    View(mvc::MvcError),
 }
 
 impl std::fmt::Display for DeployError {
@@ -430,6 +433,7 @@ impl std::fmt::Display for DeployError {
             DeployError::Generation(e) => write!(f, "generation failed: {e}"),
             DeployError::Schema(e) => write!(f, "schema deployment failed: {e}"),
             DeployError::Durability(e) => write!(f, "durability setup failed: {e}"),
+            DeployError::View(e) => write!(f, "view compilation failed: {e}"),
             DeployError::Analysis(report) => {
                 let n = report.errors().count();
                 write!(f, "analysis gate denied deployment: {n} error(s)")?;

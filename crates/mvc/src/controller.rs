@@ -17,14 +17,11 @@ use crate::error::{MvcError, Result};
 use crate::operations::OperationEngine;
 use crate::page::PageResult;
 use crate::plan::{PagePlan, Route, SitePlan};
-use crate::render::unit_content;
 use crate::request::{WebRequest, WebResponse, WebResponseParts};
 use crate::services::{fingerprint, ParamMap, ServiceRegistry};
 use crate::session::{SessionManager, DEFAULT_SESSION_TTL};
 use descriptors::DescriptorSet;
-use presentation::{
-    render_template_chunks, DeviceRegistry, RuleSet, StyledTemplate, TemplateSkeleton,
-};
+use presentation::{DeviceRegistry, PageRuns, RuleSet, TemplateSkeleton, UnitSkin};
 use relstore::{Database, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -131,10 +128,8 @@ pub struct Controller {
     devices: DeviceRegistry,
     /// Rules for a user agent no registered device class claims.
     fallback_rules: RuleSet,
-    /// Compile-time styling: rule-set name → styled template per page,
-    /// by plan position (`None`: the page has no skeleton).
-    compiled: HashMap<String, Vec<Option<StyledTemplate>>>,
-    styling: StylingMode,
+    /// Compile-time styling: rule-set name → that rule set's view.
+    compiled: HashMap<String, View>,
     db: Arc<Database>,
     /// Session store. `Arc` so replicated deployments can hand every
     /// replica controller the *same* store: a session minted on the
@@ -162,6 +157,33 @@ pub struct Controller {
     write_barrier: Option<WriteBarrier>,
 }
 
+/// One rule set's compiled view of the site.
+struct View {
+    /// Each page's styled template flattened into runs, by plan position
+    /// (`None`: the page has no skeleton, or lists a unit it lacks).
+    pages: Vec<Option<PageRuns>>,
+    /// One skin per entry of [`SitePlan::unit_types`].
+    skins: Vec<UnitSkin>,
+}
+
+impl View {
+    fn skins(plan: &SitePlan, rules: &RuleSet) -> Vec<UnitSkin> {
+        plan.unit_types.iter().map(|t| rules.skin(t)).collect()
+    }
+}
+
+/// Style a skeleton with `rules` straight into runs against the page's
+/// plan.
+fn page_runs(rules: &RuleSet, skeleton: &TemplateSkeleton, page: &PagePlan) -> Result<PageRuns> {
+    rules
+        .runs(skeleton, |unit| page.position(unit))
+        .map_err(|unit| missing_slot(&unit, page))
+}
+
+fn missing_slot(unit: &str, page: &PagePlan) -> MvcError {
+    MvcError::MissingDescriptor(format!("{unit} (a unit slot of page {})", page.id))
+}
+
 /// See [`Controller::set_write_barrier`].
 pub type WriteBarrier = Arc<dyn Fn() + Send + Sync>;
 
@@ -177,8 +199,9 @@ pub fn to_value(s: &str) -> Value {
 }
 
 impl Controller {
-    /// Assemble a controller from its parts.
-    pub fn new(parts: ControllerParts) -> Controller {
+    /// Assemble a controller from its parts. Fails when a page's template
+    /// has a unit slot for a unit the page does not list.
+    pub fn new(parts: ControllerParts) -> Result<Controller> {
         let ControllerParts {
             set,
             skeletons,
@@ -216,16 +239,35 @@ impl Controller {
         let skeletons: HashMap<String, TemplateSkeleton> =
             skeletons.into_iter().map(|s| (s.page.clone(), s)).collect();
 
-        // compile-time styling: every (rule set, page) pair up front
+        // a page with a dangling unit reports it when computed
+        let styled_pages = || {
+            plan.pages
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.dangling_unit.is_none())
+                .filter_map(|(at, p)| Some((at, p, skeletons.get(&p.id)?)))
+        };
+        // compile-time styling: every (rule set, page) pair up front,
+        // flattened into runs, and every (rule set, unit type) skin
         let mut compiled = HashMap::new();
         if options.styling == StylingMode::CompileTime {
             for rs in devices.rule_sets() {
-                let styled = plan
-                    .pages
-                    .iter()
-                    .map(|p| skeletons.get(&p.id).map(|sk| rs.apply(sk)))
-                    .collect();
-                compiled.insert(rs.name.clone(), styled);
+                let mut pages: Vec<Option<PageRuns>> = plan.pages.iter().map(|_| None).collect();
+                for (at, page, sk) in styled_pages() {
+                    pages[at] = Some(page_runs(rs, sk, page)?);
+                }
+                let skins = View::skins(&plan, rs);
+                compiled.insert(rs.name.clone(), View { pages, skins });
+            }
+        }
+        // flattening placed every unit slot; runtime styling flattens per
+        // request, so its slots are checked here, once
+        if compiled.is_empty() {
+            for (_, page, sk) in styled_pages() {
+                let slots = sk.root.unit_slots();
+                if let Some(unit) = slots.iter().find(|u| page.position(u).is_none()) {
+                    return Err(missing_slot(unit, page));
+                }
             }
         }
 
@@ -244,13 +286,12 @@ impl Controller {
                 None => (Arc::new(InProcessTier { ctx }), None),
             };
 
-        Controller {
+        Ok(Controller {
             plan,
             skeletons,
             devices,
             fallback_rules: RuleSet::default_desktop("default"),
             compiled,
-            styling: options.styling,
             db,
             sessions,
             ops,
@@ -262,7 +303,7 @@ impl Controller {
             versions,
             conditional_get: options.conditional_get,
             write_barrier: None,
-        }
+        })
     }
 
     /// Hand cache coherence to the durable-log maintenance pass: from now
@@ -558,30 +599,16 @@ impl Controller {
         format!("\"{h:016x}\"")
     }
 
-    /// The styled template of a page for one rule set.
-    fn styled<'a>(
-        &'a self,
-        page: usize,
-        rules: &RuleSet,
-        owned: &'a mut Option<StyledTemplate>,
-    ) -> Result<&'a StyledTemplate> {
-        if self.styling == StylingMode::CompileTime {
-            let compiled = self
-                .compiled
-                .get(rules.name.as_str())
-                .and_then(|pages| pages[page].as_ref());
-            if let Some(t) = compiled {
-                return Ok(t);
-            }
-        }
-        // runtime styling, or a rule set compiled for no page (the
-        // fallback rules): style now
+    /// Style a page for a rule set no compiled view covers: runtime
+    /// styling, or the fallback rules. The page's runs and the rule set's
+    /// skins are built for this request.
+    fn style_now(&self, page: usize, rules: &RuleSet) -> Result<(PageRuns, Vec<UnitSkin>)> {
         let plan = &self.plan.pages[page];
         let sk = self
             .skeletons
             .get(plan.id.as_str())
             .ok_or_else(|| MvcError::MissingDescriptor(plan.template.clone()))?;
-        Ok(owned.insert(rules.apply(sk)))
+        Ok((page_runs(rules, sk, plan)?, View::skins(&self.plan, rules)))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -648,13 +675,24 @@ impl Controller {
             )));
         }
 
-        // View: style + render
+        // View: the page's runs and the rule set's skins — compiled at
+        // deploy, or styled now
         let rules = self
             .devices
             .select(user_agent)
             .unwrap_or(&self.fallback_rules);
-        let mut styled_owned = None;
-        let styled = self.styled(page, rules, &mut styled_owned)?;
+        let compiled = self.compiled.get(rules.name.as_str()).and_then(|view| {
+            let runs = view.pages[page].as_ref()?;
+            Some((runs, view.skins.as_slice()))
+        });
+        let styled_now;
+        let (runs, skins) = match compiled {
+            Some(view) => view,
+            None => {
+                styled_now = self.style_now(page, rules)?;
+                (&styled_now.0, styled_now.1.as_slice())
+            }
+        };
 
         // only request-embedding units key their fragments on the request
         let request_fp = if fragments.is_some() && plan.embeds_request {
@@ -662,89 +700,74 @@ impl Controller {
         } else {
             String::new()
         };
-        let mut render_err: Option<MvcError> = None;
         let render_token = ctx.enter("render");
-        let chunks = render_template_chunks(
-            styled,
-            &mut |unit_id, glue| {
-                let Some(at) = plan.position(unit_id) else {
-                    render_err = Some(MvcError::MissingDescriptor(unit_id.to_string()));
-                    return None;
+        let chunks = runs.render(&plan.nav, |at, glue| {
+            let (step, unit) = (&plan.units[at], &result.units[at]);
+            let fragment_token = ctx.enter(step.fragment_span.as_str());
+            let skin = &skins[step.kind];
+            // level 1: fragment cache (markup only; queries already ran).
+            // Hits surface the cache's own `Arc<[u8]>` — the bytes are
+            // never copied between the cache and the response.
+            let cached = fragments.map(|(fc, stamp)| {
+                let request = if step.embeds_request {
+                    request_fp.as_str()
+                } else {
+                    ""
                 };
-                let (step, unit) = (&plan.units[at], &result.units[at]);
-                let fragment_token = ctx.enter(step.fragment_span.as_str());
-                // level 1: fragment cache (markup only; queries already ran).
-                // Hits surface the cache's own `Arc<[u8]>` — the bytes are
-                // never copied between the cache and the response.
-                let cached = fragments.map(|(fc, stamp)| {
-                    let request = if step.embeds_request {
-                        request_fp.as_str()
-                    } else {
-                        ""
-                    };
-                    let key = FragmentKey::keyed(
-                        plan.template.as_str(),
-                        step.desc.id.as_str(),
-                        rules.name.as_str(),
-                        unit.key.as_str(),
-                        request,
-                    );
-                    (fc, stamp, key)
-                });
-                if let Some((fc, _, key)) = &cached {
-                    if let Some(markup) = fc.get(key) {
-                        ctx.exit(fragment_token);
-                        return Some(markup);
-                    }
-                }
-                let content = unit_content(
-                    &step.desc,
-                    &step.links,
-                    &plan.url,
-                    &unit.bean,
-                    &request_params,
+                let key = FragmentKey::keyed(
+                    plan.template.as_str(),
+                    step.desc.id.as_str(),
+                    rules.name.as_str(),
+                    unit.key.as_str(),
+                    request,
                 );
-                let shared = match cached {
-                    // the put returns the freshly interned Arc, so even the
-                    // miss path serves the cache-resident bytes; a put over
-                    // a dirty tombstone is a re-render; a put that lost to
-                    // a newer write serves its own buffer, uncached
-                    Some((fc, stamp, key)) => {
-                        let mut markup = String::new();
-                        rules.render_unit_into(&content, &mut markup);
-                        let from = Provenance {
-                            lsn: stamp,
-                            entities: &step.desc.depends_on,
-                            rows: &[],
-                        };
-                        match fc.put(key, markup, from) {
-                            Ok((shared, rerendered)) => {
-                                if rerendered {
-                                    self.obs.maint.fragment_rerenders.inc();
-                                }
-                                Some(shared)
+                (fc, stamp, key)
+            });
+            if let Some((fc, _, key)) = &cached {
+                if let Some(markup) = fc.get(key) {
+                    ctx.exit(fragment_token);
+                    return Some(markup);
+                }
+            }
+            let shared = match cached {
+                // the put returns the freshly interned Arc, so even the
+                // miss path serves the cache-resident bytes; a put over
+                // a dirty tombstone is a re-render; a put that lost to
+                // a newer write serves its own buffer, uncached
+                Some((fc, stamp, key)) => {
+                    let mut markup = String::new();
+                    step.program
+                        .render(skin, &unit.bean, &plan.url, &request_params, &mut markup);
+                    let from = Provenance {
+                        lsn: stamp,
+                        entities: &step.desc.depends_on,
+                        rows: &[],
+                    };
+                    match fc.put(key, markup, from) {
+                        Ok((shared, rerendered)) => {
+                            if rerendered {
+                                self.obs.maint.fragment_rerenders.inc();
                             }
-                            Err(markup) => {
-                                glue.push_str(&markup);
-                                None
-                            }
+                            Some(shared)
+                        }
+                        Err(markup) => {
+                            glue.push_str(&markup);
+                            None
                         }
                     }
-                    // uncached: written once, straight into the page
-                    None => {
-                        rules.render_unit_into(&content, glue);
-                        None
-                    }
-                };
-                ctx.exit(fragment_token);
-                shared
-            },
-            &plan.nav,
-        );
+                }
+                // uncached: written once, straight from the bean into
+                // the page
+                None => {
+                    step.program
+                        .render(skin, &unit.bean, &plan.url, &request_params, glue);
+                    None
+                }
+            };
+            ctx.exit(fragment_token);
+            shared
+        });
         ctx.exit(render_token);
-        if let Some(e) = render_err {
-            return Err(e);
-        }
         Ok(WebResponseParts {
             status: 200,
             content_type: "text/html; charset=utf-8".into(),
@@ -925,6 +948,7 @@ mod tests {
             options,
             obs::MetricsRegistry::new(),
         ))
+        .unwrap()
     }
 
     #[test]
@@ -1313,6 +1337,7 @@ mod tests {
             options,
             obs::MetricsRegistry::new(),
         ))
+        .unwrap()
     }
 
     fn fragment_caching() -> RuntimeOptions {
@@ -1390,9 +1415,9 @@ mod tests {
         }
     }
 
-    /// `RuleSet::render_unit_into` differs per device (desktop zebra-stripes
-    /// its index rows, the PDA rules do not), so the rule set is part of
-    /// the fragment key.
+    /// A unit's markup differs per device (the desktop skin zebra-stripes
+    /// index rows, the PDA skin does not), so the rule set is part of the
+    /// fragment key.
     #[test]
     fn each_device_is_served_its_own_fragments() {
         let c = catalog(fragment_caching());
@@ -1554,6 +1579,55 @@ mod tests {
             "",
         );
         assert!(c.fragment_cache().unwrap().get(&key).is_some());
+    }
+
+    /// A template slot whose unit the page does not list fails the
+    /// deploy, not a request.
+    #[test]
+    fn a_slot_without_a_unit_fails_the_deploy() {
+        let db = Arc::new(Database::new());
+        db.execute_script("CREATE TABLE t (oid INTEGER PRIMARY KEY AUTOINCREMENT, name TEXT);")
+            .unwrap();
+        let list = unit("u0", "index", "t", "SELECT t.oid, t.name FROM t t", &[]);
+        let page = PageDescriptor {
+            id: "p".into(),
+            name: "P".into(),
+            site_view: "sv".into(),
+            url: "/sv/p".into(),
+            units: vec!["u0".into()],
+            edges: vec![],
+            links: vec![],
+            request_params: vec![],
+            layout: "single-column".into(),
+            template: "t.jsp".into(),
+            landmark: false,
+            protected: false,
+        };
+        let set = DescriptorSet {
+            units: vec![list],
+            pages: vec![page],
+            ..DescriptorSet::default()
+        };
+        let slots = [
+            ("u0".to_string(), "index".to_string()),
+            ("u9".into(), "data".into()),
+        ];
+        for styling in [StylingMode::CompileTime, StylingMode::Runtime] {
+            let parts = ControllerParts::standard(
+                set.clone(),
+                vec![TemplateSkeleton::grid("p", "P", "single-column", &slots, 1)],
+                Arc::clone(&db),
+                RuntimeOptions {
+                    styling,
+                    ..RuntimeOptions::default()
+                },
+                obs::MetricsRegistry::new(),
+            );
+            let Err(err) = Controller::new(parts) else {
+                panic!("{styling:?}: a dangling slot deployed");
+            };
+            assert!(err.to_string().contains("u9"), "{err}");
+        }
     }
 
     #[test]

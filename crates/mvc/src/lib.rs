@@ -20,8 +20,9 @@
 //!   marshalling for the app-server boundary;
 //! * [`appserver`] — Fig. 6: business services behind a serialisation
 //!   boundary on an elastic clone pool, vs in-process execution;
-//! * [`render`] — bean → [`presentation::UnitContent`] conversion (the
-//!   custom-tag layer) and landmark navigation;
+//! * [`render`] — the unit programs compiled at deploy that write beans
+//!   straight into the page (the custom-tag layer), and landmark
+//!   navigation;
 //! * [`session`], [`request`], [`error`] — supporting types.
 
 pub mod appserver;
@@ -38,7 +39,7 @@ pub mod services;
 pub mod session;
 
 pub use appserver::{AppServerTier, BusinessTier, InProcessTier, TierContext};
-pub use beans::{BeanRow, NestedBeanRow, UnitBean};
+pub use beans::{BeanRow, NestedBeanRow, Shape, UnitBean};
 pub use controller::{
     to_value, Controller, ControllerParts, RuntimeOptions, StylingMode, WriteBarrier,
 };
@@ -47,7 +48,7 @@ pub use maintain::UnitBeanPatcher;
 pub use operations::{Mail, OpResult, OperationEngine, OperationHandler};
 pub use page::{compute_page, PageEnv, PageResult};
 pub use plan::{ComputedUnit, PagePlan, Route, SitePlan, UnitStep};
-pub use render::{navigation_html, unit_content};
+pub use render::{navigation_html, UnitProgram};
 pub use request::{
     build_url, url_decode, url_encode, url_encode_into, WebRequest, WebResponse, WebResponseParts,
 };

@@ -21,23 +21,33 @@
 //! maintenance layer only ever *improves* on invalidation, never serves
 //! content invalidation would not have served.
 
-use crate::beans::{BeanRow, UnitBean};
+use crate::beans::{BeanRow, Shape, UnitBean};
 use relstore::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use webcache::{DeltaOp, PatchOutcome, Patcher, RowDelta, RowOrder, Strategy, UnitPlan};
 
-/// Project the changed row into the unit's bean-row shape.
+/// Project the changed row into the unit's bean row: one cell per
+/// projected property, in projection order.
 fn project(plan: &UnitPlan, delta: &RowDelta<'_>) -> BeanRow {
-    BeanRow {
-        values: plan
-            .projection
-            .iter()
-            .map(|(name, col)| {
-                let v = delta.get(col).cloned().unwrap_or(Value::Null);
-                (Arc::clone(name), v)
-            })
-            .collect(),
+    plan.projection
+        .iter()
+        .map(|(_, col)| delta.get(col).cloned().unwrap_or(Value::Null))
+        .collect()
+}
+
+/// The shape of the patched bean: the cached bean's own when its
+/// properties are the plan's projection (so projected rows line up with
+/// its cells), a fresh one from the projection for a bean that holds no
+/// row yet. `None`: the two disagree (a custom service packed the bean).
+fn patch_shape(plan: &UnitPlan, shape: &Arc<Shape>, rowless: bool) -> Option<Arc<Shape>> {
+    let projected = || plan.projection.iter().map(|(name, _)| &**name);
+    if shape.names().iter().map(|n| &**n).eq(projected()) {
+        Some(Arc::clone(shape))
+    } else if rowless {
+        Some(Arc::new(Shape::new(projected())))
+    } else {
+        None
     }
 }
 
@@ -71,17 +81,25 @@ impl UnitBeanPatcher {
         order: &RowOrder,
         limit: Option<usize>,
         key_params: &BTreeMap<String, String>,
+        shape: &Arc<Shape>,
         rows: &[BeanRow],
         delta: &RowDelta<'_>,
     ) -> PatchOutcome<UnitBean> {
+        let Some(shape) = patch_shape(plan, shape, rows.is_empty()) else {
+            return PatchOutcome::Unpatchable("bean-shape");
+        };
         // membership reasoning needs every cached row's oid
-        if rows.iter().any(|r| r.oid().is_none()) {
+        if rows.iter().any(|r| shape.oid(r).is_none()) {
             return PatchOutcome::Unpatchable("no-row-oid");
         }
-        let pos = rows.iter().position(|r| r.oid() == Some(delta.oid));
+        let pos = rows.iter().position(|r| shape.oid(r) == Some(delta.oid));
         let rebuilt = |rows: Vec<BeanRow>| {
             let total = rows.len();
-            PatchOutcome::Patched(UnitBean::Rows { rows, total })
+            PatchOutcome::Patched(UnitBean::Rows {
+                shape: Arc::clone(&shape),
+                rows,
+                total,
+            })
         };
         match delta.op {
             DeltaOp::Delete => match pos {
@@ -110,11 +128,7 @@ impl UnitBeanPatcher {
                         // position only if its order key is unchanged
                         match order {
                             RowOrder::Column(col) => {
-                                let prop = plan
-                                    .projection
-                                    .iter()
-                                    .find(|(_, c)| c == col)
-                                    .map(|(name, _)| &**name);
+                                let prop = plan.projection.iter().position(|(_, c)| c == col);
                                 let moved = match (prop, delta.get(col)) {
                                     (Some(prop), Some(new_key)) => {
                                         rows[p].get(prop) != Some(new_key)
@@ -152,7 +166,7 @@ impl UnitBeanPatcher {
                         }
                         let at = rows
                             .iter()
-                            .position(|r| r.oid().is_some_and(|o| o > delta.oid))
+                            .position(|r| shape.oid(r).is_some_and(|o| o > delta.oid))
                             .unwrap_or(rows.len());
                         let mut rows = rows.to_vec();
                         match limit {
@@ -190,20 +204,24 @@ impl Patcher<UnitBean> for UnitBeanPatcher {
         match (&plan.strategy, bean) {
             // the maintainer already verified the key parameter equals the
             // changed row's oid, so the delta *is* this bean's row
-            (Strategy::KeyProbe { .. }, UnitBean::Single(_)) => match delta.op {
-                DeltaOp::Delete => PatchOutcome::Patched(UnitBean::Single(None)),
-                DeltaOp::Insert | DeltaOp::Update => {
-                    PatchOutcome::Patched(UnitBean::Single(Some(project(plan, delta))))
-                }
-            },
+            (Strategy::KeyProbe { .. }, UnitBean::Single { shape, row }) => {
+                let Some(shape) = patch_shape(plan, shape, row.is_none()) else {
+                    return PatchOutcome::Unpatchable("bean-shape");
+                };
+                let row = match delta.op {
+                    DeltaOp::Delete => None,
+                    DeltaOp::Insert | DeltaOp::Update => Some(project(plan, delta)),
+                };
+                PatchOutcome::Patched(UnitBean::Single { shape, row })
+            }
             (
                 Strategy::RowSet {
                     filters,
                     order,
                     limit,
                 },
-                UnitBean::Rows { rows, .. },
-            ) => self.patch_rows(plan, filters, order, *limit, key_params, rows, delta),
+                UnitBean::Rows { shape, rows, .. },
+            ) => self.patch_rows(plan, filters, order, *limit, key_params, shape, rows, delta),
             (Strategy::Fallback { reason }, _) => PatchOutcome::Unpatchable(reason),
             // plan and cached value disagree on shape (custom service)
             _ => PatchOutcome::Unpatchable("bean-shape"),
@@ -230,13 +248,25 @@ mod tests {
         plan.unit("idx").unwrap().clone()
     }
 
+    fn shape() -> Arc<Shape> {
+        Arc::new(Shape::new(["oid", "title"]))
+    }
+
     fn row(oid: i64, title: &str) -> BeanRow {
-        BeanRow {
-            values: vec![
-                ("oid".into(), Value::Integer(oid)),
-                ("title".into(), Value::Text(title.into())),
-            ],
+        vec![Value::Integer(oid), Value::Text(title.into())]
+    }
+
+    fn rows(rows: Vec<BeanRow>) -> UnitBean {
+        let total = rows.len();
+        UnitBean::Rows {
+            shape: shape(),
+            rows,
+            total,
         }
+    }
+
+    fn oids(rows: &[BeanRow]) -> Vec<i64> {
+        rows.iter().map(|r| shape().oid(r).unwrap()).collect()
     }
 
     fn catalog() -> TableCatalog {
@@ -268,23 +298,20 @@ mod tests {
             ],
         };
         let delta = cat.delta(&change).unwrap();
-        let bean = UnitBean::Rows {
-            rows: vec![row(1, "A"), row(3, "C")],
-            total: 2,
-        };
+        let bean = rows(vec![row(1, "A"), row(3, "C")]);
         let mut params = BTreeMap::new();
         params.insert("issue".to_string(), "7".to_string());
-        let PatchOutcome::Patched(UnitBean::Rows { rows, total }) =
+        let PatchOutcome::Patched(UnitBean::Rows { shape, rows, total }) =
             UnitBeanPatcher.apply(&plan, &params, &bean, &delta)
         else {
             panic!("expected patch");
         };
         assert_eq!(total, 3);
+        assert_eq!(oids(&rows), vec![1, 2, 3]);
         assert_eq!(
-            rows.iter().map(|r| r.oid().unwrap()).collect::<Vec<_>>(),
-            vec![1, 2, 3]
+            shape.get(&rows[1], "title"),
+            Some(&Value::Text("Mid".into()))
         );
-        assert_eq!(rows[1].get("title"), Some(&Value::Text("Mid".into())));
 
         // a row of another issue leaves the bean untouched
         let other = relstore::ChangeRecord::Insert {
@@ -309,10 +336,7 @@ mod tests {
             "SELECT t.oid, t.title FROM paper t WHERE t.issue_oid = :issue ORDER BY t.oid",
         );
         let cat = catalog();
-        let bean = UnitBean::Rows {
-            rows: vec![row(1, "A"), row(2, "B")],
-            total: 2,
-        };
+        let bean = rows(vec![row(1, "A"), row(2, "B")]);
         let mut params = BTreeMap::new();
         params.insert("issue".to_string(), "7".to_string());
         // row 2 reassigned to another issue → removed from this bean
@@ -326,30 +350,27 @@ mod tests {
             ],
         };
         let delta = cat.delta(&change).unwrap();
-        let PatchOutcome::Patched(UnitBean::Rows { rows, total }) =
+        let PatchOutcome::Patched(UnitBean::Rows { rows, total, .. }) =
             UnitBeanPatcher.apply(&plan, &params, &bean, &delta)
         else {
             panic!("expected patch");
         };
         assert_eq!(total, 1);
-        assert_eq!(rows[0].oid(), Some(1));
+        assert_eq!(oids(&rows), vec![1]);
     }
 
     #[test]
     fn delete_removes_member_rows() {
         let plan = index_plan("SELECT t.oid, t.title FROM paper t ORDER BY t.oid");
         let cat = catalog();
-        let bean = UnitBean::Rows {
-            rows: vec![row(1, "A"), row(2, "B")],
-            total: 2,
-        };
+        let bean = rows(vec![row(1, "A"), row(2, "B")]);
         let change = relstore::ChangeRecord::Delete {
             table: "paper".into(),
             row_id: 0,
             row: vec![Value::Integer(1), Value::Text("A".into()), Value::Null],
         };
         let delta = cat.delta(&change).unwrap();
-        let PatchOutcome::Patched(UnitBean::Rows { rows, total }) =
+        let PatchOutcome::Patched(UnitBean::Rows { rows, total, .. }) =
             UnitBeanPatcher.apply(&plan, &BTreeMap::new(), &bean, &delta)
         else {
             panic!("expected patch");
@@ -361,10 +382,7 @@ mod tests {
     fn topk_repairs_in_place_until_a_full_window_shrinks() {
         let plan = index_plan("SELECT t.oid, t.title FROM paper t ORDER BY t.oid LIMIT 2");
         let cat = catalog();
-        let full = UnitBean::Rows {
-            rows: vec![row(2, "B"), row(4, "D")],
-            total: 2,
-        };
+        let full = rows(vec![row(2, "B"), row(4, "D")]);
         // an insert into a full window displaces the tail
         let change = relstore::ChangeRecord::Insert {
             table: "paper".into(),
@@ -377,10 +395,7 @@ mod tests {
         else {
             panic!("expected patch");
         };
-        assert_eq!(
-            rows.iter().map(|r| r.oid().unwrap()).collect::<Vec<_>>(),
-            vec![2, 3]
-        );
+        assert_eq!(oids(&rows), vec![2, 3]);
         // an insert beyond the full window is invisible
         let beyond = relstore::ChangeRecord::Insert {
             table: "paper".into(),
@@ -430,13 +445,21 @@ mod tests {
             ],
         };
         let delta = cat.delta(&change).unwrap();
-        let bean = UnitBean::Single(Some(row(5, "Old title")));
-        let PatchOutcome::Patched(UnitBean::Single(Some(r))) =
-            UnitBeanPatcher.apply(plan, &BTreeMap::new(), &bean, &delta)
+        let bean = UnitBean::Single {
+            shape: shape(),
+            row: Some(row(5, "Old title")),
+        };
+        let PatchOutcome::Patched(UnitBean::Single {
+            shape: patched,
+            row: Some(r),
+        }) = UnitBeanPatcher.apply(plan, &BTreeMap::new(), &bean, &delta)
         else {
             panic!("expected patch");
         };
-        assert_eq!(r.get("title"), Some(&Value::Text("New title".into())));
+        assert_eq!(
+            patched.get(&r, "title"),
+            Some(&Value::Text("New title".into()))
+        );
         let gone = relstore::ChangeRecord::Delete {
             table: "paper".into(),
             row_id: 0,
@@ -445,7 +468,16 @@ mod tests {
         let delta = cat.delta(&gone).unwrap();
         assert!(matches!(
             UnitBeanPatcher.apply(plan, &BTreeMap::new(), &bean, &delta),
-            PatchOutcome::Patched(UnitBean::Single(None))
+            PatchOutcome::Patched(UnitBean::Single { row: None, .. })
+        ));
+        // a bean packed under other property names is not the plan's
+        let foreign = UnitBean::Single {
+            shape: Arc::new(Shape::new(["oid", "heading"])),
+            row: Some(row(5, "Old title")),
+        };
+        assert!(matches!(
+            UnitBeanPatcher.apply(plan, &BTreeMap::new(), &foreign, &delta),
+            PatchOutcome::Unpatchable("bean-shape")
         ));
     }
 }

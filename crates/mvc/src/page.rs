@@ -35,10 +35,17 @@ pub struct PageResult {
 /// The content of a unit whose selector context is unavailable.
 fn empty_bean(desc: &descriptors::UnitDescriptor) -> UnitBean {
     match desc.unit_type.as_str() {
-        "data" => UnitBean::Single(None),
-        "hierarchy" => UnitBean::Nested(Vec::new()),
+        "data" => UnitBean::Single {
+            shape: Arc::default(),
+            row: None,
+        },
+        "hierarchy" => UnitBean::Nested {
+            shapes: Vec::new(),
+            rows: Vec::new(),
+        },
         "entry" => UnitBean::Form,
         _ => UnitBean::Rows {
+            shape: Arc::default(),
             rows: Vec::new(),
             total: 0,
         },

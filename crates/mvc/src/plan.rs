@@ -17,7 +17,7 @@
 //! not on which row the URL happens to name.
 
 use crate::beans::UnitBean;
-use crate::render::navigation_html;
+use crate::render::{navigation_html, UnitProgram};
 use crate::services::{fingerprint, ParamMap, ServiceRegistry, UnitService};
 use descriptors::{
     ActionKind, DescriptorSet, OperationDescriptor, PageDescriptor, ParamBinding, UnitDescriptor,
@@ -38,8 +38,12 @@ pub struct UnitStep {
     /// the parameters it feeds. Edges whose source is not computed before
     /// this unit can never contribute and are dropped here.
     pub edges: Vec<(usize, Vec<ParamBinding>)>,
-    /// User-navigable links leaving this unit, in page order.
-    pub links: Vec<UnitLinkSpec>,
+    /// The unit's compiled view — its markup minus the rule set's skin,
+    /// with the user-navigable links leaving it compiled in page order.
+    pub program: UnitProgram,
+    /// Index of the unit's type in [`SitePlan::unit_types`]: selects the
+    /// rule set's skin for it.
+    pub kind: usize,
     /// The parameter names the unit binds: the sorted union of its
     /// queries' inputs. `None` for a unit that declares no query and so
     /// nothing about what it reads (plug-in units): every effective
@@ -170,6 +174,9 @@ pub enum Route {
 /// action mappings by path.
 pub struct SitePlan {
     pub pages: Vec<PagePlan>,
+    /// Every unit type of the deployment, once: each rule set styles one
+    /// skin per entry.
+    pub unit_types: Vec<String>,
     pub operations: Vec<OperationDescriptor>,
     page_ids: HashMap<String, usize>,
     routes: HashMap<String, Route>,
@@ -200,10 +207,11 @@ impl SitePlan {
             })
             .collect();
 
+        let mut unit_types = Vec::new();
         let plans: Vec<PagePlan> = pages
             .into_iter()
             .zip(navs)
-            .map(|(page, nav)| plan_page(page, nav, &mut units, services))
+            .map(|(page, nav)| plan_page(page, nav, &mut units, &mut unit_types, services))
             .collect();
         let page_ids: HashMap<String, usize> = plans
             .iter()
@@ -242,6 +250,7 @@ impl SitePlan {
         drop(operation_ids);
         SitePlan {
             pages: plans,
+            unit_types,
             operations,
             page_ids,
             routes,
@@ -261,6 +270,7 @@ fn plan_page(
     page: PageDescriptor,
     nav: String,
     units: &mut HashMap<String, UnitDescriptor>,
+    unit_types: &mut Vec<String>,
     services: &ServiceRegistry,
 ) -> PagePlan {
     let PageDescriptor {
@@ -328,10 +338,18 @@ fn plan_page(
         if !validates_by_row {
             stamp_deps.extend(desc.depends_on.iter().cloned());
         }
+        let kind = match unit_types.iter().position(|t| *t == desc.unit_type) {
+            Some(kind) => kind,
+            None => {
+                unit_types.push(desc.unit_type.clone());
+                unit_types.len() - 1
+            }
+        };
         steps.push(UnitStep {
             service: services.resolve(&desc).ok(),
+            program: UnitProgram::compile(&desc, &links, &url),
+            kind,
             edges,
-            links,
             consumed,
             embeds_request: desc.unit_type == "scroller",
             probe_param,

@@ -1,16 +1,51 @@
-//! The reference for the borrowed render path: the owning `unit_content`
-//! and `render_unit` this crate used before content borrowed from beans
-//! and descriptors, kept as they were (only the bean's shared property
-//! names are turned back into `String`s), with their owning content types
-//! and URL builder. The property below renders generated units through
-//! both paths and requires the same bytes.
+//! The reference for the compiled render path: the owning `unit_content`
+//! and `render_unit` this crate used before units were compiled into
+//! programs, kept as they were (only positional bean rows are turned back
+//! into `(name, value)` pairs), with their owning content types and URL
+//! builder. The property below renders generated units through both paths
+//! and requires the same bytes.
 
-use crate::beans::{BeanRow, NestedBeanRow, UnitBean};
+use crate::beans::{NestedBeanRow, Shape, UnitBean};
 use crate::services::ParamMap;
 use descriptors::{FieldSpec, ParamBinding, QuerySpec, UnitDescriptor, UnitLinkSpec};
 use presentation::{escape_html, RuleSet, UnitRule};
 use relstore::Value;
 use std::fmt::Write;
+use std::sync::Arc;
+
+// ---- named rows, as beans held them -----------------------------------------
+
+/// A bean row as `(property name, value)` pairs in shape order.
+struct BeanRow {
+    values: Vec<(String, Value)>,
+}
+
+impl BeanRow {
+    fn named(shape: &Shape, row: &[Value]) -> BeanRow {
+        BeanRow {
+            values: shape
+                .names()
+                .iter()
+                .zip(row)
+                .map(|(n, v)| (n.to_string(), v.clone()))
+                .collect(),
+        }
+    }
+
+    fn get(&self, name: &str) -> Option<&Value> {
+        self.values
+            .iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
+    }
+
+    fn oid(&self) -> Option<i64> {
+        match self.get("oid") {
+            Some(Value::Integer(i)) => Some(*i),
+            _ => None,
+        }
+    }
+}
 
 // ---- the owning content types ---------------------------------------------
 
@@ -123,20 +158,25 @@ fn display_pairs(row: &BeanRow) -> Vec<(String, String)> {
         .collect()
 }
 
-fn nested_rows(rows: &[NestedBeanRow], link: Option<&UnitLinkSpec>) -> Vec<NestedRow> {
+fn nested_rows(
+    rows: &[NestedBeanRow],
+    shapes: &[Arc<Shape>],
+    link: Option<&UnitLinkSpec>,
+) -> Vec<NestedRow> {
     rows.iter()
         .map(|r| {
             let is_leaf = r.children.is_empty();
+            let row = BeanRow::named(&shapes[0], &r.row);
             NestedRow {
-                fields: display_pairs(&r.row),
+                fields: display_pairs(&row),
                 anchor: match (is_leaf, link) {
                     (true, Some(l)) => Some(AnchorRef {
-                        href: row_href(l, &r.row),
+                        href: row_href(l, &row),
                         label: l.label.clone(),
                     }),
                     _ => None,
                 },
-                children: nested_rows(&r.children, link),
+                children: nested_rows(&r.children, &shapes[1..], link),
             }
         })
         .collect()
@@ -153,8 +193,9 @@ fn unit_content(
     let mut actions = Vec::new();
 
     let body = match bean {
-        UnitBean::Single(row) => {
-            if let Some(r) = row {
+        UnitBean::Single { shape, row } => {
+            let row = row.as_ref().map(|r| BeanRow::named(shape, r));
+            if let Some(r) = &row {
                 for l in links {
                     actions.push(AnchorRef {
                         href: row_href(l, r),
@@ -168,14 +209,15 @@ fn unit_content(
             }
             ContentBody::Single(row.as_ref().map(display_pairs).unwrap_or_default())
         }
-        UnitBean::Rows { rows, .. } => {
+        UnitBean::Rows { shape, rows, .. } => {
             let multichoice = desc.unit_type == "multichoice";
             ContentBody::Rows(
                 rows.iter()
+                    .map(|r| BeanRow::named(shape, r))
                     .map(|r| ContentRow {
-                        fields: display_pairs(r),
+                        fields: display_pairs(&r),
                         anchor: primary.map(|l| AnchorRef {
-                            href: row_href(l, r),
+                            href: row_href(l, &r),
                             label: l.label.clone(),
                         }),
                         checkbox: if multichoice {
@@ -187,7 +229,9 @@ fn unit_content(
                     .collect(),
             )
         }
-        UnitBean::Nested(rows) => ContentBody::Nested(nested_rows(rows, primary)),
+        UnitBean::Nested { shapes, rows } => {
+            ContentBody::Nested(nested_rows(rows, shapes, primary))
+        }
         UnitBean::Form => {
             let action = primary
                 .map(|l| l.target_url.clone())
@@ -240,7 +284,7 @@ fn unit_content(
     };
 
     let pager = match (bean, desc.block_size) {
-        (UnitBean::Rows { rows, total }, Some(block)) if desc.unit_type == "scroller" => {
+        (UnitBean::Rows { rows, total, .. }, Some(block)) if desc.unit_type == "scroller" => {
             let offset = request_params
                 .get("block_offset")
                 .and_then(|v| match v {
@@ -548,36 +592,53 @@ impl Gen {
         }
     }
 
-    fn row(&mut self, seen: &mut Coverage) -> BeanRow {
-        let mut values = Vec::new();
+    /// A bean shape: usually an `oid`, up to three properties (names may
+    /// repeat), and now and then a second, upper-case `OID`.
+    fn shape(&mut self) -> Arc<Shape> {
+        let mut names = Vec::new();
         if self.chance(85) {
-            values.push(("oid".into(), Value::Integer(self.below(500) as i64 + 1)));
+            names.push("oid");
         }
-        if self.chance(10) {
-            // one empty field: the anchor falls back to its own label
-            values.push(("title".into(), Value::Text("".into())));
-        } else {
-            for _ in 0..self.below(4) {
-                let name = self.pick(PROPERTIES);
-                values.push((name.into(), self.value(seen)));
-            }
+        for _ in 0..self.below(4) {
+            names.push(self.pick(PROPERTIES));
         }
         if self.chance(15) {
-            let at = self.below(values.len() + 1);
-            values.insert(at, ("OID".into(), Value::Integer(7)));
+            let at = self.below(names.len() + 1);
+            names.insert(at, "OID");
         }
-        BeanRow { values }
+        Arc::new(Shape::new(names))
     }
 
-    fn nested(&mut self, depth: usize, seen: &mut Coverage) -> Vec<NestedBeanRow> {
+    fn row(&mut self, shape: &Shape, seen: &mut Coverage) -> Vec<Value> {
+        // every displayed cell empty: an anchor falls back to its label
+        let blank = self.chance(10);
+        shape
+            .names()
+            .iter()
+            .map(|name| match &**name {
+                "oid" if self.chance(95) => Value::Integer(self.below(500) as i64 + 1),
+                "oid" => Value::Null,
+                "OID" => Value::Integer(7),
+                _ if blank => Value::Text("".into()),
+                _ => self.value(seen),
+            })
+            .collect()
+    }
+
+    fn nested(
+        &mut self,
+        shapes: &[Arc<Shape>],
+        depth: usize,
+        seen: &mut Coverage,
+    ) -> Vec<NestedBeanRow> {
         (0..self.below(4))
             .map(|_| NestedBeanRow {
                 row: {
                     seen.nested_depth_2 |= depth == 2;
-                    self.row(seen)
+                    self.row(&shapes[depth], seen)
                 },
                 children: if depth < 2 && self.chance(50) {
-                    self.nested(depth + 1, seen)
+                    self.nested(shapes, depth + 1, seen)
                 } else {
                     Vec::new()
                 },
@@ -698,14 +759,26 @@ fn case(
     };
     seen.multichoice |= unit_type == "multichoice";
     let bean = match kind {
-        0 => UnitBean::Single(Some(g.row(seen))),
-        1 => UnitBean::Single(None),
-        2 => {
-            let rows: Vec<BeanRow> = (0..g.below(7)).map(|_| g.row(seen)).collect();
-            let total = rows.len() + g.below(3) * g.below(30);
-            UnitBean::Rows { rows, total }
+        0 => {
+            let shape = g.shape();
+            let row = Some(g.row(&shape, seen));
+            UnitBean::Single { shape, row }
         }
-        3 => UnitBean::Nested(g.nested(0, seen)),
+        1 => UnitBean::Single {
+            shape: g.shape(),
+            row: None,
+        },
+        2 => {
+            let shape = g.shape();
+            let rows: Vec<Vec<Value>> = (0..g.below(7)).map(|_| g.row(&shape, seen)).collect();
+            let total = rows.len() + g.below(3) * g.below(30);
+            UnitBean::Rows { shape, rows, total }
+        }
+        3 => {
+            let shapes = vec![g.shape(), g.shape(), g.shape()];
+            let rows = g.nested(&shapes, 0, seen);
+            UnitBean::Nested { shapes, rows }
+        }
         4 => UnitBean::Form,
         _ => UnitBean::Raw(g.pick(&["<custom/>", "", "<p>a & b</p>"]).into()),
     };
@@ -729,12 +802,11 @@ fn case(
         depends_on: vec![],
         cache: None,
     };
-    if let (UnitBean::Rows { rows, .. }, false) = (&bean, links.is_empty()) {
+    if let (UnitBean::Rows { shape, rows, .. }, false) = (&bean, links.is_empty()) {
         // an anchored row whose only displayed field is empty
-        seen.single_empty_field |= rows.iter().any(|r| {
-            let mut shown = r.values.iter().filter(|(n, _)| !n.eq_ignore_ascii_case("oid"));
-            matches!((shown.next(), shown.next()), (Some((_, Value::Text(t))), None) if t.is_empty())
-        });
+        seen.single_empty_field |= rows.iter().any(
+            |r| matches!(shape.shown(), [at] if matches!(&r[*at], Value::Text(t) if t.is_empty())),
+        );
     }
     let page_url = if g.chance(50) {
         "/sv/p"
@@ -746,7 +818,7 @@ fn case(
 }
 
 #[test]
-fn borrowed_render_path_matches_the_owning_oracle() {
+fn unit_programs_match_the_owning_oracle() {
     let mut seen = Coverage::default();
     for seed in 0..2000u64 {
         let (desc, links, page_url, bean, request) = case(seed, &mut seen);
@@ -756,8 +828,11 @@ fn borrowed_render_path_matches_the_owning_oracle() {
             &unit_content(&desc, &links, page_url, &bean, &request),
         );
         let mut got = String::new();
-        rules.render_unit_into(
-            &super::unit_content(&desc, &links, page_url, &bean, &request),
+        super::UnitProgram::compile(&desc, &links, page_url).render(
+            &rules.skin(&desc.unit_type),
+            &bean,
+            page_url,
+            &request,
             &mut got,
         );
         assert_eq!(

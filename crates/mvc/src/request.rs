@@ -172,21 +172,29 @@ pub fn url_encode(s: &str) -> String {
 
 /// Percent-encode `s` straight onto `out`: unreserved bytes as they are,
 /// space as `+`, every other byte as `%XX` — the allocation-free form
-/// hrefs are written with.
+/// hrefs are written with. Each run of unreserved bytes is copied as one
+/// slice; a run is ASCII, so its ends are character boundaries.
 pub fn url_encode_into(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789ABCDEF";
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            b' ' => out.push('+'),
-            _ => {
-                out.push('%');
-                out.push(HEX[usize::from(b >> 4)] as char);
-                out.push(HEX[usize::from(b & 0xF)] as char);
-            }
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if matches!(b, b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~') {
+            continue;
         }
+        if run < i {
+            out.push_str(&s[run..i]);
+        }
+        if b == b' ' {
+            out.push('+');
+        } else {
+            out.push('%');
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xF)]));
+        }
+        run = i + 1;
+    }
+    if run < s.len() {
+        out.push_str(&s[run..]);
     }
 }
 
@@ -285,6 +293,37 @@ mod tests {
         assert_eq!(url_decode("%é1"), "%é1");
         assert_eq!(url_decode("%aé"), "%aé");
         assert_eq!(url_decode("%C3%A9"), "é");
+    }
+
+    /// The byte-at-a-time encoder `url_encode_into` was before it copied
+    /// runs: the reference the run-based form must match.
+    fn url_encode_bytewise(s: &str) -> String {
+        let mut out = String::new();
+        for b in s.bytes() {
+            match b {
+                b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
+                    out.push(b as char)
+                }
+                b' ' => out.push('+'),
+                _ => out.push_str(&format!("%{b:02X}")),
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn run_encoding_matches_the_bytewise_reference(
+            parts in proptest::collection::vec(0usize..13, 0..40)
+        ) {
+            const PIECES: [&str; 13] =
+                ["&", "<", "\"", "%", "+", " ", "=", "ü", "✓", "a", "Zz09", "-_.~", "é "];
+            let s: String = parts.iter().map(|&p| PIECES[p]).collect();
+            let mut out = String::from("/p?q=");
+            url_encode_into(&mut out, &s);
+            proptest::prop_assert_eq!(out, format!("/p?q={}", url_encode_bytewise(&s)));
+            proptest::prop_assert_eq!(url_decode(&url_encode(&s)), s);
+        }
     }
 
     #[test]

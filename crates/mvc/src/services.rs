@@ -11,7 +11,7 @@
 //! component to use for filling the content of a unit; this component can
 //! be completely overridden by a user-supplied one").
 
-use crate::beans::{BeanRow, NestedBeanRow, UnitBean};
+use crate::beans::{BeanRow, NestedBeanRow, Shape, UnitBean};
 use crate::error::{MvcError, Result};
 use descriptors::{QuerySpec, UnitDescriptor};
 use relstore::{Database, Params, ResultSet, Value};
@@ -74,49 +74,53 @@ fn bind(q: &QuerySpec, params: &ParamMap, unit: &str) -> Result<Params> {
     Ok(out)
 }
 
-/// Pack the first `take` rows of a result set into bean rows following
-/// the descriptor's bean shape (all result columns when the shape is
-/// empty). Property names and column positions are resolved once per
-/// result set; cells move from the result into the beans, and a cell is
+/// Pack the first `take` rows of a result set into positional bean rows
+/// following the descriptor's bean declaration (all result columns when
+/// it is empty). The shape is minted on the first call and kept in
+/// `shape`, so every result set of one query — each level of a hierarchy
+/// — shares one. Cells move from the result into the rows; a cell is
 /// cloned only for a column that feeds more than one property.
-fn pack(rs: ResultSet, q: &QuerySpec, take: usize) -> Vec<BeanRow> {
-    let shape: Vec<(Arc<str>, Option<usize>)> = if q.bean.is_empty() {
-        rs.columns()
-            .iter()
-            .enumerate()
-            .map(|(c, name)| (Arc::from(name.as_str()), Some(c)))
-            .collect()
+fn pack(
+    rs: ResultSet,
+    q: &QuerySpec,
+    take: usize,
+    shape: &mut Option<Arc<Shape>>,
+) -> (Arc<Shape>, Vec<BeanRow>) {
+    let columns: Vec<Option<usize>> = if q.bean.is_empty() {
+        (0..rs.columns().len()).map(Some).collect()
     } else {
-        q.bean
-            .iter()
-            .map(|p| (Arc::from(p.name.as_str()), rs.column_index(&p.column)))
-            .collect()
+        q.bean.iter().map(|p| rs.column_index(&p.column)).collect()
     };
+    let shape = shape.get_or_insert_with(|| {
+        Arc::new(if q.bean.is_empty() {
+            Shape::new(rs.columns().iter().map(String::as_str))
+        } else {
+            Shape::new(q.bean.iter().map(|p| p.name.as_str()))
+        })
+    });
     // the last property a column feeds takes the cell, earlier ones clone
-    let moves: Vec<bool> = shape
+    let moves: Vec<bool> = columns
         .iter()
         .enumerate()
-        .map(|(i, (_, pos))| !shape[i + 1..].iter().any(|(_, later)| later == pos))
+        .map(|(i, pos)| !columns[i + 1..].contains(pos))
         .collect();
-    rs.into_rows()
+    let rows = rs
+        .into_rows()
         .into_iter()
         .take(take)
         .map(|mut row| {
-            let values = shape
+            columns
                 .iter()
                 .zip(&moves)
-                .map(|((name, pos), &moves)| {
-                    let v = match *pos {
-                        Some(c) if moves => std::mem::replace(&mut row[c], Value::Null),
-                        Some(c) => row[c].clone(),
-                        None => Value::Null,
-                    };
-                    (Arc::clone(name), v)
+                .map(|(pos, &moves)| match *pos {
+                    Some(c) if moves => std::mem::replace(&mut row[c], Value::Null),
+                    Some(c) => row[c].clone(),
+                    None => Value::Null,
                 })
-                .collect();
-            BeanRow { values }
+                .collect()
         })
-        .collect()
+        .collect();
+    (Arc::clone(shape), rows)
 }
 
 /// The scroller block a request asks for: `block_offset` as a
@@ -148,7 +152,11 @@ impl UnitService for GenericDataService {
     fn compute(&self, desc: &UnitDescriptor, params: &ParamMap, db: &Database) -> Result<UnitBean> {
         let q = main_query(desc)?;
         let rs = db.query(&q.sql, &bind(q, params, &desc.id)?)?;
-        Ok(UnitBean::Single(pack(rs, q, 1).pop()))
+        let (shape, mut rows) = pack(rs, q, 1, &mut None);
+        Ok(UnitBean::Single {
+            shape,
+            row: rows.pop(),
+        })
     }
 }
 
@@ -160,9 +168,9 @@ impl UnitService for GenericIndexService {
     fn compute(&self, desc: &UnitDescriptor, params: &ParamMap, db: &Database) -> Result<UnitBean> {
         let q = main_query(desc)?;
         let rs = db.query(&q.sql, &bind(q, params, &desc.id)?)?;
-        let rows = pack(rs, q, usize::MAX);
+        let (shape, rows) = pack(rs, q, usize::MAX, &mut None);
         let total = rows.len();
-        Ok(UnitBean::Rows { rows, total })
+        Ok(UnitBean::Rows { shape, rows, total })
     }
 }
 
@@ -183,8 +191,8 @@ impl UnitService for GenericScrollerService {
         );
         let rs = db.query(&q.sql, &bind(q, &effective, &desc.id)?)?;
         let total = rs.matched();
-        let rows = pack(rs, q, block);
-        Ok(UnitBean::Rows { rows, total })
+        let (shape, rows) = pack(rs, q, block, &mut None);
+        Ok(UnitBean::Rows { shape, rows, total })
     }
 }
 
@@ -194,29 +202,33 @@ pub struct GenericHierarchyService;
 
 impl GenericHierarchyService {
     /// The rows of `levels[0]` under `parent_params`, each nesting its
-    /// children from the levels below.
+    /// children from the levels below; `shapes[d]` is the shape of level
+    /// `d`, minted by its first result set.
     fn level(
         &self,
         desc: &UnitDescriptor,
         levels: &[&QuerySpec],
+        shapes: &mut [Option<Arc<Shape>>],
         parent_params: &ParamMap,
         db: &Database,
     ) -> Result<Vec<NestedBeanRow>> {
-        let Some((q, below)) = levels.split_first() else {
+        let (Some((q, below)), Some((shape, below_shapes))) =
+            (levels.split_first(), shapes.split_first_mut())
+        else {
             return Ok(Vec::new());
         };
         let rs = db.query(&q.sql, &bind(q, parent_params, &desc.id)?)?;
-        let rows = pack(rs, q, usize::MAX);
+        let (shape, rows) = pack(rs, q, usize::MAX, shape);
         let mut out = Vec::with_capacity(rows.len());
         for row in rows {
             let children = if below.is_empty() {
                 Vec::new()
             } else {
                 let mut child_params = ParamMap::new();
-                if let Some(oid) = row.oid() {
+                if let Some(oid) = shape.oid(&row) {
                     child_params.insert("parent".into(), Value::Integer(oid));
                 }
-                self.level(desc, below, &child_params, db)?
+                self.level(desc, below, below_shapes, &child_params, db)?
             };
             out.push(NestedBeanRow { row, children });
         }
@@ -236,7 +248,12 @@ impl UnitService for GenericHierarchyService {
                 None => break,
             }
         }
-        Ok(UnitBean::Nested(self.level(desc, &levels, params, db)?))
+        let mut shapes = vec![None; levels.len()];
+        let rows = self.level(desc, &levels, &mut shapes, params, db)?;
+        Ok(UnitBean::Nested {
+            shapes: shapes.into_iter().map_while(|s| s).collect(),
+            rows,
+        })
     }
 }
 
@@ -403,10 +420,14 @@ mod tests {
         let mut p = ParamMap::new();
         p.insert("oid".into(), Value::Integer(2));
         let b = GenericDataService.compute(&d, &p, &db).unwrap();
-        let UnitBean::Single(Some(row)) = b else {
+        let UnitBean::Single {
+            shape,
+            row: Some(row),
+        } = b
+        else {
             panic!("expected single row")
         };
-        assert_eq!(row.get("title"), Some(&Value::Text("Vol 2".into())));
+        assert_eq!(shape.get(&row, "title"), Some(&Value::Text("Vol 2".into())));
     }
 
     #[test]
@@ -424,10 +445,10 @@ mod tests {
         );
         let mut p = ParamMap::new();
         p.insert("oid".into(), Value::Integer(99));
-        assert_eq!(
+        assert!(matches!(
             GenericDataService.compute(&d, &p, &db).unwrap(),
-            UnitBean::Single(None)
-        );
+            UnitBean::Single { row: None, .. }
+        ));
     }
 
     #[test]
@@ -465,7 +486,7 @@ mod tests {
         let b = GenericIndexService
             .compute(&d, &ParamMap::new(), &db)
             .unwrap();
-        let UnitBean::Rows { rows, total } = b else {
+        let UnitBean::Rows { rows, total, .. } = b else {
             panic!()
         };
         assert_eq!(rows.len(), 3);
@@ -489,12 +510,12 @@ mod tests {
         let mut p = ParamMap::new();
         p.insert("block_offset".into(), Value::Integer(4));
         let b = GenericScrollerService.compute(&d, &p, &db).unwrap();
-        let UnitBean::Rows { rows, total } = b else {
+        let UnitBean::Rows { shape, rows, total } = b else {
             panic!()
         };
         assert_eq!(total, 6);
         assert_eq!(rows.len(), 2); // last block of 6 with offset 4
-        assert_eq!(rows[0].oid(), Some(5));
+        assert_eq!(shape.oid(&rows[0]), Some(5));
     }
 
     /// A scroller over `table` in blocks of `block`, asked for the block
@@ -524,11 +545,12 @@ mod tests {
         if let Some(offset) = offset {
             p.insert("block_offset".into(), offset);
         }
-        let UnitBean::Rows { rows, total } = GenericScrollerService.compute(&d, &p, db).unwrap()
+        let UnitBean::Rows { shape, rows, total } =
+            GenericScrollerService.compute(&d, &p, db).unwrap()
         else {
             panic!("a scroller computes rows")
         };
-        (rows.iter().filter_map(BeanRow::oid).collect(), total)
+        (rows.iter().filter_map(|r| shape.oid(r)).collect(), total)
     }
 
     #[test]
@@ -628,13 +650,18 @@ mod tests {
         let b = GenericHierarchyService
             .compute(&d, &ParamMap::new(), &db)
             .unwrap();
-        let UnitBean::Nested(rows) = b else { panic!() };
+        let UnitBean::Nested { shapes, rows } = b else {
+            panic!()
+        };
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].children.len(), 2);
         assert_eq!(
-            rows[0].children[0].row.get("number"),
+            shapes[1].get(&rows[0].children[0].row, "number"),
             Some(&Value::Integer(1))
         );
+        // one shape per level, shared by the children of every parent
+        assert_eq!(shapes.len(), 2);
+        assert_eq!(shapes[0].names().len(), 2);
     }
 
     #[test]
@@ -657,11 +684,18 @@ mod tests {
         );
         let mut p = ParamMap::new();
         p.insert("oid".into(), Value::Integer(1));
-        let UnitBean::Single(Some(row)) = GenericDataService.compute(&d, &p, &db).unwrap() else {
+        let UnitBean::Single {
+            shape,
+            row: Some(row),
+        } = GenericDataService.compute(&d, &p, &db).unwrap()
+        else {
             panic!()
         };
-        assert_eq!(row.values.len(), 1);
-        assert_eq!(row.get("displayTitle"), Some(&Value::Text("Vol 1".into())));
+        assert_eq!(row.len(), 1);
+        assert_eq!(
+            shape.get(&row, "displayTitle"),
+            Some(&Value::Text("Vol 1".into()))
+        );
     }
 
     #[test]
@@ -688,7 +722,7 @@ mod tests {
                 ],
             }],
         );
-        let UnitBean::Rows { rows, total } = GenericIndexService
+        let UnitBean::Rows { shape, rows, total } = GenericIndexService
             .compute(&d, &ParamMap::new(), &db)
             .unwrap()
         else {
@@ -696,12 +730,13 @@ mod tests {
         };
         assert_eq!(total, 3);
         let vol = Value::Text("Vol 3".into());
-        assert_eq!(rows[2].get("heading"), Some(&vol));
-        assert_eq!(rows[2].get("caption"), Some(&vol));
-        assert_eq!(rows[2].oid(), Some(3));
-        assert_eq!(rows[2].get("missing"), Some(&Value::Null));
-        // the names are minted once per result set, not once per row
-        assert!(Arc::ptr_eq(&rows[0].values[0].0, &rows[2].values[0].0));
+        assert_eq!(shape.get(&rows[2], "heading"), Some(&vol));
+        assert_eq!(shape.get(&rows[2], "caption"), Some(&vol));
+        assert_eq!(shape.oid(&rows[2]), Some(3));
+        assert_eq!(shape.get(&rows[2], "missing"), Some(&Value::Null));
+        // the names live once, in the shape: a row is its cells
+        assert_eq!(shape.shown(), &[0, 2, 3]);
+        assert!(rows.iter().all(|r| r.len() == 4));
     }
 
     #[test]

@@ -61,24 +61,28 @@ impl DeviceRegistry {
 
     /// Select the rule set for a User-Agent header value.
     pub fn select(&self, user_agent: &str) -> Option<&RuleSet> {
-        let ua = user_agent.to_ascii_lowercase();
-        for (class, rules) in &self.classes {
-            if class.ua_markers.iter().any(|m| ua.contains(m.as_str())) {
-                return Some(rules);
-            }
+        match self.matching(user_agent) {
+            Some((_, rules)) => Some(rules),
+            None => self.default_rules.as_ref(),
         }
-        self.default_rules.as_ref()
     }
 
     /// Name of the device class matched by a User-Agent.
     pub fn classify(&self, user_agent: &str) -> &str {
-        let ua = user_agent.to_ascii_lowercase();
-        for (class, _) in &self.classes {
-            if class.ua_markers.iter().any(|m| ua.contains(m.as_str())) {
-                return &class.name;
-            }
-        }
-        "desktop"
+        self.matching(user_agent)
+            .map_or("desktop", |(class, _)| class.name.as_str())
+    }
+
+    /// The first class one of whose markers occurs in `user_agent`,
+    /// compared case-insensitively in place: no lowered copy per request.
+    fn matching(&self, user_agent: &str) -> Option<&(DeviceClass, RuleSet)> {
+        let ua = user_agent.as_bytes();
+        self.classes.iter().find(|(class, _)| {
+            class.ua_markers.iter().any(|m| {
+                let m = m.as_bytes();
+                m.len() <= ua.len() && ua.windows(m.len()).any(|w| w.eq_ignore_ascii_case(m))
+            })
+        })
     }
 
     /// All registered rule sets (default last), for compile-time styling
@@ -109,6 +113,39 @@ mod tests {
         let r = DeviceRegistry::standard();
         assert_eq!(r.select("PalmOS PDA").unwrap().name, "pda");
         assert_eq!(r.select("Firefox").unwrap().name, "desktop");
+    }
+
+    #[test]
+    fn markers_match_any_case() {
+        let r = DeviceRegistry::standard();
+        for (ua, class) in [
+            ("SuperBrowser MOBILE/1.0", "pda"),
+            ("palmos PDA", "pda"),
+            ("x PhOnE y", "pda"),
+            ("Nokia-Wap", "wap"),
+            ("Opera WML", "wap"),
+        ] {
+            assert_eq!(r.classify(ua), class, "{ua}");
+            assert_eq!(r.classify(&ua.to_ascii_lowercase()), class, "{ua}");
+        }
+        assert_eq!(r.select("PALMOS").unwrap().name, "pda");
+        assert_eq!(r.select("NOKIA-WAP-GATEWAY").unwrap().name, "wap");
+        assert_eq!(
+            r.select("Mozilla/5.0 (X11; Linux)").unwrap().name,
+            "desktop"
+        );
+        assert_eq!(r.classify(""), "desktop");
+        // a marker registered in upper case matches too
+        let mut custom = DeviceRegistry::new();
+        custom.register(
+            DeviceClass {
+                name: "tv".into(),
+                ua_markers: vec!["SmartTV".into()],
+            },
+            RuleSet::minimal_device("tv"),
+        );
+        assert_eq!(custom.classify("Mozilla/5.0 (smarttv; Linux)"), "tv");
+        assert_eq!(custom.classify("TV"), "desktop");
     }
 
     #[test]

@@ -12,20 +12,20 @@
 //! * rule sets are selected per **device class** from the User-Agent
 //!   ([`device`]), enabling multi-device applications from one model.
 //!
-//! The dynamic content itself flows through [`content::UnitContent`], the
-//! custom-tag boundary between the business tier and the view.
+//! Styling compiles down to what the request path writes: a styled
+//! template is [`PageRuns`] (literal markup, unit slots and the navigation
+//! slot), and each rule set contributes one [`UnitSkin`] per unit type —
+//! the literal markup around the cells a unit program in the MVC runtime
+//! copies from its bean, escaped by [`escape_html_into`].
 
-pub mod content;
 pub mod css;
 pub mod device;
+pub mod escape;
 pub mod rules;
 pub mod skeleton;
 
-pub use content::{
-    escape_html, escape_html_into, AnchorRef, ContentBody, ContentRow, Field, FormContent,
-    FormField, NestedRow, Pager, UnitContent,
-};
 pub use css::{CssRule, Stylesheet};
 pub use device::{DeviceClass, DeviceRegistry};
-pub use rules::{render_template_chunks, HtmlChunk, PageRule, RuleSet, StyledTemplate, UnitRule};
+pub use escape::{escape_html, escape_html_into};
+pub use rules::{HtmlChunk, PageRule, PageRuns, RuleSet, Run, UnitRule, UnitSkin};
 pub use skeleton::{TemplateNode, TemplateSkeleton};

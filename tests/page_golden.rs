@@ -125,8 +125,10 @@ fn cold_pages_hash_to_the_recorded_golden() {
 
 /// Heap allocations per cold page, averaged over the 120 requests above.
 /// Before the store shared its text cells and projected only the rows a
-/// statement returns, this fixture cost 930 allocations per page.
-const ALLOCATIONS_PER_PAGE: usize = 632;
+/// statement returns, this fixture cost 930 allocations per page; before
+/// units were compiled into programs writing beans straight into the page,
+/// 632.
+const ALLOCATIONS_PER_PAGE: usize = 444;
 
 #[test]
 fn cold_pages_allocate_within_their_budget() {
@@ -145,7 +147,7 @@ fn cold_pages_allocate_within_their_budget() {
     assert!(
         per_page <= bound,
         "{per_page} allocations per cold page (bound {bound}; {ALLOCATIONS_PER_PAGE} when \
-         recorded, 930 before text cells were shared and windows projected): copies are back \
-         on the cold path"
+         recorded, 632 before the view was compiled into unit programs, 930 before text cells \
+         were shared and windows projected): copies are back on the cold path"
     );
 }
