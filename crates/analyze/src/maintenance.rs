@@ -1,6 +1,6 @@
 //! Pass 8 — incremental-maintenance coverage (`AZ5xx`).
 //!
-//! The WAL-driven maintenance layer (`webcache::LogDrivenMaintainer`)
+//! The maintenance layer (`webcache::LogDrivenMaintainer`)
 //! patches cached beans in place only when a unit's query shape is
 //! recognizable (single-table probe or filtered row set). Everything else
 //! silently degrades to drop-and-recompute — correct, but it forfeits the

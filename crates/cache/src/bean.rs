@@ -115,9 +115,9 @@ impl Ord for BeanKey {
 }
 
 /// Verdict a patch closure returns to [`BeanCache::patch`].
-pub enum Patch<V> {
-    /// Replace the cached value with the patched one.
-    Update(V),
+pub enum Patch {
+    /// The closure patched the cached value.
+    Updated,
     /// The change did not affect this bean; leave it untouched.
     Keep,
     /// Unpatchable — drop the entry so the next read recomputes.
@@ -426,29 +426,30 @@ impl<V> BeanCache<V> {
     }
 
     /// Maintain a cached bean for the batch committed at `lsn`, keeping
-    /// its dependencies, TTL, LRU position and stamp: `f` sees the current
-    /// value and returns a [`Patch`] verdict — replace the value, keep it
-    /// untouched (the change did not affect this bean), or drop the entry
-    /// (the caller's fallback-to-recompute path; counted as an
-    /// invalidation). A bean computed at `lsn` or later already shows the
-    /// batch: `f` is not called and the bean is kept. Returns `None` when
-    /// the key was not cached, otherwise the effect that was applied.
+    /// its dependencies, TTL, LRU position and stamp: `f` gets the cached
+    /// value and returns a [`Patch`] verdict — patched (in place, through
+    /// `Arc::make_mut`, which copies only a value a reader still holds; or
+    /// replaced), left untouched (the change did not affect this bean), or
+    /// to be dropped (the caller's fallback-to-recompute path; counted as
+    /// an invalidation). `f` runs under the stripe lock, so no reader sees
+    /// a value half patched; it must not change the value unless it
+    /// answers [`Patch::Updated`]. A bean computed at `lsn` or later
+    /// already shows the batch: `f` is not called and the bean is kept.
+    /// Returns `None` when the key was not cached, otherwise the effect
+    /// that was applied.
     pub fn patch(
         &self,
         key: &BeanKey,
         lsn: u64,
-        f: impl FnOnce(&V) -> Patch<V>,
+        f: impl FnOnce(&mut Arc<V>) -> Patch,
     ) -> Option<PatchEffect> {
         let mut inner = self.lock_probed(self.stripe(key));
         let entry = inner.entries.get_mut(key)?;
         if entry.lsn >= lsn {
             return Some(PatchEffect::Kept);
         }
-        match f(&entry.value) {
-            Patch::Update(v) => {
-                entry.value = Arc::new(v);
-                Some(PatchEffect::Updated)
-            }
+        match f(&mut entry.value) {
+            Patch::Updated => Some(PatchEffect::Updated),
             Patch::Keep => Some(PatchEffect::Kept),
             Patch::Drop => {
                 Self::remove_entry(&mut inner, key);
@@ -799,7 +800,10 @@ mod tests {
         let k = BeanKey::new("u", "p");
         c.put(k.clone(), 10, on(&deps(&["t"])), None);
         assert_eq!(
-            c.patch(&k, 1, |v| Patch::Update(v + 1)),
+            c.patch(&k, 1, |v| {
+                *Arc::make_mut(v) += 1;
+                Patch::Updated
+            }),
             Some(PatchEffect::Updated)
         );
         assert_eq!(c.get(&k).as_deref(), Some(&11));
@@ -809,7 +813,7 @@ mod tests {
         // deps survive the patch: entity invalidation still drops it
         assert_eq!(c.invalidate_entity("t"), 1);
         // patching an absent key reports None; dropping via patch works
-        assert_eq!(c.patch(&k, 3, |v| Patch::Update(v + 1)), None);
+        assert_eq!(c.patch(&k, 3, |_| Patch::Updated), None);
         c.put(k.clone(), 1, on(&[]), None);
         assert_eq!(c.patch(&k, 3, |_| Patch::Drop), Some(PatchEffect::Dropped));
         assert!(c.get(&k).is_none());

@@ -144,8 +144,8 @@ struct Inner {
     probe_params: HashMap<String, String>,
     /// Probe index over live entries of registered units:
     /// unit → bound oid (or [`UNBOUND`]) → stamps. Keeps
-    /// [`FragmentCache::invalidate_unit_where`] proportional to the
-    /// fragments actually affected instead of the stripe population.
+    /// [`FragmentCache::invalidate_units`]' row selectors proportional to
+    /// the fragments actually affected instead of the stripe population.
     probe: HashMap<String, HashMap<i64, BTreeSet<u64>>>,
     /// Entries this stripe may hold; stripe bounds sum to the cache bound.
     capacity: usize,
@@ -422,60 +422,67 @@ impl FragmentCache {
         (markup, rerendered)
     }
 
-    /// Drop every fragment rendered from `unit`'s bean (the key's
+    /// Dirty the fragments rendered from the units' beans (a key's
     /// `fragment` field is the unit id), leaving dirty tombstones so the
-    /// next render of each key is counted as a re-render. Returns how many
-    /// fragments were dirtied.
-    pub fn invalidate_unit(&self, unit: &str) -> usize {
+    /// next render of each key is counted as a re-render. `None` drops
+    /// every fragment of the unit; `Some(rows)` only those whose parameter
+    /// fingerprint binds one of the `(param, oid)` rows — the page
+    /// instances rendered from the affected bean. Fragments that do not
+    /// bind `param` at all (the unit's input came from session state or a
+    /// default) cannot be identified and are dropped conservatively; every
+    /// other instance keeps serving its bytes untouched. One pass over the
+    /// stripes; a stripe holding none of a unit's fragments costs one
+    /// lookup for it. Returns how many fragments were dirtied.
+    pub fn invalidate_units(&self, units: &BTreeMap<&str, Option<Vec<(String, i64)>>>) -> usize {
         let mut dropped = 0;
         for stripe in &self.stripes {
             let mut inner = self.lock_probed(stripe);
-            let keys = inner.unit_entries(unit);
-            inner.dirty(&keys);
-            // every live entry of the unit is gone, so its indexes are too
-            inner.by_unit.remove(unit);
-            inner.probe.remove(unit);
-            dropped += keys.len();
-        }
-        self.stats.invalidation(dropped as u64);
-        dropped
-    }
-
-    /// Row-precise variant of [`FragmentCache::invalidate_unit`]: drop
-    /// only the fragments of `unit` whose parameter fingerprint binds
-    /// `param` to the changed row's `oid` — the page instances actually
-    /// rendered from the affected bean. Fragments that do not bind
-    /// `param` at all (the unit's input came from session state or a
-    /// default) cannot be identified and are dropped conservatively;
-    /// every other instance keeps serving its bytes untouched.
-    pub fn invalidate_unit_where(&self, unit: &str, param: &str, oid: i64) -> usize {
-        let mut dropped = 0;
-        for stripe in &self.stripes {
-            let mut inner = self.lock_probed(stripe);
-            // with the probe index registered for exactly this parameter,
-            // only the affected row's bucket (plus the unidentifiable
-            // remainder) is visited — O(dropped), not O(stripe)
-            let indexed = inner.probe_params.get(unit).is_some_and(|p| p == param);
-            let keys: Vec<(u64, FragmentKey)> = if indexed {
-                let rows = inner.probe.get(unit);
-                [oid, UNBOUND]
-                    .iter()
-                    .filter_map(|b| rows.and_then(|r| r.get(b)))
-                    .flatten()
-                    .filter_map(|stamp| Some((*stamp, inner.order.get(stamp)?.clone())))
-                    .collect()
-            } else {
-                inner
-                    .unit_entries(unit)
-                    .into_iter()
-                    .filter(|(_, k)| [oid, UNBOUND].contains(&binding_of(&k.params, param)))
-                    .collect()
-            };
-            for (stamp, k) in &keys {
-                inner.index_remove(k, *stamp);
+            if inner.by_unit.is_empty() {
+                continue;
             }
-            inner.dirty(&keys);
-            dropped += keys.len();
+            for (unit, rows) in units {
+                if !inner.by_unit.contains_key(*unit) {
+                    continue;
+                }
+                let Some(rows) = rows else {
+                    let keys = inner.unit_entries(unit);
+                    inner.dirty(&keys);
+                    // every live entry of the unit is gone, so its indexes are too
+                    inner.by_unit.remove(*unit);
+                    inner.probe.remove(*unit);
+                    dropped += keys.len();
+                    continue;
+                };
+                for (param, oid) in rows {
+                    // with the probe index registered for exactly this
+                    // parameter, only the affected row's bucket (plus the
+                    // unidentifiable remainder) is visited — O(dropped),
+                    // not O(stripe)
+                    let indexed = inner.probe_params.get(*unit) == Some(param);
+                    let keys: Vec<(u64, FragmentKey)> = if indexed {
+                        let rows = inner.probe.get(*unit);
+                        [*oid, UNBOUND]
+                            .iter()
+                            .filter_map(|b| rows.and_then(|r| r.get(b)))
+                            .flatten()
+                            .filter_map(|stamp| Some((*stamp, inner.order.get(stamp)?.clone())))
+                            .collect()
+                    } else {
+                        inner
+                            .unit_entries(unit)
+                            .into_iter()
+                            .filter(|(_, k)| {
+                                [*oid, UNBOUND].contains(&binding_of(&k.params, param))
+                            })
+                            .collect()
+                    };
+                    for (stamp, k) in &keys {
+                        inner.index_remove(k, *stamp);
+                    }
+                    inner.dirty(&keys);
+                    dropped += keys.len();
+                }
+            }
         }
         self.stats.invalidation(dropped as u64);
         dropped
@@ -483,10 +490,10 @@ impl FragmentCache {
 
     /// Register `unit` for row-precise invalidation: its fragments are
     /// indexed by the numeric value their fingerprint binds `param` to,
-    /// making [`FragmentCache::invalidate_unit_where`] proportional to
-    /// the fragments dropped. The maintenance layer registers every
-    /// key-probe unit of its plan at deployment; entries cached before
-    /// registration are indexed retroactively.
+    /// making [`FragmentCache::invalidate_units`]' row selectors
+    /// proportional to the fragments dropped. The maintenance layer
+    /// registers every key-probe unit of its plan at deployment; entries
+    /// cached before registration are indexed retroactively.
     pub fn index_probe(&self, unit: &str, param: &str) {
         for stripe in &self.stripes {
             let mut inner = self.lock_probed(stripe);
@@ -547,6 +554,19 @@ fn binding_of(fingerprint: &str, param: &str) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Dirty every fragment of `unit`.
+    fn invalidate_unit(c: &FragmentCache, unit: &str) -> usize {
+        c.invalidate_units(&BTreeMap::from([(unit, None)]))
+    }
+
+    /// Dirty the fragments of `unit` bound to row `oid` by `param`.
+    fn invalidate_unit_where(c: &FragmentCache, unit: &str, param: &str, oid: i64) -> usize {
+        c.invalidate_units(&BTreeMap::from([(
+            unit,
+            Some(vec![(param.to_string(), oid)]),
+        )]))
+    }
 
     /// Rendered before any write was recorded, from nothing in particular.
     const FRESH: Provenance<'static> = Provenance {
@@ -626,7 +646,7 @@ mod tests {
     /// accounted: capacity eviction is an `eviction` (never an
     /// expiration), a TTL lapse discovered by `get` is an `expiration`
     /// *and* a miss, an expired-but-untouched entry still occupies a slot
-    /// (lazy expiry), and `invalidate_unit` counts its removals as
+    /// (lazy expiry), and unit invalidation counts its removals as
     /// invalidations only.
     #[test]
     fn ttl_expiry_eviction_and_invalidation_stats_compose() {
@@ -664,7 +684,7 @@ mod tests {
         assert_eq!(c.len(), 2);
         // Unit invalidation removes it as an *invalidation* — the
         // expiration/eviction counters must not move.
-        assert_eq!(c.invalidate_unit("c"), 1);
+        assert_eq!(invalidate_unit(&c, "c"), 1);
         let s = c.stats();
         assert_eq!((s.invalidations, s.evictions, s.expirations), (1, 1, 1));
         assert_eq!(c.len(), 1); // only d survives
@@ -691,7 +711,7 @@ mod tests {
             assert_eq!(c.get(&k).as_deref(), Some(want.as_bytes()));
         }
         // unit invalidation sweeps all stripes
-        assert_eq!(c.invalidate_unit("u0"), 16);
+        assert_eq!(invalidate_unit(&c, "u0"), 16);
         assert_eq!(c.len(), 32);
         assert!(c.get(&FragmentKey::new("t", "u0", "p=0")).is_none());
     }
@@ -714,7 +734,7 @@ mod tests {
                             put(&c, k, &format!("m{i}"));
                         }
                         1 => {
-                            c.invalidate_unit(&format!("u{}", i % 16));
+                            invalidate_unit(&c, &format!("u{}", i % 16));
                         }
                         _ => {
                             c.get(&k);
@@ -739,7 +759,7 @@ mod tests {
         put(&c, k2.clone(), "two");
         // dirty only idx1's fragments; idx2 keeps serving the same bytes
         let before = c.get(&k2).unwrap();
-        assert_eq!(c.invalidate_unit("idx1"), 1);
+        assert_eq!(invalidate_unit(&c, "idx1"), 1);
         assert!(c.get(&k1).is_none());
         let after = c.get(&k2).unwrap();
         assert!(Arc::ptr_eq(&before, &after), "clean fragment re-interned");
@@ -765,7 +785,7 @@ mod tests {
             put(&c, k.clone(), "m");
         }
         let live = c.get(&k1).unwrap();
-        assert_eq!(c.invalidate_unit_where("u1", "paper", 2), 2);
+        assert_eq!(invalidate_unit_where(&c, "u1", "paper", 2), 2);
         assert!(c.get(&k2).is_none(), "affected instance survived");
         assert!(c.get(&k3).is_none(), "unidentifiable instance survived");
         let after = c.get(&k1).unwrap();
@@ -775,7 +795,7 @@ mod tests {
         put(&c, k2.clone(), "m2");
         let pad = FragmentKey::new("paper.jsp", "u1", "paper=02&");
         put(&c, pad.clone(), "m02");
-        assert_eq!(c.invalidate_unit_where("u1", "paper", 2), 2);
+        assert_eq!(invalidate_unit_where(&c, "u1", "paper", 2), 2);
         assert!(c.get(&pad).is_none());
         // the dirtied instance re-renders
         assert!(put(&c, k2, "m2'"));
@@ -799,7 +819,7 @@ mod tests {
         assert_eq!(c.get(&pda).as_deref(), Some(&b"plain"[..]));
         // all three show row 1: a write to it dirties every variant
         c.index_probe("u", "sel");
-        assert_eq!(c.invalidate_unit_where("u", "sel", 1), 3);
+        assert_eq!(invalidate_unit_where(&c, "u", "sel", 1), 3);
     }
 
     /// The put rule: markup rendered before a recorded write to what its

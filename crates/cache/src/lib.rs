@@ -9,14 +9,14 @@
 //!    policies because it sees nothing but markup;
 //! 2. a **unit-bean cache** ([`bean::BeanCache`]) in the business tier.
 //!    Because the conceptual model exposes which entities each unit
-//!    depends on, operation services invalidate affected beans
-//!    automatically — the developer never writes cache-management code.
+//!    depends on, writes invalidate affected beans automatically — the
+//!    developer never writes cache-management code.
 //!
-//! Once a deployment has a durable change stream, one consumer of it —
+//! One consumer of each node's change stream —
 //! [`maintain::LogDrivenMaintainer`] — keeps both levels coherent on every
-//! node: it patches beans in place under a compiled
-//! [`maintain::MaintenancePlan`], and with an empty plan it is the plain
-//! row-granular invalidator (drop what the changed row can affect).
+//! node: it patches beans in place under the compiled
+//! [`maintain::MaintenancePlan`], drops what the plan cannot patch, and
+//! dirties the fragments of the units a write can change.
 //!
 //! One version runs through all of it: the commit LSN
 //! ([`version::VersionTable`]). Every cached value is put with the LSN it

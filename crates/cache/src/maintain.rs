@@ -1,15 +1,16 @@
-//! Incremental cache maintenance driven by the durable change stream.
+//! Incremental cache maintenance driven by the node's change stream.
 //!
 //! §6's model-driven invalidation is an *in-process* call: the operation
 //! service knows which entities it touched and invalidates the bean cache
 //! directly. That breaks down the moment the deployment scales past one
 //! process — a cache next to replica B never hears about writes applied
-//! on primary A. Deriving the same events from the **durable change
-//! stream** closes that gap (the entity names in log records are the
-//! canonical table names, exactly the dependency tags unit descriptors
-//! attach to cached beans), and only for changes that are actually on
-//! disk: a cache that dropped entries for changes a crash then un-happened
-//! would serve beans nobody can rebuild consistently after recovery.
+//! on primary A — and it misses every write that bypasses an operation.
+//! Deriving the same events from the **committed change stream** closes
+//! both gaps: the entity names in change records are the canonical table
+//! names, exactly the dependency tags unit descriptors attach to cached
+//! beans. Every node follows the batches its own store holds: a node that
+//! takes writes its own commits (`wal::LocalStream`), a replica the
+//! batches it applied.
 //!
 //! Dropping every bean of the touched entity is the floor, not the goal.
 //! For read-mostly applications it is pure waste — an `INSERT INTO paper`
@@ -24,19 +25,17 @@
 //! decision is compiled once at deploy time from the unit's generated SQL
 //! — the same closed query grammar codegen emits — into a
 //! [`MaintenancePlan`]; at run time [`LogDrivenMaintainer`] consumes the
-//! WAL's post-fsync [`wal::LogObserver`] stream and walks only the beans
-//! whose entity the batch touched. With an **empty plan** every decision
-//! is "unpatchable", which makes the maintainer the row-granular
-//! invalidator: a change drops the whole-entity dependents plus the beans
-//! scoped to exactly that row, and the whole entity when the row's oid
-//! cannot be resolved.
+//! node's [`wal::LogObserver`] stream and walks only the beans whose
+//! entity the batch touched. A bean without a plan is dropped: a change
+//! drops the whole-entity dependents plus the beans scoped to exactly
+//! that row, and the whole entity when the row's oid cannot be resolved.
 //!
 //! The bean-value semantics (how a row delta projects into a cached bean)
 //! live behind the [`Patcher`] trait, implemented by the MVC tier for its
 //! `UnitBean`; this crate stays value-agnostic like the cache itself.
 //!
 //! Fragments are maintained alongside: every fragment rendered from a
-//! dependent unit is dirtied ([`FragmentCache::invalidate_unit`]), so the
+//! dependent unit is dirtied ([`FragmentCache::invalidate_units`]), so the
 //! next page render re-renders *only* the dirty fragments and keeps
 //! serving clean ones as the same interned bytes. Each batch's LSN is
 //! recorded in the caches' [`VersionTable`] before any of this: cache
@@ -526,9 +525,10 @@ impl<'a> RowDelta<'a> {
 // ---------------------------------------------------------------------------
 
 /// Outcome of folding one row delta into one cached bean value.
-pub enum PatchOutcome<V> {
-    /// The bean was rebuilt with the delta applied.
-    Patched(V),
+#[derive(Debug, PartialEq, Eq)]
+pub enum PatchOutcome {
+    /// The delta was applied to the bean.
+    Patched,
     /// The delta cannot affect this bean; leave it cached as-is.
     Unchanged,
     /// The delta's effect cannot be computed from the cached value alone;
@@ -539,15 +539,18 @@ pub enum PatchOutcome<V> {
 /// Value-type-specific patch semantics (implemented by the MVC tier for
 /// its unit beans).
 pub trait Patcher<V>: Send + Sync {
-    /// `key_params` are the bean key's parameters parsed back from its
-    /// fingerprint (`name → rendered value`).
+    /// Fold `delta` into `bean`. `key_params` are the bean key's
+    /// parameters parsed back from its fingerprint (`name → rendered
+    /// value`). Decide from the value first: `bean` may change only when
+    /// the answer is [`PatchOutcome::Patched`] (patch in place through
+    /// `Arc::make_mut`, which copies only a bean a reader still holds).
     fn apply(
         &self,
         plan: &UnitPlan,
         key_params: &BTreeMap<String, String>,
-        bean: &V,
+        bean: &mut Arc<V>,
         delta: &RowDelta<'_>,
-    ) -> PatchOutcome<V>;
+    ) -> PatchOutcome;
 }
 
 /// Does a bean-key fingerprint bind `param` to the row `oid`? Compares
@@ -576,62 +579,74 @@ pub fn parse_fingerprint(fp: &str) -> BTreeMap<String, String> {
 // The maintainer
 // ---------------------------------------------------------------------------
 
-/// Consumes the durable change stream and maintains the two cache levels
+/// A bean cache and the patcher that folds row deltas into its values.
+type Beans<V> = (Arc<BeanCache<V>>, Arc<dyn Patcher<V>>);
+
+/// Consumes a node's change stream and keeps its caches coherent
 /// incrementally: each write's LSN is recorded in the version table first;
 /// then beans are patched in place where the plan allows, dropped (and
 /// counted) where it does not; fragments of dependent units are dirtied so
-/// only they re-render; last, the batch is declared settled.
+/// only they re-render; last, the batch is declared settled. Either cache
+/// level may be absent: a node with only conditional GET still needs its
+/// versions recorded and settled.
 ///
-/// Attach with `wal::Wal::attach_observer`. The observer runs once the
-/// batch has reached the log: post-fsync on the flusher thread and via
-/// `Wal::flush_and_notify`, post-write (sync deferred one group-commit
-/// window) under the relaxed non-strict barrier. A cache-visible patch
-/// therefore never precedes the log write; it precedes the *sync* only
-/// where the in-memory database already exposes the same un-synced
-/// commits — caches die with the process, so a crash can surface no
-/// anomaly the database itself would not.
+/// Attach with `wal::ChangeStream::attach_observer` to the stream of the
+/// batches the node's store holds: on a node that takes writes its
+/// `wal::LocalStream`, which delivers each commit on the committing
+/// thread before the commit returns; on a replica the batches it applied.
+/// The caches never run ahead of the store they front.
 pub struct LogDrivenMaintainer<V> {
-    cache: Arc<BeanCache<V>>,
+    beans: Option<Beans<V>>,
     fragments: Option<Arc<FragmentCache>>,
-    plan: MaintenancePlan,
+    plan: Arc<MaintenancePlan>,
     catalog: RwLock<TableCatalog>,
     db: Weak<Database>,
-    patcher: Arc<dyn Patcher<V>>,
     versions: Arc<VersionTable>,
     counters: Arc<MaintCounters>,
 }
 
 impl<V> LogDrivenMaintainer<V> {
-    /// Maintain `cache`, recording versions in its version table.
+    /// Record each batch in `versions` and settle it; add cache levels with
+    /// [`with_beans`](Self::with_beans) and
+    /// [`with_fragments`](Self::with_fragments). The plan may be shared by
+    /// every node of a deployment.
     pub fn new(
-        cache: Arc<BeanCache<V>>,
-        plan: MaintenancePlan,
+        versions: Arc<VersionTable>,
+        plan: impl Into<Arc<MaintenancePlan>>,
         catalog: TableCatalog,
-        patcher: Arc<dyn Patcher<V>>,
         counters: Arc<MaintCounters>,
     ) -> LogDrivenMaintainer<V> {
-        let versions = Arc::clone(cache.versions());
         LogDrivenMaintainer {
-            cache,
+            beans: None,
             fragments: None,
-            plan,
+            plan: plan.into(),
             catalog: RwLock::new(catalog),
             db: Weak::new(),
-            patcher,
             versions,
             counters,
         }
     }
 
+    /// Also maintain a bean cache, patching its beans with `patcher`. Its
+    /// puts must check against the same version table.
+    pub fn with_beans(mut self, cache: Arc<BeanCache<V>>, patcher: Arc<dyn Patcher<V>>) -> Self {
+        assert!(
+            Arc::ptr_eq(cache.versions(), &self.versions),
+            "the caches and the maintainer must share one version table"
+        );
+        self.beans = Some((cache, patcher));
+        self
+    }
+
     /// Also maintain a fragment cache (dirty dependent units' fragments),
-    /// which must check its puts against the bean cache's version table.
+    /// which must check its puts against the same version table.
     /// Every key-probe unit of the plan is registered in the cache's
     /// probe index, so row-precise dirtying touches only the affected
     /// fragments instead of sweeping each stripe.
     pub fn with_fragments(mut self, fragments: Arc<FragmentCache>) -> Self {
         assert!(
             Arc::ptr_eq(fragments.versions(), &self.versions),
-            "the two cache levels must share one version table"
+            "the caches and the maintainer must share one version table"
         );
         for (unit, plan) in &self.plan.plans {
             if let Strategy::KeyProbe { param } = &plan.strategy {
@@ -643,7 +658,7 @@ impl<V> LogDrivenMaintainer<V> {
     }
 
     /// Remember the database so DDL records refresh the table catalog.
-    /// Weakly: the database's commit sink owns the log that owns this
+    /// Weakly: the database's commit sink owns the stream that owns this
     /// observer, so a strong handle would close a cycle and leak all three.
     pub fn with_database(mut self, db: &Arc<Database>) -> Self {
         self.db = Arc::downgrade(db);
@@ -654,88 +669,57 @@ impl<V> LogDrivenMaintainer<V> {
         Arc::clone(&self.counters)
     }
 
-    /// Apply the durable batch committed at `lsn`. Public so
-    /// recovery/replay paths can drive it directly.
+    /// Apply the batch committed at `lsn`. Public so recovery/replay paths
+    /// can drive it directly.
     pub fn apply(&self, lsn: u64, changes: &[ChangeRecord]) {
         let start = Instant::now();
-        // fragment dirtying plan, deduped across the batch: each dependent
-        // unit accumulates row-precise `(probe param, oid)` selectors until
-        // some change forces the whole unit (`None`)
-        let mut dirty: BTreeMap<&str, Option<Vec<(String, i64)>>> = BTreeMap::new();
         for c in changes {
-            match c {
-                ChangeRecord::Ddl { .. } => {
-                    // structural change: no plan survives it
-                    self.versions.record_ddl(lsn);
-                    self.cache.clear();
-                    if let Some(f) = &self.fragments {
-                        f.clear();
-                    }
-                    self.counters.record_fallback("ddl");
-                    if let Some(db) = self.db.upgrade() {
-                        *self.catalog.write() = TableCatalog::from_database(&db);
-                    }
-                    dirty.clear();
+            let Some(table) = c.table() else {
+                // a schema change, the one record without a table: no
+                // plan survives it
+                self.versions.record_ddl(lsn);
+                if let Some((cache, _)) = &self.beans {
+                    cache.clear();
                 }
-                _ => {
-                    let Some(table) = c.table() else { continue };
-                    let catalog = self.catalog.read();
-                    let delta = catalog.delta(c);
-                    self.versions.record(table, delta.map(|d| d.oid), lsn);
-                    for u in self.plan.units_for_table(table) {
-                        // a key-probe bean over this table is affected only
-                        // by its own row, so only the page instances bound
-                        // to that oid need a re-render
-                        let precise = match (&delta, self.plan.unit(u)) {
-                            (Some(d), Some(p)) if p.table == table => match &p.strategy {
-                                Strategy::KeyProbe { param } => Some((param.clone(), d.oid)),
-                                _ => None,
-                            },
-                            _ => None,
-                        };
-                        let slot = dirty.entry(u).or_insert_with(|| Some(Vec::new()));
-                        match precise {
-                            Some(sel) => {
-                                if let Some(rows) = slot {
-                                    if !rows.contains(&sel) {
-                                        rows.push(sel);
-                                    }
-                                }
-                            }
-                            None => *slot = None,
-                        }
+                if let Some(f) = &self.fragments {
+                    f.clear();
+                }
+                self.counters.record_fallback("ddl");
+                if let Some(db) = self.db.upgrade() {
+                    *self.catalog.write() = TableCatalog::from_database(&db);
+                }
+                continue;
+            };
+            let catalog = self.catalog.read();
+            let delta = catalog.delta(c);
+            self.versions.record(table, delta.map(|d| d.oid), lsn);
+            let Some((cache, patcher)) = &self.beans else {
+                continue;
+            };
+            match delta {
+                Some(delta) => {
+                    // row-scoped beans of other rows are provably
+                    // unaffected; only whole-entity dependents and
+                    // this row's beans need a patch decision
+                    for key in cache.keys_for_row(table, delta.oid) {
+                        self.maintain_key(cache, &**patcher, &key, table, &delta, lsn);
                     }
-                    match delta {
-                        Some(delta) => {
-                            // row-scoped beans of other rows are provably
-                            // unaffected; only whole-entity dependents and
-                            // this row's beans need a patch decision
-                            for key in self.cache.keys_for_row(table, delta.oid) {
-                                self.maintain_key(&key, table, &delta, lsn);
-                            }
-                        }
-                        None => {
-                            // no oid → can't reason per row; coarse drop
-                            self.cache.invalidate_entity(table);
-                            self.counters.record_fallback("no-oid");
-                        }
-                    }
+                }
+                None => {
+                    // no oid → can't reason per row; coarse drop
+                    cache.invalidate_entity(table);
+                    self.counters.record_fallback("no-oid");
                 }
             }
         }
-        if let Some(f) = &self.fragments {
-            for (u, sel) in dirty {
-                match sel {
-                    None => {
-                        f.invalidate_unit(u);
-                    }
-                    Some(rows) => {
-                        for (param, oid) in rows {
-                            f.invalidate_unit_where(u, &param, oid);
-                        }
-                    }
-                }
-            }
+        // every write of the batch is recorded, so from here on a fragment
+        // put that missed one is refused: an empty cache has nothing to
+        // dirty, and a schema change already cleared what came before it
+        if let Some(f) = self.fragments.as_ref().filter(|f| !f.is_empty()) {
+            let since_ddl = changes
+                .iter()
+                .rposition(|c| matches!(c, ChangeRecord::Ddl { .. }));
+            f.invalidate_units(&self.dirty_units(&changes[since_ddl.map_or(0, |i| i + 1)..]));
         }
         self.versions.settle(lsn);
         self.counters
@@ -743,26 +727,68 @@ impl<V> LogDrivenMaintainer<V> {
             .observe(start.elapsed().as_micros() as u64);
     }
 
-    /// Drop one bean computed before `lsn`, counting why.
-    fn drop_key(&self, key: &BeanKey, lsn: u64, reason: &'static str) {
-        if self.cache.patch(key, lsn, |_| Patch::Drop) == Some(PatchEffect::Dropped) {
-            self.counters.record_fallback(reason);
+    /// The fragments `changes` make stale, deduped: each dependent unit
+    /// accumulates row-precise `(probe param, oid)` selectors until some
+    /// change forces the whole unit (`None`).
+    fn dirty_units(&self, changes: &[ChangeRecord]) -> BTreeMap<&str, Option<Vec<(String, i64)>>> {
+        let catalog = self.catalog.read();
+        let mut dirty: BTreeMap<&str, Option<Vec<(String, i64)>>> = BTreeMap::new();
+        for c in changes {
+            let Some(table) = c.table() else { continue };
+            let delta = catalog.delta(c);
+            for u in self.plan.units_for_table(table) {
+                // a key-probe bean over this table is affected only by its
+                // own row, so only the page instances bound to that oid
+                // need a re-render
+                let precise = match (&delta, self.plan.unit(u)) {
+                    (Some(d), Some(p)) if p.table == table => match &p.strategy {
+                        Strategy::KeyProbe { param } => Some((param.clone(), d.oid)),
+                        _ => None,
+                    },
+                    _ => None,
+                };
+                let slot = dirty.entry(u).or_insert_with(|| Some(Vec::new()));
+                match precise {
+                    Some(sel) => {
+                        if let Some(rows) = slot {
+                            if !rows.contains(&sel) {
+                                rows.push(sel);
+                            }
+                        }
+                    }
+                    None => *slot = None,
+                }
+            }
         }
+        dirty
     }
 
-    fn maintain_key(&self, key: &BeanKey, table: &str, delta: &RowDelta<'_>, lsn: u64) {
+    fn maintain_key(
+        &self,
+        cache: &BeanCache<V>,
+        patcher: &dyn Patcher<V>,
+        key: &BeanKey,
+        table: &str,
+        delta: &RowDelta<'_>,
+        lsn: u64,
+    ) {
+        // drop the bean computed before `lsn`, counting why
+        let drop_key = |reason| {
+            if cache.patch(key, lsn, |_| Patch::Drop) == Some(PatchEffect::Dropped) {
+                self.counters.record_fallback(reason);
+            }
+        };
         let Some(plan) = self.plan.unit(&key.unit) else {
-            // cached bean without a plan (drop-only deployment, or a
-            // hand-registered service): drop it
-            return self.drop_key(key, lsn, "no-plan");
+            // cached bean without a plan (a hand-registered service)
+            return drop_key("no-plan");
         };
         if let Strategy::Fallback { reason } = plan.strategy {
-            return self.drop_key(key, lsn, reason);
+            return drop_key(reason);
         }
         if plan.table != table {
             // the bean declares a dependency beyond its own query's table
             // (cross-entity coupling the plan cannot see through)
-            return self.drop_key(key, lsn, "foreign-dep");
+            return drop_key("foreign-dep");
         }
         if let Strategy::KeyProbe { param } = &plan.strategy {
             // precision: a probe bean is affected only by its own row —
@@ -774,9 +800,9 @@ impl<V> LogDrivenMaintainer<V> {
         }
         let params = parse_fingerprint(&key.params);
         let mut reason = None;
-        let effect = self.cache.patch(key, lsn, |bean| {
-            match self.patcher.apply(plan, &params, bean, delta) {
-                PatchOutcome::Patched(v) => Patch::Update(v),
+        let effect = cache.patch(key, lsn, |bean| {
+            match patcher.apply(plan, &params, bean, delta) {
+                PatchOutcome::Patched => Patch::Updated,
                 PatchOutcome::Unchanged => Patch::Keep,
                 PatchOutcome::Unpatchable(why) => {
                     reason = Some(why);
@@ -932,9 +958,9 @@ mod tests {
             &self,
             _: &UnitPlan,
             _: &BTreeMap<String, String>,
-            _: &String,
+            _: &mut Arc<String>,
             _: &RowDelta<'_>,
-        ) -> PatchOutcome<String> {
+        ) -> PatchOutcome {
             unreachable!("an empty plan never consults the patcher")
         }
     }
@@ -967,17 +993,25 @@ mod tests {
         warm_cache_at(0)
     }
 
+    fn maintainer(
+        cache: &Arc<BeanCache<String>>,
+        plan: MaintenancePlan,
+        catalog: TableCatalog,
+    ) -> LogDrivenMaintainer<String> {
+        LogDrivenMaintainer::new(
+            Arc::clone(cache.versions()),
+            plan,
+            catalog,
+            Arc::new(MaintCounters::new()),
+        )
+        .with_beans(Arc::clone(cache), Arc::new(NeverPatches))
+    }
+
     fn drop_only(
         cache: &Arc<BeanCache<String>>,
         catalog: TableCatalog,
     ) -> LogDrivenMaintainer<String> {
-        LogDrivenMaintainer::new(
-            Arc::clone(cache),
-            MaintenancePlan::default(),
-            catalog,
-            Arc::new(NeverPatches),
-            Arc::new(MaintCounters::new()),
-        )
+        maintainer(cache, MaintenancePlan::default(), catalog)
     }
 
     fn cached(cache: &BeanCache<String>) -> Vec<String> {
@@ -1046,13 +1080,7 @@ mod tests {
             cached: true,
             ..UnitShape::default()
         }]);
-        let maint = LogDrivenMaintainer::new(
-            Arc::clone(&cache),
-            plan,
-            catalog,
-            Arc::new(NeverPatches),
-            Arc::new(MaintCounters::new()),
-        );
+        let maint = maintainer(&cache, plan, catalog);
         maint.apply(7, &[book_update(1)]);
         let kept = [
             "AuthorIndex?-",
@@ -1078,7 +1106,7 @@ mod tests {
     #[test]
     fn only_durable_batches_reach_the_cache() {
         use relstore::{CommitSink, Params};
-        use wal::{ChangeStream, TempDir, Wal, WalConfig};
+        use wal::{TempDir, Wal, WalConfig};
 
         let dir = TempDir::new("maint-durable").unwrap();
         let mut cfg = WalConfig::new(dir.path());
@@ -1090,10 +1118,8 @@ mod tests {
             .unwrap();
         wal.flush_and_notify();
         let cache = warm_cache();
-        wal.attach_observer(Arc::new(drop_only(
-            &cache,
-            TableCatalog::from_database(&db),
-        )));
+        let maint = drop_only(&cache, TableCatalog::from_database(&db));
+        wal.replay_from(wal.durable_lsn(), Arc::new(maint)).unwrap();
         let insert = || {
             db.execute("INSERT INTO book (t) VALUES ('WebML')", &Params::new())
                 .unwrap()

@@ -21,10 +21,11 @@ impl Patcher<String> for Title {
         &self,
         _: &UnitPlan,
         _: &BTreeMap<String, String>,
-        _: &String,
+        bean: &mut Arc<String>,
         delta: &RowDelta<'_>,
-    ) -> PatchOutcome<String> {
-        PatchOutcome::Patched(delta.get("title").unwrap().render())
+    ) -> PatchOutcome {
+        *bean = Arc::new(delta.get("title").unwrap().render());
+        PatchOutcome::Patched
     }
 }
 
@@ -47,12 +48,12 @@ fn maintainer(
     plan: MaintenancePlan,
 ) -> LogDrivenMaintainer<String> {
     LogDrivenMaintainer::new(
-        Arc::clone(cache),
+        Arc::clone(cache.versions()),
         plan,
         catalog(),
-        Arc::new(Title),
         Arc::new(obs::MaintCounters::new()),
     )
+    .with_beans(Arc::clone(cache), Arc::new(Title))
 }
 
 /// The bean half: the reader computes book 7 at LSN 4; the write at LSN 5

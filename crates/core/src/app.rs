@@ -6,7 +6,7 @@ use er::{ErModel, RelationalMapping};
 use httpd::{BodyChunk, HttpRequest, HttpResponse, HttpServer, ServerConfig, Service};
 use mvc::{
     Controller, ControllerParts, RuntimeOptions, SessionManager, WebRequest, WebResponse,
-    WebResponseParts, WriteBarrier,
+    WebResponseParts,
 };
 use relstore::{CommitSink, Database};
 use std::io;
@@ -113,7 +113,9 @@ impl Application {
     ///    kept on [`Deployment::analysis`].
     /// 3. Open the store: fresh, or — with `durability` — recovered from
     ///    the snapshot + log tail *before* the commit sink is armed, so
-    ///    replay never re-logs itself.
+    ///    replay never re-logs itself. The sink is the node's
+    ///    [`wal::LocalStream`]: in front of the log, or alone when the
+    ///    node has no log but something that follows its writes.
     /// 4. Run the DDL if the store is empty — on a durable first boot
     ///    through the armed sink, so it is itself durable.
     /// 5. – 8. [`assemble_node`].
@@ -130,36 +132,34 @@ impl Application {
         let db = Arc::new(Database::with_counters(Arc::clone(&registry.db)));
         let mut wal = None;
         let mut recovery = None;
-        let mut barrier = None;
+        let mut stream = None;
         if let Some(durability) = durability {
             let mut cfg = wal::WalConfig::new(&durability.dir);
             cfg.group_commit_window = durability.group_commit_window;
             let log =
                 wal::Wal::open(cfg, Arc::clone(&registry.wal)).map_err(DeployError::Durability)?;
             recovery = Some(log.recover_into(&db).map_err(DeployError::Durability)?);
-            db.set_commit_sink(
-                Arc::clone(&log) as Arc<dyn CommitSink>,
+            stream = Some(wal::LocalStream::over(
+                Arc::clone(&log),
                 durability.strict_commit,
-            );
-            // What a maintained op path runs before its forward render.
-            // Non-strict commit already accepts the group-commit window as
-            // its durability lag, so there the barrier only dispatches the
-            // buffered records and leaves all file I/O to the flusher.
-            let barrier_log = Arc::clone(&log);
-            let strict = durability.strict_commit;
-            barrier = Some(Arc::new(move || {
-                if strict {
-                    barrier_log.flush_and_notify();
-                } else {
-                    barrier_log.notify_buffered();
-                }
-            }) as WriteBarrier);
+            ));
             wal = Some(log);
+        } else if options.runtime.follows_writes() {
+            stream = Some(wal::LocalStream::standalone(db.lsn()));
+        }
+        if let Some(stream) = &stream {
+            // strict: the database hands every commit back to the stream
+            // once it has released the storage lock
+            db.set_commit_sink(Arc::clone(stream) as Arc<dyn CommitSink>, true);
         }
         if db.table_names().is_empty() {
             db.execute_script(&generated.ddl)
                 .map_err(DeployError::Schema)?;
         }
+        let maintenance = options
+            .runtime
+            .follows_writes()
+            .then(|| Arc::new(analyze::maintenance::plan_for(&generated.descriptors)));
 
         let controller = assemble_node(
             &generated,
@@ -169,9 +169,8 @@ impl Application {
                 obs: Arc::clone(&registry),
                 sessions: None,
                 plugins,
-                stream: wal.as_deref().map(|w| w as &dyn wal::ChangeStream),
-                incremental_maintenance: durability.is_some_and(|d| d.incremental_maintenance),
-                barrier,
+                stream: stream.as_deref().map(|s| s as &dyn wal::ChangeStream),
+                maintenance: maintenance.clone(),
             },
         )?;
         Ok(Deployment {
@@ -182,6 +181,7 @@ impl Application {
             wal,
             recovery,
             analysis,
+            maintenance,
         })
     }
 
@@ -236,28 +236,23 @@ pub struct NodeSpec<'a> {
     /// The leader's session store, on replicas.
     pub sessions: Option<Arc<SessionManager>>,
     pub plugins: Option<&'a Plugins<'a>>,
-    /// The committed changes the node's caches follow: the leader's log,
-    /// a replica's applied batches, `None` without durability.
+    /// The committed batches the node's store holds, which its caches
+    /// follow: its own commits ([`wal::LocalStream`]) on a node that takes
+    /// writes, the applied batches on a replica.
     pub stream: Option<&'a dyn wal::ChangeStream>,
-    /// [`DurabilityConfig::incremental_maintenance`].
-    pub incremental_maintenance: bool,
-    /// Delivers a just-committed operation's changes to `stream`'s
-    /// observers (nodes that take writes only).
-    pub barrier: Option<WriteBarrier>,
+    /// [`Deployment::maintenance`], shared by every node of the deployment.
+    pub maintenance: Option<Arc<webcache::MaintenancePlan>>,
 }
 
 /// Steps 5 – 8 of [`Application::assemble`], shared by every node of every
 /// topology: derived indexes, plan pinning, controller, cache coherence.
 ///
-/// Coherence: without a change stream (or a bean cache) the §6 op-path
-/// invalidation is all there is. With one, a single
-/// [`webcache::LogDrivenMaintainer`] follows it — under
-/// `incremental_maintenance` with the compiled plan (beans patched,
-/// dependent fragments dirtied, the write barrier in place of the op-path
-/// invalidation), otherwise with the empty plan (row-granular drops beside
-/// the op-path invalidation). Either way it records each batch's LSN in the
-/// node's version table, so `ETag`s follow writes the node's own controller
-/// never ran.
+/// Coherence has one rule: a node with a cache level or conditional GET
+/// ([`RuntimeOptions::follows_writes`], so a deployment with a
+/// maintenance plan) attaches one [`webcache::LogDrivenMaintainer`]
+/// ([`Controller::maintainer`]) under that plan to its stream. It records
+/// each batch's LSN in the node's version table, patches or drops beans,
+/// and dirties dependent fragments; a node with neither attaches nothing.
 pub fn assemble_node(generated: &Generated, spec: NodeSpec<'_>) -> Result<Controller, DeployError> {
     // recovered indexes are skipped; derivations new since the last boot
     // are created — and logged — here
@@ -275,31 +270,10 @@ pub fn assemble_node(generated: &Generated, spec: NodeSpec<'_>) -> Result<Contro
     if let Some(plugins) = spec.plugins {
         plugins(&mut parts);
     }
-    let mut controller = Controller::new(parts).map_err(DeployError::View)?;
+    let controller = Controller::new(parts).map_err(DeployError::View)?;
 
-    if let (Some(stream), Some(cache)) = (spec.stream, controller.bean_cache_arc()) {
-        let plan = if spec.incremental_maintenance {
-            analyze::maintenance::plan_for(&generated.descriptors)
-        } else {
-            webcache::MaintenancePlan::default()
-        };
-        let mut maint = webcache::LogDrivenMaintainer::new(
-            cache,
-            plan,
-            webcache::TableCatalog::from_database(&spec.db),
-            Arc::new(mvc::UnitBeanPatcher),
-            Arc::clone(&spec.obs.maint),
-        )
-        .with_database(&spec.db);
-        if spec.incremental_maintenance {
-            if let Some(fc) = controller.fragment_cache_arc() {
-                maint = maint.with_fragments(fc);
-            }
-            if let Some(barrier) = spec.barrier {
-                controller.set_write_barrier(barrier);
-            }
-        }
-        stream.attach_observer(Arc::new(maint));
+    if let (Some(stream), Some(plan)) = (spec.stream, spec.maintenance) {
+        stream.attach_observer(Arc::new(controller.maintainer(plan)));
     }
     Ok(controller)
 }
@@ -348,14 +322,9 @@ pub struct DurabilityConfig {
     pub group_commit_window: Duration,
     /// When `true`, every commit blocks until its log record is fsynced.
     pub strict_commit: bool,
-    /// Incremental view maintenance: instead of dropping dependent beans,
-    /// the durable change stream *patches* them in place where the unit's
-    /// query shape allows it (single-row probes, oid-ordered row sets,
-    /// bounded Top-K windows) and dirties only the affected units'
-    /// fragments. Implies maintained coherence on the node that takes the
-    /// writes: the §6 op-path whole-entity invalidation is skipped and a
-    /// post-operation write barrier delivers the log to the maintenance
-    /// pass before the forward re-reads.
+    /// Ignored: every node maintains its caches incrementally (DESIGN §17).
+    /// Kept only because the benchmark harness still assigns it; it goes
+    /// in the next change to the benchmark.
     pub incremental_maintenance: bool,
 }
 
@@ -461,6 +430,10 @@ pub struct Deployment {
     pub recovery: Option<wal::RecoveryInfo>,
     /// The analyzer report, when deployed with the gate at `Warn`/`Deny`.
     pub analysis: Option<analyze::Report>,
+    /// The compiled [`analyze::maintenance::plan_for`] plan every node's
+    /// maintainer follows; `None` when nothing follows writes
+    /// ([`RuntimeOptions::follows_writes`]).
+    pub maintenance: Option<Arc<webcache::MaintenancePlan>>,
 }
 
 impl Deployment {

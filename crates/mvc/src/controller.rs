@@ -26,7 +26,10 @@ use relstore::{Database, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
-use webcache::{BeanCache, FragmentCache, FragmentKey, Provenance, VersionTable};
+use webcache::{
+    BeanCache, FragmentCache, FragmentKey, LogDrivenMaintainer, MaintenancePlan, Provenance,
+    TableCatalog, VersionTable,
+};
 
 /// When presentation rules run (§5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,6 +66,15 @@ pub struct RuntimeOptions {
     /// dependencies' last writes and answer matching `If-None-Match`
     /// conditional GETs with `304 Not Modified` before any unit computes.
     pub conditional_get: bool,
+}
+
+impl RuntimeOptions {
+    /// Does anything on the node follow its writes — a cache level or
+    /// conditional GET? Such a node keeps them coherent through its
+    /// [`Controller::maintainer`].
+    pub fn follows_writes(&self) -> bool {
+        self.bean_cache || self.fragment_cache || self.conditional_get
+    }
 }
 
 impl Default for RuntimeOptions {
@@ -144,17 +156,11 @@ pub struct Controller {
     /// counter blocks, per-unit-kind histograms, …
     obs: Arc<obs::MetricsRegistry>,
     /// The commit LSN of the last write to each entity and row, and of
-    /// the last schema change; shared with both caches. The op path
-    /// records its own commits when it invalidates; otherwise the WAL
-    /// maintenance layer records each durable batch. Strong `ETag`s fold
-    /// the page's dependency versions.
+    /// the last schema change; shared with both caches and recorded by the
+    /// node's [`Controller::maintainer`]. Strong `ETag`s fold the page's
+    /// dependency versions.
     versions: Arc<VersionTable>,
     conditional_get: bool,
-    /// `Some`: the WAL-driven maintenance layer owns cache coherence.
-    /// Operations skip the §6 op-path whole-entity invalidation and call
-    /// this instead, before the forward renders, so the maintenance pass
-    /// runs before the writer can re-read (read-your-writes).
-    write_barrier: Option<WriteBarrier>,
 }
 
 /// One rule set's compiled view of the site.
@@ -183,9 +189,6 @@ fn page_runs(rules: &RuleSet, skeleton: &TemplateSkeleton, page: &PagePlan) -> R
 fn missing_slot(unit: &str, page: &PagePlan) -> MvcError {
     MvcError::MissingDescriptor(format!("{unit} (a unit slot of page {})", page.id))
 }
-
-/// See [`Controller::set_write_barrier`].
-pub type WriteBarrier = Arc<dyn Fn() + Send + Sync>;
 
 /// Best-effort typed view of a request parameter string.
 pub fn to_value(s: &str) -> Value {
@@ -302,18 +305,28 @@ impl Controller {
             obs: observability,
             versions,
             conditional_get: options.conditional_get,
-            write_barrier: None,
         })
     }
 
-    /// Hand cache coherence to the durable-log maintenance pass: from now
-    /// on a successful operation runs `barrier` (which must deliver the
-    /// operation's changes to that pass) in place of the op-path
-    /// invalidation. Only the deploy wiring that attached the maintainer
-    /// may call this — without one the caches would go incoherent. Call
-    /// before the controller is shared.
-    pub fn set_write_barrier(&mut self, barrier: WriteBarrier) {
-        self.write_barrier = Some(barrier);
+    /// The one coherence path (DESIGN §9, *Node assembly*): a maintainer
+    /// of this node's caches and versions under `plan`. Attach it to the
+    /// stream of the batches the node's store holds; until then nothing
+    /// keeps the caches or the `ETag`s following writes.
+    pub fn maintainer(&self, plan: Arc<MaintenancePlan>) -> LogDrivenMaintainer<UnitBean> {
+        let mut m = LogDrivenMaintainer::new(
+            Arc::clone(&self.versions),
+            plan,
+            TableCatalog::from_database(&self.db),
+            Arc::clone(&self.obs.maint),
+        )
+        .with_database(&self.db);
+        if let Some(cache) = &self.bean_cache {
+            m = m.with_beans(Arc::clone(cache), Arc::new(crate::UnitBeanPatcher));
+        }
+        if let Some(fragments) = &self.fragment_cache {
+            m = m.with_fragments(Arc::clone(fragments));
+        }
+        m
     }
 
     /// The shared observability registry.
@@ -335,20 +348,8 @@ impl Controller {
         self.bean_cache.as_deref()
     }
 
-    /// Owning handle to the bean cache, for wiring external invalidation
-    /// sources (e.g. a durable-log observer) to the same cache instance.
-    pub fn bean_cache_arc(&self) -> Option<Arc<BeanCache<UnitBean>>> {
-        self.bean_cache.clone()
-    }
-
     pub fn fragment_cache(&self) -> Option<&FragmentCache> {
         self.fragment_cache.as_deref()
-    }
-
-    /// Owning handle to the fragment cache, for wiring the maintenance
-    /// layer's dirty-fragment invalidation to the same instance.
-    pub fn fragment_cache_arc(&self) -> Option<Arc<FragmentCache>> {
-        self.fragment_cache.clone()
     }
 
     /// The elastic application-server pool, when deployed that way.
@@ -480,16 +481,9 @@ impl Controller {
                     sid,
                     ctx,
                 )?;
-                // §6: operations automatically invalidate affected beans
-                if result.ok {
-                    match &self.write_barrier {
-                        // maintained coherence: the durable-log pass owns
-                        // the caches and the versions; the barrier runs it
-                        // before the forward re-reads
-                        Some(barrier) => barrier(),
-                        None => self.invalidate(desc, params.get("oid")),
-                    }
-                } else {
+                // §6: the operation's commits already reached the caches,
+                // on this thread, before they returned
+                if !result.ok {
                     self.obs.ko_flows.inc();
                 }
                 let forward = if result.ok || ko_forward.is_empty() {
@@ -520,26 +514,6 @@ impl Controller {
         }
     }
 
-    /// The op path's coherence, on a node with no write barrier: record the
-    /// operation's commit under every table it invalidates — the row when
-    /// it names one of its own table's rows by `oid`, an unknown row
-    /// otherwise — *then* drop the tables' dependent beans. `lsn()` read
-    /// after the commit is the commit's LSN, or a later one.
-    fn invalidate(&self, desc: &descriptors::OperationDescriptor, oid: Option<&String>) {
-        let lsn = self.db.lsn();
-        let oid = oid.and_then(|v| v.parse::<i64>().ok());
-        for table in &desc.invalidates {
-            let own = desc.entity_table.as_ref() == Some(table);
-            self.versions.record(table, oid.filter(|_| own), lsn);
-        }
-        if let Some(cache) = &self.bean_cache {
-            for table in &desc.invalidates {
-                cache.invalidate_entity(table);
-            }
-        }
-        self.versions.settle(lsn);
-    }
-
     /// Strong `ETag` for a page: FNV-1a over the page identity, the
     /// request parameters, the device class, the session, and the versions
     /// — commit LSNs — of the page's content. A key-probe unit whose row
@@ -550,6 +524,12 @@ impl Controller {
     /// tag; writes to sibling rows of a request-named row do not. The LSNs
     /// are the same on every node that applied the same writes, so a tag
     /// minted on one replica validates on another.
+    ///
+    /// Every version is clamped to one read of
+    /// [`VersionTable::settled`]: the caches that serve this request hold
+    /// at least that state, so a tag never names a write whose
+    /// maintenance pass has not finished — until it has, the tag names the
+    /// older state, and then it moves.
     fn page_etag(
         &self,
         plan: &PagePlan,
@@ -573,6 +553,7 @@ impl Controller {
         }
         mix(user_agent.as_bytes());
         mix(sid.as_bytes());
+        let settled = self.versions.settled();
         // table deps of row-validated units whose request names no row
         let mut unbound: Vec<&str> = Vec::new();
         for step in &plan.units {
@@ -587,14 +568,14 @@ impl Controller {
                 Some(oid) => {
                     mix(table.as_bytes());
                     mix(&oid.to_le_bytes());
-                    mix(&self.versions.row(table, oid).to_le_bytes());
+                    mix(&self.versions.row(table, oid).min(settled).to_le_bytes());
                 }
                 None => unbound.push(table),
             }
         }
         for table in plan.stamp_deps.iter().map(String::as_str).chain(unbound) {
             mix(table.as_bytes());
-            mix(&self.versions.entity(table).to_le_bytes());
+            mix(&self.versions.entity(table).min(settled).to_le_bytes());
         }
         format!("\"{h:016x}\"")
     }
@@ -786,7 +767,8 @@ mod tests {
         PageDescriptor, ParamBinding, QuerySpec, TransportEdge, UnitDescriptor, UnitLinkSpec,
     };
     use presentation::HtmlChunk;
-    use relstore::{ChangeRecord, Params};
+    use relstore::Params;
+    use wal::ChangeStream;
 
     /// A small two-page application with a create operation.
     fn deploy(options: RuntimeOptions) -> Controller {
@@ -941,14 +923,35 @@ mod tests {
                 1,
             ),
         ];
-        Controller::new(ControllerParts::standard(
+        assemble(set, skeletons, db, options)
+    }
+
+    /// Assemble a controller over `db` and wire the node the way
+    /// `webratio::assemble_node` does: when something follows writes, the
+    /// node's own commits reach its one maintainer on the committing
+    /// thread.
+    fn assemble(
+        set: DescriptorSet,
+        skeletons: Vec<TemplateSkeleton>,
+        db: Arc<Database>,
+        options: RuntimeOptions,
+    ) -> Controller {
+        let plan = Arc::new(analyze::maintenance::plan_for(&set));
+        let follows_writes = options.follows_writes();
+        let parts = ControllerParts::standard(
             set,
             skeletons,
-            db,
+            Arc::clone(&db),
             options,
             obs::MetricsRegistry::new(),
-        ))
-        .unwrap()
+        );
+        let c = Controller::new(parts).unwrap();
+        if follows_writes {
+            let stream = wal::LocalStream::standalone(db.lsn());
+            db.set_commit_sink(Arc::clone(&stream) as Arc<dyn relstore::CommitSink>, true);
+            stream.attach_observer(Arc::new(c.maintainer(plan)));
+        }
+        c
     }
 
     #[test]
@@ -1330,14 +1333,7 @@ mod tests {
             operations: vec![rename],
             controller: ControllerConfig { mappings },
         };
-        Controller::new(ControllerParts::standard(
-            set,
-            skeletons,
-            db,
-            options,
-            obs::MetricsRegistry::new(),
-        ))
-        .unwrap()
+        assemble(set, skeletons, db, options)
     }
 
     fn fragment_caching() -> RuntimeOptions {
@@ -1440,15 +1436,7 @@ mod tests {
     #[test]
     fn write_to_the_displayed_row_dirties_an_edge_fed_fragment() {
         let c = catalog(fragment_caching());
-        let fc = c.fragment_cache_arc().unwrap();
-        let maint = webcache::LogDrivenMaintainer::new(
-            c.bean_cache_arc().unwrap(),
-            analyze::maintenance::plan_for(&catalog_set(&c)),
-            webcache::TableCatalog::from_database(c.database()),
-            Arc::new(crate::UnitBeanPatcher),
-            Arc::new(obs::MaintCounters::new()),
-        )
-        .with_fragments(Arc::clone(&fc));
+        let fc = c.fragment_cache().unwrap();
 
         let req = WebRequest::get("/shop/pick").with_param("sel", "37");
         assert!(c.handle(&req).body.contains("Product 1"));
@@ -1471,14 +1459,6 @@ mod tests {
                     &Params::new().bind("n", name).bind("o", oid),
                 )
                 .unwrap();
-            maint.apply(
-                c.database().lsn(),
-                &[ChangeRecord::Update {
-                    table: "product".into(),
-                    row_id: 0,
-                    row: vec![Value::Integer(oid), Value::Text(name.into())],
-                }],
-            );
         };
         // row 37 is named by the URL but shown nowhere: nothing to dirty
         write(37, "Unseen");
@@ -1490,19 +1470,6 @@ mod tests {
         assert!(body.contains("Renamed") && !body.contains("Product 1"));
         // the category index never went dirty
         assert!(Arc::ptr_eq(&index_bytes, &fc.get(&index).unwrap()));
-    }
-
-    /// The descriptor set `catalog` deploys (for the maintenance planner).
-    fn catalog_set(c: &Controller) -> DescriptorSet {
-        DescriptorSet {
-            units: c
-                .plan
-                .pages
-                .iter()
-                .flat_map(|p| p.units.iter().map(|s| s.desc.clone()))
-                .collect(),
-            ..DescriptorSet::default()
-        }
     }
 
     /// Index over `category` → automatic link → data unit over `product`:

@@ -40,9 +40,7 @@ pub mod session;
 
 pub use appserver::{AppServerTier, BusinessTier, InProcessTier, TierContext};
 pub use beans::{BeanRow, NestedBeanRow, Shape, UnitBean};
-pub use controller::{
-    to_value, Controller, ControllerParts, RuntimeOptions, StylingMode, WriteBarrier,
-};
+pub use controller::{to_value, Controller, ControllerParts, RuntimeOptions, StylingMode};
 pub use error::{MvcError, Result};
 pub use maintain::UnitBeanPatcher;
 pub use operations::{Mail, OpResult, OperationEngine, OperationHandler};

@@ -1,6 +1,6 @@
 //! Unit-bean patch semantics for the incremental maintenance layer.
 //!
-//! `webcache::maintain` decides *which* cached beans a durable change may
+//! `webcache::maintain` decides *which* cached beans a committed change may
 //! affect and whether the plan says they are patchable; this module knows
 //! *how* a row delta folds into a [`UnitBean`]:
 //!
@@ -69,12 +69,22 @@ fn matches_filters(
     Some(true)
 }
 
+/// How one row delta changes a cached row list.
+enum RowEdit {
+    Replace(usize, BeanRow),
+    Remove(usize),
+    /// Insert at a position, then cut the list back to the Top-K window.
+    Insert(usize, BeanRow, Option<usize>),
+}
+
 /// The [`Patcher`] for MVC unit beans.
 pub struct UnitBeanPatcher;
 
 impl UnitBeanPatcher {
+    /// Decide how `delta` changes the cached row list: the patched bean's
+    /// shape and the edit, or the verdict when there is nothing to apply.
     #[allow(clippy::too_many_arguments)]
-    fn patch_rows(
+    fn row_edit(
         &self,
         plan: &UnitPlan,
         filters: &[(String, String)],
@@ -84,43 +94,28 @@ impl UnitBeanPatcher {
         shape: &Arc<Shape>,
         rows: &[BeanRow],
         delta: &RowDelta<'_>,
-    ) -> PatchOutcome<UnitBean> {
+    ) -> Result<(Arc<Shape>, RowEdit), PatchOutcome> {
         let Some(shape) = patch_shape(plan, shape, rows.is_empty()) else {
-            return PatchOutcome::Unpatchable("bean-shape");
+            return Err(PatchOutcome::Unpatchable("bean-shape"));
         };
         // membership reasoning needs every cached row's oid
         if rows.iter().any(|r| shape.oid(r).is_none()) {
-            return PatchOutcome::Unpatchable("no-row-oid");
+            return Err(PatchOutcome::Unpatchable("no-row-oid"));
         }
         let pos = rows.iter().position(|r| shape.oid(r) == Some(delta.oid));
-        let rebuilt = |rows: Vec<BeanRow>| {
-            let total = rows.len();
-            PatchOutcome::Patched(UnitBean::Rows {
-                shape: Arc::clone(&shape),
-                rows,
-                total,
-            })
-        };
-        match delta.op {
+        // a delete that shrinks a *full* Top-K window exposes a slot only
+        // the store can refill
+        let refill = limit.is_some_and(|k| rows.len() >= k);
+        let edit = match delta.op {
             DeltaOp::Delete => match pos {
-                Some(p) => {
-                    // a delete that shrinks a *full* Top-K window exposes
-                    // a slot only the store can refill
-                    if let Some(k) = limit {
-                        if rows.len() >= k {
-                            return PatchOutcome::Unpatchable("topk-refill");
-                        }
-                    }
-                    let mut rows = rows.to_vec();
-                    rows.remove(p);
-                    rebuilt(rows)
-                }
-                None => PatchOutcome::Unchanged,
+                Some(_) if refill => return Err(PatchOutcome::Unpatchable("topk-refill")),
+                Some(p) => RowEdit::Remove(p),
+                None => return Err(PatchOutcome::Unchanged),
             },
             DeltaOp::Insert | DeltaOp::Update => {
                 let is_member = match matches_filters(filters, key_params, delta) {
                     Some(b) => b,
-                    None => return PatchOutcome::Unpatchable("unbound-param"),
+                    None => return Err(PatchOutcome::Unpatchable("unbound-param")),
                 };
                 match (pos, is_member) {
                     (Some(p), true) => {
@@ -137,59 +132,40 @@ impl UnitBeanPatcher {
                                     _ => true,
                                 };
                                 if moved {
-                                    return PatchOutcome::Unpatchable("reorder");
+                                    return Err(PatchOutcome::Unpatchable("reorder"));
                                 }
                             }
-                            RowOrder::Opaque => return PatchOutcome::Unpatchable("reorder"),
+                            RowOrder::Opaque => return Err(PatchOutcome::Unpatchable("reorder")),
                             RowOrder::Insertion | RowOrder::Oid => {}
                         }
-                        let mut rows = rows.to_vec();
-                        rows[p] = project(plan, delta);
-                        rebuilt(rows)
+                        RowEdit::Replace(p, project(plan, delta))
                     }
-                    (Some(p), false) => {
-                        // the row no longer satisfies the predicate
-                        if let Some(k) = limit {
-                            if rows.len() >= k {
-                                return PatchOutcome::Unpatchable("topk-refill");
-                            }
-                        }
-                        let mut rows = rows.to_vec();
-                        rows.remove(p);
-                        rebuilt(rows)
+                    // the row no longer satisfies the predicate
+                    (Some(_), false) if refill => {
+                        return Err(PatchOutcome::Unpatchable("topk-refill"))
                     }
+                    (Some(p), false) => RowEdit::Remove(p),
                     (None, true) => {
                         // a new member: its position is only computable
                         // under the engine-stable oid order
                         if *order != RowOrder::Oid {
-                            return PatchOutcome::Unpatchable("insert-order");
+                            return Err(PatchOutcome::Unpatchable("insert-order"));
                         }
                         let at = rows
                             .iter()
                             .position(|r| shape.oid(r).is_some_and(|o| o > delta.oid))
                             .unwrap_or(rows.len());
-                        let mut rows = rows.to_vec();
-                        match limit {
-                            Some(k) if rows.len() >= k => {
-                                if at < rows.len() {
-                                    rows.insert(at, project(plan, delta));
-                                    rows.truncate(k);
-                                    rebuilt(rows)
-                                } else {
-                                    // beyond the full window: invisible
-                                    PatchOutcome::Unchanged
-                                }
-                            }
-                            _ => {
-                                rows.insert(at, project(plan, delta));
-                                rebuilt(rows)
-                            }
+                        if refill && at == rows.len() {
+                            // beyond the full window: invisible
+                            return Err(PatchOutcome::Unchanged);
                         }
+                        RowEdit::Insert(at, project(plan, delta), limit)
                     }
-                    (None, false) => PatchOutcome::Unchanged,
+                    (None, false) => return Err(PatchOutcome::Unchanged),
                 }
             }
-        }
+        };
+        Ok((shape, edit))
     }
 }
 
@@ -198,10 +174,10 @@ impl Patcher<UnitBean> for UnitBeanPatcher {
         &self,
         plan: &UnitPlan,
         key_params: &BTreeMap<String, String>,
-        bean: &UnitBean,
+        bean: &mut Arc<UnitBean>,
         delta: &RowDelta<'_>,
-    ) -> PatchOutcome<UnitBean> {
-        match (&plan.strategy, bean) {
+    ) -> PatchOutcome {
+        match (&plan.strategy, &**bean) {
             // the maintainer already verified the key parameter equals the
             // changed row's oid, so the delta *is* this bean's row
             (Strategy::KeyProbe { .. }, UnitBean::Single { shape, row }) => {
@@ -212,7 +188,8 @@ impl Patcher<UnitBean> for UnitBeanPatcher {
                     DeltaOp::Delete => None,
                     DeltaOp::Insert | DeltaOp::Update => Some(project(plan, delta)),
                 };
-                PatchOutcome::Patched(UnitBean::Single { shape, row })
+                *bean = Arc::new(UnitBean::Single { shape, row });
+                PatchOutcome::Patched
             }
             (
                 Strategy::RowSet {
@@ -221,7 +198,30 @@ impl Patcher<UnitBean> for UnitBeanPatcher {
                     limit,
                 },
                 UnitBean::Rows { shape, rows, .. },
-            ) => self.patch_rows(plan, filters, order, *limit, key_params, shape, rows, delta),
+            ) => {
+                let (patched, edit) = match self
+                    .row_edit(plan, filters, order, *limit, key_params, shape, rows, delta)
+                {
+                    Ok(decided) => decided,
+                    Err(verdict) => return verdict,
+                };
+                // in place: a copy only while a reader holds the bean
+                if let UnitBean::Rows { shape, rows, total } = Arc::make_mut(bean) {
+                    *shape = patched;
+                    match edit {
+                        RowEdit::Replace(at, row) => rows[at] = row,
+                        RowEdit::Remove(at) => {
+                            rows.remove(at);
+                        }
+                        RowEdit::Insert(at, row, window) => {
+                            rows.insert(at, row);
+                            rows.truncate(window.unwrap_or(usize::MAX));
+                        }
+                    }
+                    *total = rows.len();
+                }
+                PatchOutcome::Patched
+            }
             (Strategy::Fallback { reason }, _) => PatchOutcome::Unpatchable(reason),
             // plan and cached value disagree on shape (custom service)
             _ => PatchOutcome::Unpatchable("bean-shape"),
@@ -269,6 +269,24 @@ mod tests {
         rows.iter().map(|r| shape().oid(r).unwrap()).collect()
     }
 
+    /// Patch a copy of `bean`: the patched bean, or the verdict — which
+    /// must leave the copy as it was.
+    fn patched(
+        plan: &UnitPlan,
+        params: &BTreeMap<String, String>,
+        bean: &UnitBean,
+        delta: &RowDelta<'_>,
+    ) -> Result<UnitBean, PatchOutcome> {
+        let mut copy = Arc::new(bean.clone());
+        match UnitBeanPatcher.apply(plan, params, &mut copy, delta) {
+            PatchOutcome::Patched => Ok(Arc::unwrap_or_clone(copy)),
+            verdict => {
+                assert_eq!(*copy, *bean, "{verdict:?} changed the bean");
+                Err(verdict)
+            }
+        }
+    }
+
     fn catalog() -> TableCatalog {
         let mut c = TableCatalog::new();
         c.add(
@@ -301,8 +319,7 @@ mod tests {
         let bean = rows(vec![row(1, "A"), row(3, "C")]);
         let mut params = BTreeMap::new();
         params.insert("issue".to_string(), "7".to_string());
-        let PatchOutcome::Patched(UnitBean::Rows { shape, rows, total }) =
-            UnitBeanPatcher.apply(&plan, &params, &bean, &delta)
+        let Ok(UnitBean::Rows { shape, rows, total }) = patched(&plan, &params, &bean, &delta)
         else {
             panic!("expected patch");
         };
@@ -324,10 +341,10 @@ mod tests {
             ],
         };
         let delta = cat.delta(&other).unwrap();
-        assert!(matches!(
-            UnitBeanPatcher.apply(&plan, &params, &bean, &delta),
-            PatchOutcome::Unchanged
-        ));
+        assert_eq!(
+            patched(&plan, &params, &bean, &delta),
+            Err(PatchOutcome::Unchanged)
+        );
     }
 
     #[test]
@@ -350,9 +367,7 @@ mod tests {
             ],
         };
         let delta = cat.delta(&change).unwrap();
-        let PatchOutcome::Patched(UnitBean::Rows { rows, total, .. }) =
-            UnitBeanPatcher.apply(&plan, &params, &bean, &delta)
-        else {
+        let Ok(UnitBean::Rows { rows, total, .. }) = patched(&plan, &params, &bean, &delta) else {
             panic!("expected patch");
         };
         assert_eq!(total, 1);
@@ -370,8 +385,8 @@ mod tests {
             row: vec![Value::Integer(1), Value::Text("A".into()), Value::Null],
         };
         let delta = cat.delta(&change).unwrap();
-        let PatchOutcome::Patched(UnitBean::Rows { rows, total, .. }) =
-            UnitBeanPatcher.apply(&plan, &BTreeMap::new(), &bean, &delta)
+        let Ok(UnitBean::Rows { rows, total, .. }) =
+            patched(&plan, &BTreeMap::new(), &bean, &delta)
         else {
             panic!("expected patch");
         };
@@ -390,8 +405,7 @@ mod tests {
             row: vec![Value::Integer(3), Value::Text("C".into()), Value::Null],
         };
         let delta = cat.delta(&change).unwrap();
-        let PatchOutcome::Patched(UnitBean::Rows { rows, .. }) =
-            UnitBeanPatcher.apply(&plan, &BTreeMap::new(), &full, &delta)
+        let Ok(UnitBean::Rows { rows, .. }) = patched(&plan, &BTreeMap::new(), &full, &delta)
         else {
             panic!("expected patch");
         };
@@ -403,10 +417,10 @@ mod tests {
             row: vec![Value::Integer(9), Value::Text("Z".into()), Value::Null],
         };
         let delta = cat.delta(&beyond).unwrap();
-        assert!(matches!(
-            UnitBeanPatcher.apply(&plan, &BTreeMap::new(), &full, &delta),
-            PatchOutcome::Unchanged
-        ));
+        assert_eq!(
+            patched(&plan, &BTreeMap::new(), &full, &delta),
+            Err(PatchOutcome::Unchanged)
+        );
         // deleting from a full window needs a refill → bounded fallback
         let gone = relstore::ChangeRecord::Delete {
             table: "paper".into(),
@@ -414,10 +428,10 @@ mod tests {
             row: vec![Value::Integer(2), Value::Text("B".into()), Value::Null],
         };
         let delta = cat.delta(&gone).unwrap();
-        assert!(matches!(
-            UnitBeanPatcher.apply(&plan, &BTreeMap::new(), &full, &delta),
-            PatchOutcome::Unpatchable("topk-refill")
-        ));
+        assert_eq!(
+            patched(&plan, &BTreeMap::new(), &full, &delta),
+            Err(PatchOutcome::Unpatchable("topk-refill"))
+        );
     }
 
     #[test]
@@ -449,15 +463,15 @@ mod tests {
             shape: shape(),
             row: Some(row(5, "Old title")),
         };
-        let PatchOutcome::Patched(UnitBean::Single {
-            shape: patched,
+        let Ok(UnitBean::Single {
+            shape: new_shape,
             row: Some(r),
-        }) = UnitBeanPatcher.apply(plan, &BTreeMap::new(), &bean, &delta)
+        }) = patched(plan, &BTreeMap::new(), &bean, &delta)
         else {
             panic!("expected patch");
         };
         assert_eq!(
-            patched.get(&r, "title"),
+            new_shape.get(&r, "title"),
             Some(&Value::Text("New title".into()))
         );
         let gone = relstore::ChangeRecord::Delete {
@@ -467,17 +481,48 @@ mod tests {
         };
         let delta = cat.delta(&gone).unwrap();
         assert!(matches!(
-            UnitBeanPatcher.apply(plan, &BTreeMap::new(), &bean, &delta),
-            PatchOutcome::Patched(UnitBean::Single { row: None, .. })
+            patched(plan, &BTreeMap::new(), &bean, &delta),
+            Ok(UnitBean::Single { row: None, .. })
         ));
         // a bean packed under other property names is not the plan's
         let foreign = UnitBean::Single {
             shape: Arc::new(Shape::new(["oid", "heading"])),
             row: Some(row(5, "Old title")),
         };
-        assert!(matches!(
-            UnitBeanPatcher.apply(plan, &BTreeMap::new(), &foreign, &delta),
-            PatchOutcome::Unpatchable("bean-shape")
-        ));
+        assert_eq!(
+            patched(plan, &BTreeMap::new(), &foreign, &delta),
+            Err(PatchOutcome::Unpatchable("bean-shape"))
+        );
+    }
+
+    /// A patch edits the cached bean in place, and copies it first only
+    /// while a reader still holds it: that reader keeps the bytes it read.
+    #[test]
+    fn a_patch_copies_only_a_bean_a_reader_holds() {
+        let plan = index_plan("SELECT t.oid, t.title FROM paper t ORDER BY t.oid");
+        let cat = catalog();
+        let change = relstore::ChangeRecord::Update {
+            table: "paper".into(),
+            row_id: 0,
+            row: vec![Value::Integer(2), Value::Text("B2".into()), Value::Null],
+        };
+        let delta = cat.delta(&change).unwrap();
+        let mut cached = Arc::new(rows(vec![row(1, "A"), row(2, "B")]));
+        let before = Arc::as_ptr(&cached);
+        let verdict = UnitBeanPatcher.apply(&plan, &BTreeMap::new(), &mut cached, &delta);
+        assert_eq!(verdict, PatchOutcome::Patched);
+        assert_eq!(Arc::as_ptr(&cached), before, "an unshared bean was copied");
+
+        let reader = Arc::clone(&cached);
+        let change = relstore::ChangeRecord::Delete {
+            table: "paper".into(),
+            row_id: 0,
+            row: vec![Value::Integer(1), Value::Text("A".into()), Value::Null],
+        };
+        let delta = cat.delta(&change).unwrap();
+        let verdict = UnitBeanPatcher.apply(&plan, &BTreeMap::new(), &mut cached, &delta);
+        assert_eq!(verdict, PatchOutcome::Patched);
+        assert_eq!(*reader, rows(vec![row(1, "A"), row(2, "B2")]));
+        assert_eq!(*cached, rows(vec![row(2, "B2")]));
     }
 }

@@ -85,8 +85,7 @@ pub fn deploy_replicated(
                 sessions: Some(Arc::clone(&leader.controller.sessions)),
                 plugins: None,
                 stream: Some(&*replica),
-                incremental_maintenance: durability.incremental_maintenance,
-                barrier: None,
+                maintenance: leader.maintenance.clone(),
             },
         )?);
         // subscribe through the serialization boundary; replay_from

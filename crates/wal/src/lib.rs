@@ -17,10 +17,13 @@
 //!   before/mid/after flush plus torn-tail and checksum corruption, so the
 //!   recovery invariant — *the recovered state is always a committed
 //!   prefix* — is provable by property test;
-//! * a **durable change stream** ([`ChangeStream`]): [`LogObserver`]s
+//! * a **durable change stream** ([`Wal::replay_from`]): [`LogObserver`]s
 //!   receive every batch *after* it is durable — which is what feeds
-//!   replicas and every node's cache maintenance
-//!   (`webcache::LogDrivenMaintainer`).
+//!   replicas;
+//! * a **local commit stream** ([`LocalStream`]): the commit sink in front
+//!   of the log (or alone, on a node with none) that delivers each of the
+//!   node's own commits to its cache maintainer
+//!   (`webcache::LogDrivenMaintainer`) on the committing thread.
 //!
 //! Flush economics (flush count, batch-size histogram, bytes, recovery
 //! time) are reported through [`obs::WalCounters`] and exported at
@@ -42,6 +45,7 @@ use relstore::{ChangeRecord, CommitSink, Database};
 use std::collections::BTreeSet;
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -73,18 +77,19 @@ impl WalConfig {
     }
 }
 
-/// Subscriber to the durable change stream. Called *after* a batch is
-/// written + synced, one batch at a time in LSN order — exactly the stream
-/// a replica (or a cache maintainer) needs, because it never shows a
-/// change that could still be lost. Must not call back into the [`Wal`].
+/// Subscriber to a [`ChangeStream`], called one committed batch at a time
+/// in LSN order: by the [`Wal`] *after* the batch is written + synced —
+/// the stream a replica needs, because it never shows a change that could
+/// still be lost — and by a [`LocalStream`] on the committing thread.
+/// Must not call back into the stream.
 pub trait LogObserver: Send + Sync {
     fn on_durable(&self, lsn: u64, changes: &[ChangeRecord]);
 }
 
-/// A source of committed change batches observers can follow: the
-/// leader's [`Wal`] (batches that reached the log) or a replica (batches
-/// it applied to its own store). Cache coherence is wired against this,
-/// so leader and replicas share one wiring.
+/// The committed batches a node's store holds, which its caches follow: a
+/// node's [`LocalStream`] (its own commits) or a replica (the batches it
+/// applied). Cache coherence is wired against this, so every node shares
+/// one wiring.
 pub trait ChangeStream {
     /// Subscribe to the stream. The observer sees only batches delivered
     /// *after* the attach.
@@ -108,14 +113,17 @@ pub struct RecoveryInfo {
     pub log_outcome: ScanOutcome,
 }
 
-/// The observer list and the one path batches take to it, shared by the
-/// flusher thread and the [`Wal`]'s synchronous barriers.
+/// An observer list and the one path batches take to it: the log's
+/// (shared by the flusher thread and [`Wal::flush_and_notify`]) and each
+/// [`LocalStream`]'s.
+#[derive(Default)]
 struct Dispatcher {
     observers: RwLock<Vec<Arc<dyn LogObserver>>>,
-    /// Held across draining the writer *and* delivering what was drained:
-    /// otherwise a barrier finds the queue empty and returns while another
-    /// dispatcher still holds that commit's batch undelivered, and a later
-    /// batch can overtake an earlier one.
+    /// Held across draining *and* delivering what was drained: otherwise
+    /// a later batch can overtake an earlier one (a replica skips
+    /// `lsn <= applied_lsn`, so an overtaken batch is lost), and a
+    /// dispatch can find nothing to drain and return while an earlier
+    /// batch is still on its way.
     dispatching: parking_lot::Mutex<()>,
 }
 
@@ -198,10 +206,7 @@ impl Wal {
             Arc::clone(&counters),
         )?;
 
-        let dispatcher = Arc::new(Dispatcher {
-            observers: RwLock::new(Vec::new()),
-            dispatching: parking_lot::Mutex::new(()),
-        });
+        let dispatcher = Arc::new(Dispatcher::default());
 
         // group-commit flusher: syncs the buffer every window and feeds
         // durable batches to observers (outside the writer lock)
@@ -240,8 +245,6 @@ impl Wal {
     /// found by the replay or delivered to the list that already holds
     /// `observer` — it cannot sneak past. Caveats the caller owns:
     ///
-    /// * a batch [`Wal::notify_buffered`] delivered ahead of its flush is
-    ///   in neither place: attach before non-strict write traffic starts;
     /// * records compacted away by a snapshot are no longer in the log —
     ///   a from-scratch replica bootstraps via [`Wal::recover_into`] (or
     ///   its own snapshot) first, then calls this with the recovered LSN;
@@ -330,17 +333,6 @@ impl Wal {
         self.dispatcher.dispatch(|| self.writer.flush_now());
     }
 
-    /// The non-strict coherence barrier: dispatch observers for every
-    /// appended-but-unflushed batch without touching the file at all
-    /// (see [`log::LogWriter::take_pending`]). The encoded bytes reach
-    /// the disk on the flusher's next window flush — the identical
-    /// write+sync schedule a deployment with no barrier gets — so
-    /// non-strict durability is unchanged while cache maintenance still
-    /// runs before the committer can re-read.
-    pub fn notify_buffered(&self) {
-        self.dispatcher.dispatch(|| self.writer.take_pending());
-    }
-
     /// Simulate power loss *now*: the unflushed buffer is dropped and the
     /// writer stops touching the file. Recovery from the on-disk bytes is
     /// exactly what a real crash would see.
@@ -370,11 +362,6 @@ impl Wal {
         self.writer.durable_lsn()
     }
 
-    /// Number of non-empty physical flushes so far.
-    pub fn flush_count(&self) -> u64 {
-        self.writer.flush_ordinal()
-    }
-
     /// The counters this subsystem reports into.
     pub fn counters(&self) -> &Arc<WalCounters> {
         &self.counters
@@ -401,23 +388,89 @@ impl Drop for Wal {
     }
 }
 
-impl ChangeStream for Wal {
-    /// Anything already durable is silently missed: a (re)connecting
-    /// replica must use [`Wal::replay_from`] instead.
-    fn attach_observer(&self, o: Arc<dyn LogObserver>) {
-        self.dispatcher.observers.write().push(o);
-    }
-}
-
 impl CommitSink for Wal {
     fn on_commit(&self, changes: Vec<ChangeRecord>) -> u64 {
-        self.writer.append(changes)
+        self.writer.append(Arc::new(changes))
     }
 
     fn wait_durable(&self, lsn: u64) -> relstore::Result<()> {
         self.writer
             .wait_durable(lsn)
             .map_err(relstore::Error::Durability)
+    }
+}
+
+/// The local commit stream: the [`CommitSink`] of a node that takes
+/// writes, in front of its [`Wal`] or, on a node with no log, alone.
+///
+/// [`on_commit`](CommitSink::on_commit) runs under the storage lock: it
+/// hands the batch to the log (or numbers it itself) and queues it,
+/// shared rather than copied. The stream is installed strict, so the
+/// database calls [`wait_durable`](CommitSink::wait_durable) once it has
+/// released the lock; there the queued batches are delivered in LSN order
+/// to the stream's observers — the node's cache maintainer — and only
+/// then, when `strict`, is the fsync awaited. A commit therefore returns
+/// only after its own batch and every earlier one were delivered,
+/// whichever committer drained them. Replicas ship from the log, which
+/// hands out only fsynced batches; this stream feeds the node's own
+/// caches, which die with its memory. The default stream stands alone
+/// from LSN 0.
+#[derive(Default)]
+pub struct LocalStream {
+    wal: Option<Arc<Wal>>,
+    strict: bool,
+    /// The last LSN a log-less stream handed out.
+    lsn: AtomicU64,
+    queue: parking_lot::Mutex<log::DurableBatch>,
+    dispatcher: Dispatcher,
+}
+
+impl LocalStream {
+    /// In front of `wal`. `strict`: a commit also waits for its fsync.
+    pub fn over(wal: Arc<Wal>, strict: bool) -> Arc<LocalStream> {
+        Arc::new(LocalStream {
+            wal: Some(wal),
+            strict,
+            ..LocalStream::default()
+        })
+    }
+
+    /// Alone, on a node with no log: commits are numbered after `lsn`,
+    /// the store's LSN at install.
+    pub fn standalone(lsn: u64) -> Arc<LocalStream> {
+        Arc::new(LocalStream {
+            lsn: AtomicU64::new(lsn),
+            ..LocalStream::default()
+        })
+    }
+}
+
+impl CommitSink for LocalStream {
+    fn on_commit(&self, changes: Vec<ChangeRecord>) -> u64 {
+        let changes = Arc::new(changes);
+        let lsn = match &self.wal {
+            Some(wal) => wal.writer.append(Arc::clone(&changes)),
+            // under the storage lock: commits arrive one at a time
+            None => self.lsn.fetch_add(1, Ordering::Relaxed) + 1,
+        };
+        self.queue.lock().push((lsn, changes));
+        lsn
+    }
+
+    fn wait_durable(&self, lsn: u64) -> relstore::Result<()> {
+        self.dispatcher
+            .dispatch(|| std::mem::take(&mut *self.queue.lock()));
+        match &self.wal {
+            Some(wal) if self.strict => wal.wait_durable(lsn),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl ChangeStream for LocalStream {
+    /// The observer sees the batches delivered after the attach.
+    fn attach_observer(&self, o: Arc<dyn LogObserver>) {
+        self.dispatcher.observers.write().push(o);
     }
 }
 
@@ -528,7 +581,8 @@ mod tests {
         cfg.group_commit_window = Duration::from_secs(3600); // manual flushes only
         let wal = Wal::open(cfg, Arc::new(WalCounters::new())).unwrap();
         let seen = Arc::new(Seen::default());
-        wal.attach_observer(Arc::clone(&seen) as Arc<dyn LogObserver>);
+        wal.replay_from(0, Arc::clone(&seen) as Arc<dyn LogObserver>)
+            .unwrap();
         let db = Database::new();
         db.set_commit_sink(Arc::clone(&wal) as Arc<dyn CommitSink>, false);
         db.execute_script("CREATE TABLE t (oid INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
@@ -561,7 +615,8 @@ mod tests {
         cfg.group_commit_window = Duration::from_secs(3600);
         let wal = Wal::open(cfg, Arc::new(WalCounters::new())).unwrap();
         let seen = Arc::new(Seen::default());
-        wal.attach_observer(Arc::clone(&seen) as Arc<dyn LogObserver>);
+        wal.replay_from(0, Arc::clone(&seen) as Arc<dyn LogObserver>)
+            .unwrap();
         let db = Database::new();
         db.set_commit_sink(Arc::clone(&wal) as Arc<dyn CommitSink>, false);
         db.execute_script("CREATE TABLE t (oid INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
@@ -597,13 +652,16 @@ mod tests {
         // the history (LSNs 1, 2) is durable BEFORE anyone subscribes
         wal.flush_and_notify();
 
-        // a plain attach misses it: this is the window the fix closes
+        // a subscriber caught up to LSN 2 is replayed nothing
         let late = Arc::new(Seen::default());
-        wal.attach_observer(Arc::clone(&late) as Arc<dyn LogObserver>);
+        let caught_up = wal
+            .replay_from(2, Arc::clone(&late) as Arc<dyn LogObserver>)
+            .unwrap();
+        assert_eq!(caught_up, 2);
         db.execute("INSERT INTO t (v) VALUES ('tail')", &Params::new())
             .unwrap();
         wal.flush_and_notify();
-        assert_eq!(*late.0.lock(), vec![3], "plain attach replays nothing");
+        assert_eq!(*late.0.lock(), vec![3], "replayed past its LSN");
 
         // replay_from(0) delivers the missed prefix, then streams live
         let replica = Arc::new(Seen::default());

@@ -42,7 +42,8 @@ struct WriterState {
     /// Offset in `buf` where the most recently appended record starts
     /// (the record a `MidRecord` crash tears).
     last_record_start: usize,
-    /// Decoded copies of buffered records, for observer dispatch.
+    /// The buffered batches (shared with the committer), for observer
+    /// dispatch once flushed.
     pending: Vec<(u64, Arc<Vec<ChangeRecord>>)>,
     /// Batches already flushed (durable) but not yet drained by a
     /// dispatcher via [`LogWriter::flush_now`]. Every internal flush path
@@ -123,8 +124,9 @@ impl LogWriter {
     }
 
     /// Append one committed transaction's redo image; returns its LSN.
-    /// Cheap (no I/O) — called with the database storage lock held.
-    pub fn append(&self, changes: Vec<ChangeRecord>) -> u64 {
+    /// Cheap (no I/O, no copy of `changes`) — called with the database
+    /// storage lock held.
+    pub fn append(&self, changes: Arc<Vec<ChangeRecord>>) -> u64 {
         let mut s = self.state.lock().unwrap();
         let lsn = s.next_lsn;
         s.next_lsn += 1;
@@ -138,7 +140,7 @@ impl LogWriter {
         let mut buf = std::mem::take(&mut s.buf);
         append_record(&mut buf, lsn, &changes);
         s.buf = buf;
-        s.pending.push((lsn, Arc::new(changes)));
+        s.pending.push((lsn, changes));
         self.counters.records_appended.inc();
         if s.buf.len() >= self.watermark && !s.flush_due {
             // No I/O here — the storage write lock is held. Ask the
@@ -156,21 +158,6 @@ impl LogWriter {
     pub fn flush_now(&self) -> DurableBatch {
         let mut s = self.state.lock().unwrap();
         self.flush_locked(&mut s);
-        std::mem::take(&mut s.dispatch)
-    }
-
-    /// Drain the buffered-but-unflushed batches for observer dispatch
-    /// without any file I/O: the encoded bytes stay in the buffer and
-    /// reach the disk on the flusher's next window flush, exactly as
-    /// they would with no barrier at all. This is the cheapest coherence
-    /// barrier for non-strict commit — the committer runs cache
-    /// maintenance against its own appended records on its own thread,
-    /// while durability (write + sync, `durable_lsn`) rides the
-    /// group-commit window unchanged.
-    pub fn take_pending(&self) -> DurableBatch {
-        let mut s = self.state.lock().unwrap();
-        let batch = std::mem::take(&mut s.pending);
-        s.dispatch.extend(batch);
         std::mem::take(&mut s.dispatch)
     }
 
@@ -229,13 +216,9 @@ impl LogWriter {
         }
         self.counters.flushes.inc();
         self.counters.bytes_written.add(s.buf.len() as u64);
-        if !s.pending.is_empty() {
-            // a dispatch-only barrier may have drained `pending` already;
-            // only batches flushed here count toward group sizing
-            self.counters
-                .group_batch_size
-                .observe(s.pending.len() as u64);
-        }
+        self.counters
+            .group_batch_size
+            .observe(s.pending.len() as u64);
         s.flush_ordinal = ordinal;
         s.durable_lsn = s.appended_lsn;
         s.buf.clear();
@@ -391,11 +374,6 @@ impl LogWriter {
             s = self.cond.wait_timeout(s, left).unwrap().0;
         }
     }
-
-    /// The group-commit window.
-    pub fn window(&self) -> Duration {
-        self.window
-    }
 }
 
 #[cfg(test)]
@@ -404,12 +382,12 @@ mod tests {
     use crate::fault::TempDir;
     use crate::record::{scan_log, ScanOutcome};
 
-    fn changes(n: i64) -> Vec<ChangeRecord> {
-        vec![ChangeRecord::Insert {
+    fn changes(n: i64) -> Arc<Vec<ChangeRecord>> {
+        Arc::new(vec![ChangeRecord::Insert {
             table: "t".into(),
             row_id: n as usize,
             row: vec![relstore::Value::Integer(n)],
-        }]
+        }])
     }
 
     fn writer(dir: &TempDir, plan: CrashPlan) -> Arc<LogWriter> {

@@ -41,31 +41,42 @@ fn bean_cache_is_never_stale() {
         let page = d.handle(&WebRequest::get(&home));
         assert!(page.body.contains(&title), "stale read after create #{i}");
     }
+    // every create reached the cached list: patched in place or dropped
     let stats = d.controller.bean_cache().unwrap().stats();
-    assert!(stats.invalidations > 0);
+    assert!(stats.invalidations + d.obs.maint.patches_applied.get() > 0);
 }
 
-/// The fragment cache alone serves stale markup until TTL — the §6
-/// limitation that motivates the second level.
+/// The fragment cache alone — the §6 level that sees nothing but markup —
+/// is fresh right after a write: the node's maintainer dirties the
+/// fragments of the units the write can change, so no TTL has to expire
+/// first.
 #[test]
-fn fragment_cache_alone_can_be_stale_but_expires() {
+fn fragment_cache_alone_is_fresh_after_a_write() {
     let app = fixtures::bookstore();
     let d = app
-        .deploy(options(false, true, Duration::from_millis(60)))
+        .deploy(options(false, true, Duration::from_secs(3600)))
         .unwrap();
     let home = d.home_url("store").unwrap();
     let op = d.generated.descriptors.operations[0].url.clone();
 
     d.handle(&WebRequest::get(&home)); // prime fragments (empty list)
+    d.handle(&WebRequest::get(&home));
+    assert!(d.controller.fragment_cache().unwrap().stats().hits > 0);
     d.handle(
         &WebRequest::get(&op)
-            .with_param("title", "Invisible")
+            .with_param("title", "Visible")
             .with_param("price", "2.0"),
     );
-    std::thread::sleep(Duration::from_millis(80));
-    // after TTL expiry the fragment is regenerated from fresh beans
     let fresh = d.handle(&WebRequest::get(&home));
-    assert!(fresh.body.contains("Invisible"));
+    assert!(fresh.body.contains("Visible"), "{}", fresh.body);
+    // and a direct write, which no operation announces
+    d.db.execute(
+        "UPDATE book SET title = 'Retitled' WHERE oid = 1",
+        &Params::new(),
+    )
+    .unwrap();
+    let fresh = d.handle(&WebRequest::get(&home));
+    assert!(fresh.body.contains("Retitled"), "{}", fresh.body);
 }
 
 /// Fragment hits spare markup generation but never spare data queries —
@@ -213,14 +224,14 @@ fn synthetic() -> Subject {
 /// Drive one seeded write schedule (operation-driven inserts plus direct
 /// SQL updates and deletes on the leader's store) against a warm
 /// deployment and a cacheless single-node reference; after every step,
-/// once the log is flushed and every replica has applied it, each warm
-/// node must serve every page of `subject.reads` byte-identical to the
-/// reference. `warm` is the deployment's front door (the router, when
-/// replicated).
+/// once the log (if any) is flushed and every replica has applied it, each
+/// warm node must serve every page of `subject.reads` byte-identical to
+/// the reference — and a client that revalidates its last copy of each
+/// page must only ever be told `304` for bytes the reference serves.
+/// `warm` is the deployment's front door (the router, when replicated).
 fn assert_matches_cold_recompute(
     label: &str,
     subject: &Subject,
-    incremental: bool,
     leader: &Deployment,
     replicas: &[Arc<Replica>],
     warm: &dyn Fn(&WebRequest) -> WebResponse,
@@ -243,9 +254,15 @@ fn assert_matches_cold_recompute(
         .unwrap();
     (subject.seed)(&subject.app, leader);
     (subject.seed)(&subject.app, &cold);
-    let reads = (subject.reads)(leader);
     let (table, column) = (subject.table, subject.column);
-    let wal = leader.wal.as_ref().unwrap();
+    // one client session, whose validators the ETags fold
+    let reads = (subject.reads)(leader);
+    let sid = warm(&reads[0])
+        .set_session
+        .expect("a first request mints a session");
+    let reads: Vec<WebRequest> = reads.into_iter().map(|r| r.with_session(&sid)).collect();
+    // the client's last copy of each page: (validator, body)
+    let mut held: Vec<Option<(String, String)>> = vec![None; reads.len()];
 
     for step in 0..40u64 {
         match next() % 3 {
@@ -271,27 +288,52 @@ fn assert_matches_cold_recompute(
                 cold.db.execute(&sql, &Params::new()).unwrap();
             }
         }
-        wal.flush_and_notify();
-        for r in replicas {
-            assert_eq!(r.applied_lsn(), wal.appended_lsn(), "{} lags", r.name());
+        if let Some(wal) = &leader.wal {
+            wal.flush_and_notify();
+            for r in replicas {
+                assert_eq!(r.applied_lsn(), wal.appended_lsn(), "{} lags", r.name());
+            }
         }
         // after every op each warm node must agree with cold recompute
-        // (anonymous reads round-robin over the replicas)
-        for read in &reads {
+        // (reads round-robin over the replicas)
+        for (read, held) in reads.iter().zip(held.iter_mut()) {
             let c = cold.handle(read);
+            let at = || {
+                format!(
+                    "{label}: {} {:?} at step {step} (seed {seed})",
+                    read.path, read.params
+                )
+            };
             for _ in 0..replicas.len().max(1) {
                 let w = warm(read);
                 assert_eq!(w.status, 200);
                 assert_eq!(
-                    w.body, c.body,
-                    "{label}: warm cache diverged from recompute on {} {:?} at step {step} (seed {seed})",
-                    read.path, read.params
+                    w.body,
+                    c.body,
+                    "warm cache diverged from recompute: {}",
+                    at()
                 );
+                // revalidate the client's last copy
+                let mut revalidate = read.clone();
+                revalidate.if_none_match = held.as_ref().map(|(tag, _)| tag.clone());
+                let r = warm(&revalidate);
+                match r.status {
+                    304 => {
+                        let kept = &held.as_ref().expect("304 without a validator").1;
+                        assert_eq!(kept, &c.body, "304 for stale bytes: {}", at());
+                    }
+                    200 => assert_eq!(r.body, c.body, "revalidation diverged: {}", at()),
+                    other => panic!("status {other}: {}", at()),
+                }
+                if r.status == 200 {
+                    *held = Some((r.etag.expect("conditional GET mints ETags"), r.body));
+                }
             }
         }
     }
     // the schedule must actually exercise the warm path: beans were hit,
-    // and durable changes were folded in place or counted as fallbacks
+    // changes were folded in place or counted as fallbacks, URL variants
+    // shared fragments, writes dirtied some, and validators were honoured
     assert!(
         leader.obs.bean_cache.hits.get() > 0,
         "{label}: schedule never hit a bean cache"
@@ -301,75 +343,165 @@ fn assert_matches_cold_recompute(
         maint.patches_applied.get() + maint.fallbacks_total() > 0,
         "{label}: schedule never reached the maintenance layer"
     );
-    // only the maintenance layer patches; without it every change drops
-    if !incremental {
-        assert_eq!(maint.patches_applied.get(), 0, "{label}: patched a bean");
-    }
-    // where fragments are cached, URL variants must have shared them and
-    // writes must have dirtied some
-    if incremental {
-        assert!(
-            leader.obs.fragment_cache.hits.get() > 0 && maint.fragment_rerenders.get() > 0,
-            "{label}: schedule never hit or re-rendered a fragment"
-        );
-    }
+    assert!(
+        leader.obs.fragment_cache.hits.get() > 0 && maint.fragment_rerenders.get() > 0,
+        "{label}: schedule never hit or re-rendered a fragment"
+    );
+    assert!(maint.http_304.get() > 0, "{label}: no validator ever held");
     for r in replicas {
         assert!(leader.obs.repl.reads_for(r.name()) > 0, "{} idle", r.name());
     }
 }
 
+/// A validator never names a write whose maintenance pass has not
+/// finished. A pass records the write, then sweeps the caches; a page
+/// served between the two comes from the unswept cache. The interleaving
+/// is forced with channels: the write is recorded → the client revalidates
+/// (the tag is derived and the page served) → the sweep runs → the client
+/// revalidates again, and must now hold the written row.
+#[test]
+fn a_validator_never_names_an_unswept_write() {
+    use std::sync::mpsc::channel;
+    use webml_ratio::relstore::{ChangeRecord, Value};
+
+    let app = fixtures::bookstore();
+    let runtime = RuntimeOptions {
+        conditional_get: true,
+        ..options(true, false, Duration::from_secs(3600))
+    };
+    let d = app.deploy(runtime).unwrap();
+    d.db.execute(
+        "INSERT INTO book (title, price) VALUES ('Old title', 10.0)",
+        &Params::new(),
+    )
+    .unwrap();
+    let home = d.home_url("store").unwrap();
+    let first = d.handle(&WebRequest::get(&home));
+    let sid = first.set_session.clone().unwrap();
+    // the client's copy of the page: (validator, body)
+    let mut held = (first.etag.unwrap(), first.body);
+    let revalidate = |held: &mut (String, String)| {
+        let mut req = WebRequest::get(&home).with_session(&sid);
+        req.if_none_match = Some(held.0.clone());
+        let resp = d.handle(&req);
+        if resp.status == 200 {
+            *held = (resp.etag.unwrap(), resp.body);
+        }
+    };
+    revalidate(&mut held); // the list's bean is cached
+
+    // the write lands the way a replica applies a batch — store first,
+    // then the maintenance pass — driven by hand through a second
+    // maintainer over the node's caches, so the pass can stop after its
+    // first step: recording the write
+    let maint = d
+        .controller
+        .maintainer(Arc::clone(d.maintenance.as_ref().unwrap()));
+    let rows =
+        d.db.query("SELECT * FROM book WHERE oid = 1", &Params::new())
+            .unwrap();
+    let title = rows.columns().iter().position(|c| c == "title").unwrap();
+    let mut row = rows.rows()[0].clone();
+    row[title] = Value::Text("New title".into());
+    let batch = [ChangeRecord::Update {
+        table: "book".into(),
+        row_id: 0,
+        row,
+    }];
+    let lsn = d.db.lsn() + 1;
+    d.db.apply_batch(lsn, &batch).unwrap();
+
+    let (recorded_tx, recorded) = channel::<()>();
+    let (served_tx, served) = channel::<()>();
+    let (swept_tx, swept) = channel::<()>();
+    std::thread::scope(|s| {
+        let held = &mut held;
+        let client = s.spawn(move || {
+            recorded.recv().unwrap();
+            revalidate(held);
+            served_tx.send(()).unwrap();
+            swept.recv().unwrap();
+            revalidate(held);
+        });
+        d.controller
+            .bean_cache()
+            .unwrap()
+            .versions()
+            .record("book", Some(1), lsn);
+        recorded_tx.send(()).unwrap();
+        served.recv().unwrap();
+        maint.apply(lsn, &batch);
+        swept_tx.send(()).unwrap();
+        client.join().unwrap();
+    });
+    assert!(
+        held.1.contains("New title"),
+        "the client holds stale bytes under a current validator: {}",
+        held.1
+    );
+}
+
+/// Where the warm deployment of the oracle keeps its data.
+#[derive(Debug, Clone, Copy)]
+enum Topology {
+    /// `Application::deploy`: no log; the caches follow the store's own
+    /// commits.
+    Plain,
+    /// `Application::deploy_durable`.
+    Durable,
+    /// A durable leader and this many replicas behind the router.
+    Replicated(usize),
+}
+
 /// The maintenance path preserves the no-stale-bean property: under a
-/// randomized write schedule a warm deployment whose caches follow the
-/// durable change stream — beans patched in place and fragments
-/// re-rendered only when dirty under `incremental_maintenance`, dependent
-/// beans dropped row-granularly without it — serves pages byte-identical
-/// to a cacheless deployment recomputing from scratch, on a single node
-/// and on every replica behind the router, for the bookstore and (single
-/// node, fragments cached) for a synthetic application whose selectors are
-/// fed by automatic links. Override the schedule with
+/// randomized write schedule a warm deployment — bean and fragment caches
+/// and conditional GET on, every node's caches following its own store
+/// through the one maintainer — serves pages byte-identical to a
+/// cacheless deployment recomputing from scratch, and never validates
+/// stale bytes: on a plain node, on a durable one, and on every replica
+/// behind the router, for the bookstore and for a synthetic application
+/// whose selectors are fed by automatic links. Override the schedule with
 /// `RELSTORE_STRESS_SEED`.
 #[test]
 fn maintained_cache_matches_cold_recompute() {
-    type Arm = (fn() -> Subject, usize, bool);
-    let arms: [Arm; 5] = [
-        (bookstore, 0, false),
-        (bookstore, 0, true),
-        (bookstore, 2, false),
-        (bookstore, 2, true),
-        (synthetic, 0, true),
+    let arms: [(fn() -> Subject, Topology); 5] = [
+        (bookstore, Topology::Plain),
+        (bookstore, Topology::Durable),
+        (bookstore, Topology::Replicated(2)),
+        (synthetic, Topology::Plain),
+        (synthetic, Topology::Durable),
     ];
-    for (subject, replicas, incremental) in arms {
+    for (subject, topology) in arms {
         let subject = subject();
-        let label = format!(
-            "{}, {replicas} replicas, incremental_maintenance={incremental}",
-            subject.app.name
-        );
+        let label = format!("{}, {topology:?}", subject.app.name);
         let dir = webml_ratio::wal::TempDir::new("maint-prop").unwrap();
         let mut durability = DurabilityConfig::new(dir.path());
-        durability.incremental_maintenance = incremental;
         // the schedule alone flushes: no flusher thread mid-dispatch while
         // a step compares pages
         durability.group_commit_window = Duration::from_secs(3600);
-        // without the maintenance pass nothing but its TTL refreshes a
-        // fragment (the §6 limitation), so only the maintained arms cache them
-        let runtime = options(true, incremental, Duration::from_secs(3600));
-        if replicas == 0 {
-            let warm = subject.app.deploy_durable(runtime, &durability).unwrap();
-            assert_matches_cold_recompute(&label, &subject, incremental, &warm, &[], &|req| {
-                warm.handle(req)
-            });
-        } else {
-            let mut deploy = DeployOptions::default().with_replicas(replicas);
-            deploy.runtime = runtime;
-            let rd = deploy_replicated(&subject.app, deploy, &durability).unwrap();
-            assert_matches_cold_recompute(
-                &label,
-                &subject,
-                incremental,
-                &rd.leader,
-                &rd.replicas,
-                &|req| rd.handle(req),
-            );
+        let runtime = RuntimeOptions {
+            conditional_get: true,
+            ..options(true, true, Duration::from_secs(3600))
+        };
+        match topology {
+            Topology::Plain | Topology::Durable => {
+                let warm = match topology {
+                    Topology::Plain => subject.app.deploy(runtime),
+                    _ => subject.app.deploy_durable(runtime, &durability),
+                }
+                .unwrap();
+                assert_matches_cold_recompute(&label, &subject, &warm, &[], &|req| {
+                    warm.handle(req)
+                });
+            }
+            Topology::Replicated(replicas) => {
+                let mut deploy = DeployOptions::default().with_replicas(replicas);
+                deploy.runtime = runtime;
+                let rd = deploy_replicated(&subject.app, deploy, &durability).unwrap();
+                assert_matches_cold_recompute(&label, &subject, &rd.leader, &rd.replicas, &|req| {
+                    rd.handle(req)
+                });
+            }
         }
     }
 }

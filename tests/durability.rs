@@ -1,8 +1,7 @@
 //! End-to-end durability: a model-driven application deployed with the
 //! write-ahead log underneath it, exercised over HTTP, crashed, and
-//! recovered — plus the replica-style cache story: bean invalidation
-//! driven by the *durable* change stream rather than the in-process
-//! operation service.
+//! recovered — plus the cache story on each node: the leader's caches
+//! follow its own commits, a replica's follow the durable log.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -72,86 +71,94 @@ fn http_operations_survive_crash_and_recovery() {
     assert!(resp.body.contains("Mission-critical"));
 }
 
-/// The replica topology in miniature: a write applied *behind the
-/// controller's back* (directly on the database, as a replicated write
-/// would be) does not invalidate the bean cache until it is durable —
-/// and does as soon as it is.
+/// Each node's caches follow the batches its store holds. A write applied
+/// *behind the controller's back* (directly on the leader's database)
+/// reaches the leader's bean cache before the call returns, as the store
+/// already serves it; a replica, which follows the durable log, applies it
+/// — store and caches — only once it is flushed.
 #[test]
-fn bean_cache_invalidation_is_driven_by_the_durable_log() {
+fn leader_caches_follow_commits_replicas_follow_the_durable_log() {
     let dir = webml_ratio::wal::TempDir::new("e2e-replica").unwrap();
     let app = fixtures::bookstore();
-    let durability = manual(&dir);
-    let d = app
-        .deploy_durable(
-            RuntimeOptions {
-                fragment_cache: false, // isolate the bean (second) level
-                ..RuntimeOptions::default()
-            },
-            &durability,
-        )
-        .unwrap();
-    let wal = Arc::clone(d.wal.as_ref().unwrap());
-    let home = d.home_url("store").unwrap();
+    let mut options = webml_ratio::webratio::DeployOptions::default().with_replicas(1);
+    options.runtime.fragment_cache = false; // isolate the bean (second) level
+    let rd = webml_ratio::repl::deploy_replicated(&app, options, &manual(&dir)).unwrap();
+    let (leader, replica) = (&rd.leader, &rd.router.replicas()[0]);
+    let wal = Arc::clone(leader.wal.as_ref().unwrap());
+    let home = leader.home_url("store").unwrap();
+    let insert = |title: &str| {
+        leader
+            .db
+            .execute(
+                "INSERT INTO book (title, price) VALUES (:t, :p)",
+                &Params::new().bind("t", title).bind("p", 10.0),
+            )
+            .unwrap();
+    };
 
-    d.db.execute(
-        "INSERT INTO book (title, price) VALUES (:t, :p)",
-        &Params::new().bind("t", "First").bind("p", 10.0),
-    )
-    .unwrap();
+    insert("First");
     wal.flush_and_notify();
+    // Render once on each node: the index unit's bean is now cached.
+    for node in [&leader.controller, &replica.controller] {
+        assert!(node.handle(&WebRequest::get(&home)).body.contains("First"));
+    }
 
-    // Render once: the index unit's bean is now cached.
-    let r1 = d.handle(&WebRequest::get(&home));
-    assert!(r1.body.contains("First"));
-
-    // A write the controller never sees (replica-applied).
-    d.db.execute(
-        "INSERT INTO book (title, price) VALUES (:t, :p)",
-        &Params::new().bind("t", "Second").bind("p", 20.0),
-    )
-    .unwrap();
-
-    // Not durable yet → the cached bean must still be served (a crash
-    // could still un-happen this write; dropping the bean would be wrong).
-    let r2 = d.handle(&WebRequest::get(&home));
+    // A write the controller never sees, not yet durable.
+    insert("Second");
+    let r2 = leader.handle(&WebRequest::get(&home));
+    assert!(
+        r2.body.contains("Second"),
+        "the leader's cache missed a commit its store serves: {}",
+        r2.body
+    );
+    let r2 = replica.controller.handle(&WebRequest::get(&home));
     assert!(
         !r2.body.contains("Second"),
-        "bean invalidated before the write was durable"
+        "the replica applied the write before it was durable"
     );
+    assert!(rd.replicas[0].applied_lsn() <= wal.durable_lsn());
 
-    // Durable → the log observer drops the bean; the next render is fresh.
+    // Durable → shipped, applied, maintained; the next render is fresh.
     wal.flush_and_notify();
-    let r3 = d.handle(&WebRequest::get(&home));
+    let r3 = replica.controller.handle(&WebRequest::get(&home));
     assert!(r3.body.contains("Second"), "{}", r3.body);
     assert!(r3.body.contains("First"));
 }
 
-/// Dropping a durable deployment frees its store and stops its log. The
-/// cache maintainer rides the log, which the database's commit sink owns:
-/// were it to hold the database strongly, the three would keep each other
-/// (and the flusher thread) alive forever.
+/// Dropping a deployment frees its store and stops its log. The cache
+/// maintainer rides the node's commit stream, which the database's commit
+/// sink is: were it to hold the database strongly, the store, the stream
+/// (and the log, with its flusher thread) would keep each other alive
+/// forever — on a durable replicated deployment and on a plain one alike.
 #[test]
 fn dropped_durable_deployment_frees_its_store_and_log() {
     let app = fixtures::bookstore();
-    for incremental in [false, true] {
-        let dir = webml_ratio::wal::TempDir::new("e2e-drop").unwrap();
-        let mut durability = manual(&dir);
-        durability.incremental_maintenance = incremental;
-        let rd = webml_ratio::repl::deploy_replicated(
-            &app,
-            webml_ratio::webratio::DeployOptions::default().with_replicas(1),
-            &durability,
-        )
-        .unwrap();
-        let stores = [
-            Arc::downgrade(&rd.leader.db),
-            Arc::downgrade(rd.replicas[0].db()),
-        ];
-        let wal = Arc::downgrade(rd.leader.wal.as_ref().unwrap());
-        drop(rd);
-        assert!(wal.upgrade().is_none(), "log leaked ({incremental})");
-        for db in stores {
-            assert!(db.upgrade().is_none(), "store leaked ({incremental})");
-        }
+    let dir = webml_ratio::wal::TempDir::new("e2e-drop").unwrap();
+    let rd = webml_ratio::repl::deploy_replicated(
+        &app,
+        webml_ratio::webratio::DeployOptions::default().with_replicas(1),
+        &manual(&dir),
+    )
+    .unwrap();
+    let stores = [
+        Arc::downgrade(&rd.leader.db),
+        Arc::downgrade(rd.replicas[0].db()),
+    ];
+    let wal = Arc::downgrade(rd.leader.wal.as_ref().unwrap());
+    drop(rd);
+    assert!(wal.upgrade().is_none(), "log leaked");
+    for db in stores {
+        assert!(db.upgrade().is_none(), "replicated store leaked");
     }
+
+    let d = app
+        .deploy(RuntimeOptions {
+            fragment_cache: true,
+            conditional_get: true,
+            ..RuntimeOptions::default()
+        })
+        .unwrap();
+    let store = Arc::downgrade(&d.db);
+    drop(d);
+    assert!(store.upgrade().is_none(), "plain store leaked");
 }

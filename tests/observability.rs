@@ -267,8 +267,7 @@ fn maintenance_counters_render_and_move() {
 
     let dir = webml_ratio::wal::TempDir::new("obs-maint").unwrap();
     let app = fixtures::bookstore();
-    let mut durability = DurabilityConfig::new(dir.path());
-    durability.incremental_maintenance = true;
+    let durability = DurabilityConfig::new(dir.path());
     let options = RuntimeOptions {
         bean_cache: true,
         fragment_cache: true,

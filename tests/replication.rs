@@ -103,6 +103,49 @@ fn router_reads_from_replicas_and_never_breaks_read_your_writes() {
     }
 }
 
+/// Replicas apply only what the leader has made durable: an operation
+/// routed to the leader commits, reaches the leader's caches, and — until
+/// the log is flushed — no replica has applied past the leader's durable
+/// LSN, so a crash cannot leave a replica ahead of the recovered leader.
+#[test]
+fn replicas_never_apply_past_the_leaders_durable_lsn() {
+    let dir = TempDir::new("repl-durable-only").unwrap();
+    let app = fixtures::bookstore();
+    let mut options = DeployOptions::default().with_replicas(2);
+    options.runtime.fragment_cache = true;
+    options.runtime.conditional_get = true;
+    let rd = deploy_replicated(&app, options, &manual(&dir)).expect("replicated deploy");
+    let wal = Arc::clone(rd.leader.wal.as_ref().unwrap());
+    wal.flush_and_notify();
+
+    let op_url = rd.leader.generated.descriptors.operations[0].url.clone();
+    let resp = rd.handle(
+        &WebRequest::get(&op_url)
+            .with_param("title", "Unflushed")
+            .with_param("price", "3.0"),
+    );
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert!(resp.body.contains("Unflushed"), "{}", resp.body);
+    assert!(
+        wal.appended_lsn() > wal.durable_lsn(),
+        "nothing left to flush"
+    );
+    for r in &rd.replicas {
+        assert!(
+            r.applied_lsn() <= wal.durable_lsn(),
+            "{} applied LSN {} past the leader's durable LSN {}",
+            r.name(),
+            r.applied_lsn(),
+            wal.durable_lsn()
+        );
+    }
+
+    wal.flush_and_notify();
+    for r in &rd.replicas {
+        assert_eq!(r.applied_lsn(), wal.durable_lsn(), "{} lags", r.name());
+    }
+}
+
 #[test]
 fn replica_crashes_mid_stream_and_recovers_from_snapshot_plus_catchup() {
     let dir = TempDir::new("repl-crash").unwrap();

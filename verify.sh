@@ -18,6 +18,9 @@ cargo test --workspace --release -q
 echo "== analyzer over every shipped app"
 cargo run --release --example analyze > /dev/null
 
+echo "== E5: model-driven invalidation keeps cached reads fresh (0 stale reads; fragment-only caching fresh after a write)"
+cargo run --release -p bench --bin exp_cache_freshness
+
 echo "== bench_e2e smoke (the pinned product API: builds against this workspace; four workloads, correct pages, names checked against BENCHMARK.json)"
 cargo run --release --offline --manifest-path bench_e2e/Cargo.toml -- --smoke
 
