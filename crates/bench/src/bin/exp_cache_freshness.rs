@@ -10,8 +10,9 @@
 //! We interleave reads and writes and verify zero stale page reads with
 //! the bean cache on, while measuring how much work the cache spares.
 //! Then the §6 limitation — fragment-only caching is stale within its
-//! TTL — which the runtime lifts: the node's maintainer dirties the
-//! fragments a write can change, so fragment-only caching is fresh too.
+//! TTL — which the runtime lifts: the node's maintainer records every
+//! write's version and a fragment is checked against them when it is
+//! read, so fragment-only caching is fresh too.
 //!
 //! ```sh
 //! cargo run -p bench --release --bin exp_cache_freshness

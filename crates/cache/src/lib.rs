@@ -14,14 +14,15 @@
 //!
 //! One consumer of each node's change stream —
 //! [`maintain::LogDrivenMaintainer`] — keeps both levels coherent on every
-//! node: it patches beans in place under the compiled
-//! [`maintain::MaintenancePlan`], drops what the plan cannot patch, and
-//! dirties the fragments of the units a write can change.
+//! node: it records each write's version, patches beans in place under
+//! the compiled [`maintain::MaintenancePlan`], and drops what the plan
+//! cannot patch. Fragments are never visited by a write: each is checked
+//! against the recorded versions when it is read.
 //!
 //! One version runs through all of it: the commit LSN
 //! ([`version::VersionTable`]). Every cached value is put with the LSN it
-//! was computed at, and a put that a recorded newer write has outdated is
-//! refused.
+//! was computed at, a put that a recorded newer write has outdated is
+//! refused, and so is a fragment read after such a write.
 //!
 //! Both caches are bounded (LRU), thread-safe, lock-striped for
 //! concurrent serving (hash(key) → stripe; see [`bean::BeanCache`]), and
@@ -36,10 +37,10 @@ pub mod stats;
 pub mod version;
 
 pub use bean::{BeanCache, BeanKey, Patch, PatchEffect, MAX_STRIPES, MIN_STRIPE_CAPACITY};
-pub use fragment::{FragmentCache, FragmentKey};
+pub use fragment::{FragmentCache, FragmentKey, Lookup};
 pub use maintain::{
-    oid_probe_param, parse_fingerprint, DeltaOp, LogDrivenMaintainer, MaintenancePlan,
-    PatchOutcome, Patcher, RowDelta, RowOrder, Strategy, TableCatalog, UnitPlan, UnitShape,
+    parse_fingerprint, query_scope, DeltaOp, LogDrivenMaintainer, MaintenancePlan, PatchOutcome,
+    Patcher, RowDelta, RowOrder, Strategy, TableCatalog, UnitPlan, UnitShape,
 };
 pub use stats::{CacheStats, StatsSnapshot};
 pub use version::{Provenance, VersionTable};

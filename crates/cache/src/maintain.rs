@@ -34,15 +34,14 @@
 //! live behind the [`Patcher`] trait, implemented by the MVC tier for its
 //! `UnitBean`; this crate stays value-agnostic like the cache itself.
 //!
-//! Fragments are maintained alongside: every fragment rendered from a
-//! dependent unit is dirtied ([`FragmentCache::invalidate_units`]), so the
-//! next page render re-renders *only* the dirty fragments and keeps
-//! serving clean ones as the same interned bytes. Each batch's LSN is
-//! recorded in the caches' [`VersionTable`] before any of this: cache
-//! puts and the controller's `ETag`s read it.
+//! Fragments need no maintenance: each batch's LSN is recorded in the
+//! caches' [`VersionTable`] before any bean is visited, and a fragment is
+//! checked against that table when it is read
+//! ([`crate::FragmentCache::get`]), so a commit never looks for the
+//! fragments it makes stale. Cache puts, fragment reads and the
+//! controller's `ETag`s all read the same table.
 
 use crate::bean::{BeanCache, BeanKey, Patch, PatchEffect};
-use crate::fragment::FragmentCache;
 use crate::version::VersionTable;
 use obs::MaintCounters;
 use parking_lot::RwLock;
@@ -357,66 +356,39 @@ fn classify(u: &UnitShape) -> UnitPlan {
     }
 }
 
-/// When `sql` is a pure primary-key probe (`… FROM x t WHERE t.oid = :p`),
-/// the probing parameter's name. The page service uses this to register
-/// row-scoped cache dependencies instead of whole-entity ones.
-pub fn oid_probe_param(sql: &str) -> Option<String> {
-    match recognize(sql) {
-        Ok(shape) => match shape.filters.as_slice() {
-            [(col, param)] if col == "oid" => Some(param.clone()),
-            _ => None,
-        },
-        Err(_) => None,
-    }
+/// The table `sql` reads when it is in the generated single-table
+/// grammar, and — for a pure primary-key probe (`… FROM x t WHERE t.oid =
+/// :p`) — the probing parameter's name. The page plan derives a unit's
+/// cache dependencies from it: a probe's bean and fragments depend on one
+/// row, not the whole table.
+pub fn query_scope(sql: &str) -> Option<(String, Option<String>)> {
+    let shape = recognize(sql).ok()?;
+    let probe = match shape.filters.as_slice() {
+        [(col, param)] if col == "oid" => Some(param.clone()),
+        _ => None,
+    };
+    Some((shape.table, probe))
 }
 
-/// The deploy-time compilation of every unit's maintenance strategy, plus
-/// the table → units index used to dirty fragments.
+/// The deploy-time compilation of every cached unit's maintenance
+/// strategy.
 #[derive(Debug, Default)]
 pub struct MaintenancePlan {
-    /// Plans for cached units only.
     plans: HashMap<String, UnitPlan>,
-    /// table → ids of every unit (cached or not) depending on it: these
-    /// units' fragments go stale when the table changes.
-    fragment_deps: HashMap<String, Vec<String>>,
 }
 
 impl MaintenancePlan {
     pub fn build(units: &[UnitShape]) -> MaintenancePlan {
-        let mut plans = HashMap::new();
-        let mut fragment_deps: HashMap<String, Vec<String>> = HashMap::new();
-        for u in units {
-            let plan = classify(u);
-            let mut deps: Vec<&str> = u.depends_on.iter().map(|s| s.as_str()).collect();
-            if !plan.table.is_empty() && !deps.contains(&plan.table.as_str()) {
-                deps.push(&plan.table);
-            }
-            for dep in deps {
-                let e = fragment_deps.entry(dep.to_string()).or_default();
-                if !e.contains(&u.unit_id) {
-                    e.push(u.unit_id.clone());
-                }
-            }
-            if u.cached {
-                plans.insert(u.unit_id.clone(), plan);
-            }
-        }
-        MaintenancePlan {
-            plans,
-            fragment_deps,
-        }
+        let plans = units
+            .iter()
+            .filter(|u| u.cached)
+            .map(|u| (u.unit_id.clone(), classify(u)))
+            .collect();
+        MaintenancePlan { plans }
     }
 
     pub fn unit(&self, id: &str) -> Option<&UnitPlan> {
         self.plans.get(id)
-    }
-
-    /// Units whose fragments must be dirtied when `table` changes.
-    pub fn units_for_table(&self, table: &str) -> &[String] {
-        self.fragment_deps
-            .get(table)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
     }
 
     /// `(unit id, strategy description)` per cached unit, sorted — the
@@ -585,9 +557,10 @@ type Beans<V> = (Arc<BeanCache<V>>, Arc<dyn Patcher<V>>);
 /// Consumes a node's change stream and keeps its caches coherent
 /// incrementally: each write's LSN is recorded in the version table first;
 /// then beans are patched in place where the plan allows, dropped (and
-/// counted) where it does not; fragments of dependent units are dirtied so
-/// only they re-render; last, the batch is declared settled. Either cache
-/// level may be absent: a node with only conditional GET still needs its
+/// counted) where it does not; last, the batch is declared settled.
+/// Fragments are checked against the recorded versions when they are
+/// read, so the maintainer never visits them. The bean cache may be
+/// absent: a node with only fragments or conditional GET still needs its
 /// versions recorded and settled.
 ///
 /// Attach with `wal::ChangeStream::attach_observer` to the stream of the
@@ -597,7 +570,6 @@ type Beans<V> = (Arc<BeanCache<V>>, Arc<dyn Patcher<V>>);
 /// The caches never run ahead of the store they front.
 pub struct LogDrivenMaintainer<V> {
     beans: Option<Beans<V>>,
-    fragments: Option<Arc<FragmentCache>>,
     plan: Arc<MaintenancePlan>,
     catalog: RwLock<TableCatalog>,
     db: Weak<Database>,
@@ -606,9 +578,8 @@ pub struct LogDrivenMaintainer<V> {
 }
 
 impl<V> LogDrivenMaintainer<V> {
-    /// Record each batch in `versions` and settle it; add cache levels with
-    /// [`with_beans`](Self::with_beans) and
-    /// [`with_fragments`](Self::with_fragments). The plan may be shared by
+    /// Record each batch in `versions` and settle it; add the bean cache
+    /// with [`with_beans`](Self::with_beans). The plan may be shared by
     /// every node of a deployment.
     pub fn new(
         versions: Arc<VersionTable>,
@@ -618,7 +589,6 @@ impl<V> LogDrivenMaintainer<V> {
     ) -> LogDrivenMaintainer<V> {
         LogDrivenMaintainer {
             beans: None,
-            fragments: None,
             plan: plan.into(),
             catalog: RwLock::new(catalog),
             db: Weak::new(),
@@ -635,25 +605,6 @@ impl<V> LogDrivenMaintainer<V> {
             "the caches and the maintainer must share one version table"
         );
         self.beans = Some((cache, patcher));
-        self
-    }
-
-    /// Also maintain a fragment cache (dirty dependent units' fragments),
-    /// which must check its puts against the same version table.
-    /// Every key-probe unit of the plan is registered in the cache's
-    /// probe index, so row-precise dirtying touches only the affected
-    /// fragments instead of sweeping each stripe.
-    pub fn with_fragments(mut self, fragments: Arc<FragmentCache>) -> Self {
-        assert!(
-            Arc::ptr_eq(fragments.versions(), &self.versions),
-            "the caches and the maintainer must share one version table"
-        );
-        for (unit, plan) in &self.plan.plans {
-            if let Strategy::KeyProbe { param } = &plan.strategy {
-                fragments.index_probe(unit, param);
-            }
-        }
-        self.fragments = Some(fragments);
         self
     }
 
@@ -676,13 +627,11 @@ impl<V> LogDrivenMaintainer<V> {
         for c in changes {
             let Some(table) = c.table() else {
                 // a schema change, the one record without a table: no
-                // plan survives it
+                // plan survives it, and recording it outdates every
+                // fragment
                 self.versions.record_ddl(lsn);
                 if let Some((cache, _)) = &self.beans {
                     cache.clear();
-                }
-                if let Some(f) = &self.fragments {
-                    f.clear();
                 }
                 self.counters.record_fallback("ddl");
                 if let Some(db) = self.db.upgrade() {
@@ -712,55 +661,10 @@ impl<V> LogDrivenMaintainer<V> {
                 }
             }
         }
-        // every write of the batch is recorded, so from here on a fragment
-        // put that missed one is refused: an empty cache has nothing to
-        // dirty, and a schema change already cleared what came before it
-        if let Some(f) = self.fragments.as_ref().filter(|f| !f.is_empty()) {
-            let since_ddl = changes
-                .iter()
-                .rposition(|c| matches!(c, ChangeRecord::Ddl { .. }));
-            f.invalidate_units(&self.dirty_units(&changes[since_ddl.map_or(0, |i| i + 1)..]));
-        }
         self.versions.settle(lsn);
         self.counters
             .apply_micros
             .observe(start.elapsed().as_micros() as u64);
-    }
-
-    /// The fragments `changes` make stale, deduped: each dependent unit
-    /// accumulates row-precise `(probe param, oid)` selectors until some
-    /// change forces the whole unit (`None`).
-    fn dirty_units(&self, changes: &[ChangeRecord]) -> BTreeMap<&str, Option<Vec<(String, i64)>>> {
-        let catalog = self.catalog.read();
-        let mut dirty: BTreeMap<&str, Option<Vec<(String, i64)>>> = BTreeMap::new();
-        for c in changes {
-            let Some(table) = c.table() else { continue };
-            let delta = catalog.delta(c);
-            for u in self.plan.units_for_table(table) {
-                // a key-probe bean over this table is affected only by its
-                // own row, so only the page instances bound to that oid
-                // need a re-render
-                let precise = match (&delta, self.plan.unit(u)) {
-                    (Some(d), Some(p)) if p.table == table => match &p.strategy {
-                        Strategy::KeyProbe { param } => Some((param.clone(), d.oid)),
-                        _ => None,
-                    },
-                    _ => None,
-                };
-                let slot = dirty.entry(u).or_insert_with(|| Some(Vec::new()));
-                match precise {
-                    Some(sel) => {
-                        if let Some(rows) = slot {
-                            if !rows.contains(&sel) {
-                                rows.push(sel);
-                            }
-                        }
-                    }
-                    None => *slot = None,
-                }
-            }
-        }
-        dirty
     }
 
     fn maintain_key(
@@ -929,16 +833,16 @@ mod tests {
     }
 
     #[test]
-    fn oid_probe_param_detects_pure_probes() {
+    fn query_scope_names_the_table_and_a_pure_probe() {
         assert_eq!(
-            oid_probe_param("SELECT t.oid, t.title FROM paper t WHERE t.oid = :item"),
-            Some("item".to_string())
+            query_scope("SELECT t.oid, t.title FROM paper t WHERE t.oid = :item"),
+            Some(("paper".to_string(), Some("item".to_string())))
         );
         assert_eq!(
-            oid_probe_param("SELECT t.oid FROM paper t WHERE t.issue_oid = :issue"),
-            None
+            query_scope("SELECT t.oid FROM paper t WHERE t.issue_oid = :issue"),
+            Some(("paper".to_string(), None))
         );
-        assert_eq!(oid_probe_param("SELECT 1"), None);
+        assert_eq!(query_scope("SELECT 1"), None);
     }
 
     #[test]
@@ -1137,6 +1041,48 @@ mod tests {
         wal.flush_and_notify();
         assert_eq!(cached(&cache).len(), 2);
         wal.stop();
+    }
+
+    /// A commit does no fragment work: `apply` leaves a warm fragment
+    /// cache's entries and counters as they were. The fragment over the
+    /// written row is found stale when it is next read; a sibling row's
+    /// probe fragment still hits.
+    #[test]
+    fn apply_leaves_fragments_to_be_checked_when_read() {
+        use crate::fragment::{FragmentCache, FragmentKey, Lookup};
+        use std::time::Duration;
+
+        let cache = warm_cache();
+        let fragments = FragmentCache::with_stats(
+            16,
+            Duration::from_secs(3600),
+            crate::CacheStats::default(),
+            Arc::clone(cache.versions()),
+        );
+        let key = |oid: i64| FragmentKey::new("book.jsp", "BookData", format!("item={oid}&"));
+        let row = |oid: i64| [("book".to_string(), oid)];
+        for oid in [1, 2] {
+            let from = Provenance {
+                lsn: 0,
+                entities: &[],
+                rows: &row(oid),
+            };
+            fragments
+                .put(key(oid), format!("<p>{oid}</p>"), from)
+                .unwrap();
+        }
+        let before = fragments.stats();
+        let mut catalog = TableCatalog::new();
+        catalog.add("book", vec!["oid".into(), "t".into()]);
+        drop_only(&cache, catalog).apply(5, &[book_update(1)]);
+        assert_eq!(fragments.len(), 2);
+        assert_eq!(fragments.stats(), before);
+        assert!(matches!(
+            fragments.get(&key(1), &[], &row(1)),
+            Lookup::Stale
+        ));
+        let sibling = fragments.get(&key(2), &[], &row(2)).hit();
+        assert_eq!(sibling.as_deref(), Some(&b"<p>2</p>"[..]));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! each entity and row and of the last schema change; a cached value
 //! carries the LSN it was computed at ([`Provenance`]). The same numbers
 //! decide whether a cache put is stale, whether a maintenance pass must
-//! visit a bean, and what a page's `ETag` says.
+//! visit a bean, whether a cached fragment may still be served, and what
+//! a page's `ETag` says.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -59,12 +60,14 @@ impl Log {
 /// A node's record of which commit last wrote each entity and row, plus
 /// the LSN through which its caches are maintained.
 ///
-/// Writers — the log-driven maintainer per batch, the op path on a node
-/// that invalidates itself — [`record`](VersionTable::record) a write
-/// *before* they visit a cache stripe, and a cache put checks
-/// [`outdates`](VersionTable::outdates) under its stripe lock. A put that
-/// misses a write either sees it recorded and is refused, or lands before
-/// the writer's sweep reaches its stripe and is swept.
+/// The one writer, the log-driven maintainer,
+/// [`record`](VersionTable::record)s each write of a batch *before* it
+/// visits a bean stripe, and a cache put checks
+/// [`outdates`](VersionTable::outdates) under its stripe lock. A bean put
+/// that misses a write either sees it recorded and is refused, or lands
+/// before the maintainer reaches its stripe and is patched or dropped. A
+/// fragment is checked again each time it is read, so markup that missed
+/// a write is never served after the write is recorded.
 #[derive(Debug, Default)]
 pub struct VersionTable {
     /// The store's LSN when the table was created: the node cannot say

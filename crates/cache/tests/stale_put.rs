@@ -8,7 +8,7 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
 use webcache::{
-    BeanCache, BeanKey, CacheStats, FragmentCache, FragmentKey, LogDrivenMaintainer,
+    BeanCache, BeanKey, CacheStats, FragmentCache, FragmentKey, LogDrivenMaintainer, Lookup,
     MaintenancePlan, PatchOutcome, Patcher, Provenance, RowDelta, TableCatalog, UnitPlan,
     UnitShape,
 };
@@ -100,11 +100,13 @@ fn bean_put_after_the_maintenance_pass_does_not_become_resident() {
 }
 
 /// The fragment half: markup rendered from a bean the maintenance pass
-/// has not yet patched must not stay resident, even when the store had
-/// already committed the write when rendering began. The render's stamp
-/// is therefore the LSN the caches are maintained through.
+/// has not yet patched must never be served after the pass, even when the
+/// store had already committed the write when rendering began. The
+/// render's stamp is therefore the LSN the caches are maintained through,
+/// and both ends of the cache check it: a put after the pass is refused,
+/// and a put that landed before the pass is found stale by the next read.
 #[test]
-fn fragment_put_after_the_maintenance_pass_does_not_become_resident() {
+fn fragment_rendered_before_the_maintenance_pass_is_never_served_after_it() {
     let cache = Arc::new(BeanCache::<String>::new(64));
     let fragments = Arc::new(FragmentCache::with_stats(
         64,
@@ -121,26 +123,24 @@ fn fragment_put_after_the_maintenance_pass_does_not_become_resident() {
         cached: true,
         ..UnitShape::default()
     }]);
-    let maint = maintainer(&cache, plan).with_fragments(Arc::clone(&fragments));
+    let maint = maintainer(&cache, plan);
     let versions = Arc::clone(cache.versions());
-    let book = ["book".to_string()];
+    // the unit shows book 7: its bean and fragments depend on that row
+    let row = [("book".to_string(), 7)];
     let rendered_at = |lsn| Provenance {
         lsn,
-        entities: &book,
-        rows: &[],
+        entities: &[],
+        rows: &row,
     };
     let bean_key = BeanKey::new("data1", "sel=7&");
     let key = FragmentKey::keyed("page.jsp", "data1", "desktop", "sel=7&", "");
-    // LSN 4 is maintained: the bean and an earlier render are resident
+    // LSN 4 is maintained: the bean is resident
     versions.settle(4);
     cache.put(bean_key.clone(), "old".into(), rendered_at(4), None);
-    fragments
-        .put(key.clone(), "<p>old</p>".into(), rendered_at(4))
-        .unwrap();
 
     // the write to book 7 commits at LSN 5; maintenance has not run yet
     let (computed_tx, computed) = channel();
-    let (dirtied_tx, dirtied) = channel::<()>();
+    let (maintained_tx, maintained) = channel::<()>();
     std::thread::scope(|s| {
         let (cache, fragments, versions, bean_key, key) =
             (&cache, &fragments, &versions, &bean_key, &key);
@@ -148,26 +148,36 @@ fn fragment_put_after_the_maintenance_pass_does_not_become_resident() {
             let stamp = versions.settled();
             let bean = cache.get(bean_key).unwrap();
             computed_tx.send(()).unwrap();
-            dirtied.recv().unwrap();
+            maintained.recv().unwrap();
             fragments.put(key.clone(), format!("<p>{bean}</p>"), rendered_at(stamp))
         });
         computed.recv().unwrap();
         maint.apply(5, &[retitle(7, "new")]);
-        dirtied_tx.send(()).unwrap();
+        maintained_tx.send(()).unwrap();
+        // the put after the pass is handed back, to be served once
         assert_eq!(reader.join().unwrap(), Err("<p>old</p>".to_string()));
     });
-    assert!(fragments.get(&key).is_none(), "stale put became resident");
+    assert!(fragments.is_empty(), "stale put became resident");
     // stamped with the store's LSN instead, the same put would have passed
     assert!(!versions.outdates(&rendered_at(5)));
 
-    // the next render starts after the pass: patched bean, cached markup,
-    // counted as a re-render of the dirtied fragment
+    // a render that reached the cache before the pass: accepted, then
+    // found stale by the first read after the pass, never served
+    let early = FragmentKey::keyed("page.jsp", "data1", "pda", "sel=7&", "");
+    fragments
+        .put(early.clone(), "<p>old</p>".into(), rendered_at(5))
+        .unwrap();
+    maint.apply(6, &[retitle(7, "newer")]);
+    assert!(matches!(fragments.get(&early, &[], &row), Lookup::Stale));
+    assert!(fragments.get(&early, &[], &row).hit().is_none());
+
+    // the next render starts after the pass: patched bean, cached markup
     let stamp = versions.settled();
     let bean = cache.get(&bean_key).unwrap();
-    assert_eq!((stamp, bean.as_str()), (5, "new"));
-    let (_, rerendered) = fragments
+    assert_eq!((stamp, bean.as_str()), (6, "newer"));
+    fragments
         .put(key.clone(), format!("<p>{bean}</p>"), rendered_at(stamp))
         .unwrap();
-    assert!(rerendered);
-    assert_eq!(fragments.get(&key).as_deref(), Some(&b"<p>new</p>"[..]));
+    let served = fragments.get(&key, &[], &row).hit();
+    assert_eq!(served.as_deref(), Some(&b"<p>newer</p>"[..]));
 }

@@ -251,8 +251,9 @@ pub struct NodeSpec<'a> {
 /// ([`RuntimeOptions::follows_writes`], so a deployment with a
 /// maintenance plan) attaches one [`webcache::LogDrivenMaintainer`]
 /// ([`Controller::maintainer`]) under that plan to its stream. It records
-/// each batch's LSN in the node's version table, patches or drops beans,
-/// and dirties dependent fragments; a node with neither attaches nothing.
+/// each batch's LSN in the node's version table and patches or drops
+/// beans; fragments are checked against those versions when read. A node
+/// with neither attaches nothing.
 pub fn assemble_node(generated: &Generated, spec: NodeSpec<'_>) -> Result<Controller, DeployError> {
     // recovered indexes are skipped; derivations new since the last boot
     // are created — and logged — here

@@ -51,9 +51,10 @@ pub struct ServerConfig {
     /// Cap on one request's request-line + header block; beyond it the
     /// client gets `431 Request Header Fields Too Large`.
     pub max_header_bytes: usize,
-    /// Admission control: when more than this many connections are
-    /// dispatched-and-unfinished, further requests are shed with `503` +
-    /// `Retry-After: 1` (the connection stays usable). `0` = unlimited.
+    /// Admission control: while this many requests are in service, further
+    /// requests are shed with `503` + `Retry-After: 1` (the connection
+    /// stays usable). A dispatched connection with no complete request —
+    /// a drip, an EOF — takes no part of the budget. `0` = unlimited.
     pub max_in_flight: usize,
 }
 
@@ -391,10 +392,8 @@ impl Reactor {
         let Some(conn) = self.parked.remove(&token) else {
             return; // stale event (token raced a close)
         };
-        self.counters.in_flight.add(1);
         self.counters.dispatches.inc();
         if let Err(crossbeam::channel::SendError(conn)) = self.tx.send(conn) {
-            self.counters.in_flight.add(-1);
             close_conn(&self.counters, conn);
         }
     }
@@ -455,7 +454,6 @@ impl Worker {
                     close_conn(&self.counters, conn);
                 }
             }
-            self.counters.in_flight.add(-1);
         }
         // Disconnected: the reactor dropped the queue at shutdown.
     }
@@ -518,8 +516,11 @@ impl Worker {
                     let keep_alive = client_wants_more
                         && !cap_hit
                         && self.shared.running.load(Ordering::Acquire);
+                    // admission counts requests in service, this one
+                    // included; a shed request gives its place back at once
+                    let in_service = self.counters.in_flight.add_fetch(1);
                     let over_budget = self.config.max_in_flight > 0
-                        && self.counters.in_flight.get() > self.config.max_in_flight as i64;
+                        && in_service > self.config.max_in_flight as i64;
                     let resp = if over_budget {
                         // Shed, don't queue: the client backs off and the
                         // connection stays usable for the retry.
@@ -529,6 +530,7 @@ impl Worker {
                     } else {
                         self.service.serve(req)
                     };
+                    self.counters.in_flight.add(-1);
                     self.requests_served.fetch_add(1, Ordering::Relaxed);
                     self.counters.requests.inc();
                     if cap_hit && client_wants_more {
@@ -1016,7 +1018,7 @@ mod tests {
         let blocked = std::thread::spawn(move || client::get(addr, "/slow").unwrap());
         assert!(
             eventually(|| counters.in_flight.get() >= 1),
-            "first request never dispatched"
+            "first request never entered service"
         );
         // now exceed the budget from a second connection
         let mut conn = client::Connection::open(addr).unwrap();

@@ -279,11 +279,14 @@ impl AppServerTier {
             .run(page_id, &request, &session)
             .map_err(|e| e.to_string())?;
         // units cross in plan order, each with the fingerprint its
-        // fragments are keyed on: the servlet side renders and caches
+        // fragments are keyed on and the row a probe shows: the servlet
+        // side renders, caches and validates
         let units: Vec<serde_json::Value> = result
             .units
             .iter()
-            .map(|u| serde_json::json!({ "bean": u.bean.to_json(), "key": u.key.as_str() }))
+            .map(|u| {
+                serde_json::json!({ "bean": u.bean.to_json(), "key": u.key.as_str(), "oid": u.oid })
+            })
             .collect();
         let out = serde_json::json!({
             "units": units,
@@ -336,6 +339,7 @@ impl BusinessTier for AppServerTier {
                         Some(ComputedUnit {
                             bean: Arc::new(UnitBean::from_json(u.get("bean")?)?),
                             key: u.get("key")?.as_str()?.to_string(),
+                            oid: u.get("oid").and_then(|o| o.as_i64()),
                         })
                     })
                     .collect::<Option<Vec<_>>>()

@@ -27,8 +27,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 use webcache::{
-    BeanCache, FragmentCache, FragmentKey, LogDrivenMaintainer, MaintenancePlan, Provenance,
-    TableCatalog, VersionTable,
+    BeanCache, FragmentCache, FragmentKey, LogDrivenMaintainer, Lookup, MaintenancePlan,
+    Provenance, TableCatalog, VersionTable,
 };
 
 /// When presentation rules run (§5).
@@ -322,9 +322,6 @@ impl Controller {
         .with_database(&self.db);
         if let Some(cache) = &self.bean_cache {
             m = m.with_beans(Arc::clone(cache), Arc::new(crate::UnitBeanPatcher));
-        }
-        if let Some(fragments) = &self.fragment_cache {
-            m = m.with_fragments(Arc::clone(fragments));
         }
         m
     }
@@ -634,10 +631,11 @@ impl Controller {
 
         // Read before the business tier computes: every bean this render
         // reads shows at least the state the caches are maintained
-        // through, so markup put with this stamp loses to any write to its
-        // unit's entities recorded since — the render is served once and
-        // never cached. (The store's LSN would not do: a bean read from the
-        // cache may be one the maintenance pass has yet to patch.)
+        // through, so markup stamped with it loses to any write to what
+        // its unit depends on recorded since — a put after that write
+        // serves the render once, uncached, and a read after it finds the
+        // fragment stale. (The store's LSN would not do: a bean read from
+        // the cache may be one the maintenance pass has yet to patch.)
         let fragments = self
             .fragment_cache
             .as_deref()
@@ -686,7 +684,8 @@ impl Controller {
             let (step, unit) = (&plan.units[at], &result.units[at]);
             let fragment_token = ctx.enter(step.fragment_span.as_str());
             let skin = &skins[step.kind];
-            // level 1: fragment cache (markup only; queries already ran).
+            // level 1: fragment cache (markup only; queries already ran),
+            // checked against what the unit depends on as it is read.
             // Hits surface the cache's own `Arc<[u8]>` — the bytes are
             // never copied between the cache and the response.
             let cached = fragments.map(|(fc, stamp)| {
@@ -702,31 +701,36 @@ impl Controller {
                     unit.key.as_str(),
                     request,
                 );
-                (fc, stamp, key)
+                (fc, stamp, key, step.dependencies(unit.oid))
             });
-            if let Some((fc, _, key)) = &cached {
-                if let Some(markup) = fc.get(key) {
-                    ctx.exit(fragment_token);
-                    return Some(markup);
+            let mut stale = false;
+            if let Some((fc, _, key, (entities, row))) = &cached {
+                match fc.get(key, entities, row.as_slice()) {
+                    Lookup::Hit(markup) => {
+                        ctx.exit(fragment_token);
+                        return Some(markup);
+                    }
+                    Lookup::Stale => stale = true,
+                    Lookup::Miss => {}
                 }
             }
             let shared = match cached {
                 // the put returns the freshly interned Arc, so even the
-                // miss path serves the cache-resident bytes; a put over
-                // a dirty tombstone is a re-render; a put that lost to
-                // a newer write serves its own buffer, uncached
-                Some((fc, stamp, key)) => {
+                // miss path serves the cache-resident bytes; a put after
+                // a stale read is a re-render; a put that lost to a newer
+                // write serves its own buffer, uncached
+                Some((fc, stamp, key, (entities, row))) => {
                     let mut markup = String::new();
                     step.program
                         .render(skin, &unit.bean, &plan.url, &request_params, &mut markup);
                     let from = Provenance {
                         lsn: stamp,
-                        entities: &step.desc.depends_on,
-                        rows: &[],
+                        entities,
+                        rows: row.as_slice(),
                     };
                     match fc.put(key, markup, from) {
-                        Ok((shared, rerendered)) => {
-                            if rerendered {
+                        Ok(shared) => {
+                            if stale {
                                 self.obs.maint.fragment_rerenders.inc();
                             }
                             Some(shared)
@@ -1066,7 +1070,7 @@ mod tests {
             .any(|ch| matches!(ch, HtmlChunk::Shared(_))));
         let second = c.handle_parts_traced(&WebRequest::get("/shop/products"), &mut ctx);
         let key = FragmentKey::keyed("templates/shop/products.jsp", "unit0", "desktop", "", "");
-        let cached = c.fragment_cache().unwrap().get(&key).unwrap();
+        let cached = cached_fragment(&c, &key, None).hit().unwrap();
         let shared: Vec<&Arc<[u8]>> = second
             .body
             .iter()
@@ -1344,6 +1348,17 @@ mod tests {
         }
     }
 
+    /// Read `key` from the fragment cache as a render of its unit does:
+    /// against the unit's dependencies when it shows row `oid`.
+    fn cached_fragment(c: &Controller, key: &FragmentKey, oid: Option<i64>) -> Lookup {
+        let mut steps = c.plan.pages.iter().flat_map(|p| &p.units);
+        let step = steps.find(|s| s.desc.id == key.fragment).unwrap();
+        let (entities, row) = step.dependencies(oid);
+        c.fragment_cache()
+            .unwrap()
+            .get(key, entities, row.as_slice())
+    }
+
     /// The cache-resident fragments of a response, in template order.
     fn shared_chunks(c: &Controller, req: &WebRequest) -> Vec<Arc<[u8]>> {
         let parts = c.handle_parts_traced(req, &mut obs::RequestContext::detached());
@@ -1431,12 +1446,11 @@ mod tests {
         assert_eq!(c.fragment_cache().unwrap().stats().hits, hits + 4);
     }
 
-    /// A write to the row an edge-fed unit *displays* dirties its
-    /// fragment, whatever row the URL named.
+    /// A write to the row an edge-fed unit *displays* outdates its
+    /// fragment, whatever row the URL named: the next read finds it stale.
     #[test]
-    fn write_to_the_displayed_row_dirties_an_edge_fed_fragment() {
+    fn write_to_the_displayed_row_outdates_an_edge_fed_fragment() {
         let c = catalog(fragment_caching());
-        let fc = c.fragment_cache().unwrap();
 
         let req = WebRequest::get("/shop/pick").with_param("sel", "37");
         assert!(c.handle(&req).body.contains("Product 1"));
@@ -1448,9 +1462,10 @@ mod tests {
             "sel=1&",
             "",
         );
-        assert!(fc.get(&key).is_some());
+        let shown = || cached_fragment(&c, &key, Some(1));
+        assert!(shown().hit().is_some());
         let index = FragmentKey::keyed("templates/shop/pick.jsp", "pick_cats", "desktop", "", "");
-        let index_bytes = fc.get(&index).unwrap();
+        let index_bytes = cached_fragment(&c, &index, None).hit().unwrap();
 
         let write = |oid: i64, name: &str| {
             c.database()
@@ -1460,16 +1475,17 @@ mod tests {
                 )
                 .unwrap();
         };
-        // row 37 is named by the URL but shown nowhere: nothing to dirty
+        // row 37 is named by the URL but shown nowhere: still current
         write(37, "Unseen");
-        assert!(fc.get(&key).is_some());
+        assert!(shown().hit().is_some());
         // row 1 is what the page shows
         write(1, "Renamed");
-        assert!(fc.get(&key).is_none(), "stale fragment survived the write");
+        assert!(matches!(shown(), Lookup::Stale), "stale fragment served");
         let body = c.handle(&req).body;
         assert!(body.contains("Renamed") && !body.contains("Product 1"));
-        // the category index never went dirty
-        assert!(Arc::ptr_eq(&index_bytes, &fc.get(&index).unwrap()));
+        // the category index never went stale
+        let index_after = cached_fragment(&c, &index, None).hit().unwrap();
+        assert!(Arc::ptr_eq(&index_bytes, &index_after));
     }
 
     /// Index over `category` → automatic link → data unit over `product`:
@@ -1545,7 +1561,7 @@ mod tests {
             "sel=1&",
             "",
         );
-        assert!(c.fragment_cache().unwrap().get(&key).is_some());
+        assert!(cached_fragment(&c, &key, Some(1)).hit().is_some());
     }
 
     /// A template slot whose unit the page does not list fails the

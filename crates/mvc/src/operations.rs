@@ -155,25 +155,18 @@ impl OperationEngine {
         match desc.op_type.as_str() {
             "create" => {
                 let bound = self.bind(desc, params)?;
-                let table = desc
-                    .entity_table
-                    .as_deref()
-                    .ok_or_else(|| MvcError::MissingDescriptor(format!("{}: entity", desc.id)))?;
                 let sql = desc
                     .sql
                     .as_deref()
                     .ok_or_else(|| MvcError::MissingDescriptor(format!("{}: sql", desc.id)))?;
                 match db.execute(sql, &bound) {
-                    Ok(_) => {
-                        // expose the new instance's oid to the forward target
+                    Ok(r) => {
+                        // expose the oid this insert minted to the forward
+                        // target — not the table's newest, which a
+                        // concurrent create may own
                         let mut outputs = ParamMap::new();
-                        if let Ok(rs) = db.query(
-                            &format!("SELECT MAX(oid) AS oid FROM {table}"),
-                            &Params::new(),
-                        ) {
-                            if let Some(v) = rs.first("oid") {
-                                outputs.insert("oid".into(), v.clone());
-                            }
+                        if let Some(oid) = r.inserted_key() {
+                            outputs.insert("oid".into(), Value::Integer(oid));
                         }
                         Ok(OpResult::ok_with(outputs))
                     }
@@ -316,6 +309,48 @@ mod tests {
         assert!(r.ok);
         assert_eq!(r.outputs.get("oid"), Some(&Value::Integer(1)));
         assert_eq!(db.table_len("product").unwrap(), 1);
+    }
+
+    /// Two clients creating in one table at once: each forward names the
+    /// row its own create inserted, never the other client's.
+    #[test]
+    fn concurrent_creates_forward_to_their_own_rows() {
+        let db = db();
+        let engine = OperationEngine::new();
+        let sessions = SessionManager::new();
+        let sid = sessions.create();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for client in 0..2 {
+                let (db, engine, sessions, sid, start) = (&db, &engine, &sessions, &sid, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..1000 {
+                        let name = format!("client {client} item {i}");
+                        let create = params(&[
+                            ("name", Value::Text(name.as_str().into())),
+                            ("price", Value::Real(1.0)),
+                        ]);
+                        let r = engine
+                            .execute(&create_desc(), &create, db, sessions, sid)
+                            .unwrap();
+                        let oid = r.outputs.get("oid").cloned().expect("forwarded oid");
+                        let row = db
+                            .query(
+                                "SELECT name FROM product WHERE oid = :oid",
+                                &Params::new().bind("oid", oid.clone()),
+                            )
+                            .unwrap();
+                        assert_eq!(
+                            row.first("name"),
+                            Some(&Value::Text(name.as_str().into())),
+                            "{name} forwarded to oid {oid:?}"
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(db.table_len("product").unwrap(), 2000);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::beans::UnitBean;
 use crate::error::{MvcError, Result};
 use crate::plan::{ComputedUnit, PagePlan};
 use crate::services::ParamMap;
-use relstore::{Database, Value};
+use relstore::Database;
 use std::sync::Arc;
 use std::time::Duration;
 use webcache::{BeanCache, BeanKey, Provenance};
@@ -96,6 +96,7 @@ pub fn compute_page(
             }
         };
         let (params, key) = step.bind(request_params, session_vars, &result.units);
+        let oid = step.probed_oid(&params);
 
         // §6 bean cache: keyed on the parameters the unit actually consumes
         let cached = bean_cache
@@ -104,7 +105,7 @@ pub fn compute_page(
         if let Some((cache, bean_key)) = &cached {
             if let Some(bean) = cache.get(bean_key) {
                 result.cache_hits += 1;
-                result.units.push(ComputedUnit { bean, key });
+                result.units.push(ComputedUnit { bean, key, oid });
                 observe(ctx);
                 continue;
             }
@@ -136,30 +137,19 @@ pub fn compute_page(
                     .and_then(|c| c.ttl_ms)
                     .map(Duration::from_millis);
                 // A pure oid probe (`WHERE t.oid = :p`) touches exactly one
-                // row, so scope the bean to `(entity, oid)`: log-driven
-                // invalidation of another row then leaves it alone.
-                let row = desc.entity_table.as_ref().and_then(|entity| {
-                    match params.get(step.probe_param.as_ref()?) {
-                        Some(Value::Integer(oid)) => Some((entity.clone(), *oid)),
-                        _ => None,
-                    }
-                });
-                let entities: Vec<String> = desc
-                    .depends_on
-                    .iter()
-                    .filter(|d| row.as_ref().is_none_or(|(entity, _)| entity != *d))
-                    .cloned()
-                    .collect();
+                // row, so the bean is scoped to it: log-driven maintenance
+                // of another row then leaves it alone.
+                let (entities, row) = step.dependencies(oid);
                 let from = Provenance {
                     lsn,
-                    entities: &entities,
+                    entities,
                     rows: row.as_slice(),
                 };
                 cache.put(bean_key, bean, from, ttl)
             }
             None => Arc::new(bean),
         };
-        result.units.push(ComputedUnit { bean, key });
+        result.units.push(ComputedUnit { bean, key, oid });
         observe(ctx);
     }
     Ok(result)
@@ -174,7 +164,7 @@ mod tests {
         CacheDescriptor, ControllerConfig, DescriptorSet, PageDescriptor, ParamBinding, QuerySpec,
         TransportEdge, UnitDescriptor,
     };
-    use relstore::Params;
+    use relstore::{Params, Value};
 
     /// Plan `set` and compute its first page.
     fn compute_page0(

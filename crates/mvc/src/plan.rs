@@ -12,9 +12,10 @@
 //! The plan also owns the one definition of a unit's **cache identity**:
 //! [`UnitStep::bind`] derives the effective parameters (request < session
 //! < edges) and the fingerprint of the ones the unit consumes. The bean
-//! key and the fragment key are both that string, so the two cache levels
-//! and the row-precise invalidation agree on which row a unit *shows* —
-//! not on which row the URL happens to name.
+//! key and the fragment key are both that string, and
+//! [`UnitStep::dependencies`] is the one rule for what both levels depend
+//! on, so they agree on which row a unit *shows* — not on which row the
+//! URL happens to name.
 
 use crate::beans::UnitBean;
 use crate::render::{navigation_html, UnitProgram};
@@ -55,6 +56,9 @@ pub struct UnitStep {
     /// The probing parameter when the unit's first query is a pure
     /// primary-key probe (`… WHERE t.oid = :p`).
     pub probe_param: Option<String>,
+    /// A pure oid probe as the first query: the probed table, and the
+    /// unit's other tables. See [`UnitStep::dependencies`].
+    probe: Option<(String, Vec<String>)>,
     /// The page's `ETag` may validate this unit against the version of the
     /// one row of `desc.entity_table` the request names in `probe_param`:
     /// a single key-probe query over its only dependency whose probe
@@ -74,9 +78,33 @@ pub struct ComputedUnit {
     /// Fingerprint (`k=v&…`) of the effective parameters the unit
     /// consumes — the `params` of its bean key and of its fragment keys.
     pub key: String,
+    /// The row the unit shows, when it is a pure oid probe
+    /// ([`UnitStep::probed_oid`]).
+    pub oid: Option<i64>,
 }
 
 impl UnitStep {
+    /// The row the unit shows when it is a pure oid probe whose parameter
+    /// is bound to an integer in the unit's effective `params`.
+    pub fn probed_oid(&self, params: &ParamMap) -> Option<i64> {
+        match params.get(self.probe_param.as_ref()?) {
+            Some(Value::Integer(oid)) => Some(*oid),
+            _ => None,
+        }
+    }
+
+    /// What the unit's cached bean and fragments depend on when it shows
+    /// row `oid` ([`UnitStep::probed_oid`]): that one row and the unit's
+    /// other tables, or — no row — every table of `depends_on`. One rule
+    /// for both cache levels: the bean's put, and the fragment's put and
+    /// read.
+    pub fn dependencies(&self, oid: Option<i64>) -> (&[String], Option<(String, i64)>) {
+        match (&self.probe, oid) {
+            (Some((table, others)), Some(oid)) => (others, Some((table.clone(), oid))),
+            _ => (&self.desc.depends_on, None),
+        }
+    }
+
     /// The unit's effective parameters — request < session < edges — and
     /// their fingerprint restricted to [`UnitStep::consumed`]. `computed`
     /// holds the page's units computed so far, in plan order. The request
@@ -310,7 +338,7 @@ fn plan_page(
     let mut dangling_unit = None;
     let mut stamp_deps = BTreeSet::new();
     for ((unit_id, edges), links) in unit_ids.iter().zip(edges).zip(links) {
-        let Some(desc) = units.remove(unit_id) else {
+        let Some(mut desc) = units.remove(unit_id) else {
             dangling_unit = Some(unit_id.clone());
             break;
         };
@@ -319,10 +347,26 @@ fn plan_page(
             let inputs: BTreeSet<&String> = desc.queries.iter().flat_map(|q| &q.inputs).collect();
             inputs.into_iter().cloned().collect()
         });
-        let probe_param = desc
-            .queries
-            .first()
-            .and_then(|q| webcache::oid_probe_param(&q.sql));
+        // what the unit shows depends on every table it reads: complete
+        // `depends_on` with its entity table and the tables of its first
+        // and main queries, so the caches and the `ETag` never depend on
+        // less
+        let scope = |q: Option<&descriptors::QuerySpec>| webcache::query_scope(&q?.sql);
+        let (first, main) = (scope(desc.queries.first()), scope(desc.main_query()));
+        let read = first.iter().chain(&main).map(|(table, _)| table);
+        for table in desc.entity_table.iter().chain(read) {
+            if !desc.depends_on.contains(table) {
+                desc.depends_on.push(table.clone());
+            }
+        }
+        let (probe_param, probe) = match first {
+            Some((table, Some(param))) => {
+                let others = desc.depends_on.iter().filter(|t| **t != table);
+                let others = others.cloned().collect();
+                (Some(param), Some((table, others)))
+            }
+            _ => (None, None),
+        };
         let overridden = |param: &str| {
             param.starts_with("session_")
                 || edges
@@ -353,6 +397,7 @@ fn plan_page(
             consumed,
             embeds_request: desc.unit_type == "scroller",
             probe_param,
+            probe,
             validates_by_row,
             unit_span: format!("unit:{unit_id}"),
             fragment_span: format!("fragment:{unit_id}"),

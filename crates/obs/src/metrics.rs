@@ -54,6 +54,12 @@ impl Gauge {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Add `n` and return the new value.
+    #[inline]
+    pub fn add_fetch(&self, n: i64) -> i64 {
+        self.0.fetch_add(n, Ordering::Relaxed) + n
+    }
+
     #[inline]
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
@@ -311,7 +317,7 @@ impl AnalyzeCounters {
 }
 
 /// The counter block the incremental cache-maintenance layer reports
-/// into: WAL-driven bean patching, dirty-fragment re-render, and
+/// into: WAL-driven bean patching, stale-fragment re-render, and
 /// conditional-GET economics.
 #[derive(Debug, Default)]
 pub struct MaintCounters {
@@ -322,8 +328,9 @@ pub struct MaintCounters {
     /// patchable — keyed by reason, rendered as the labelled
     /// `cache_patch_fallbacks_total{reason}` family.
     fallbacks: Mutex<BTreeMap<String, u64>>,
-    /// Page fragments re-rendered because their unit's bean changed
-    /// (clean fragments keep serving the same interned bytes).
+    /// Page fragments re-rendered because a read found them outdated by a
+    /// write to what their unit shows (current fragments keep serving the
+    /// same interned bytes).
     pub fragment_rerenders: Counter,
     /// Conditional GETs answered `304 Not Modified` from the page
     /// version, skipping compute and body bytes entirely.
@@ -387,7 +394,7 @@ pub struct HttpCounters {
     pub vectored_writes: Counter,
     /// Client sockets currently open (accepted minus closed).
     pub open_fds: Gauge,
-    /// Connections dispatched to a worker and not yet finished — the
+    /// Requests in service: admitted and not yet answered — the
     /// admission-control pressure signal.
     pub in_flight: Gauge,
 }
@@ -748,7 +755,7 @@ impl MetricsRegistry {
         gauge_into(
             &mut out,
             "http_in_flight",
-            "Connections dispatched to a worker and not yet finished",
+            "Requests in service: admitted and not yet answered",
             self.http.in_flight.get(),
         );
         Self::render_histogram(
@@ -778,7 +785,7 @@ impl MetricsRegistry {
         counter_into(
             &mut out,
             "fragment_rerenders_total",
-            "Page fragments re-rendered because their unit bean changed",
+            "Page fragments re-rendered because a write outdated what they show",
             self.maint.fragment_rerenders.get(),
         );
         counter_into(

@@ -253,8 +253,7 @@ impl Database {
                 self.select(&storage, sel, params)
             }
             Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
-                let n = self.write_txn(|storage, undo| run_dml(storage, stmt, params, undo))?;
-                Ok(ExecResult::Affected(n))
+                self.write_txn(|storage, undo| run_dml(storage, stmt, params, undo))
             }
             Statement::CreateTable(schema) => {
                 let seq = {
@@ -318,7 +317,7 @@ impl Database {
     pub fn query(&self, sql: &str, params: &Params) -> Result<ResultSet> {
         match self.execute(sql, params)? {
             ExecResult::Rows(r) => Ok(r),
-            ExecResult::Affected(_) => Err(Error::Unsupported("query() on a non-SELECT".into())),
+            _ => Err(Error::Unsupported("query() on a non-SELECT".into())),
         }
     }
 
@@ -458,11 +457,17 @@ fn run_dml(
     stmt: &Statement,
     params: &Params,
     undo: &mut UndoLog,
-) -> Result<usize> {
+) -> Result<ExecResult> {
     match stmt {
-        Statement::Insert(ins) => storage.run_insert(ins, params, undo),
-        Statement::Update(upd) => storage.run_update(upd, params, undo),
-        Statement::Delete(del) => storage.run_delete(del, params, undo),
+        Statement::Insert(ins) => storage
+            .run_insert(ins, params, undo)
+            .map(|(rows, key)| ExecResult::Inserted { rows, key }),
+        Statement::Update(upd) => storage
+            .run_update(upd, params, undo)
+            .map(ExecResult::Affected),
+        Statement::Delete(del) => storage
+            .run_delete(del, params, undo)
+            .map(ExecResult::Affected),
         _ => Err(Error::Transaction(
             "DDL is not allowed inside a transaction".into(),
         )),
@@ -522,12 +527,7 @@ impl Transaction<'_> {
         match stmt.as_ref() {
             // read-your-own-writes: the transaction holds the write lock
             Statement::Select(sel) => self.db.select(self.storage, sel, params),
-            dml => Ok(ExecResult::Affected(run_dml(
-                self.storage,
-                dml,
-                params,
-                self.undo,
-            )?)),
+            dml => run_dml(self.storage, dml, params, self.undo),
         }
     }
 

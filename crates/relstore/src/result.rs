@@ -7,8 +7,12 @@ use crate::value::Value;
 pub enum ExecResult {
     /// A SELECT produced rows.
     Rows(ResultSet),
-    /// A DML/DDL statement affected this many rows (0 for DDL).
+    /// An UPDATE/DELETE/DDL statement affected this many rows (0 for
+    /// DDL).
     Affected(usize),
+    /// An INSERT added `rows` rows; `key` is the last one's integer
+    /// primary key (the oid it minted), when its table has one.
+    Inserted { rows: usize, key: Option<i64> },
 }
 
 impl ExecResult {
@@ -16,14 +20,24 @@ impl ExecResult {
     pub fn rows(self) -> ResultSet {
         match self {
             ExecResult::Rows(r) => r,
-            ExecResult::Affected(n) => panic!("expected rows, got {n} affected"),
+            ExecResult::Affected(n) | ExecResult::Inserted { rows: n, .. } => {
+                panic!("expected rows, got {n} affected")
+            }
         }
     }
 
     pub fn affected(self) -> usize {
         match self {
-            ExecResult::Affected(n) => n,
+            ExecResult::Affected(n) | ExecResult::Inserted { rows: n, .. } => n,
             ExecResult::Rows(r) => r.len(),
+        }
+    }
+
+    /// The key an INSERT minted for its last row.
+    pub fn inserted_key(&self) -> Option<i64> {
+        match self {
+            ExecResult::Inserted { key, .. } => *key,
+            ExecResult::Rows(_) | ExecResult::Affected(_) => None,
         }
     }
 }

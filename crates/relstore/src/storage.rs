@@ -226,13 +226,14 @@ impl Storage {
 
     // ---- DML --------------------------------------------------------------
 
-    /// Execute INSERT; returns number of rows inserted.
+    /// Execute INSERT; returns the number of rows inserted and the last
+    /// one's integer primary key, when the table has a one-column one.
     pub fn run_insert(
         &mut self,
         ins: &Insert,
         params: &Params,
         undo: &mut UndoLog,
-    ) -> Result<usize> {
+    ) -> Result<(usize, Option<i64>)> {
         let table = self.require_table(&ins.table)?;
         let schema = table.schema.clone();
         let n_cols = schema.columns.len();
@@ -252,6 +253,7 @@ impl Storage {
             params,
         };
         let mut count = 0;
+        let mut key = None;
         for row_exprs in &ins.rows {
             if row_exprs.len() != positions.len() {
                 return Err(Error::Parameter(format!(
@@ -276,8 +278,15 @@ impl Storage {
                 row_id: id,
             });
             count += 1;
+            key = match schema.primary_key.as_slice() {
+                [pk] => match self.require_table(&ins.table)?.get(id).map(|r| &r[*pk]) {
+                    Some(Value::Integer(k)) => Some(*k),
+                    _ => None,
+                },
+                _ => None,
+            };
         }
-        Ok(count)
+        Ok((count, key))
     }
 
     /// Execute UPDATE; returns number of rows changed.

@@ -47,9 +47,9 @@ fn bean_cache_is_never_stale() {
 }
 
 /// The fragment cache alone — the §6 level that sees nothing but markup —
-/// is fresh right after a write: the node's maintainer dirties the
-/// fragments of the units the write can change, so no TTL has to expire
-/// first.
+/// is fresh right after a write: the node's maintainer records the
+/// write's version and the next read of a fragment it outdates finds it
+/// stale, so no TTL has to expire first.
 #[test]
 fn fragment_cache_alone_is_fresh_after_a_write() {
     let app = fixtures::bookstore();
@@ -221,6 +221,20 @@ fn synthetic() -> Subject {
     }
 }
 
+/// The synthetic application with no unit tagged `cached`: no bean is
+/// ever cached, and every fragment's dependencies come from the page plan
+/// alone.
+fn untagged() -> Subject {
+    let spec = SynthSpec {
+        cached_fraction: 0.0,
+        ..SynthSpec::scaled(10, 6)
+    };
+    Subject {
+        app: synthesize(&spec),
+        ..synthetic()
+    }
+}
+
 /// Drive one seeded write schedule (operation-driven inserts plus direct
 /// SQL updates and deletes on the leader's store) against a warm
 /// deployment and a cacheless single-node reference; after every step,
@@ -331,18 +345,33 @@ fn assert_matches_cold_recompute(
             }
         }
     }
-    // the schedule must actually exercise the warm path: beans were hit,
-    // changes were folded in place or counted as fallbacks, URL variants
-    // shared fragments, writes dirtied some, and validators were honoured
-    assert!(
-        leader.obs.bean_cache.hits.get() > 0,
-        "{label}: schedule never hit a bean cache"
-    );
+    // the schedule must actually exercise the warm path: beans of tagged
+    // units were hit, changes were folded in place or counted as
+    // fallbacks, URL variants shared fragments, writes outdated some, and
+    // validators were honoured
     let maint = &leader.obs.maint;
-    assert!(
-        maint.patches_applied.get() + maint.fallbacks_total() > 0,
-        "{label}: schedule never reached the maintenance layer"
-    );
+    let tagged = leader
+        .generated
+        .descriptors
+        .units
+        .iter()
+        .any(|u| u.cache.is_some());
+    if tagged {
+        assert!(
+            leader.obs.bean_cache.hits.get() > 0,
+            "{label}: schedule never hit a bean cache"
+        );
+        assert!(
+            maint.patches_applied.get() + maint.fallbacks_total() > 0,
+            "{label}: schedule never reached the maintenance layer"
+        );
+    } else {
+        assert_eq!(
+            leader.obs.bean_cache.hits.get(),
+            0,
+            "{label}: untagged bean hit"
+        );
+    }
     assert!(
         leader.obs.fragment_cache.hits.get() > 0 && maint.fragment_rerenders.get() > 0,
         "{label}: schedule never hit or re-rendered a fragment"
@@ -472,36 +501,51 @@ fn maintained_cache_matches_cold_recompute() {
         (synthetic, Topology::Durable),
     ];
     for (subject, topology) in arms {
-        let subject = subject();
-        let label = format!("{}, {topology:?}", subject.app.name);
-        let dir = webml_ratio::wal::TempDir::new("maint-prop").unwrap();
-        let mut durability = DurabilityConfig::new(dir.path());
-        // the schedule alone flushes: no flusher thread mid-dispatch while
-        // a step compares pages
-        durability.group_commit_window = Duration::from_secs(3600);
-        let runtime = RuntimeOptions {
-            conditional_get: true,
-            ..options(true, true, Duration::from_secs(3600))
-        };
-        match topology {
-            Topology::Plain | Topology::Durable => {
-                let warm = match topology {
-                    Topology::Plain => subject.app.deploy(runtime),
-                    _ => subject.app.deploy_durable(runtime, &durability),
-                }
-                .unwrap();
-                assert_matches_cold_recompute(&label, &subject, &warm, &[], &|req| {
-                    warm.handle(req)
-                });
+        oracle_arm(subject(), topology);
+    }
+}
+
+/// The same oracle where no unit is model-tagged `cached`: only the
+/// fragment cache and conditional GET hold anything, so every fragment is
+/// kept fresh by being checked on read against the dependencies the page
+/// plan derives from its unit's queries, never by a model tag.
+#[test]
+fn untagged_fragments_match_cold_recompute() {
+    for topology in [Topology::Plain, Topology::Durable] {
+        oracle_arm(untagged(), topology);
+    }
+}
+
+/// One arm of the oracle: `subject` deployed warm on `topology` —
+/// bean and fragment caches and conditional GET on — against a cold
+/// recompute.
+fn oracle_arm(subject: Subject, topology: Topology) {
+    let label = format!("{}, {topology:?}", subject.app.name);
+    let dir = webml_ratio::wal::TempDir::new("maint-prop").unwrap();
+    let mut durability = DurabilityConfig::new(dir.path());
+    // the schedule alone flushes: no flusher thread mid-dispatch while
+    // a step compares pages
+    durability.group_commit_window = Duration::from_secs(3600);
+    let runtime = RuntimeOptions {
+        conditional_get: true,
+        ..options(true, true, Duration::from_secs(3600))
+    };
+    match topology {
+        Topology::Plain | Topology::Durable => {
+            let warm = match topology {
+                Topology::Plain => subject.app.deploy(runtime),
+                _ => subject.app.deploy_durable(runtime, &durability),
             }
-            Topology::Replicated(replicas) => {
-                let mut deploy = DeployOptions::default().with_replicas(replicas);
-                deploy.runtime = runtime;
-                let rd = deploy_replicated(&subject.app, deploy, &durability).unwrap();
-                assert_matches_cold_recompute(&label, &subject, &rd.leader, &rd.replicas, &|req| {
-                    rd.handle(req)
-                });
-            }
+            .unwrap();
+            assert_matches_cold_recompute(&label, &subject, &warm, &[], &|req| warm.handle(req));
+        }
+        Topology::Replicated(replicas) => {
+            let mut deploy = DeployOptions::default().with_replicas(replicas);
+            deploy.runtime = runtime;
+            let rd = deploy_replicated(&subject.app, deploy, &durability).unwrap();
+            assert_matches_cold_recompute(&label, &subject, &rd.leader, &rd.replicas, &|req| {
+                rd.handle(req)
+            });
         }
     }
 }

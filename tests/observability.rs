@@ -259,7 +259,7 @@ fn mvcc_counters_render_and_move() {
 /// move under a maintained durable deployment: a conditional GET whose
 /// validator still matches answers 304; a committed write patches the
 /// cached bean in place (or counts its fallback) and forces exactly the
-/// dirty fragment to re-render.
+/// outdated fragment to re-render.
 #[test]
 fn maintenance_counters_render_and_move() {
     use webml_ratio::relstore::Params;

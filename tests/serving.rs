@@ -533,9 +533,9 @@ proptest! {
         }
 
         // every accepted socket is eventually closed server-side, on every
-        // path: EOF, abort, timeout reap, cap, shed. A worker closes the
-        // socket inside its slice and leaves `in_flight` only after the
-        // slice returns, so both counters are polled to zero together.
+        // path: EOF, abort, timeout reap, cap, shed; and every request
+        // admitted into service has been answered. Both counters are
+        // polled to zero together.
         let t0 = Instant::now();
         let counters = server.http_counters();
         while counters.open_fds.get() != 0 || counters.in_flight.get() != 0 {

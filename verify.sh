@@ -33,12 +33,23 @@ failed, hit = run["failed"], run["metrics"]["cache.fragment_hit_ratio"]["value"]
 print(f"failed={failed} cache.fragment_hit_ratio={hit:.2f} (gate: 0 failed, ratio > 0.3)")
 sys.exit(0 if failed == 0 and hit > 0.3 else 1)'
 
-echo "== seeded schedules under three seeds: storage stress (transactions, rollbacks and exact reads) and the cache composition oracle (maintained caches vs cold recompute)"
+echo "== bench_e2e counter gate: commits patch beans and fragments stay warm under writes (traced edit_mix at smoke length)"
+cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- \
+  --workload edit_mix --seed 1 --trace 1 --seconds 1 --min-beyond 0 | tail -n 1 | python3 -c '
+import json, sys
+run = json.load(sys.stdin)
+m = run["metrics"]
+failed, patches, hit = run["failed"], m["cache.patches_applied"]["value"], m["cache.fragment_hit_ratio"]["value"]
+print(f"failed={failed} cache.patches_applied={patches:.0f} cache.fragment_hit_ratio={hit:.2f} (gate: 0 failed, patches > 0, ratio > 0.5)")
+sys.exit(0 if failed == 0 and patches > 0 and hit > 0.5 else 1)'
+
+echo "== seeded schedules under three seeds: storage stress (transactions, rollbacks and exact reads) and the cache composition oracle (maintained caches vs cold recompute, with and without model-tagged units)"
 for seed in 1 20030108 "${RELSTORE_STRESS_SEED:-3224275387}"; do
   RELSTORE_STRESS_SEED="$seed" \
     cargo test -p relstore --release -q --test concurrent seeded_schedule_stress
   RELSTORE_STRESS_SEED="$seed" \
-    cargo test --release -q --test caching maintained_cache_matches_cold_recompute
+    cargo test --release -q --test caching -- \
+      maintained_cache_matches_cold_recompute untagged_fragments_match_cold_recompute
 done
 
 echo "verify.sh: all green"
