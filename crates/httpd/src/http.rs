@@ -479,7 +479,7 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Incremental, resumable request parsing over an accumulated byte
-/// buffer — the nonblocking-reactor entry point. Call after every read;
+/// buffer — the event loops' entry point. Call after every read;
 /// `Partial` means "wait for more bytes", never blocks, and charges the
 /// caller nothing: the buffer itself is the only state.
 pub fn parse_request_bytes(buf: &[u8], max_header_bytes: usize) -> io::Result<ParseOutcome> {

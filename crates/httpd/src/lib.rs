@@ -2,14 +2,14 @@
 //!
 //! Plays the "HTTP server" box of the paper's Fig. 3: accepts browser
 //! requests and hands them to the servlet-container analogue (the `mvc`
-//! Controller, adapted by the `webratio` facade). An epoll readiness
-//! reactor owns every idle connection (zero wakeups between requests,
-//! event-driven deadlines — no polling ticks) and dispatches readable
-//! ones to a worker pool; persistent HTTP/1.1 connections (keep-alive
-//! negotiated per request, per-connection request cap, idle read
-//! timeout), admission control (503 + `Retry-After` beyond an in-flight
-//! budget), bounded header blocks and bodies, and vectored zero-copy
-//! response writes.
+//! Controller, adapted by the `webratio` facade). Each worker thread is
+//! an epoll event loop that serves the connections it accepted from
+//! accept to close (zero wakeups between requests, event-driven
+//! deadlines — no polling ticks, no hand-off between threads);
+//! persistent HTTP/1.1 connections (keep-alive negotiated per request,
+//! per-connection request cap, idle read timeout), admission control
+//! (503 + `Retry-After` beyond an in-flight budget), bounded header
+//! blocks and bodies, and vectored zero-copy response writes.
 
 pub mod client;
 pub mod http;

@@ -1,14 +1,16 @@
 //! A nonblocking HTTP/1.1 server — the "HTTP server + servlet
 //! container" box of Fig. 3, sized for examples, tests, and benches.
 //!
-//! One reactor thread owns an epoll instance, the listener, and every
-//! idle connection: quiet keep-alive clients cost zero wakeups between
-//! requests, and idle/stall timeouts are event-driven off a deadline
-//! heap (no polling ticks). A connection that turns readable is handed
-//! (oneshot — exactly one owner at a time) to a worker-pool thread,
-//! which reads nonblockingly, parses incrementally out of the
-//! connection's buffer, serves every complete request, and flushes the
-//! response with a vectored write of refcounted body chunks — cached
+//! Each worker thread is its own event loop. It owns an epoll set that
+//! holds the shared listener, the server's stop eventfd and the
+//! connections this loop accepted, and it keeps those connections and
+//! their deadline heap to itself: a connection is served from accept to
+//! close by one thread, with no hand-off. Quiet keep-alive clients cost
+//! zero wakeups between requests, and idle/stall timeouts are
+//! event-driven off the deadline heap (no polling ticks). A ready
+//! connection is read nonblockingly, parsed incrementally out of its
+//! buffer, every complete request is served, and the responses are
+//! flushed with a vectored write of refcounted body chunks — cached
 //! fragments travel to the socket without being copied. Beyond a
 //! configurable in-flight budget, admission control sheds requests with
 //! `503` + `Retry-After` instead of queueing into collapse.
@@ -23,15 +25,13 @@
 use crate::http::{
     parse_request_bytes, BodyChunk, HttpRequest, HttpResponse, ParseOutcome, MAX_HEADER_BYTES,
 };
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use epoll::{Epoll, Interest, WakeFd};
-use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -53,8 +53,8 @@ pub struct ServerConfig {
     pub max_header_bytes: usize,
     /// Admission control: while this many requests are in service, further
     /// requests are shed with `503` + `Retry-After: 1` (the connection
-    /// stays usable). A dispatched connection with no complete request —
-    /// a drip, an EOF — takes no part of the budget. `0` = unlimited.
+    /// stays usable). A ready connection with no complete request — a
+    /// drip, an EOF — takes no part of the budget. `0` = unlimited.
     pub max_in_flight: usize,
 }
 
@@ -73,7 +73,7 @@ impl Default for ServerConfig {
 pub type TracedHandler =
     Arc<dyn Fn(HttpRequest, &mut obs::RequestContext) -> HttpResponse + Send + Sync>;
 
-/// How the worker pool services a request.
+/// How the event loops service a request.
 pub enum Service {
     /// Call the handler; connection-lifecycle counters stay private to
     /// the server.
@@ -128,7 +128,7 @@ impl Service {
 }
 
 const LISTENER_TOKEN: u64 = 0;
-const WAKE_TOKEN: u64 = 1;
+const STOP_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
 /// Pending response bytes of one connection: an ordered queue of body
@@ -148,10 +148,6 @@ const MAX_IOVECS: usize = 64;
 impl Outbox {
     fn is_empty(&self) -> bool {
         self.chunks.is_empty()
-    }
-
-    fn push(&mut self, chunks: Vec<BodyChunk>) {
-        self.chunks.extend(chunks);
     }
 
     /// Write as much as the socket accepts. `Ok(true)` = drained,
@@ -205,17 +201,15 @@ impl Outbox {
     }
 }
 
-/// One live client connection. Exactly one thread touches it at a time:
-/// the reactor while parked, a worker while dispatched.
+/// One live client connection, owned by the loop that accepted it.
 struct Conn {
     stream: TcpStream,
-    token: u64,
     /// Accumulated not-yet-parsed request bytes.
     buf: Vec<u8>,
     outbox: Outbox,
     /// Requests serviced on this connection so far.
     served: u64,
-    /// When the reactor reaps this connection if nothing happens.
+    /// When the loop reaps this connection if nothing happens.
     deadline: Instant,
     /// A request's first bytes arrived but not its end. The deadline was
     /// set when they did and is *not* extended by further drips — a
@@ -224,8 +218,8 @@ struct Conn {
     mid_request: bool,
     /// Close as soon as the outbox drains.
     closing: bool,
-    /// The fd has been `EPOLL_CTL_ADD`ed (subsequent parks use `MOD`).
-    registered: bool,
+    /// What the fd is registered for: read, or write while a flush stalls.
+    interest: Interest,
     /// Generation of this conn's live deadline-heap entry (lazy deletion).
     gen: u64,
 }
@@ -239,70 +233,69 @@ fn close_conn(counters: &obs::HttpCounters, conn: Conn) {
     drop(conn);
 }
 
-/// State shared between the reactor, the workers, and `stop()`.
+/// State shared between the loops and `stop()`.
 struct Shared {
     running: AtomicBool,
-    /// Connections handed back by workers, waiting for the reactor to
-    /// re-arm them.
-    parked_inbox: Mutex<Vec<Conn>>,
-    wake: WakeFd,
+    /// Written once by `stop()` and never drained: it stays readable in
+    /// every loop's epoll set until all of them have seen it.
+    stop: WakeFd,
 }
 
-/// The event loop that owns every idle connection.
-struct Reactor {
-    epoll: Epoll,
-    listener: TcpListener,
+/// What a loop needs to serve a request; apart from the connections, so
+/// a connection can be served in place in the loop's map.
+struct Serving {
+    service: Arc<Service>,
+    config: ServerConfig,
     shared: Arc<Shared>,
     counters: Arc<obs::HttpCounters>,
-    config: ServerConfig,
-    tx: Sender<Conn>,
-    parked: HashMap<u64, Conn>,
+}
+
+/// One worker thread: the event loop of the connections it accepted.
+struct EventLoop {
+    epoll: Epoll,
+    listener: TcpListener,
+    serving: Serving,
+    conns: HashMap<u64, Conn>,
     /// Min-heap of `(deadline, token, gen)`; entries whose conn was
-    /// dispatched or re-parked since are stale and skipped on pop.
+    /// served since are stale and skipped on pop.
     deadlines: BinaryHeap<Reverse<(Instant, u64, u64)>>,
     next_token: u64,
 }
 
-impl Reactor {
+impl EventLoop {
     fn run(mut self) {
         let mut events = Vec::with_capacity(256);
-        loop {
+        while self.running() {
             let timeout = self.next_timeout();
             if self.epoll.wait(&mut events, timeout).is_err() {
                 break;
             }
-            if !self.shared.running.load(Ordering::Acquire) {
-                break;
-            }
             for ev in &events {
+                if !self.running() {
+                    break;
+                }
                 match ev.token {
-                    LISTENER_TOKEN => self.accept_ready(),
-                    WAKE_TOKEN => self.drain_inbox(),
-                    token => self.dispatch(token),
+                    LISTENER_TOKEN => self.accept_one(),
+                    STOP_TOKEN => {}
+                    token => self.ready(token),
                 }
             }
             self.reap_expired();
-            if !self.shared.running.load(Ordering::Acquire) {
-                break;
-            }
         }
-        // Shutdown: close every parked connection (with accounting), then
-        // drop `tx` so workers drain the queue and exit on Disconnected.
-        let parked: Vec<Conn> = self.parked.drain().map(|(_, c)| c).collect();
-        for c in parked {
-            close_conn(&self.counters, c);
+        for (_, c) in self.conns.drain() {
+            close_conn(&self.serving.counters, c);
         }
-        let inbox: Vec<Conn> = std::mem::take(&mut *self.shared.parked_inbox.lock());
-        for c in inbox {
-            close_conn(&self.counters, c);
-        }
+    }
+
+    fn running(&self) -> bool {
+        self.serving.shared.running.load(Ordering::Acquire)
     }
 
     /// Sleep until the earliest live deadline (`None` = forever).
     fn next_timeout(&mut self) -> Option<Duration> {
         let now = Instant::now();
         while let Some(&Reverse((deadline, token, gen))) = self.deadlines.peek() {
-            match self.parked.get(&token) {
+            match self.conns.get(&token) {
                 Some(c) if c.gen == gen => {
                     return Some(deadline.saturating_duration_since(now));
                 }
@@ -314,177 +307,142 @@ impl Reactor {
         None
     }
 
-    /// Accept every queued client (level-triggered: drain to WouldBlock
-    /// so the listener quiesces). New connections are parked, not
-    /// dispatched — they cost nothing until bytes arrive.
-    fn accept_ready(&mut self) {
-        loop {
+    /// Accept one queued client. The level-triggered listener stays
+    /// readable while more wait, so the other loops, woken with this one,
+    /// take the rest of a burst. A new connection costs nothing until
+    /// bytes arrive.
+    fn accept_one(&mut self) {
+        let stream = loop {
             match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.counters.connections.inc();
-                    self.counters.open_fds.add(1);
-                    self.park(Conn {
-                        stream,
-                        token,
-                        buf: Vec::new(),
-                        outbox: Outbox::default(),
-                        served: 0,
-                        deadline: Instant::now() + self.config.idle_timeout,
-                        mid_request: false,
-                        closing: false,
-                        registered: false,
-                        gen: 0,
-                    });
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Ok((stream, _)) => break stream,
+                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return, // WouldBlock: another loop took it
             }
-        }
-    }
-
-    /// Arm (or re-arm) the fd for the interest the conn is waiting on
-    /// and index it under its token. Level-triggered + oneshot: if bytes
-    /// already sit unread in the socket, the event re-fires immediately
-    /// — parking never loses a wakeup.
-    fn park(&mut self, mut conn: Conn) {
-        let interest = if conn.outbox.is_empty() {
-            Interest::Read
-        } else {
-            Interest::Write
         };
-        let fd = conn.stream.as_raw_fd();
-        let armed = if conn.registered {
-            self.epoll.rearm(fd, conn.token, interest, true)
-        } else {
-            let r = self.epoll.add(fd, conn.token, interest, true);
-            conn.registered = r.is_ok();
-            r
-        };
-        if armed.is_err() {
-            close_conn(&self.counters, conn);
+        if stream.set_nonblocking(true).is_err() {
             return;
         }
-        conn.gen += 1;
-        self.deadlines
-            .push(Reverse((conn.deadline, conn.token, conn.gen)));
-        self.parked.insert(conn.token, conn);
-    }
-
-    /// Re-park every connection the workers handed back.
-    fn drain_inbox(&mut self) {
-        self.shared.wake.drain();
-        let handed: Vec<Conn> = std::mem::take(&mut *self.shared.parked_inbox.lock());
-        for conn in handed {
-            self.park(conn);
+        let _ = stream.set_nodelay(true);
+        let token = self.next_token;
+        self.next_token += 1;
+        // Level-triggered, registered once: bytes left unread re-fire.
+        if self
+            .epoll
+            .add(stream.as_raw_fd(), token, Interest::Read)
+            .is_err()
+        {
+            return;
         }
-    }
-
-    /// A parked connection turned ready: hand it to the worker pool.
-    /// (Errors ride the same path — the worker's read will report them.)
-    fn dispatch(&mut self, token: u64) {
-        let Some(conn) = self.parked.remove(&token) else {
-            return; // stale event (token raced a close)
+        let counters = &self.serving.counters;
+        counters.connections.inc();
+        counters.open_fds.add(1);
+        let conn = Conn {
+            stream,
+            buf: Vec::new(),
+            outbox: Outbox::default(),
+            served: 0,
+            deadline: Instant::now() + self.serving.config.idle_timeout,
+            mid_request: false,
+            closing: false,
+            interest: Interest::Read,
+            gen: 0,
         };
-        self.counters.dispatches.inc();
-        if let Err(crossbeam::channel::SendError(conn)) = self.tx.send(conn) {
-            close_conn(&self.counters, conn);
+        self.deadlines
+            .push(Reverse((conn.deadline, token, conn.gen)));
+        self.conns.insert(token, conn);
+    }
+
+    /// A connection turned ready: serve it, then wait for it again —
+    /// re-registering only when it flips between read and write interest.
+    /// (Errors ride the same path — the read or write will report them.)
+    fn ready(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return; // not a live connection of this loop
+        };
+        self.serving.counters.dispatches.inc();
+        let mut keep = self.serving.slice(conn);
+        if keep {
+            let interest = if conn.outbox.is_empty() {
+                Interest::Read
+            } else {
+                Interest::Write
+            };
+            if interest != conn.interest {
+                let fd = conn.stream.as_raw_fd();
+                keep = self.epoll.modify(fd, token, interest).is_ok();
+                conn.interest = interest;
+            }
+        }
+        if keep {
+            conn.gen += 1;
+            self.deadlines
+                .push(Reverse((conn.deadline, token, conn.gen)));
+        } else {
+            let conn = self.conns.remove(&token).expect("served above");
+            close_conn(&self.serving.counters, conn);
         }
     }
 
-    /// Close every parked connection whose deadline lapsed.
+    /// Close every connection whose deadline lapsed.
     fn reap_expired(&mut self) {
         let now = Instant::now();
+        let counters = &self.serving.counters;
         while let Some(&Reverse((deadline, token, gen))) = self.deadlines.peek() {
             if deadline > now {
                 break;
             }
             self.deadlines.pop();
-            let live = matches!(self.parked.get(&token), Some(c) if c.gen == gen);
+            let live = matches!(self.conns.get(&token), Some(c) if c.gen == gen);
             if !live {
                 continue;
             }
-            let mut conn = self.parked.remove(&token).expect("checked live");
-            if !conn.outbox.is_empty() {
-                // stalled flush: the client is not reading its own
-                // response — nothing to say, just close
-                close_conn(&self.counters, conn);
-            } else if conn.mid_request {
-                // half-sent request (slow-loris or a stall): 408,
-                // best-effort nonblocking write, then close
-                self.counters.idle_timeouts.inc();
-                let mut bytes = Vec::new();
-                let _ = HttpResponse::html(408, "<h1>408 Request Timeout</h1>")
-                    .write_with_connection(&mut bytes, false);
-                let _ = conn.stream.write(&bytes);
-                close_conn(&self.counters, conn);
-            } else {
-                // idle between requests
-                self.counters.idle_timeouts.inc();
-                close_conn(&self.counters, conn);
-            }
-        }
-    }
-}
-
-/// One worker-pool thread: services dispatched connections.
-struct Worker {
-    service: Arc<Service>,
-    config: ServerConfig,
-    shared: Arc<Shared>,
-    requests_served: Arc<AtomicU64>,
-    counters: Arc<obs::HttpCounters>,
-    rx: Receiver<Conn>,
-}
-
-impl Worker {
-    fn run(&self) {
-        while let Ok(conn) = self.rx.recv() {
-            if let Some(conn) = self.slice(conn) {
-                if self.shared.running.load(Ordering::Acquire) {
-                    self.shared.parked_inbox.lock().push(conn);
-                    self.shared.wake.wake();
-                } else {
-                    close_conn(&self.counters, conn);
+            let mut conn = self.conns.remove(&token).expect("checked live");
+            // A stalled flush (the client is not reading its own
+            // response) has nothing to say: it is just closed.
+            if conn.outbox.is_empty() {
+                counters.idle_timeouts.inc();
+                if conn.mid_request {
+                    // half-sent request (slow-loris or a stall): 408,
+                    // best-effort nonblocking write, then close
+                    let mut bytes = Vec::new();
+                    let _ = HttpResponse::html(408, "<h1>408 Request Timeout</h1>")
+                        .write_with_connection(&mut bytes, false);
+                    let _ = conn.stream.write(&bytes);
                 }
             }
+            close_conn(counters, conn);
         }
-        // Disconnected: the reactor dropped the queue at shutdown.
     }
+}
 
-    /// Service one dispatched connection: flush pending output, read
-    /// what arrived, serve every complete request, flush, and either
-    /// close (`None`) or hand it back for re-parking (`Some`). Never
-    /// blocks — a stalled client parks threadlessly.
-    fn slice(&self, mut conn: Conn) -> Option<Conn> {
-        if !self.shared.running.load(Ordering::Acquire) {
-            close_conn(&self.counters, conn);
-            return None;
-        }
-        // 1. Finish a previously stalled flush before reading more.
+impl Serving {
+    /// Write pending output. `Some(keep)` ends the slice: the socket is
+    /// full (wait for write interest) or the connection failed.
+    fn flush(&self, conn: &mut Conn) -> Option<bool> {
         match conn
             .outbox
             .flush(&mut conn.stream, &self.counters.vectored_writes)
         {
-            Ok(true) => {}
+            Ok(true) => None,
             Ok(false) => {
                 conn.deadline = Instant::now() + self.config.idle_timeout;
-                return Some(conn);
+                Some(true)
             }
-            Err(_) => {
-                close_conn(&self.counters, conn);
-                return None;
-            }
+            Err(_) => Some(false),
+        }
+    }
+
+    /// Serve one ready connection: flush pending output, read what
+    /// arrived, serve every complete request, flush. `false` = close it.
+    /// Never blocks — a stalled client waits threadlessly in the epoll
+    /// set.
+    fn slice(&self, conn: &mut Conn) -> bool {
+        // 1. Finish a previously stalled flush before reading more.
+        if let Some(keep) = self.flush(conn) {
+            return keep;
         }
         if conn.closing {
-            close_conn(&self.counters, conn);
-            return None;
+            return false;
         }
         // 2. Read everything the socket has.
         let mut saw_eof = false;
@@ -498,10 +456,7 @@ impl Worker {
                 Ok(n) => conn.buf.extend_from_slice(&tmp[..n]),
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    close_conn(&self.counters, conn);
-                    return None;
-                }
+                Err(_) => return false,
             }
         }
         // 3. Serve every complete request in the buffer (pipelining).
@@ -531,12 +486,11 @@ impl Worker {
                         self.service.serve(req)
                     };
                     self.counters.in_flight.add(-1);
-                    self.requests_served.fetch_add(1, Ordering::Relaxed);
                     self.counters.requests.inc();
                     if cap_hit && client_wants_more {
                         self.counters.conn_cap_closes.inc();
                     }
-                    conn.outbox.push(resp.to_wire_chunks(keep_alive));
+                    conn.outbox.chunks.extend(resp.to_wire_chunks(keep_alive));
                     if !keep_alive {
                         conn.closing = true;
                     }
@@ -544,7 +498,7 @@ impl Worker {
                 Ok(ParseOutcome::Partial) => break,
                 Ok(ParseOutcome::TooLarge) => {
                     self.counters.header_overflows.inc();
-                    conn.outbox.push(
+                    conn.outbox.chunks.extend(
                         HttpResponse::html(431, "<h1>431 Request Header Fields Too Large</h1>")
                             .to_wire_chunks(false),
                     );
@@ -552,31 +506,20 @@ impl Worker {
                 }
                 Err(_) => {
                     conn.outbox
-                        .push(HttpResponse::html(400, "<h1>400</h1>").to_wire_chunks(false));
+                        .chunks
+                        .extend(HttpResponse::html(400, "<h1>400</h1>").to_wire_chunks(false));
                     conn.closing = true;
                 }
             }
         }
         // 4. Flush what we produced.
-        match conn
-            .outbox
-            .flush(&mut conn.stream, &self.counters.vectored_writes)
-        {
-            Ok(true) => {}
-            Ok(false) => {
-                conn.deadline = Instant::now() + self.config.idle_timeout;
-                return Some(conn);
-            }
-            Err(_) => {
-                close_conn(&self.counters, conn);
-                return None;
-            }
+        if let Some(keep) = self.flush(conn) {
+            return keep;
         }
         if conn.closing || saw_eof {
-            close_conn(&self.counters, conn);
-            return None;
+            return false;
         }
-        // 5. Park until the next request.
+        // 5. Wait for the next request.
         if conn.buf.is_empty() {
             conn.deadline = Instant::now() + self.config.idle_timeout;
             conn.mid_request = false;
@@ -586,7 +529,7 @@ impl Worker {
             conn.deadline = Instant::now() + self.config.idle_timeout;
             conn.mid_request = true;
         }
-        Some(conn)
+        true
     }
 }
 
@@ -595,9 +538,7 @@ impl Worker {
 pub struct HttpServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    reactor_thread: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    pub requests_served: Arc<AtomicU64>,
+    loops: Vec<std::thread::JoinHandle<()>>,
     http_counters: Arc<obs::HttpCounters>,
 }
 
@@ -613,8 +554,8 @@ impl HttpServer {
         )
     }
 
-    /// Bind `127.0.0.1:port` (0 = ephemeral) and serve `service` with a
-    /// pool of `workers` threads.
+    /// Bind `127.0.0.1:port` (0 = ephemeral) and serve `service` with
+    /// `workers` event-loop threads, named `httpd-loop-{i}`.
     pub fn start_service(
         port: u16,
         workers: usize,
@@ -623,56 +564,44 @@ impl HttpServer {
     ) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            running: AtomicBool::new(true),
-            parked_inbox: Mutex::new(Vec::new()),
-            wake: WakeFd::new()?,
-        });
-        let epoll = Epoll::new()?;
-        epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::Read, false)?;
-        epoll.add(shared.wake.as_raw_fd(), WAKE_TOKEN, Interest::Read, false)?;
-
-        let requests_served = Arc::new(AtomicU64::new(0));
-        let (tx, rx): (Sender<Conn>, Receiver<Conn>) = unbounded();
         let service = Arc::new(service);
         let http_counters = service.http_counters();
-
-        let mut worker_handles = Vec::with_capacity(workers.max(1));
-        for _ in 0..workers.max(1) {
-            let worker = Worker {
-                service: Arc::clone(&service),
-                config: config.clone(),
-                shared: Arc::clone(&shared),
-                requests_served: Arc::clone(&requests_served),
-                counters: Arc::clone(&http_counters),
-                rx: rx.clone(),
-            };
-            worker_handles.push(std::thread::spawn(move || worker.run()));
-        }
-        drop(rx); // workers hold their own clones
-
-        let reactor = Reactor {
-            epoll,
-            listener,
-            shared: Arc::clone(&shared),
-            counters: Arc::clone(&http_counters),
-            config,
-            tx,
-            parked: HashMap::new(),
-            deadlines: BinaryHeap::new(),
-            next_token: FIRST_CONN_TOKEN,
-        };
-        let reactor_thread = std::thread::spawn(move || reactor.run());
-
-        Ok(HttpServer {
-            addr,
-            shared,
-            reactor_thread: Some(reactor_thread),
-            workers: worker_handles,
-            requests_served,
+        // Built before any loop starts, so an error below drops it and
+        // stops the loops already running.
+        let mut server = HttpServer {
+            addr: listener.local_addr()?,
+            shared: Arc::new(Shared {
+                running: AtomicBool::new(true),
+                stop: WakeFd::new()?,
+            }),
+            loops: Vec::with_capacity(workers.max(1)),
             http_counters,
-        })
+        };
+        for i in 0..workers.max(1) {
+            let listener = listener.try_clone()?;
+            let epoll = Epoll::new()?;
+            epoll.add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::Read)?;
+            let stop_fd = server.shared.stop.as_raw_fd();
+            epoll.add(stop_fd, STOP_TOKEN, Interest::Read)?;
+            let event_loop = EventLoop {
+                epoll,
+                listener,
+                serving: Serving {
+                    service: Arc::clone(&service),
+                    config: config.clone(),
+                    shared: Arc::clone(&server.shared),
+                    counters: Arc::clone(&server.http_counters),
+                },
+                conns: HashMap::new(),
+                deadlines: BinaryHeap::new(),
+                next_token: FIRST_CONN_TOKEN,
+            };
+            let handle = std::thread::Builder::new()
+                .name(format!("httpd-loop-{i}"))
+                .spawn(move || event_loop.run())?;
+            server.loops.push(handle);
+        }
+        Ok(server)
     }
 
     /// The web-tier connection-lifecycle counter block this server reports
@@ -695,38 +624,20 @@ impl HttpServer {
         if !self.shared.running.swap(false, Ordering::AcqRel) {
             return; // already stopped (stop() followed by Drop)
         }
-        // The reactor is parked in epoll_wait; the eventfd wakes it
-        // instantly. It closes every parked connection and drops the
-        // dispatch queue, which ends the workers. Joins are bounded: a
-        // thread that will not wind down is leaked rather than hanging
-        // shutdown.
-        self.shared.wake.wake();
+        // Every loop is parked in epoll_wait or serving a request; the
+        // eventfd wakes the parked ones at once, and each closes its own
+        // connections and its listener handle on the way out. Joins are
+        // bounded: a loop stuck in a handler is leaked rather than
+        // hanging shutdown, and closes its connections when it returns.
+        self.shared.stop.wake();
         let deadline = Instant::now() + Duration::from_secs(2);
-        if let Some(t) = self.reactor_thread.take() {
+        for t in self.loops.drain(..) {
             while !t.is_finished() && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(2));
             }
             if t.is_finished() {
                 let _ = t.join();
-            } else {
-                drop(t);
             }
-        }
-        for w in self.workers.drain(..) {
-            while !w.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            if w.is_finished() {
-                let _ = w.join();
-            } else {
-                drop(w);
-            }
-        }
-        // Workers that lost the race with the reactor's exit may have
-        // parked a connection into the inbox after its final drain.
-        let leftover: Vec<Conn> = std::mem::take(&mut *self.shared.parked_inbox.lock());
-        for c in leftover {
-            close_conn(&self.http_counters, c);
         }
     }
 }
@@ -777,7 +688,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(server.requests_served.load(Ordering::Relaxed), 40);
+        assert_eq!(server.http_counters().requests.get(), 40);
         server.stop();
     }
 
@@ -824,7 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn stop_unblocks_the_kernel_parked_reactor_promptly() {
+    fn stop_unblocks_the_kernel_parked_loops_promptly() {
         let server = HttpServer::start(0, 2, echo_handler()).unwrap();
         let addr = server.addr();
         // one real request so the pool is demonstrably live
@@ -833,7 +744,7 @@ mod tests {
         server.stop(); // must not wait for a poll tick or a new client
         assert!(
             t0.elapsed() < std::time::Duration::from_millis(500),
-            "stop() took {:?}; the reactor did not wake",
+            "stop() took {:?}; the loops did not wake",
             t0.elapsed()
         );
         // the listener is really gone
@@ -869,7 +780,6 @@ mod tests {
                 .unwrap()
                 .contains(&format!("path=/r{i}")));
         }
-        assert_eq!(server.requests_served.load(Ordering::Relaxed), 10);
         assert_eq!(counters.requests.get(), 10);
         assert_eq!(counters.connections.get(), 1, "one TCP connection total");
         drop(conn); // client closes; server should record 10 req on 1 conn
@@ -883,10 +793,10 @@ mod tests {
 
     #[test]
     fn idle_keep_alive_conn_generates_zero_wakeups() {
-        // The reactor's no-polling invariant: between requests, an idle
-        // keep-alive connection is parked in epoll and produces zero
-        // dispatches — where the old sliced loop woke a worker every
-        // 25ms tick to re-check it.
+        // The no-polling invariant: between requests, an idle keep-alive
+        // connection waits in its loop's epoll set and produces zero
+        // wake-ups — where the old sliced loop woke a worker every 25ms
+        // tick to re-check it.
         let server = HttpServer::start(0, 2, echo_handler()).unwrap();
         let counters = Arc::clone(server.http_counters());
         let mut conn = client::Connection::open(server.addr()).unwrap();
@@ -897,7 +807,7 @@ mod tests {
         assert_eq!(
             counters.dispatches.get(),
             settled,
-            "idle keep-alive connection caused reactor dispatches"
+            "idle keep-alive connection woke its loop"
         );
         // the parked connection is still live
         assert_eq!(conn.get("/y").unwrap().status, 200);
@@ -1065,8 +975,9 @@ mod tests {
 
     #[test]
     fn more_keep_alive_connections_than_workers_all_make_progress() {
-        // 1 worker, 4 persistent connections: readiness dispatch must
-        // keep every client moving instead of pinning the worker to one.
+        // 1 loop, 4 persistent connections: serving each ready one in
+        // turn must keep every client moving instead of pinning the loop
+        // to one.
         let server = HttpServer::start(0, 1, echo_handler()).unwrap();
         let addr = server.addr();
         let mut handles = Vec::new();
@@ -1082,8 +993,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(server.requests_served.load(Ordering::Relaxed), 40);
         let counters = Arc::clone(server.http_counters());
+        assert_eq!(counters.requests.get(), 40);
         assert_eq!(counters.connections.get(), 4);
         server.stop();
     }

@@ -386,9 +386,9 @@ pub struct HttpCounters {
     /// Requests shed with `503` + `Retry-After` because the in-flight
     /// budget was exhausted (admission control, not a failure).
     pub admission_rejects: Counter,
-    /// Readable-connection hand-offs from the reactor to the worker
-    /// pool. An idle keep-alive connection adds nothing here between
-    /// requests — the no-polling invariant, asserted by tests.
+    /// Ready-connection wake-ups served by an event loop. An idle
+    /// keep-alive connection adds nothing here between requests — the
+    /// no-polling invariant, asserted by tests.
     pub dispatches: Counter,
     /// Vectored (`writev`) response flushes — the zero-copy write path.
     pub vectored_writes: Counter,
@@ -736,8 +736,8 @@ impl MetricsRegistry {
         );
         counter_into(
             &mut out,
-            "http_reactor_dispatches_total",
-            "Readable-connection hand-offs from the reactor to workers",
+            "http_conn_wakeups_total",
+            "Ready-connection wake-ups served by an event loop",
             self.http.dispatches.get(),
         );
         counter_into(
@@ -1132,7 +1132,7 @@ mod tests {
         assert!(text.contains("http_requests_per_conn_sum 5"));
         assert!(text.contains("http_header_overflows_total 1"));
         assert!(text.contains("http_admission_rejects_total 3"));
-        assert!(text.contains("http_reactor_dispatches_total 7"));
+        assert!(text.contains("http_conn_wakeups_total 7"));
         assert!(text.contains("http_vectored_writes_total 6"));
         assert!(text.contains("# TYPE http_open_fds gauge"));
         assert!(text.contains("http_open_fds 2"));

@@ -7,12 +7,15 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use webml_ratio::httpd::{client, ServerConfig};
+use webml_ratio::httpd::{client, Handler, HttpRequest, HttpServer, ServerConfig, Service};
 use webml_ratio::mvc::RuntimeOptions;
-use webml_ratio::webratio::{fixtures, Deployment, SESSION_COOKIE};
+use webml_ratio::obs::HttpCounters;
+use webml_ratio::webratio::{adapt_request, adapt_response, fixtures, Deployment, SESSION_COOKIE};
 
 fn options() -> RuntimeOptions {
     RuntimeOptions {
@@ -317,11 +320,11 @@ fn metrics_report_connection_lifecycle() {
     server.stop();
 }
 
-// ---- C10K reactor: slow-loris, admission control, fd lifecycle -------------
+// ---- C10K event loops: slow-loris, admission control, fd lifecycle ---------
 
-/// A header-dripping client parks in the reactor without holding a worker:
-/// with more dribblers than workers, normal requests still get served
-/// immediately, and each dribbler draws `408` when its mid-request
+/// A header-dripping client waits in its loop's epoll set without holding
+/// a thread: with more dribblers than workers, normal requests still get
+/// served immediately, and each dribbler draws `408` when its mid-request
 /// deadline expires (the deadline is set once per request, not reset per
 /// dripped byte).
 #[test]
@@ -411,20 +414,55 @@ fn slow_loris_oversized_drip_draws_431() {
 /// instead of queueing without bound; shed responses keep the connection
 /// usable, every response is a clean 200 or 503, and afterwards the
 /// in-flight gauge drains to zero and the fds are all returned.
+///
+/// Fast bookstore requests need not overlap by themselves, so one request
+/// is held in service behind a gate until the storm has been shed at least
+/// once.
 #[test]
 fn admission_budget_sheds_load_end_to_end() {
-    let d = bookstore();
-    let server = d
-        .serve_with(
-            0,
-            4,
-            ServerConfig {
-                max_in_flight: 1,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
+    let d = Arc::new(bookstore());
+    let counters: Arc<OnceLock<Arc<HttpCounters>>> = Arc::new(OnceLock::new());
+    let gate_closed = Arc::new(AtomicBool::new(true));
+    let handler: Handler = {
+        let (d, counters, gate_closed) = (
+            Arc::clone(&d),
+            Arc::clone(&counters),
+            Arc::clone(&gate_closed),
+        );
+        Arc::new(move |req: HttpRequest| {
+            if gate_closed.swap(false, Ordering::AcqRel) {
+                let counters = counters.get().expect("set before the first request");
+                while counters.admission_rejects.get() == 0 {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
+            adapt_response(d.handle(&adapt_request(&req)))
+        })
+    };
+    let server = HttpServer::start_service(
+        0,
+        4,
+        Service::Plain(handler),
+        ServerConfig {
+            max_in_flight: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    counters.set(Arc::clone(server.http_counters())).unwrap();
     let home = d.home_url("store").unwrap();
+
+    let addr = server.addr();
+    let gated_home = home.clone();
+    let gated = std::thread::spawn(move || client::get(addr, &gated_home).unwrap().status);
+    let t0 = Instant::now();
+    while server.http_counters().in_flight.get() < 1 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "gated request never entered service"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let shed = std::sync::atomic::AtomicU64::new(0);
     let ok = std::sync::atomic::AtomicU64::new(0);
@@ -452,6 +490,7 @@ fn admission_budget_sheds_load_end_to_end() {
     assert!(ok > 0, "some requests must get through");
     assert!(shed > 0, "8 clients vs budget 1 must shed");
     assert_eq!(server.http_counters().admission_rejects.get(), shed);
+    assert_eq!(gated.join().unwrap(), 200, "the gated request is served");
 
     // the storm leaves no residue: in-flight drains, a fresh request works
     let t0 = Instant::now();
